@@ -226,14 +226,15 @@ def cmd_solve_momentum(args) -> int:
         "theta_min_deg": th_lo_deg, "theta_max_deg": th_hi_deg,
         "n_rho": n_rho, "n_theta": n_theta,
     }
+    thetas = [th_lo + (th_hi - th_lo) * j / (n_theta - 1) for j in range(n_theta)]
+    angular = [fac.value(theta) for theta in thetas]
     rows = []
     for i in range(n_rho):
         rho = rho_lo + (rho_hi - rho_lo) * i / (n_rho - 1)
-        for j in range(n_theta):
-            theta = th_lo + (th_hi - th_lo) * j / (n_theta - 1)
-            r_val, _ = momentum.radial_value_slope(params, sol, rho)
-            t_val = fac.value(theta)
-            rows.append((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, classify(params, rho).value))
+        r_val, _ = momentum.radial_value_slope(params, sol, rho)
+        region = classify(params, rho).value
+        rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
+                    for theta, t_val in zip(thetas, angular))
     out = Path(args.output)
     _write_csv(out, config, ("rho_bar", "theta", "u", "radial", "angular", "region"), rows)
     _write_sidecar(out.with_suffix(out.suffix + ".json"), config, {"rows": len(rows)})

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import momentum, specfun
+from . import momentum, potentials
 from .errors import (
     DegenerateMapError,
     DomainError,
@@ -32,7 +32,7 @@ from .errors import (
     UnivalenceWarning,
 )
 from .maxwell import ModelParams, RegionTag, classify, coeff_g, density_F
-from .momentum import AngularFactor, RadialKind, RadialSolution
+from .momentum import AngularFactor, RadialSolution
 from .specfun import DEFAULT_SERIES, SeriesControl
 
 
@@ -119,47 +119,40 @@ def script_R(
 ) -> float:
     """Radial log-derivative combination Rcal(rho) = nu + n tau (d/dtau) ln T(tau).
 
-    For the regular branch the log-derivative of M is evaluated through the
-    contiguity relation; the singular branch uses Psi'/Psi.  Raises
-    :class:`NodeError` on nodal lines of T.
+    Taken from :func:`momentum.radial_row`.  Raises :class:`NodeError` on
+    nodal lines of T.
     """
-    if sol.kind is RadialKind.CONSTANT:
-        return 0.0
-    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
-        value = momentum.hyperbolic_omega(params, rho, control)
-        if abs(value) < 1e-300:
-            raise NodeError("hyperbolic radial solution vanishes; log-derivative pole")
-        return rho * momentum.omega_slope(params, rho) / value
-    tau = params.tau(rho)
-    if sol.kind.tricomi:
-        t_val = specfun.tricomi_psi(sol.a, sol.b, tau, control)
-        if t_val == 0.0:
-            raise NodeError(f"Psi({sol.a}, {sol.b}, {tau}) = 0: log-derivative pole")
-        logderiv = specfun.tricomi_psi_deriv(sol.a, sol.b, tau, control) / t_val
-    else:
-        logderiv = specfun.kummer_logderiv(sol.a, sol.b, tau, control)
-    return sol.nu + params.n * tau * logderiv
+    _, _, rcal = momentum.radial_row(params, sol, rho, control)
+    if math.isnan(rcal):
+        raise NodeError(f"the radial factor vanishes at rho = {rho}: log-derivative pole")
+    return rcal
 
 
-def _map_core(
-    params: ModelParams,
-    sol: RadialSolution,
-    fac: AngularFactor,
-    rho: float,
-    theta: float,
-    control: SeriesControl,
-) -> dict:
-    """Node-free building blocks shared by the map, its Jacobian and differential."""
-    r_val, r_slope = momentum.radial_value_slope(params, sol, rho, control)
-    th_val = fac.value(theta)
-    th_der = fac.deriv(theta)
-    g = coeff_g(params, rho)
-    w1 = rho * r_slope - r_val                       # R (Rcal - 1)
-    w2 = rho * r_slope - fac.lam ** 2 * r_val        # R (Rcal - lam^2)
-    return {
-        "R": r_val, "Rp": r_slope, "Th": th_val, "Thp": th_der,
-        "g": g, "w1": w1, "w2": w2,
-    }
+def _require_chart(sol: RadialSolution) -> None:
+    if abs(sol.lam - 1.0) <= 1e-12:
+        raise DegenerateMapError(
+            "lam = 1: the map Jacobian vanishes identically and no coordinate chart exists"
+        )
+
+
+def _weights(rho, r, rp, lam):
+    """Node-free radial combinations w1 = R (Rcal - 1) and w2 = R (Rcal - lam^2)."""
+    return rho * rp - r, rho * rp - lam ** 2 * r
+
+
+def _image(rho, r, rp, g, lam, th, thp, cos_t, sin_t):
+    """Position, phase and inverse Jacobian from the separated factors.
+
+    Plain arithmetic: floats give one point, and columns of radial quantities
+    (``rho, r, rp, g``) with rows of angular ones (``th, thp, cos_t, sin_t``)
+    broadcast to the whole grid.
+    """
+    w1, w2 = _weights(rho, r, rp, lam)
+    x = rp * th * cos_t - r * thp * sin_t / rho
+    y = rp * th * sin_t + r * thp * cos_t / rho
+    phi = rho * rp * th - r * th
+    jac_inv = -((w1 * thp) ** 2 + g * (w2 * th) ** 2) / rho ** 4
+    return x, y, phi, jac_inv
 
 
 def forward_map(
@@ -178,16 +171,13 @@ def forward_map(
     this raises :class:`DegenerateMapError`.  Pass ``allow_degenerate=True``
     to evaluate anyway, e.g. to inspect the vanishing Jacobian.
     """
-    if abs(sol.lam - 1.0) <= 1e-12 and not allow_degenerate:
-        raise DegenerateMapError(
-            "lam = 1: the map Jacobian vanishes identically and no coordinate chart exists"
-        )
-    c = _map_core(params, sol, fac, rho, theta, control)
-    ct, st = math.cos(theta), math.sin(theta)
-    x = c["Rp"] * c["Th"] * ct - c["R"] * c["Thp"] * st / rho
-    y = c["Rp"] * c["Th"] * st + c["R"] * c["Thp"] * ct / rho
-    phi = rho * c["Rp"] * c["Th"] - c["R"] * c["Th"]
-    jac_inv = -((c["w1"] * c["Thp"]) ** 2 + c["g"] * (c["w2"] * c["Th"]) ** 2) / rho ** 4
+    if not allow_degenerate:
+        _require_chart(sol)
+    r, rp, _ = momentum.radial_row(params, sol, rho, control)
+    x, y, phi, jac_inv = _image(
+        rho, r, rp, coeff_g(params, rho), fac.lam,
+        fac.value(theta), fac.deriv(theta), math.cos(theta), math.sin(theta),
+    )
     return MapPoint(rho=rho, theta=theta, x=x, y=y, phi_val=phi, jac_inv=jac_inv,
                     region=classify(params, rho))
 
@@ -205,15 +195,30 @@ def map_differential(
     Uses the radial and angular equations to eliminate second derivatives, so
     it is exact for genuine separated solutions.
     """
-    c = _map_core(params, sol, fac, rho, theta, control)
+    r, rp = momentum.radial_value_slope(params, sol, rho, control)
+    g = coeff_g(params, rho)
+    w1, w2 = _weights(rho, r, rp, fac.lam)
+    th, thp = fac.value(theta), fac.deriv(theta)
     ct, st = math.cos(theta), math.sin(theta)
-    g, w1, w2 = c["g"], c["w1"], c["w2"]
-    th, thp = c["Th"], c["Thp"]
     x_rho = (-g * w2 * th * ct - w1 * thp * st) / rho ** 2
     y_rho = (-g * w2 * th * st + w1 * thp * ct) / rho ** 2
     x_theta = (w1 * thp * ct - w2 * th * st) / rho
     y_theta = (w1 * thp * st + w2 * th * ct) / rho
     return np.array([[x_rho, x_theta], [y_rho, y_theta]])
+
+
+def _radial_chart(params: ModelParams, matched: ModelParams, rho: float, control: SeriesControl):
+    """Image radius zeta_bar, phase and inverse Jacobian of the radial flow at one rho.
+
+    ``matched`` is ``params`` with c1 from :func:`momentum.omega_matched_c1`.
+    """
+    if rho <= params.rho_t:
+        raise RegionError(f"the radial map needs rho > rho_T, got rho = {rho}")
+    omega = momentum.hyperbolic_omega(matched, rho, control)  # checks the series cap first
+    zb = momentum.zeta_bar(params, rho)
+    phi = rho * zb - omega
+    jac_inv = (params.ell + 1.0) * (params.rho_bar(rho) ** params.n - 1.0) * zb ** 2 / rho ** 2
+    return zb, phi, jac_inv
 
 
 def forward_map_radial(
@@ -228,12 +233,8 @@ def forward_map_radial(
     ``Phi = rho zeta_bar(rho) - Omega(rho)`` with the integration constant of
     Omega matched to c0 (so that Omega' = zeta_bar exactly).
     """
-    if rho <= params.rho_t:
-        raise RegionError(f"the radial map needs rho > rho_T, got rho = {rho}")
-    zb = momentum.zeta_bar(params, rho)
     matched = params.with_(c1=momentum.omega_matched_c1(params))
-    phi = rho * zb - momentum.hyperbolic_omega(matched, rho, control)
-    jac_inv = (params.ell + 1.0) * (params.rho_bar(rho) ** params.n - 1.0) * zb ** 2 / rho ** 2
+    zb, phi, jac_inv = _radial_chart(params, matched, rho, control)
     return MapPoint(rho=rho, theta=theta, x=zb * math.cos(theta), y=zb * math.sin(theta),
                     phi_val=phi, jac_inv=jac_inv, region=classify(params, rho))
 
@@ -330,17 +331,6 @@ def invert_map(
     raise NoConvergenceError(f"no convergence after {max_iter} iterations (residual {err:.3e})")
 
 
-def _nan_sample(point: MapPoint, params: ModelParams, flag: str) -> FieldSample:
-    speed = abs(params.alpha) * point.rho
-    vx = -params.alpha * point.rho * math.cos(point.theta)
-    vy = -params.alpha * point.rho * math.sin(point.theta)
-    return FieldSample(
-        x=point.x, y=point.y, phi=point.phi_val, vx=vx, vy=vy, speed=speed,
-        density=math.nan, q_pot=math.nan, u_pot=math.nan,
-        jac_inv=point.jac_inv, region=point.region, flag=flag,
-    )
-
-
 def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     n_rho, n_theta = shape
     if n_rho < 2 or n_theta < 2:
@@ -349,6 +339,57 @@ def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.
         np.linspace(domain.rho_min, domain.rho_max, n_rho),
         np.linspace(domain.theta_min, domain.theta_max, n_theta),
     )
+
+
+def _row_densities(params: ModelParams, rhos: list[float], norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(|alpha| rho) per row, NaN and True in the second array where F is singular."""
+    dens, singular = [], []
+    for rho in rhos:
+        try:
+            dens.append(density_F(params, abs(params.alpha) * rho, norm))
+            singular.append(False)
+        except DomainError:
+            dens.append(math.nan)
+            singular.append(True)
+    return np.array(dens), np.array(singular)
+
+
+def _records(
+    params: ModelParams,
+    rhos: np.ndarray,
+    thetas: np.ndarray,
+    norm: float,
+    grids: tuple,
+    node: np.ndarray,
+    out_of_range: np.ndarray,
+) -> list[FieldSample]:
+    """FieldSample records, row-major in rho, with velocity, speed, density,
+    region and flag added.
+
+    ``grids`` holds x, y, phi, q_pot, u_pot and jac_inv, each broadcastable
+    to the (rho, theta) grid; ``node`` is a grid mask and ``out_of_range`` a
+    row mask.
+    """
+    shape = (rhos.size, thetas.size)
+    rho_list = rhos.tolist()
+    rho = rhos[:, None]
+    density, density_singular = _row_densities(params, rho_list, norm)
+    x, y, phi, q_pot, u_pot, jac_inv = grids
+    q_pot = np.where(density_singular[:, None], math.nan, q_pot)
+    u_pot = np.where(density_singular[:, None], math.nan, u_pot)
+    vx = -params.alpha * rho * np.cos(thetas)
+    vy = -params.alpha * rho * np.sin(thetas)
+    speed = abs(params.alpha) * rho
+    columns = [
+        np.broadcast_to(a, shape).ravel().tolist()
+        for a in (x, y, phi, vx, vy, speed, density[:, None], q_pot, u_pot, jac_inv)
+    ]
+    regions = [region for r in rho_list for region in [classify(params, r)] * shape[1]]
+    flag = np.full(shape, "", dtype=object)
+    flag[node] = "node"
+    flag[density_singular, :] = "density-singular"
+    flag[out_of_range, :] = "out-of-range"
+    return [FieldSample(*values) for values in zip(*columns, regions, flag.ravel().tolist())]
 
 
 def sample_fields(
@@ -362,51 +403,53 @@ def sample_fields(
 ) -> list[FieldSample]:
     """Full field records on a (rho, theta) product grid, row-major in rho.
 
-    Individual nodal or degenerate points are flagged and carry NaN in the
-    affected columns; the sweep itself never aborts.  A sign change of the
-    inverse Jacobian across the grid only warns (:class:`UnivalenceWarning`),
-    matching the policy that leaf selection is the caller's responsibility.
-    """
-    from . import potentials  # deferred: potentials depends on this module
+    The solution separates as ``u = R(rho) Theta(theta)``, so the radial
+    factor is evaluated once per rho row (two series, see
+    :func:`momentum.radial_row`) and Theta once per theta column; the map,
+    the inverse Jacobian and both potentials are then broadcast over the
+    grid.  Each value equals the scalar path's (:func:`forward_map`,
+    :func:`potentials.quantum_potential`, ...) to rounding.
 
+    The sweep never aborts on a point; flagged points carry NaN:
+
+    - ``node``: on a nodal line of u, R or Theta, or where the quantum
+      potential's denominator vanishes; NaN in ``q_pot`` and ``u_pot``.
+    - ``density-singular``: F is singular at the row's speed; NaN in
+      ``density``, ``q_pot`` and ``u_pot``.
+    - ``out-of-range``: the radial factor cannot be evaluated at the row's rho
+      (tau above the Kummer z_max, or rho_bar^n above ``RHO_BAR_N_CAP``);
+      NaN in ``x, y, phi, jac_inv, q_pot, u_pot``.
+
+    A sign change of the inverse Jacobian across the grid only warns
+    (:class:`UnivalenceWarning`), matching the policy that leaf selection is
+    the caller's responsibility.  lam = 1 raises :class:`DegenerateMapError`.
+    """
+    _require_chart(sol)
+    momentum.require_matching_lam(sol, fac)
     rhos, thetas = _grid(domain, grid)
-    samples: list[FieldSample] = []
-    signs: set[float] = set()
-    for rho in rhos:
-        for theta in thetas:
-            point = forward_map(params, sol, fac, float(rho), float(theta), control)
-            if point.jac_inv != 0.0:
-                signs.add(math.copysign(1.0, point.jac_inv))
-            speed = abs(params.alpha) * point.rho
-            try:
-                dens = density_F(params, speed, norm)
-            except DomainError:
-                samples.append(_nan_sample(point, params, "density-singular"))
-                continue
-            try:
-                q = potentials.quantum_potential(params, sol, fac, float(rho), float(theta), control)
-                u_pot = potentials.classical_potential(params, sol, fac, float(rho), float(theta), control)
-                flag = ""
-            except NodeError:
-                q = math.nan
-                u_pot = math.nan
-                flag = "node"
-            samples.append(
-                FieldSample(
-                    x=point.x, y=point.y, phi=point.phi_val,
-                    vx=-params.alpha * point.rho * math.cos(point.theta),
-                    vy=-params.alpha * point.rho * math.sin(point.theta),
-                    speed=speed, density=dens, q_pot=q, u_pot=u_pot,
-                    jac_inv=point.jac_inv, region=point.region, flag=flag,
-                )
-            )
-    if len(signs) > 1:
+    rho_list = rhos.tolist()
+    rows = []
+    for rho in rho_list:
+        try:
+            rows.append(momentum.radial_row(params, sol, rho, control))
+        except DomainError:
+            rows.append((math.nan, math.nan, math.nan))
+    r, rp, rcal = (np.array(col)[:, None] for col in zip(*rows))
+    out_of_range = np.isnan(r[:, 0])
+    g = np.array([coeff_g(params, rho) for rho in rho_list])[:, None]
+    rho = rhos[:, None]
+    with np.errstate(all="ignore"):
+        th, thp = fac.value(thetas), fac.deriv(thetas)
+        ups = np.where(fac.at_node(thetas), np.nan, thp / th)
+        x, y, phi, jac_inv = _image(rho, r, rp, g, fac.lam, th, thp, np.cos(thetas), np.sin(thetas))
+        q_pot, u_pot, node = potentials.potentials_on_grid(params, sol.lam, rho, r * th, rcal, g, ups)
+    if (jac_inv > 0.0).any() and (jac_inv < 0.0).any():
         warnings.warn(
             "inverse Jacobian changes sign over the grid: the image is not univalent",
             UnivalenceWarning,
             stacklevel=2,
         )
-    return samples
+    return _records(params, rhos, thetas, norm, (x, y, phi, q_pot, u_pot, jac_inv), node, out_of_range)
 
 
 def sample_fields_radial(
@@ -416,26 +459,26 @@ def sample_fields_radial(
     norm: float = 1.0,
     control: SeriesControl = DEFAULT_SERIES,
 ) -> list[FieldSample]:
-    """Field records for the angularly symmetric hyperbolic flow."""
-    from . import potentials
+    """Field records for the angularly symmetric hyperbolic flow.
 
+    Everything but the position depends on rho only and is evaluated once
+    per row; rows beyond the Omega series cap are flagged ``out-of-range``
+    as in :func:`sample_fields`.
+    """
     domain.require_hyperbolic(params)
     rhos, thetas = _grid(domain, grid)
-    samples: list[FieldSample] = []
-    for rho in rhos:
-        q = potentials.quantum_potential_radial(params, float(rho))
-        u_pot = potentials.classical_potential_radial(params, float(rho))
-        speed = abs(params.alpha) * float(rho)
-        dens = density_F(params, speed, norm)
-        for theta in thetas:
-            point = forward_map_radial(params, float(rho), float(theta), control)
-            samples.append(
-                FieldSample(
-                    x=point.x, y=point.y, phi=point.phi_val,
-                    vx=-params.alpha * rho * math.cos(theta),
-                    vy=-params.alpha * rho * math.sin(theta),
-                    speed=speed, density=dens, q_pot=q, u_pot=u_pot,
-                    jac_inv=point.jac_inv, region=point.region,
-                )
-            )
-    return samples
+    rho_list = rhos.tolist()
+    matched = params.with_(c1=momentum.omega_matched_c1(params))
+    rows = []
+    for rho in rho_list:
+        try:
+            zb, phi, jac_inv = _radial_chart(params, matched, rho, control)
+            q = potentials.quantum_potential_radial(params, rho)
+            rows.append((zb, phi, jac_inv, q, potentials.stationary_u(params, rho, q)))
+        except DomainError:
+            rows.append((math.nan,) * 5)
+    zb, phi, jac_inv, q_pot, u_pot = (np.array(col)[:, None] for col in zip(*rows))
+    no_node = np.zeros((rhos.size, thetas.size), dtype=bool)
+    x, y = zb * np.cos(thetas), zb * np.sin(thetas)
+    grids = (x, y, phi, q_pot, u_pot, jac_inv)
+    return _records(params, rhos, thetas, norm, grids, no_node, np.isnan(zb[:, 0]))

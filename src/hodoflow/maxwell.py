@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DivergenceError, DomainError, ParameterError
 from . import specfun
@@ -27,6 +27,14 @@ class RegionTag(enum.Enum):
 
     def __str__(self) -> str:  # CSV-friendly
         return self.value
+
+
+def require_finite(obj) -> None:
+    """Raise :class:`ParameterError` if a float field of the dataclass ``obj`` is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{type(obj).__name__}.{f.name} must be finite, got {value}")
 
 
 #: Relative half-width of the parabolic band used by :func:`classify`.  The
@@ -54,6 +62,7 @@ class ModelParams:
     c2: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n <= 0.0:
             raise ParameterError(f"n must be positive, got {self.n}")
         if self.ell <= -1.0:

@@ -17,14 +17,17 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import specfun
 from .errors import (
     DomainError,
+    NodeError,
     ParameterError,
     RegionError,
     SaturationWarning,
 )
-from .maxwell import ModelParams, discriminant
+from .maxwell import ModelParams, discriminant, require_finite
 from .specfun import DEFAULT_SERIES, SeriesControl
 
 #: Elliptic characteristics contain artanh(sqrt(1 - rho_bar^n)), divergent as
@@ -397,33 +400,56 @@ def _check_nu(ell: float, lam: float, nu: float) -> None:
         raise ParameterError(f"nu = {nu} does not solve the indicial equation (residual {residual})")
 
 
+def radial_row(
+    params: ModelParams,
+    sol: RadialSolution,
+    rho: float,
+    control: SeriesControl = DEFAULT_SERIES,
+) -> tuple[float, float, float]:
+    """``(R, dR/drho, Rcal)`` at one rho, from two series: the radial
+    quantities that every point of a rho row shares.
+
+    Rcal = rho R'/R is evaluated as ``nu + n tau T'/T``.  The derivative uses
+    the exact contiguity relations of M / Psi, not finite differences, so it
+    is as accurate as the values themselves.  Rcal is NaN where T vanishes at
+    working precision, the log-derivative pole on a nodal line: M below the
+    bound of :func:`specfun.kummer_vanishes`, Psi = 0, or |Omega| < 1e-300.
+    Raises :class:`DomainError` where the radial factor cannot be evaluated
+    (rho_bar^n above ``RHO_BAR_N_CAP``, tau above z_max).  A plain tuple,
+    since the scalar map calls this once per point.
+    """
+    if rho <= 0.0:
+        raise DomainError(f"rho must be positive, got {rho}")
+    if sol.kind is RadialKind.CONSTANT:
+        return 1.0, 0.0, 0.0
+    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
+        value = hyperbolic_omega(params, rho, control)
+        slope = omega_slope(params, rho)
+        return value, slope, rho * slope / value if abs(value) >= 1e-300 else math.nan
+    rb = _check_rho_bar(params, rho)
+    tau = params.tau(rho)
+    if sol.kind.tricomi:
+        t_val = specfun.tricomi_psi(sol.a, sol.b, tau, control)
+        t_der = specfun.tricomi_psi_deriv(sol.a, sol.b, tau, control)
+        node = t_val == 0.0
+    else:
+        t_val, t_scale = specfun.kummer_m_scaled(sol.a, sol.b, tau, control)
+        t_der = specfun.kummer_m_deriv(sol.a, sol.b, tau, control)
+        node = specfun.kummer_vanishes(t_val, t_scale)
+    value = sol.scale * rb ** sol.nu * t_val
+    slope = sol.scale * rb ** (sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
+    rcal = math.nan if node else sol.nu + params.n * tau * (t_der / t_val)
+    return value, slope, rcal
+
+
 def radial_value_slope(
     params: ModelParams,
     sol: RadialSolution,
     rho: float,
     control: SeriesControl = DEFAULT_SERIES,
 ) -> tuple[float, float]:
-    """Radial factor R(rho) and its derivative dR/drho.
-
-    The derivative uses the exact contiguity relations of M / Psi, not finite
-    differences, so it is as accurate as the values themselves.
-    """
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    if sol.kind is RadialKind.CONSTANT:
-        return 1.0, 0.0
-    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
-        return hyperbolic_omega(params, rho, control), omega_slope(params, rho)
-    rb = _check_rho_bar(params, rho)
-    tau = params.tau(rho)
-    if sol.kind.tricomi:
-        t_val = specfun.tricomi_psi(sol.a, sol.b, tau, control)
-        t_der = specfun.tricomi_psi_deriv(sol.a, sol.b, tau, control)
-    else:
-        t_val = specfun.kummer_m(sol.a, sol.b, tau, control)
-        t_der = specfun.kummer_m_deriv(sol.a, sol.b, tau, control)
-    value = sol.scale * rb ** sol.nu * t_val
-    slope = sol.scale * rb ** (sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
+    """Radial factor R(rho) and its derivative dR/drho (see :func:`radial_row`)."""
+    value, slope, _ = radial_row(params, sol, rho, control)
     return value, slope
 
 
@@ -520,30 +546,38 @@ class AngularFactor:
     c2: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.lam < 0.0:
             raise ParameterError(f"lam must be non-negative, got {self.lam}")
         if self.c1 == 0.0 and self.c2 == 0.0:
             raise ParameterError("c1 and c2 cannot both vanish")
 
-    def value(self, theta: float) -> float:
+    def value(self, theta):
+        """Theta at an angle, or elementwise over an array of angles (NumPy's
+        sin and cos for an array, math's for a float: one formula serves both)."""
         if self.lam == 0.0:
             return self.c1 * theta + self.c2
-        return self.c1 * math.sin(self.lam * theta) + self.c2 * math.cos(self.lam * theta)
+        xp = np if isinstance(theta, np.ndarray) else math
+        return self.c1 * xp.sin(self.lam * theta) + self.c2 * xp.cos(self.lam * theta)
 
-    def deriv(self, theta: float) -> float:
+    def deriv(self, theta):
+        """Theta' at an angle or over an array (the constant c1 when lam = 0)."""
         if self.lam == 0.0:
             return self.c1
-        return self.lam * (self.c1 * math.cos(self.lam * theta) - self.c2 * math.sin(self.lam * theta))
+        xp = np if isinstance(theta, np.ndarray) else math
+        return self.lam * (self.c1 * xp.cos(self.lam * theta) - self.c2 * xp.sin(self.lam * theta))
+
+    def at_node(self, theta, node_tol: float = 1e-12):
+        """Whether Theta vanishes at working precision (elementwise for an array):
+        ``|Theta| < node_tol (|c1| + |c2| [+ |c1 theta| when lam = 0])``."""
+        scale = abs(self.c1) + abs(self.c2) + (abs(self.c1 * theta) if self.lam == 0.0 else 0.0)
+        return abs(self.value(theta)) < node_tol * scale
 
     def logderiv(self, theta: float, node_tol: float = 1e-12) -> float:
         """Upsilon(theta) = Theta'/Theta; NodeError on the zero set of Theta."""
-        val = self.value(theta)
-        scale = abs(self.c1) + abs(self.c2) + (abs(self.c1 * theta) if self.lam == 0.0 else 0.0)
-        if abs(val) < node_tol * scale:
-            from .errors import NodeError
-
+        if self.at_node(theta, node_tol):
             raise NodeError(f"Theta({theta}) = 0: logarithmic derivative pole")
-        return self.deriv(theta) / val
+        return self.deriv(theta) / self.value(theta)
 
     def extremum_angle(self, k: int = 0) -> float:
         """Angle theta_e with Theta'(theta_e) = 0 (lam > 0 only)."""
@@ -671,7 +705,12 @@ def factorized_u(
     Laguerre-case radial factors already carry the alternating sign and the
     polynomial normalization, so for those ``u = (-1)^k rho_bar^nu L_k(tau) Theta``.
     """
-    if abs(sol.lam - fac.lam) > 1e-12:
-        raise ParameterError(f"radial lam = {sol.lam} and angular lam = {fac.lam} disagree")
+    require_matching_lam(sol, fac)
     value, _ = radial_value_slope(params, sol, rho, control)
     return value * fac.value(theta)
+
+
+def require_matching_lam(sol: RadialSolution, fac: AngularFactor) -> None:
+    """Raise :class:`ParameterError` unless R and Theta carry the same separation constant."""
+    if abs(sol.lam - fac.lam) > 1e-12:
+        raise ParameterError(f"radial lam = {sol.lam} and angular lam = {fac.lam} disagree")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mapping, momentum, specfun
+from . import momentum, specfun
 from .errors import DivergenceError, DomainError, NodeError, ParameterError
 from .maxwell import ModelParams, coeff_g, normalization_psi_model
 from .momentum import AngularFactor, RadialSolution
@@ -36,7 +36,8 @@ R_FLOOR_REL = 1e-6
 
 @dataclass(frozen=True)
 class QPotentialArgs:
-    """Arguments of the closed-form quantum potential."""
+    """Arguments of the closed-form quantum potential: floats, or arrays that
+    broadcast (z1, z2, z3 per rho row, z4 per theta column)."""
 
     z1: float
     z2: float
@@ -47,6 +48,16 @@ class QPotentialArgs:
         # z1 - z2 = lam^2 - 1 identically
         if abs((self.z1 - self.z2) - (lam * lam - 1.0)) > 1e-9 * max(1.0, lam * lam):
             raise ParameterError("inconsistent (z1, z2) pair")
+
+    @property
+    def denominator(self):
+        """z1^2 z4^2 + z3 z2^2; the closed form is singular where it vanishes."""
+        return self.z1 ** 2 * self.z4 ** 2 + self.z3 * self.z2 ** 2
+
+    @staticmethod
+    def of(lam: float, rcal, g, ups) -> "QPotentialArgs":
+        """The arguments from Rcal, g and Upsilon."""
+        return QPotentialArgs(z1=rcal - 1.0, z2=rcal - lam ** 2, z3=g, z4=ups)
 
 
 def _a_coeffs(n: float, ell: float, lam: float, z1: float, z2: float, z3: float) -> tuple[float, float, float]:
@@ -60,12 +71,16 @@ def _a_coeffs(n: float, ell: float, lam: float, z1: float, z2: float, z3: float)
     return a0, a1, a2
 
 
-def q_potential_core(n: float, ell: float, lam: float, args: QPotentialArgs) -> float:
-    """The bracket A + B of the closed form (everything except alpha rho^2 / (2 beta u^2))."""
+def q_potential_core(n: float, ell: float, lam: float, args: QPotentialArgs):
+    """The bracket A + B of the closed form (everything except alpha rho^2 / (2 beta u^2)).
+
+    Elementwise on floats or broadcast arrays; ``a0, a1, a2`` depend on
+    z1..z3 only, so over a grid they are computed once per rho row.  The
+    caller excludes points where ``args.denominator`` vanishes: a float
+    divides by zero there, an array holds inf or NaN.
+    """
     z1, z2, z3, z4 = args.z1, args.z2, args.z3, args.z4
-    denom = z1 ** 2 * z4 ** 2 + z3 * z2 ** 2
-    if denom == 0.0:
-        raise NodeError("quantum-potential denominator vanishes (degenerate point)")
+    denom = args.denominator
     a0, a1, a2 = _a_coeffs(n, ell, lam, z1, z2, z3)
     part_a = (z3 - 1.0) * (a0 + a1 * z4 ** 2 + a2 * z4 ** 4) / denom ** 3
     part_b = (
@@ -74,6 +89,17 @@ def q_potential_core(n: float, ell: float, lam: float, args: QPotentialArgs) -> 
         * (0.5 * (z3 - 1.0) ** 2 + (z3 - 1.0) * (n - 1.0) - n * ell)
     )
     return part_a + part_b
+
+
+def _mapped_q(params: ModelParams, lam: float, rho, u, args: QPotentialArgs):
+    """alpha rho^2 / (2 beta u^2) times the bracket, on floats or broadcast arrays."""
+    core = q_potential_core(params.n, params.ell, lam, args)
+    return params.alpha * rho ** 2 / (2.0 * params.beta * u ** 2) * core
+
+
+def stationary_u(params: ModelParams, rho, q, energy: float = 0.0):
+    """External potential from stationarity, U = alpha rho^2/(4 beta) - Q + E, given Q."""
+    return params.alpha * rho ** 2 / (4.0 * params.beta) - q + energy
 
 
 def quantum_potential(
@@ -88,19 +114,22 @@ def quantum_potential(
 
     Reported with its natural additive constant; comparisons against the
     finite-difference oracle are made on point differences, where the free
-    constant cancels.  Raises :class:`NodeError` on zeros of u.
+    constant cancels.  Raises :class:`NodeError` on zeros of u, on the poles
+    of Rcal and Upsilon, and where the closed form's denominator vanishes.
     """
     if abs(sol.lam - 1.0) <= 1e-12:
         raise ParameterError("lam = 1 admits no coordinate chart (degenerate map)")
-    u = momentum.factorized_u(params, sol, fac, rho, theta, control)
+    momentum.require_matching_lam(sol, fac)
+    r_val, _, rcal = momentum.radial_row(params, sol, rho, control)
+    u = r_val * fac.value(theta)
     if u == 0.0:
         raise NodeError("u = 0: quantum potential singular on the nodal set")
-    rcal = mapping.script_R(params, sol, rho, control)
-    ups = fac.logderiv(theta)
-    g = coeff_g(params, rho)
-    args = QPotentialArgs(z1=rcal - 1.0, z2=rcal - sol.lam ** 2, z3=g, z4=ups)
-    core = q_potential_core(params.n, params.ell, sol.lam, args)
-    return params.alpha * rho ** 2 / (2.0 * params.beta * u ** 2) * core
+    if math.isnan(rcal):
+        raise NodeError(f"the radial factor vanishes at rho = {rho}: log-derivative pole")
+    args = QPotentialArgs.of(sol.lam, rcal, coeff_g(params, rho), fac.logderiv(theta))
+    if args.denominator == 0.0:
+        raise NodeError("quantum-potential denominator vanishes (degenerate point)")
+    return _mapped_q(params, sol.lam, rho, u, args)
 
 
 def classical_potential(
@@ -118,8 +147,23 @@ def classical_potential(
     single-valued across quantum states: shifting the energy shifts Q by the
     same constant and cancels here.
     """
-    q = quantum_potential(params, sol, fac, rho, theta, control)
-    return params.alpha * rho ** 2 / (4.0 * params.beta) - q + energy
+    return stationary_u(params, rho, quantum_potential(params, sol, fac, rho, theta, control), energy)
+
+
+def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
+    """Q and U of a mapped separated solution over a broadcast grid.
+
+    ``rho``, ``rcal`` and ``g`` are columns (one value per rho row), ``ups``
+    a row (one Upsilon per theta column, NaN at nodes of Theta) and ``u`` the
+    grid of R Theta.  Returns ``(Q, U, node)``: ``node`` marks the points
+    where :func:`quantum_potential` raises :class:`NodeError`, and Q and U
+    are NaN there.
+    """
+    args = QPotentialArgs.of(lam, rcal, g, ups)
+    with np.errstate(all="ignore"):
+        node = (u == 0.0) | np.isnan(rcal) | np.isnan(ups) | (args.denominator == 0.0)
+        q = np.where(node, math.nan, _mapped_q(params, lam, rho, u, args))
+        return q, stationary_u(params, rho, q), node
 
 
 def quantum_potential_radial(params: ModelParams, rho: float) -> float:
@@ -145,7 +189,7 @@ def quantum_potential_radial(params: ModelParams, rho: float) -> float:
 
 
 def classical_potential_radial(params: ModelParams, rho: float, energy: float = 0.0) -> float:
-    return params.alpha * rho ** 2 / (4.0 * params.beta) - quantum_potential_radial(params, rho) + energy
+    return stationary_u(params, rho, quantum_potential_radial(params, rho), energy)
 
 
 # ---------------------------------------------------------------------------

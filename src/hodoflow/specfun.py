@@ -25,6 +25,15 @@ from .errors import (
 EULER_GAMMA = 0.5772156649015328606
 _OVERFLOW_GUARD = 1e305
 _INT_TOL = 1e-12
+_EPS = math.ulp(1.0)  # machine epsilon
+
+#: Largest running error bound ``eps * sum|terms| / |Ei|`` accepted from the
+#: alternating Ei series at negative arguments.
+EI_MAX_REL_ERR = 1e-11
+
+#: M(a, b, z) counts as zero (a nodal line of the radial factor) when
+#: ``|M| < KUMMER_NODE_TOL * max(1, sum|terms|)``.
+KUMMER_NODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,23 +107,33 @@ def expint_ei(x: float, control: SeriesControl = DEFAULT_SERIES) -> float:
     """Exponential integral Ei via its everywhere-convergent series.
 
     ``Ei(x) = euler_gamma + ln|x| + sum_k x^k / (k! k)``, the principal value
-    of the integral of e^t / t up to x.  Loses relative accuracy for large
-    negative x (alternating terms); this package only consumes x > 0.
+    of the integral of e^t / t up to x.  For negative x the terms alternate
+    and cancel: once the running error bound ``eps * sum|terms| / |Ei|``
+    exceeds ``EI_MAX_REL_ERR`` (below about x = -5.13) the call raises
+    :class:`DomainError` instead of returning a value without digits.  This
+    package only consumes x > 0.
     """
     if x == 0.0:
         raise DomainError("Ei is undefined at x = 0")
     if abs(x) > 700.0:
         raise SeriesOverflowError(f"Ei series term overflow at x = {x}")
     total = EULER_GAMMA + math.log(abs(x))
+    scale = abs(EULER_GAMMA) + abs(math.log(abs(x)))  # sum of |terms|
     power = 1.0  # x^k / k!
     small = 0
     for k in range(1, control.max_terms + 1):
         power *= x / k
         term = power / k
         total += term
+        scale += abs(term)
         if abs(term) < control.rel_tol * abs(total):
             small += 1
             if small >= 3:
+                if x < 0.0 and _EPS * scale > EI_MAX_REL_ERR * abs(total):
+                    raise DomainError(
+                        f"Ei({x}): the alternating series cancels to a relative error bound "
+                        f"of {_EPS * scale / abs(total):.1e}"
+                    )
                 return total
         else:
             small = 0
@@ -198,12 +217,18 @@ def kummer_m_deriv(a: float, b: float, z: float, control: SeriesControl = DEFAUL
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z, control)
 
 
+def kummer_vanishes(value: float, scale: float, node_tol: float = KUMMER_NODE_TOL) -> bool:
+    """Whether M is zero at working precision, given the ``(M, sum|terms|)``
+    pair of :func:`kummer_m_scaled`: a nodal line of the radial factor."""
+    return abs(value) < node_tol * max(1.0, scale)
+
+
 def kummer_logderiv(
     a: float,
     b: float,
     z: float,
     control: SeriesControl = DEFAULT_SERIES,
-    node_tol: float = 1e-12,
+    node_tol: float = KUMMER_NODE_TOL,
 ) -> float:
     """Logarithmic derivative (d/dz) ln M(a, b, z) = (a/b) M(a+1, b+1, z) / M(a, b, z).
 
@@ -212,9 +237,9 @@ def kummer_logderiv(
     line and the log-derivative has a pole there.
     """
     m0, scale = kummer_m_scaled(a, b, z, control)
-    if abs(m0) < node_tol * max(1.0, scale):
+    if kummer_vanishes(m0, scale, node_tol):
         raise NodeError(f"M({a}, {b}, {z}) vanishes at working precision; log-derivative pole")
-    return (a / b) * kummer_m(a + 1.0, b + 1.0, z, control) / m0
+    return kummer_m_deriv(a, b, z, control) / m0
 
 
 def tricomi_psi(

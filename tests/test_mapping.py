@@ -1,6 +1,7 @@
 """Inverse Legendre transform: map consistency, Jacobian, inversion, fields."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hodoflow.errors import (
     DomainError,
     FoldError,
     NoConvergenceError,
+    NodeError,
     UnivalenceWarning,
 )
 from hodoflow.mapping import (
@@ -23,13 +25,14 @@ from hodoflow.mapping import (
     sample_fields_radial,
     script_R,
 )
-from hodoflow.maxwell import ModelParams, RegionTag
+from hodoflow.maxwell import ModelParams, RegionTag, density_F
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
     RadialSolution,
     zeta_bar,
 )
+from hodoflow.potentials import classical_potential, quantum_potential
 
 
 def triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
@@ -290,3 +293,182 @@ class TestSampleFields:
             assert math.hypot(s.x, s.y) >= r_floor * (1.0 - 1e-12)
             assert s.region is RegionTag.HYPERBOLIC
             assert math.isfinite(s.q_pot) and math.isfinite(s.u_pot)
+
+
+def _kummer_case(radial, c1, c2, rho_bar, half_deg, grid):
+    p = ModelParams(n=2, ell=4)
+    sol = RadialSolution.kummer(p, 2.5, branch=radial[-1], tricomi=radial.startswith("tricomi"))
+    half = math.radians(half_deg)
+    dom = SectorDomain(rho_bar[0] * p.rho_t, rho_bar[1] * p.rho_t, -half, half)
+    return p, sol, AngularFactor(lam=2.5, c1=c1, c2=c2), dom, grid
+
+
+def _laguerre_case(triple_args, c1, c2, rho_bar, theta, grid):
+    p, sol, fac = triple(*triple_args, c1=c1, c2=c2)
+    dom = SectorDomain(rho_bar[0] * p.rho_t, rho_bar[1] * p.rho_t, *theta)
+    return p, sol, fac, dom, grid
+
+
+_THETA_E = math.pi / 4.0  # extremum of sin(2 theta)
+
+#: name -> (params, sol, fac, domain, grid); odd theta counts put theta = 0 on the grid
+GRID_CASES = {
+    # Theta = sin(3 theta): nodal columns at theta = 0 (Theta = 0 exactly) and
+    # at theta = +-pi/3 (|Theta| ~ 1e-16, caught by the node test)
+    "laguerre-theta-node": _laguerre_case(
+        (2, 4, 3.0, 2, 7.0), 1.0, 0.0, (0.4, 0.9), (-math.pi / 3.0, math.pi / 3.0), (5, 7)
+    ),
+    # M(-1, 3, tau) = 1 - tau/3 vanishes at tau = 3, i.e. on the last row rho = sqrt(6) rho_T
+    "laguerre-m-node": _laguerre_case(
+        (2, 0, 2.0, 1, 2.0), 0.0, 1.0, (2.0, math.sqrt(6.0)), (-0.2, 0.2), (5, 7)
+    ),
+    # the exact corner of test_degenerate_corner_flagged, where J^-1 = 0
+    "degenerate-corner": _laguerre_case(
+        (2, 0, 2.0, 1, 2.0), 1.0, 0.0, (0.9, 1.0), (_THETA_E - 0.01, _THETA_E + 0.01), (3, 3)
+    ),
+    # the fold of test_univalence_warning_on_fold
+    "fold": _laguerre_case(
+        (2, 0, 2.0, 1, 2.0), 1.0, 0.0, (1.8, 2.4), (-math.radians(12), math.radians(12)), (6, 7)
+    ),
+    # Theta' = 0 and, on the last row rho = rho_T, g = 0: the closed form's
+    # denominator vanishes exactly and J^-1 = -0.0
+    "lam0-sonic-row": (
+        ModelParams(n=2, ell=3),
+        RadialSolution.kummer(ModelParams(n=2, ell=3), 0.0, branch="-"),
+        AngularFactor(lam=0.0, c1=0.0, c2=1.0),
+        SectorDomain(1.6, 2.0, -0.2, 0.2),
+        (3, 5),
+    ),
+    "kummer+": _kummer_case("kummer+", 0.0, 1.0, (1.2, 1.8), 12.0, (5, 9)),
+    "kummer-": _kummer_case("kummer-", 1.0, 0.0, (0.4, 0.9), 12.0, (5, 9)),
+    "tricomi+": _kummer_case("tricomi+", 0.0, 1.0, (1.5, 2.8), 12.0, (5, 9)),
+    "tricomi-": _kummer_case("tricomi-", 0.3, 1.0, (0.3, 0.9), 12.0, (5, 9)),
+}
+
+
+def _scalar_sample(p, sol, fac, rho, theta):
+    """One record from the scalar functions: the reference for the grid path."""
+    mp = forward_map(p, sol, fac, rho, theta)
+    try:
+        q = quantum_potential(p, sol, fac, rho, theta)
+        u = classical_potential(p, sol, fac, rho, theta)
+        flag = ""
+    except NodeError:
+        q = u = math.nan
+        flag = "node"
+    speed = abs(p.alpha) * rho
+    values = {
+        "x": mp.x, "y": mp.y, "phi": mp.phi_val, "jac_inv": mp.jac_inv, "q_pot": q, "u_pot": u,
+        "vx": -p.alpha * rho * math.cos(theta), "vy": -p.alpha * rho * math.sin(theta),
+        "speed": speed, "density": density_F(p, speed),
+    }
+    return values, mp.region, flag
+
+
+class TestGridAgainstScalar:
+    @pytest.mark.parametrize("name", sorted(GRID_CASES))
+    def test_pointwise_agreement(self, name):
+        p, sol, fac, dom, grid = GRID_CASES[name]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            samples = sample_fields(p, sol, fac, dom, grid)
+        assert len(samples) == grid[0] * grid[1]
+        rhos = np.linspace(dom.rho_min, dom.rho_max, grid[0])
+        thetas = np.linspace(dom.theta_min, dom.theta_max, grid[1])
+        jacs = []
+        for i, rho in enumerate(rhos):
+            row = samples[i * grid[1]:(i + 1) * grid[1]]
+            ref = [_scalar_sample(p, sol, fac, float(rho), float(t)) for t in thetas]
+            for key in ref[0][0]:
+                want = np.array([values[key] for values, _, _ in ref])
+                got = np.array([getattr(s, key) for s in row])
+                assert np.array_equal(np.isnan(got), np.isnan(want)), (name, i, key)
+                finite = ~np.isnan(want)
+                scale = max(np.abs(want[finite]).max(initial=0.0), 1e-300)
+                assert np.all(np.abs(got[finite] - want[finite]) <= 1e-11 * scale), (name, i, key)
+            assert [s.flag for s in row] == [flag for _, _, flag in ref]
+            assert [s.region for s in row] == [region for _, region, _ in ref]
+            jacs += [values["jac_inv"] for values, _, _ in ref]
+        folded = any(j > 0.0 for j in jacs) and any(j < 0.0 for j in jacs)
+        assert [w.category for w in caught] == ([UnivalenceWarning] if folded else [])
+
+    def test_cases_cover_nodes_and_folds(self):
+        # the comparison above is only as strong as its cases
+        flagged = {}
+        for name, (p, sol, fac, dom, grid) in GRID_CASES.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                samples = sample_fields(p, sol, fac, dom, grid)
+            flagged[name] = (sum(s.flag == "node" for s in samples), bool(caught))
+        assert flagged["laguerre-theta-node"][0] == 15  # three nodal columns
+        assert flagged["laguerre-m-node"][0] == 7  # one nodal row
+        assert flagged["lam0-sonic-row"] == (5, False)  # one row, J^-1 <= 0 everywhere
+        assert flagged["kummer-"][0] == 5
+        assert flagged["fold"][1] and flagged["tricomi+"][1]
+        p, sol, fac, dom, grid = GRID_CASES["degenerate-corner"]
+        assert min(abs(s.jac_inv) for s in sample_fields(p, sol, fac, dom, grid)) < 1e-10
+
+
+class TestSweepNeverAborts:
+    def _out_of_range_samples(self):
+        # tau = 2.5 rho_bar^2 runs 40, 44.1, 48.4, 52.9, 57.6, 62.5 over the rows;
+        # the Kummer series stops at z_max = 50
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.kummer(p, 2.5, branch="+")
+        fac = AngularFactor(lam=2.5, c1=0.0, c2=1.0)
+        dom = SectorDomain(4.0 * p.rho_t, 5.0 * p.rho_t, 0.0, 0.3)
+        return p, sample_fields(p, sol, fac, dom, grid=(6, 6))
+
+    def test_rows_beyond_z_max_flagged(self):
+        p, samples = self._out_of_range_samples()
+        assert len(samples) == 36
+        rhos = np.linspace(4.0 * p.rho_t, 5.0 * p.rho_t, 6)
+        thetas = np.linspace(0.0, 0.3, 6)
+        for k, s in enumerate(samples):
+            rho, theta = rhos[k // 6], thetas[k % 6]
+            if p.tau(rho) > 50.0:
+                assert s.flag == "out-of-range"
+                for key in ("x", "y", "phi", "jac_inv", "q_pot", "u_pot"):
+                    assert math.isnan(getattr(s, key)), key
+            else:
+                assert s.flag == ""
+                assert math.isfinite(s.x) and math.isfinite(s.q_pot)
+            assert s.speed == pytest.approx(abs(p.alpha) * rho, rel=1e-15)
+            assert s.density == pytest.approx(density_F(p, abs(p.alpha) * rho), rel=1e-15)
+            assert s.vx == pytest.approx(-p.alpha * rho * math.cos(theta), rel=1e-15)
+            assert s.vy == pytest.approx(-p.alpha * rho * math.sin(theta), rel=1e-15, abs=1e-300)
+        assert [round(p.tau(r), 1) for r in rhos[3:]] == [52.9, 57.6, 62.5]
+        assert sum(s.flag == "out-of-range" for s in samples) == 18
+
+    def test_radial_rows_beyond_series_cap_flagged(self):
+        # rho_bar^n > RHO_BAR_N_CAP = 50 from rho_bar = 7.07 on; the Omega series stops there
+        p = ModelParams(n=2, ell=0)
+        dom = SectorDomain(1.5 * p.rho_t, 9.0 * p.rho_t, 0.0, 1.0)
+        samples = sample_fields_radial(p, dom, grid=(4, 3))
+        rhos = np.linspace(1.5, 9.0, 4)
+        for k, s in enumerate(samples):
+            if rhos[k // 3] ** 2 > 50.0:
+                assert s.flag == "out-of-range"
+                assert math.isnan(s.x) and math.isnan(s.jac_inv) and math.isnan(s.u_pot)
+            else:
+                mp = forward_map_radial(p, rhos[k // 3] * p.rho_t, [0.0, 0.5, 1.0][k % 3])
+                assert s.flag == "" and s.x == pytest.approx(mp.x, rel=1e-14)
+                assert s.phi == pytest.approx(mp.phi_val, rel=1e-14)
+            assert math.isfinite(s.speed) and math.isfinite(s.density)
+
+    def test_scalar_path_still_raises(self):
+        # the flag belongs to the sweep; a single evaluation keeps its error
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.kummer(p, 2.5, branch="+")
+        fac = AngularFactor(lam=2.5, c1=0.0, c2=1.0)
+        with pytest.raises(DomainError):
+            forward_map(p, sol, fac, 5.0 * p.rho_t, 0.1)
+
+    @pytest.mark.parametrize("name", ["laguerre-theta-node", "laguerre-m-node", "fold", "tricomi-"])
+    def test_no_runtime_warning(self, name):
+        p, sol, fac, dom, grid = GRID_CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UnivalenceWarning)
+            sample_fields(p, sol, fac, dom, grid)
+            self._out_of_range_samples()

@@ -20,6 +20,7 @@ from hodoflow.maxwell import (
     discriminant,
     normalization_psi_model,
 )
+from hodoflow.momentum import AngularFactor
 from hodoflow.specfun import gamma
 
 
@@ -44,6 +45,25 @@ class TestModelParams:
         base.update(kw)
         with pytest.raises(ParameterError):
             ModelParams(**base)
+
+    @pytest.mark.parametrize("field", ["n", "ell", "sigma_v", "alpha", "beta", "c0", "c1", "c2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        # NaN passes every ordered comparison of the range checks, so each
+        # float field is tested for finiteness when the object is built
+        base = dict(n=2.0, ell=2.0)
+        base[field] = bad
+        with pytest.raises(ParameterError):
+            ModelParams(**base)
+
+    @pytest.mark.parametrize(
+        "kw", [{"lam": math.nan}, {"lam": math.inf}, {"c1": math.nan}, {"c2": -math.inf}]
+    )
+    def test_non_finite_angular_factor_rejected(self, kw):
+        base = dict(lam=2.0, c1=1.0, c2=0.0)
+        base.update(kw)
+        with pytest.raises(ParameterError):
+            AngularFactor(**base)
 
 
 class TestDensity:

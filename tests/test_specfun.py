@@ -94,6 +94,16 @@ class TestExpintEi:
         with pytest.raises(DomainError):
             expint_ei(0.0)
 
+    def test_negative_argument_against_scipy(self):
+        from scipy.special import expi
+
+        assert expint_ei(-1.0) == pytest.approx(expi(-1.0), rel=1e-13, abs=0.0)
+
+    def test_cancelling_negative_argument_raises(self):
+        # the alternating series returns 5.4e-06 at x = -30 where Ei = -3.0e-15
+        with pytest.raises(DomainError):
+            expint_ei(-30.0)
+
 
 class TestKummerM:
     def test_a_zero_gives_one(self):

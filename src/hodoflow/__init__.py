@@ -34,7 +34,6 @@ from .maxwell import (
     density_F,
     density_F_speed_integral,
     discriminant,
-    normalization_N,
     normalization_psi_model,
     normalization_sector,
 )

@@ -151,8 +151,75 @@ def _image(rho, r, rp, g, lam, th, thp, cos_t, sin_t):
     x = rp * th * cos_t - r * thp * sin_t / rho
     y = rp * th * sin_t + r * thp * cos_t / rho
     phi = rho * rp * th - r * th
-    jac_inv = -((w1 * thp) ** 2 + g * (w2 * th) ** 2) / rho ** 4
+    jac_inv = -_fold_form(w1, w2, g, th, thp) / rho ** 4
     return x, y, phi, jac_inv
+
+
+def _fold_form(w1, w2, g, th, thp):
+    """P = w1^2 Theta'^2 + g w2^2 Theta^2 = -rho^4 J^-1; the fold is its zero set."""
+    return (w1 * thp) ** 2 + g * (w2 * th) ** 2
+
+
+def _fold_angles(w1: float, w2: float, g: float, fac: AngularFactor, lo: float, hi: float) -> list[float]:
+    """Angles in (lo, hi), ascending, where P vanishes at one rho (closed form).
+
+    P takes both signs only where ``g < 0``.  With ``S = c1^2 + c2^2`` and
+    ``y = lam theta - atan2(c1, c2)``, Theta = sqrt(S) cos y and
+    ``P = S (lam^2 w1^2 sin^2 y + g w2^2 cos^2 y)``, zero at ``y = +-y0 + k pi``,
+    ``y0 = atan2(sqrt(-g) |w2|, lam |w1|)``.  For lam = 0,
+    ``P = c1^2 w1^2 + g w2^2 s^2`` with ``s = c1 theta + c2``, zero at
+    ``s = +-|c1 w1| / (sqrt(-g) |w2|)``.
+    """
+    c1, c2, lam = fac.c1, fac.c2, fac.lam
+    if not g < 0.0 or w2 == 0.0 or (lam == 0.0 and c1 == 0.0):
+        return []
+    if lam == 0.0:
+        s0 = abs(c1 * w1) / (math.sqrt(-g) * abs(w2))
+        cands = [(-s0 - c2) / c1, (s0 - c2) / c1]
+    else:
+        phi0 = math.atan2(c1, c2)
+        y0 = math.atan2(math.sqrt(-g) * abs(w2), lam * abs(w1))
+        k_lo = math.floor((lam * lo - phi0 - y0) / math.pi)
+        k_hi = math.ceil((lam * hi - phi0 + y0) / math.pi)
+        cands = [(phi0 + y + k * math.pi) / lam for k in range(k_lo, k_hi + 1) for y in (-y0, y0)]
+    return sorted(t for t in cands if lo < t < hi)
+
+
+def _abs_jac_inv_arc(rho: float, r: float, rp: float, g: float, fac: AngularFactor,
+                     lo: float, hi: float) -> float:
+    """Exact integral of |J^-1| over theta in [lo, hi] at one rho.
+
+    P (:func:`_fold_form`) is a trigonometric polynomial of degree one in
+    ``2 lam theta`` (a quadratic in theta for lam = 0), so it has a closed
+    antiderivative; splitting at :func:`_fold_angles` makes the integral of
+    ``|P|`` the sum of the absolute integrals of the pieces.
+    """
+    w1, w2 = _weights(rho, r, rp, fac.lam)
+    a, b = (fac.lam * w1) ** 2, g * w2 ** 2
+    cuts = [lo, *_fold_angles(w1, w2, g, fac, lo, hi), hi]
+    total = 0.0
+    for t1, t2 in zip(cuts[:-1], cuts[1:]):
+        if fac.lam == 0.0:
+            s1, s2 = fac.value(t1), fac.value(t2)
+            piece = (t2 - t1) * ((fac.c1 * w1) ** 2 + b * (s1 * s1 + s1 * s2 + s2 * s2) / 3.0)
+        else:
+            # d is half the integral of cos(2 y) over the piece
+            y_sum = fac.lam * (t1 + t2) - 2.0 * math.atan2(fac.c1, fac.c2)
+            d = math.cos(y_sum) * math.sin(fac.lam * (t2 - t1)) / (2.0 * fac.lam)
+            piece = (fac.c1 ** 2 + fac.c2 ** 2) * ((a + b) * (t2 - t1) / 2.0 + (b - a) * d)
+        total += abs(piece)
+    return total / rho ** 4
+
+
+def _arc_kink_terms(rho: float, r: float, rp: float, g: float, fac: AngularFactor,
+                    lo: float, hi: float) -> tuple[float, ...]:
+    """Where one of these changes sign along rho, the theta integral of |J^-1|
+    has a kink: P at either edge (a fold enters or leaves the sector) and
+    w1, w2 (two folds merge).  The discriminant of the fold condition is
+    ``-lam^2 w1^2 g w2^2``; its other factor, g, vanishes at rho_T."""
+    w1, w2 = _weights(rho, r, rp, fac.lam)
+    p_lo, p_hi = (_fold_form(w1, w2, g, fac.value(t), fac.deriv(t)) for t in (lo, hi))
+    return w1, w2, p_lo, p_hi
 
 
 def forward_map(

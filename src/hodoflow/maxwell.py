@@ -11,10 +11,13 @@ equation, speeds above in the hyperbolic one.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
-from .errors import DivergenceError, DomainError, ParameterError
+import numpy as np
+
+from .errors import DivergenceError, DomainError, NoConvergenceError, ParameterError
 from . import specfun
 
 
@@ -181,34 +184,118 @@ def normalization_psi_model(n: float, ell: float, sigma_r: float) -> float:
     return 1.0 / inv
 
 
+#: Gauss-Legendre orders compared on every rho panel of :func:`normalization_sector`.
+SECTOR_GL_ORDERS = (12, 24)
+
+#: Intervals of the sign scan that locates the kink radii of the rho integrand.
+SECTOR_KINK_SCAN = 32
+
+#: Panels :func:`normalization_sector` may bisect its rho range into before it gives up.
+SECTOR_MAX_PANELS = 200
+
+
 def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-9) -> float:
     """Normalization constant over the coordinate image of a momentum sector.
 
     Computed without inverting the map: the area element of the image pulls
     back to ``|J^-1| rho drho dtheta``, so ``N^-1 = integral F(|alpha| rho) |J^-1| rho``.
+
+    The solution separates, so at each rho the radial factor is evaluated
+    once (:func:`momentum.radial_row`) and the theta integral of ``|J^-1|``
+    is taken in closed form, split at the fold angles
+    (:func:`mapping._abs_jac_inv_arc`).  The rho integrand is then analytic
+    except at the radii where a fold meets a sector edge or two folds merge
+    (w1 or w2 vanishes): a sign scan over ``SECTOR_KINK_SCAN`` intervals and
+    bisection find them, and the rho range is cut there and at rho_T, where
+    the folds are born with a width growing like ``sqrt(rho - rho_T)``.  A
+    panel starting at rho_T is integrated in ``s = sqrt(rho - rho_T)``, which
+    makes that growth smooth.  Every panel gets Gauss-Legendre rules of both
+    orders in ``SECTOR_GL_ORDERS``; the panel where they differ most is
+    bisected until they agree (this also covers a kink the scan missed).
+
+    Accuracy contract: N is the reciprocal of the higher-order sum, and the
+    two sums differ by at most ``tol`` relative; where that takes more than
+    ``SECTOR_MAX_PANELS`` panels, :class:`NoConvergenceError` is raised.
+    lam = 1 raises :class:`DegenerateMapError`, radial and angular lam that
+    disagree raise :class:`ParameterError`, and a sector on which the radial
+    factor cannot be evaluated (tau above z_max) raises :class:`DomainError`.
     """
-    from . import mapping  # deferred: keeps the module layering acyclic
-    from . import verify
+    from . import mapping, momentum  # deferred: both import this module
 
-    def integrand(rho: float, theta: float) -> float:
-        point = mapping.forward_map(params, sol, fac, rho, theta)
-        return density_F(params, abs(params.alpha) * rho) * abs(point.jac_inv)
+    mapping._require_chart(sol)
+    momentum.require_matching_lam(sol, fac)
+    arc = (domain.theta_min, domain.theta_max)
+    rho_t = params.rho_t
 
-    inv = verify.quad2d_polar(
-        integrand, (domain.rho_min, domain.rho_max), (domain.theta_min, domain.theta_max), tol=tol
-    )
-    if not math.isfinite(inv) or inv <= 0.0:
-        raise DivergenceError("sector normalization integral did not produce a positive finite value")
-    return 1.0 / inv
+    def radial(rho: float) -> tuple:
+        r, rp, _ = momentum.radial_row(params, sol, rho)
+        return rho, r, rp, coeff_g(params, rho), fac, *arc
+
+    def integrand(rho: float) -> float:
+        return density_F(params, abs(params.alpha) * rho) * rho * mapping._abs_jac_inv_arc(*radial(rho))
+
+    def negative(rho: float) -> list[bool]:
+        return [v < 0.0 for v in mapping._arc_kink_terms(*radial(rho))]
+
+    def panel(lo: float, hi: float) -> list:
+        if lo == rho_t:
+            sums = [_gauss_legendre(lambda s: 2.0 * s * integrand(lo + s * s), 0.0, math.sqrt(hi - lo), m)
+                    for m in SECTOR_GL_ORDERS]
+        else:
+            sums = [_gauss_legendre(integrand, lo, hi, m) for m in SECTOR_GL_ORDERS]
+        return [lo, hi, sums[-1], abs(sums[-1] - sums[0])]
+
+    cuts = _sign_change_radii(negative, domain.rho_min, domain.rho_max, SECTOR_KINK_SCAN)
+    if domain.rho_min < rho_t < domain.rho_max:
+        cuts = sorted({*cuts, rho_t})
+    panels = [panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    while True:
+        total = math.fsum(p[2] for p in panels)
+        err = math.fsum(p[3] for p in panels)
+        if not math.isfinite(total) or total <= 0.0:
+            raise DivergenceError("sector normalization integral did not produce a positive finite value")
+        if err <= tol * total:
+            return 1.0 / total
+        if len(panels) >= SECTOR_MAX_PANELS:
+            raise NoConvergenceError(
+                f"Gauss-Legendre orders {SECTOR_GL_ORDERS} still differ by {err / total:.2e} relative"
+                f" over {len(panels)} panels, above tol = {tol:.1e}"
+            )
+        i = max(range(len(panels)), key=lambda k: panels[k][3])
+        lo, hi = panels[i][:2]
+        mid = 0.5 * (lo + hi)
+        panels[i:i + 1] = [panel(lo, mid), panel(mid, hi)]
 
 
-def normalization_N(params: ModelParams, domain_spec) -> float:
-    """Dispatch: closed form for the vortex model, 2-D quadrature for sector images.
+def _sign_change_radii(negative, lo: float, hi: float, n_scan: int) -> list[float]:
+    """``lo``, ``hi`` and every radius between where a component of
+    ``negative(rho)`` flips: a scan at ``n_scan + 1`` even radii, then
+    bisection of each bracket."""
+    grid = [lo + (hi - lo) * i / n_scan for i in range(n_scan)] + [hi]
+    flags = [negative(rho) for rho in grid]
+    cuts = {lo, hi}
+    for i in range(n_scan):
+        for k, (fa, fb) in enumerate(zip(flags[i], flags[i + 1])):
+            if fa != fb:
+                a, b = grid[i], grid[i + 1]
+                while b - a > 1e-13 * b:
+                    mid = 0.5 * (a + b)
+                    if negative(mid)[k] == fa:
+                        a = mid
+                    else:
+                        b = mid
+                cuts.add(0.5 * (a + b))
+    return sorted(cuts)
 
-    ``domain_spec`` is either a ``PsiModelParams`` (closed form) or a tuple
-    ``(sol, fac, SectorDomain)``.
-    """
-    if hasattr(domain_spec, "sigma_r"):
-        return normalization_psi_model(domain_spec.n, domain_spec.ell, domain_spec.sigma_r)
-    sol, fac, domain = domain_spec
-    return normalization_sector(params, sol, fac, domain)
+
+def _gauss_legendre(f, a: float, b: float, m: int) -> float:
+    """m-point Gauss-Legendre rule for the integral of f over [a, b]."""
+    nodes, weights = _legendre_rule(m)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * math.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+
+
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    nodes, weights = np.polynomial.legendre.leggauss(m)
+    return tuple(nodes.tolist()), tuple(weights.tolist())

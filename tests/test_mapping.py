@@ -472,3 +472,45 @@ class TestSweepNeverAborts:
             warnings.simplefilter("ignore", UnivalenceWarning)
             sample_fields(p, sol, fac, dom, grid)
             self._out_of_range_samples()
+
+
+class TestAbsJacInvArc:
+    """The closed-form theta integral of |J^-1| against adaptive quadrature of
+    the scalar map's inverse Jacobian, split where it changes sign."""
+
+    @pytest.mark.parametrize(
+        "ell, lam, branch, c1, c2, rho_bar, theta",
+        [
+            (4.0, 3.0, "+", 0.0, 1.0, 1.7, (-1.0, 1.0)),  # several fold pairs
+            (4.0, 2.5, "+", 0.7, 1.3, 1.4, (-0.3, 0.9)),  # mixed Theta
+            (4.0, 2.5, "+", 0.7, 1.3, 0.7, (-0.3, 0.9)),  # elliptic: no fold
+            (3.0, 0.0, "-", 1.0, 0.5, 1.4, (-1.5, 0.4)),  # lam = 0: a quadratic in theta
+            (3.0, 0.0, "-", 0.0, 1.0, 1.4, (-1.5, 0.4)),  # lam = 0, constant Theta
+        ],
+    )
+    def test_matches_fold_split_quadrature(self, ell, lam, branch, c1, c2, rho_bar, theta):
+        from scipy import integrate, optimize
+
+        from hodoflow.mapping import _abs_jac_inv_arc
+        from hodoflow.maxwell import coeff_g
+        from hodoflow.momentum import radial_row
+
+        p = ModelParams(n=2, ell=ell)
+        sol = RadialSolution.kummer(p, lam, branch=branch)
+        fac = AngularFactor(lam=lam, c1=c1, c2=c2)
+        rho = rho_bar * p.rho_t
+        r, rp, _ = radial_row(p, sol, rho)
+        got = _abs_jac_inv_arc(rho, r, rp, coeff_g(p, rho), fac, *theta)
+
+        def jac(t):
+            return forward_map(p, sol, fac, rho, t, allow_degenerate=True).jac_inv
+
+        grid = np.linspace(*theta, 257)
+        vals = [jac(t) for t in grid]
+        folds = [optimize.brentq(jac, grid[i], grid[i + 1], xtol=1e-15)
+                 for i in range(256) if vals[i] * vals[i + 1] < 0.0]
+        want = integrate.quad(lambda t: abs(jac(t)), *theta, points=folds or None,
+                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        if lam == 3.0:
+            assert len(folds) >= 4

@@ -211,3 +211,148 @@ class TestNormalization:
                 theta = dom.theta_min + (j + 0.5) * dt
                 total += f_val * abs(forward_map(p, sol, fac, rho, theta).jac_inv) * rho * dr * dt
         assert total == pytest.approx(1.0, rel=1e-3)
+
+
+def _fold_split_reference(p, sol, fac, dom):
+    """1 / N from nested scipy quad at epsrel = 1e-13, the theta integral of
+    ``|w1^2 Theta'^2 + g w2^2 Theta^2| / rho^4`` split at its sign changes and
+    the rho integral at the sign changes of ``g, w1, w2`` and of that form on
+    both edges, each located by a scan and brentq."""
+    from scipy import integrate, optimize
+
+    from hodoflow.momentum import radial_row
+
+    def parts(rho):
+        r, rp, _ = radial_row(p, sol, rho)
+        w1, w2, g = rho * rp - r, rho * rp - fac.lam ** 2 * r, coeff_g(p, rho)
+        return w1, w2, g, lambda t: (w1 * fac.deriv(t)) ** 2 + g * (w2 * fac.value(t)) ** 2
+
+    def roots(f, lo, hi, n_scan):
+        grid = np.linspace(lo, hi, n_scan + 1)
+        vals = [f(x) for x in grid]
+        return [optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15)
+                for i in range(n_scan) if vals[i] * vals[i + 1] < 0.0]
+
+    def ring(rho):
+        form = parts(rho)[3]
+        folds = roots(form, dom.theta_min, dom.theta_max, 64)
+        inner = integrate.quad(lambda t: abs(form(t)), dom.theta_min, dom.theta_max, points=folds or None,
+                               epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return density_F(p, abs(p.alpha) * rho) * inner / rho ** 3
+
+    def kink_terms(rho):
+        w1, w2, g, form = parts(rho)
+        return w1, w2, g, form(dom.theta_min), form(dom.theta_max)
+
+    kinks = sorted(x for k in range(5) for x in roots(lambda rho: kink_terms(rho)[k], dom.rho_min, dom.rho_max, 64))
+    cuts = [dom.rho_min, *kinks, dom.rho_max]
+    return math.fsum(integrate.quad(ring, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def _quad_oracle(p, sol, fac, dom):
+    """1 / N from verify.quad2d_polar over the scalar forward map, tol = 1e-11."""
+    from hodoflow.mapping import forward_map
+
+    def integrand(rho, theta):
+        return density_F(p, abs(p.alpha) * rho) * abs(forward_map(p, sol, fac, rho, theta).jac_inv)
+
+    return verify.quad2d_polar(integrand, (dom.rho_min, dom.rho_max), (dom.theta_min, dom.theta_max), tol=1e-11)
+
+
+#: name: (ell, lam, radial branch or "laguerre", c1, c2, rho in rho_T, theta in degrees), n = 2
+_SECTORS = {
+    "lam0-linear": (3.0, 0.0, "-", 1.0, 0.5, (0.4, 0.9), (-17.0, 23.0)),  # nu = -ell: w2 = rho R' is nonzero
+    "mixed-theta": (4.0, 2.5, "+", 0.7, 1.3, (0.4, 0.9), (-10.0, 25.0)),
+    "elliptic": (4.0, 2.5, "-", 1.0, 0.0, (0.4, 0.9), (5.0, 30.0)),
+    "readme": (4.0, 3.0, "laguerre", 0.0, 1.0, (1.5, 1.89), (-15.0, 15.0)),
+    "found": (4.0, 2.5, "+", 0.0, 1.0, (1.6, 1.7), (-20.0, 20.0)),
+    "across-rho-t": (4.0, 2.5, "+", 0.7, 1.3, (0.8, 1.3), (-10.0, 25.0)),  # the folds are born at rho_T
+}
+
+
+def _sector_case(name):
+    from hodoflow.mapping import SectorDomain
+    from hodoflow.momentum import LaguerreCase, RadialSolution
+
+    ell, lam, radial, c1, c2, rho, theta = _SECTORS[name]
+    p = ModelParams(n=2, ell=ell)
+    if radial == "laguerre":
+        sol = RadialSolution.from_laguerre_case(p, LaguerreCase(lam=lam, k=2, n=2.0, ell=ell, alpha_bar=7.0))
+    else:
+        sol = RadialSolution.kummer(p, lam, branch=radial)
+    dom = SectorDomain(rho[0] * p.rho_t, rho[1] * p.rho_t, math.radians(theta[0]), math.radians(theta[1]))
+    return p, sol, AngularFactor(lam=lam, c1=c1, c2=c2), dom
+
+
+class TestSectorNormalization:
+    """normalization_sector against oracles that integrate |J^-1| numerically."""
+
+    def test_found_sector_matches_fold_split_reference(self):
+        # [1.6, 1.7] rho_T x 20 deg, kummer+ at lam = 2.5: nested adaptive
+        # quadrature over the kinked integrand was off by 5.1e-7 here
+        from hodoflow.maxwell import normalization_sector
+
+        case = _sector_case("found")
+        n_const = normalization_sector(*case)
+        assert n_const * _fold_split_reference(*case) == pytest.approx(1.0, rel=1e-10, abs=0.0)
+        assert n_const == pytest.approx(6.442614951556, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "name, oracle",
+        [
+            ("lam0-linear", _quad_oracle),
+            ("mixed-theta", _quad_oracle),
+            ("elliptic", _quad_oracle),
+            ("readme", _fold_split_reference),
+            ("across-rho-t", _fold_split_reference),
+        ],
+    )
+    def test_against_oracle(self, name, oracle):
+        from hodoflow.maxwell import normalization_sector
+
+        case = _sector_case(name)
+        assert normalization_sector(*case) * oracle(*case) == pytest.approx(1.0, rel=1e-10, abs=0.0)
+
+    def test_disagreeing_orders_raise(self, monkeypatch):
+        # this single elliptic panel needs bisecting: the orders differ by ~8e-9
+        from hodoflow import maxwell
+        from hodoflow.errors import NoConvergenceError
+
+        case = _sector_case("elliptic")
+        monkeypatch.setattr(maxwell, "SECTOR_MAX_PANELS", 1)
+        with pytest.raises(NoConvergenceError):
+            maxwell.normalization_sector(*case)
+        assert maxwell.normalization_sector(*case, tol=1e-7) > 0.0
+
+    def test_mismatched_lam_raises(self):
+        from hodoflow.mapping import SectorDomain
+        from hodoflow.maxwell import normalization_sector
+        from hodoflow.momentum import RadialSolution
+
+        p = ModelParams(n=2, ell=4)
+        dom = SectorDomain(1.6 * p.rho_t, 1.7 * p.rho_t, -0.3, 0.3)
+        with pytest.raises(ParameterError):
+            normalization_sector(p, RadialSolution.kummer(p, 3.0), AngularFactor(lam=2.5, c1=0.0, c2=1.0), dom)
+
+    def test_degenerate_lam_one_raises(self):
+        from hodoflow.errors import DegenerateMapError
+        from hodoflow.mapping import SectorDomain
+        from hodoflow.maxwell import normalization_sector
+        from hodoflow.momentum import RadialSolution
+
+        p = ModelParams(n=2, ell=4)
+        dom = SectorDomain(1.2 * p.rho_t, 1.4 * p.rho_t, -0.3, 0.3)
+        with pytest.raises(DegenerateMapError):
+            normalization_sector(p, RadialSolution.kummer(p, 1.0), AngularFactor(lam=1.0), dom)
+
+    def test_sector_past_z_max_raises(self):
+        # tau = (5/2) rho_bar^2 passes z_max = 50 at rho_bar = sqrt(20) ~ 4.47
+        from hodoflow.mapping import SectorDomain
+        from hodoflow.maxwell import normalization_sector
+        from hodoflow.momentum import RadialSolution
+
+        p = ModelParams(n=2, ell=4)
+        dom = SectorDomain(4.0 * p.rho_t, 5.0 * p.rho_t, -0.1, 0.1)
+        with pytest.raises(DomainError):
+            normalization_sector(p, RadialSolution.kummer(p, 2.5), AngularFactor(lam=2.5, c1=0.0, c2=1.0), dom)

@@ -80,11 +80,13 @@ def _echo_lines(config: dict) -> list[str]:
     return [f"# {key} = {_fmt(config[key])}" for key in sorted(config)]
 
 
-def _write_csv(path: Path, config: dict, columns: tuple, rows: list[tuple]) -> None:
-    lines = _echo_lines(config)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _csv_lines(rows: list[tuple]) -> list[str]:
+    return [",".join(_fmt(v) for v in row) for row in rows]
+
+
+def _write_csv(path: Path, config: dict, columns: tuple, body: list[str]) -> None:
+    """Echoed config, header and the already formatted data lines ``body``."""
+    lines = [*_echo_lines(config), ",".join(columns), *body]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -236,7 +238,7 @@ def cmd_solve_momentum(args) -> int:
         rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
                     for theta, t_val in zip(thetas, angular))
     out = Path(args.output)
-    _write_csv(out, config, ("rho_bar", "theta", "u", "radial", "angular", "region"), rows)
+    _write_csv(out, config, ("rho_bar", "theta", "u", "radial", "angular", "region"), _csv_lines(rows))
     _write_sidecar(out.with_suffix(out.suffix + ".json"), config, {"rows": len(rows)})
     print(f"wrote {out}")
     return EXIT_OK
@@ -289,11 +291,15 @@ def cmd_map_fields(args) -> int:
             print(f"warning: {message}", file=sys.stderr)
     config["require_univalent"] = int(bool(args.require_univalent))
     out = Path(args.output)
-    rows = [s.csv_values() for s in samples]
-    _write_csv(out, config, FieldSample.CSV_COLUMNS, rows)
+    # one %-format per row, a column at a time: v + 0.0 collapses -0.0 as
+    # _fmt does, and NaN still prints nan
+    *values, regions, _ = zip(*samples)
+    row_format = ",".join(["%.17g"] * len(values)) + ",%s"
+    body = list(map(row_format.__mod__, zip(*([v + 0.0 for v in col] for col in values), regions)))
+    _write_csv(out, config, FieldSample.CSV_COLUMNS, body)
     finite = [s for s in samples if math.isfinite(s.density)]
     summary = {
-        "rows": len(rows),
+        "rows": len(samples),
         "speed_min": min(s.speed for s in samples),
         "speed_max": max(s.speed for s in samples),
         "density_min": min(s.density for s in finite) if finite else math.nan,
@@ -302,7 +308,7 @@ def cmd_map_fields(args) -> int:
         "univalent": univalent,
     }
     _write_sidecar(out.with_suffix(out.suffix + ".json"), config, summary)
-    print(f"wrote {out} ({len(rows)} rows)")
+    print(f"wrote {out} ({len(samples)} rows)")
     return EXIT_OK
 
 
@@ -339,7 +345,7 @@ def cmd_psi_model(args) -> int:
         "c1": pm.c1,
     }
     out = Path(args.output)
-    _write_csv(out, config, ("r_bar", "density", "q_pot", "u_pot", "v_phi"), rows)
+    _write_csv(out, config, ("r_bar", "density", "q_pot", "u_pot", "v_phi"), _csv_lines(rows))
     _write_sidecar(out.with_suffix(out.suffix + ".json"), config, summary)
     names = ", ".join(_fmt(z / pm.sigma_r) for z in zeros)
     print(f"wrote {out}; potential zeros at r/sigma_r = {names}")

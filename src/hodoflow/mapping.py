@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     UnivalenceWarning,
 )
 from .maxwell import ModelParams, RegionTag, classify, coeff_g, density_F
-from .momentum import AngularFactor, RadialSolution
+from .momentum import AngularFactor, RadialKind, RadialSolution
 from .specfun import DEFAULT_SERIES, SeriesControl
 
 
@@ -85,9 +85,8 @@ class SectorDomain:
             raise RegionError("hyperbolic sector requires rho_min > rho_T")
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """One coordinate-space record of the mapped flow."""
+class FieldSample(NamedTuple):
+    """One coordinate-space record of the mapped flow (a named tuple: read-only)."""
 
     x: float
     y: float
@@ -100,15 +99,9 @@ class FieldSample:
     u_pot: float
     jac_inv: float
     region: RegionTag
-    flag: str = field(default="", compare=False)
+    flag: str = ""
 
     CSV_COLUMNS = ("x", "y", "phi", "vx", "vy", "speed", "density", "q_pot", "u_pot", "jac_inv", "region")
-
-    def csv_values(self) -> tuple:
-        return (
-            self.x, self.y, self.phi, self.vx, self.vy, self.speed,
-            self.density, self.q_pot, self.u_pot, self.jac_inv, str(self.region),
-        )
 
 
 def script_R(
@@ -128,10 +121,18 @@ def script_R(
     return rcal
 
 
-def _require_chart(sol: RadialSolution) -> None:
+def _require_chart(sol: RadialSolution, fac: AngularFactor) -> None:
+    """Raise :class:`DegenerateMapError` where no coordinate chart exists: lam = 1,
+    or a constant u (R = 1, from the constant kind or nu = a = 0, where M and Psi
+    are 1; and Theta = c2), whose image collapses to the origin."""
     if abs(sol.lam - 1.0) <= 1e-12:
         raise DegenerateMapError(
             "lam = 1: the map Jacobian vanishes identically and no coordinate chart exists"
+        )
+    unit_radial = sol.kind is RadialKind.CONSTANT or (sol.kind.kummer_based and sol.nu == 0.0 and sol.a == 0.0)
+    if unit_radial and fac.lam == 0.0 and fac.c1 == 0.0:
+        raise DegenerateMapError(
+            "u is constant (R = 1, Theta = c2): the map collapses to the origin and no coordinate chart exists"
         )
 
 
@@ -234,12 +235,13 @@ def forward_map(
     """Image of (rho, theta) in coordinate space, with phase and inverse Jacobian.
 
     ``lam = 1`` makes the inverse Jacobian vanish identically (the momentum
-    solution is affine, so the tangent transform loses uniqueness); by default
-    this raises :class:`DegenerateMapError`.  Pass ``allow_degenerate=True``
-    to evaluate anyway, e.g. to inspect the vanishing Jacobian.
+    solution is affine, so the tangent transform loses uniqueness), and a
+    constant u maps every point to the origin; by default both raise
+    :class:`DegenerateMapError`.  Pass ``allow_degenerate=True`` to evaluate
+    anyway, e.g. to inspect the vanishing Jacobian.
     """
     if not allow_degenerate:
-        _require_chart(sol)
+        _require_chart(sol, fac)
     r, rp, _ = momentum.radial_row(params, sol, rho, control)
     x, y, phi, jac_inv = _image(
         rho, r, rp, coeff_g(params, rho), fac.lam,
@@ -456,7 +458,7 @@ def _records(
     flag[node] = "node"
     flag[density_singular, :] = "density-singular"
     flag[out_of_range, :] = "out-of-range"
-    return [FieldSample(*values) for values in zip(*columns, regions, flag.ravel().tolist())]
+    return list(map(FieldSample._make, zip(*columns, regions, flag.ravel().tolist())))
 
 
 def sample_fields(
@@ -489,9 +491,10 @@ def sample_fields(
 
     A sign change of the inverse Jacobian across the grid only warns
     (:class:`UnivalenceWarning`), matching the policy that leaf selection is
-    the caller's responsibility.  lam = 1 raises :class:`DegenerateMapError`.
+    the caller's responsibility.  lam = 1 and a constant u raise
+    :class:`DegenerateMapError`.
     """
-    _require_chart(sol)
+    _require_chart(sol, fac)
     momentum.require_matching_lam(sol, fac)
     rhos, thetas = _grid(domain, grid)
     rho_list = rhos.tolist()

@@ -216,13 +216,14 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     Accuracy contract: N is the reciprocal of the higher-order sum, and the
     two sums differ by at most ``tol`` relative; where that takes more than
     ``SECTOR_MAX_PANELS`` panels, :class:`NoConvergenceError` is raised.
-    lam = 1 raises :class:`DegenerateMapError`, radial and angular lam that
-    disagree raise :class:`ParameterError`, and a sector on which the radial
-    factor cannot be evaluated (tau above z_max) raises :class:`DomainError`.
+    lam = 1 and a constant u raise :class:`DegenerateMapError`, radial and
+    angular lam that disagree raise :class:`ParameterError`, and a sector on
+    which the radial factor cannot be evaluated (tau above z_max) raises
+    :class:`DomainError`.
     """
     from . import mapping, momentum  # deferred: both import this module
 
-    mapping._require_chart(sol)
+    mapping._require_chart(sol, fac)
     momentum.require_matching_lam(sol, fac)
     arc = (domain.theta_min, domain.theta_max)
     rho_t = params.rho_t

@@ -91,6 +91,19 @@ class TestMapFields:
         assert code == 2
         assert "degenerate" in err.lower()
 
+    @pytest.mark.parametrize("radial", [("--radial", "constant"), ("--radial", "kummer+", "--lambda", "0")])
+    @pytest.mark.parametrize("normalize", ["0", "1"])
+    def test_constant_u_exit_code(self, tmp_path, capsys, radial, normalize):
+        # the default fc1 = 0 makes Theta constant, and R = 1 on both branches
+        out_file = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "map-fields", "--n", "2", "--ell", "4", *radial, "--rho-min", "1.2", "--rho-max", "1.6",
+            "--normalize", normalize, "--output", str(out_file),
+        )
+        assert code == 2
+        assert "degenerate" in err.lower() and "constant" in err
+        assert not out_file.exists()
+
     FOLDING = (
         "map-fields", "--n", "2", "--ell", "0", "--lambda", "2", "--fc1", "1", "--fc2", "0",
         "--rho-min", "1.8", "--rho-max", "2.4", "--theta-min", "-12", "--theta-max", "12",

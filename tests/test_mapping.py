@@ -15,6 +15,7 @@ from hodoflow.errors import (
     UnivalenceWarning,
 )
 from hodoflow.mapping import (
+    FieldSample,
     SectorDomain,
     forward_map,
     forward_map_radial,
@@ -90,6 +91,37 @@ class TestForwardMap:
             theta = rng.uniform(-math.pi, math.pi)
             mp = forward_map(p, sol, fac, rho, theta, allow_degenerate=True)
             assert abs(mp.jac_inv) < 1e-12
+
+    @pytest.mark.parametrize("radial", ["kummer+", "tricomi+", "constant"])
+    def test_constant_u_rejected(self, radial):
+        # lam = 0 with nu = a = 0 (M = Psi = 1) or the constant kind gives R = 1;
+        # with Theta = c2 the map sends every point to the origin
+        p = ModelParams(n=2, ell=3 if radial == "tricomi+" else 4)  # Psi needs b = (n + ell)/n non-integer
+        if radial == "constant":
+            sol = RadialSolution.constant()
+        else:
+            sol = RadialSolution.kummer(p, 0.0, branch="+", tricomi=radial == "tricomi+")
+        fac = AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+        dom = SectorDomain(1.2 * p.rho_t, 1.6 * p.rho_t, -0.3, 0.3)
+        with pytest.raises(DegenerateMapError):
+            forward_map(p, sol, fac, 1.4 * p.rho_t, 0.1)
+        with pytest.raises(DegenerateMapError):
+            sample_fields(p, sol, fac, dom, grid=(4, 5))
+        # with the guard lifted, the collapsed image is still evaluated
+        mp = forward_map(p, sol, fac, 1.4 * p.rho_t, 0.1, allow_degenerate=True)
+        assert mp.x == mp.y == 0.0
+
+    def test_lam_zero_with_varying_factor_accepted(self):
+        p = ModelParams(n=2, ell=3)  # b = 1/2 on the minus branch
+        dom = SectorDomain(1.2 * p.rho_t, 1.6 * p.rho_t, -0.3, 0.3)
+        cases = [
+            (RadialSolution.kummer(p, 0.0, branch="+"), AngularFactor(lam=0.0, c1=0.5, c2=1.0)),
+            (RadialSolution.kummer(p, 0.0, branch="-"), AngularFactor(lam=0.0, c1=0.0, c2=1.0)),
+            (RadialSolution.constant(), AngularFactor(lam=0.0, c1=0.5, c2=1.0)),
+        ]
+        for sol, fac in cases:
+            samples = sample_fields(p, sol, fac, dom, grid=(3, 3))
+            assert any(math.hypot(s.x, s.y) > 0.0 for s in samples)
 
     def test_jacobian_zero_at_sonic_extremum(self):
         for n, ell, lam, k, abar in TRIPLES:
@@ -283,6 +315,31 @@ class TestSampleFields:
             ) / (2.0 * h)
             norm = math.hypot(*flux(mp.x, mp.y))
             assert abs(div) * r_loc / norm < 1e-4
+
+    def test_record_contract(self):
+        # an eager list of immutable records whose numeric fields are Python
+        # floats: no lazy or array-backed view that defers work to the reader
+        p, sol, fac = triple(2, 4, 3.0, 2, 7.0, c1=0.0, c2=1.0)
+        dom = SectorDomain(1.5 * p.rho_t, 1.89 * p.rho_t, -0.26, 0.26)
+        radial_dom = SectorDomain(1.5 * p.rho_t, 2.5 * p.rho_t, 0.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnivalenceWarning)
+            results = [
+                sample_fields(p, sol, fac, dom, grid=(4, 5)),
+                sample_fields_radial(ModelParams(n=2, ell=0), radial_dom, grid=(4, 5)),
+            ]
+        fields = FieldSample.CSV_COLUMNS[:-1] + ("region", "flag")
+        for samples in results:
+            assert type(samples) is list and len(samples) == 20
+            for s in samples:
+                assert type(s) is FieldSample
+                assert s._fields == fields
+                assert all(type(v) is float for v in s[:10])
+                assert isinstance(s.region, RegionTag) and type(s.flag) is str
+                with pytest.raises(AttributeError):
+                    s.x = 0.0
+                with pytest.raises(AttributeError):
+                    s.flag = "node"
 
     def test_radial_fields(self):
         p = ModelParams(n=2, ell=0)

@@ -346,6 +346,21 @@ class TestSectorNormalization:
         with pytest.raises(DegenerateMapError):
             normalization_sector(p, RadialSolution.kummer(p, 1.0), AngularFactor(lam=1.0), dom)
 
+    @pytest.mark.parametrize("constant_kind", [False, True])
+    def test_constant_u_raises(self, constant_kind):
+        # R = 1 (lam = 0, nu = a = 0, or the constant kind) and Theta = c2: the
+        # image collapses to the origin, so there is no chart to normalize over
+        from hodoflow.errors import DegenerateMapError
+        from hodoflow.mapping import SectorDomain
+        from hodoflow.maxwell import normalization_sector
+        from hodoflow.momentum import RadialSolution
+
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.constant() if constant_kind else RadialSolution.kummer(p, 0.0)
+        dom = SectorDomain(1.2 * p.rho_t, 1.6 * p.rho_t, -0.3, 0.3)
+        with pytest.raises(DegenerateMapError):
+            normalization_sector(p, sol, AngularFactor(lam=0.0, c1=0.0, c2=1.0), dom)
+
     def test_sector_past_z_max_raises(self):
         # tau = (5/2) rho_bar^2 passes z_max = 50 at rho_bar = sqrt(20) ~ 4.47
         from hodoflow.mapping import SectorDomain

@@ -4,7 +4,8 @@ A momentum sector maps to a coordinate-space patch carrying the phase, the
 velocity field (speed |alpha| rho along the momentum direction), the density
 evaluated at the local speed, and the quantum and classical potentials.  The
 demo reproduces the three benchmark hyperbolic sectors and the radially
-symmetric flow with its empty core, and writes one CSV via the library API.
+symmetric flow with its empty core, and prints the command line that writes
+the same fields as a CSV.
 
 Run:  python3 demos/03_mapped_flow_fields.py
 """

@@ -43,13 +43,9 @@ from .momentum import (
     LaguerreCase,
     RadialKind,
     RadialSolution,
-    angular_logderiv,
-    angular_theta,
-    brute_force_orders,
     canonical_kappa,
     characteristic_chi,
     factorized_u,
-    frobenius_roots,
     hill_coefficient_G,
     hill_substitution_zeta,
     hyperbolic_omega,
@@ -60,8 +56,6 @@ from .momentum import (
     nu_roots,
     omega_matched_c1,
     omega_slope,
-    radial_kummer,
-    radial_value_slope,
     slope_rho_theta,
     zeta_bar,
 )
@@ -78,7 +72,6 @@ from .mapping import (
     map_differential,
     sample_fields,
     sample_fields_radial,
-    script_R,
 )
 from .potentials import (
     PsiModelParams,
@@ -103,10 +96,8 @@ from .potentials import (
     sigma_r_from_moments,
 )
 from .specfun import (
-    SeriesControl,
     expint_ei,
     gamma,
-    kummer_logderiv,
     kummer_m,
     kummer_m_deriv,
     laguerre,

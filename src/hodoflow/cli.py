@@ -233,7 +233,7 @@ def cmd_solve_momentum(args) -> int:
     rows = []
     for i in range(n_rho):
         rho = rho_lo + (rho_hi - rho_lo) * i / (n_rho - 1)
-        r_val, _ = momentum.radial_value_slope(params, sol, rho)
+        r_val = momentum.radial_row(params, sol, rho)[0]
         region = classify(params, rho).value
         rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
                     for theta, t_val in zip(thetas, angular))
@@ -334,9 +334,8 @@ def cmd_psi_model(args) -> int:
     for i in range(n_r):
         r_bar = r_lo + (r_hi - r_lo) * i / (n_r - 1)
         r = r_bar * pm.sigma_r
-        v_phi, _ = psi_velocity(pm, r)
         rows.append((r_bar, psi_density(pm, r), psi_quantum_potential(pm, r),
-                     psi_classical_potential(pm, r), v_phi))
+                     psi_classical_potential(pm, r), psi_velocity(pm, r)))
     zeros = potential_zeros(pm)
     summary = {
         "potential_zeros_over_sigma_r": [z / pm.sigma_r for z in zeros],

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .maxwell import ModelParams, RegionTag, classify, coeff_g, density_F
 from .momentum import AngularFactor, RadialKind, RadialSolution
-from .specfun import DEFAULT_SERIES, SeriesControl
 
 
 class MomentumPoint(NamedTuple):
@@ -102,23 +101,6 @@ class FieldSample(NamedTuple):
     flag: str = ""
 
     CSV_COLUMNS = ("x", "y", "phi", "vx", "vy", "speed", "density", "q_pot", "u_pot", "jac_inv", "region")
-
-
-def script_R(
-    params: ModelParams,
-    sol: RadialSolution,
-    rho: float,
-    control: SeriesControl = DEFAULT_SERIES,
-) -> float:
-    """Radial log-derivative combination Rcal(rho) = nu + n tau (d/dtau) ln T(tau).
-
-    Taken from :func:`momentum.radial_row`.  Raises :class:`NodeError` on
-    nodal lines of T.
-    """
-    _, _, rcal = momentum.radial_row(params, sol, rho, control)
-    if math.isnan(rcal):
-        raise NodeError(f"the radial factor vanishes at rho = {rho}: log-derivative pole")
-    return rcal
 
 
 def _require_chart(sol: RadialSolution, fac: AngularFactor) -> None:
@@ -229,7 +211,6 @@ def forward_map(
     fac: AngularFactor,
     rho: float,
     theta: float,
-    control: SeriesControl = DEFAULT_SERIES,
     allow_degenerate: bool = False,
 ) -> MapPoint:
     """Image of (rho, theta) in coordinate space, with phase and inverse Jacobian.
@@ -242,7 +223,7 @@ def forward_map(
     """
     if not allow_degenerate:
         _require_chart(sol, fac)
-    r, rp, _ = momentum.radial_row(params, sol, rho, control)
+    r, rp, _ = momentum.radial_row(params, sol, rho)
     x, y, phi, jac_inv = _image(
         rho, r, rp, coeff_g(params, rho), fac.lam,
         fac.value(theta), fac.deriv(theta), math.cos(theta), math.sin(theta),
@@ -257,14 +238,13 @@ def map_differential(
     fac: AngularFactor,
     rho: float,
     theta: float,
-    control: SeriesControl = DEFAULT_SERIES,
 ) -> np.ndarray:
     """Analytic 2x2 differential d(x, y)/d(rho, theta) of the forward map.
 
     Uses the radial and angular equations to eliminate second derivatives, so
     it is exact for genuine separated solutions.
     """
-    r, rp = momentum.radial_value_slope(params, sol, rho, control)
+    r, rp, _ = momentum.radial_row(params, sol, rho)
     g = coeff_g(params, rho)
     w1, w2 = _weights(rho, r, rp, fac.lam)
     th, thp = fac.value(theta), fac.deriv(theta)
@@ -276,26 +256,21 @@ def map_differential(
     return np.array([[x_rho, x_theta], [y_rho, y_theta]])
 
 
-def _radial_chart(params: ModelParams, matched: ModelParams, rho: float, control: SeriesControl):
+def _radial_chart(params: ModelParams, matched: ModelParams, rho: float):
     """Image radius zeta_bar, phase and inverse Jacobian of the radial flow at one rho.
 
     ``matched`` is ``params`` with c1 from :func:`momentum.omega_matched_c1`.
     """
     if rho <= params.rho_t:
         raise RegionError(f"the radial map needs rho > rho_T, got rho = {rho}")
-    omega = momentum.hyperbolic_omega(matched, rho, control)  # checks the series cap first
+    omega = momentum.hyperbolic_omega(matched, rho)  # checks the series cap first
     zb = momentum.zeta_bar(params, rho)
     phi = rho * zb - omega
     jac_inv = (params.ell + 1.0) * (params.rho_bar(rho) ** params.n - 1.0) * zb ** 2 / rho ** 2
     return zb, phi, jac_inv
 
 
-def forward_map_radial(
-    params: ModelParams,
-    rho: float,
-    theta: float,
-    control: SeriesControl = DEFAULT_SERIES,
-) -> MapPoint:
+def forward_map_radial(params: ModelParams, rho: float, theta: float) -> MapPoint:
     """Coordinate image of the angularly symmetric hyperbolic solution.
 
     The map collapses to ``r = zeta_bar(rho), phi = theta`` and the phase is
@@ -303,7 +278,7 @@ def forward_map_radial(
     Omega matched to c0 (so that Omega' = zeta_bar exactly).
     """
     matched = params.with_(c1=momentum.omega_matched_c1(params))
-    zb, phi, jac_inv = _radial_chart(params, matched, rho, control)
+    zb, phi, jac_inv = _radial_chart(params, matched, rho)
     return MapPoint(rho=rho, theta=theta, x=zb * math.cos(theta), y=zb * math.sin(theta),
                     phi_val=phi, jac_inv=jac_inv, region=classify(params, rho))
 
@@ -345,7 +320,6 @@ def invert_map(
     target: CoordPoint | tuple[float, float],
     seed: MomentumPoint | tuple[float, float],
     max_iter: int = 50,
-    control: SeriesControl = DEFAULT_SERIES,
 ) -> MomentumPoint:
     """Numerical inverse of the forward map by damped Newton iteration.
 
@@ -358,14 +332,14 @@ def invert_map(
     tx, ty = float(target[0]), float(target[1])
     rho, theta = float(seed[0]), float(seed[1])
     scale = max(math.hypot(tx, ty), 1e-30)
-    point = forward_map(params, sol, fac, rho, theta, control)
+    point = forward_map(params, sol, fac, rho, theta)
     sign0 = math.copysign(1.0, point.jac_inv) if point.jac_inv != 0.0 else 0.0
     err = math.hypot(point.x - tx, point.y - ty)
     tol = 1e-13 * scale
     for _ in range(max_iter):
         if err <= tol:
             return MomentumPoint(rho, theta)
-        jac = map_differential(params, sol, fac, rho, theta, control)
+        jac = map_differential(params, sol, fac, rho, theta)
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         if det == 0.0 or not math.isfinite(det):
             raise NoConvergenceError("singular differential on the Newton path")
@@ -379,7 +353,7 @@ def invert_map(
             cand_theta = theta + lam_step * dtheta
             if cand_rho > 0.0:
                 try:
-                    cand = forward_map(params, sol, fac, cand_rho, cand_theta, control)
+                    cand = forward_map(params, sol, fac, cand_rho, cand_theta)
                 except (DomainError, NodeError):
                     cand = None
                 if cand is not None:
@@ -468,7 +442,6 @@ def sample_fields(
     domain: SectorDomain,
     grid: tuple[int, int],
     norm: float = 1.0,
-    control: SeriesControl = DEFAULT_SERIES,
 ) -> list[FieldSample]:
     """Full field records on a (rho, theta) product grid, row-major in rho.
 
@@ -486,7 +459,8 @@ def sample_fields(
     - ``density-singular``: F is singular at the row's speed; NaN in
       ``density``, ``q_pot`` and ``u_pot``.
     - ``out-of-range``: the radial factor cannot be evaluated at the row's rho
-      (tau above the Kummer z_max, or rho_bar^n above ``RHO_BAR_N_CAP``);
+      (tau above ``specfun.KUMMER_Z_MAX``, rho_bar^n above ``RHO_BAR_N_CAP``,
+      or a power of rho_bar or tau beyond the float range at small rho);
       NaN in ``x, y, phi, jac_inv, q_pot, u_pot``.
 
     A sign change of the inverse Jacobian across the grid only warns
@@ -501,7 +475,7 @@ def sample_fields(
     rows = []
     for rho in rho_list:
         try:
-            rows.append(momentum.radial_row(params, sol, rho, control))
+            rows.append(momentum.radial_row(params, sol, rho))
         except DomainError:
             rows.append((math.nan, math.nan, math.nan))
     r, rp, rcal = (np.array(col)[:, None] for col in zip(*rows))
@@ -527,7 +501,6 @@ def sample_fields_radial(
     domain: SectorDomain,
     grid: tuple[int, int],
     norm: float = 1.0,
-    control: SeriesControl = DEFAULT_SERIES,
 ) -> list[FieldSample]:
     """Field records for the angularly symmetric hyperbolic flow.
 
@@ -542,7 +515,7 @@ def sample_fields_radial(
     rows = []
     for rho in rho_list:
         try:
-            zb, phi, jac_inv = _radial_chart(params, matched, rho, control)
+            zb, phi, jac_inv = _radial_chart(params, matched, rho)
             q = potentials.quantum_potential_radial(params, rho)
             rows.append((zb, phi, jac_inv, q, potentials.stationary_u(params, rho, q)))
         except DomainError:

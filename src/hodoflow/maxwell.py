@@ -154,16 +154,16 @@ def discriminant(params: ModelParams, rho: float) -> float:
     return -coeff_g(params, rho)
 
 
-def classify(params: ModelParams, rho: float, eps_par: float = EPS_PARABOLIC) -> RegionTag:
+def classify(params: ModelParams, rho: float) -> RegionTag:
     """Region of the linearized equation at radius rho.
 
-    A relative band ``|rho - rho_T| <= eps_par rho_T`` is tagged parabolic so
+    A relative band ``|rho - rho_T| <= EPS_PARABOLIC rho_T`` is tagged parabolic so
     that floating-point radii on the sonic circle select the right branch.
     """
     if rho <= 0.0:
         raise DomainError(f"classification requires rho > 0, got {rho}")
     rho_t = params.rho_t
-    if abs(rho - rho_t) <= eps_par * rho_t:
+    if abs(rho - rho_t) <= EPS_PARABOLIC * rho_t:
         return RegionTag.PARABOLIC
     return RegionTag.ELLIPTIC if rho < rho_t else RegionTag.HYPERBOLIC
 
@@ -218,8 +218,8 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     ``SECTOR_MAX_PANELS`` panels, :class:`NoConvergenceError` is raised.
     lam = 1 and a constant u raise :class:`DegenerateMapError`, radial and
     angular lam that disagree raise :class:`ParameterError`, and a sector on
-    which the radial factor cannot be evaluated (tau above z_max) raises
-    :class:`DomainError`.
+    which the radial factor cannot be evaluated (tau above
+    ``specfun.KUMMER_Z_MAX``) raises :class:`DomainError`.
     """
     from . import mapping, momentum  # deferred: both import this module
 

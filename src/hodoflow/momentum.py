@@ -28,7 +28,7 @@ from .errors import (
     SaturationWarning,
 )
 from .maxwell import ModelParams, discriminant, require_finite
-from .specfun import DEFAULT_SERIES, SeriesControl
+from .specfun import SERIES_MAX_TERMS, SERIES_REL_TOL
 
 #: Elliptic characteristics contain artanh(sqrt(1 - rho_bar^n)), divergent as
 #: rho -> 0 (strong spiral winding near the origin).  Radii below this floor
@@ -40,6 +40,10 @@ RHO_FLOOR_REL = 1e-6
 RHO_BAR_N_CAP = 50.0
 
 _REL_BAND = 1e-12  # tolerance band around rho_T for region admission
+
+#: Theta counts as zero (a nodal line of the angular factor) when
+#: ``|Theta| < THETA_NODE_TOL (|c1| + |c2| [+ |c1 theta| when lam = 0])``.
+THETA_NODE_TOL = 1e-12
 
 
 class CharacteristicKind(enum.Enum):
@@ -133,29 +137,29 @@ def _beta(n: float, k: int) -> float:
     return k + 1.0 / n
 
 
-def _j_recurrence(n: float, k: int, x: float, control: SeriesControl) -> float:
+def _j_recurrence(n: float, k: int, x: float) -> float:
     """J_{n,k}(x): antiderivative of exp(beta_k x^n) / x^(kn+1), by recurrence."""
     if k == 0:
-        return specfun.expint_ei(_beta(n, 0) * x ** n, control) / n
+        return specfun.expint_ei(_beta(n, 0) * x ** n) / n
     bk, bk1 = _beta(n, k), _beta(n, k - 1)
-    scaled = _j_recurrence(n, k - 1, x * (bk / bk1) ** (1.0 / n), control)
+    scaled = _j_recurrence(n, k - 1, x * (bk / bk1) ** (1.0 / n))
     return bk ** k / (k * bk1 ** (k - 1)) * scaled - math.exp(bk * x ** n) / (k * n * x ** (k * n))
 
 
-def _i_recurrence(n: float, k: int, x: float, control: SeriesControl) -> float:
+def _i_recurrence(n: float, k: int, x: float) -> float:
     """I_{n,k}(x): antiderivative of exp(beta_k x) / x^(k+1), by recurrence."""
     if k == 0:
-        return specfun.expint_ei(_beta(n, 0) * x, control)
+        return specfun.expint_ei(_beta(n, 0) * x)
     bk, bk1 = _beta(n, k), _beta(n, k - 1)
-    scaled = _i_recurrence(n, k - 1, x * bk / bk1, control)
+    scaled = _i_recurrence(n, k - 1, x * bk / bk1)
     return bk ** k / (k * bk1 ** (k - 1)) * scaled - math.exp(bk * x) / (k * x ** k)
 
 
-def _integer_quotient(ell: float, n: float, tol: float = 1e-9) -> int | None:
-    """k >= 0 with ell = n k, if one exists within tolerance."""
+def _integer_quotient(ell: float, n: float) -> int | None:
+    """k >= 0 with ell = n k, if one exists within 1e-9."""
     q = ell / n
     k = round(q)
-    if k >= 0 and abs(q - k) <= tol:
+    if k >= 0 and abs(q - k) <= 1e-9:
         return int(k)
     return None
 
@@ -171,9 +175,7 @@ def _check_rho_bar(params: ModelParams, rho: float) -> float:
     return rb
 
 
-def hill_substitution_zeta(
-    params: ModelParams, rho: float, control: SeriesControl = DEFAULT_SERIES
-) -> float:
+def hill_substitution_zeta(params: ModelParams, rho: float) -> float:
     """Radial substitution zeta(rho) that removes the first-derivative term.
 
     For ell = n k the antiderivative closes through the exponential integral
@@ -186,17 +188,17 @@ def hill_substitution_zeta(
     n, ell = params.n, params.ell
     k = _integer_quotient(ell, n)
     if k is not None:
-        val = _j_recurrence(n, k, rb, control)
+        val = _j_recurrence(n, k, rb)
     else:
         x = rb ** n
         coef = (ell + 1.0) / n
         power = 1.0  # coef^k / k!
         total = 0.0
         small = 0
-        for j in range(control.max_terms):
+        for j in range(SERIES_MAX_TERMS):
             term = power * rb ** (n * j - ell) / (n * j - ell)
             total += term
-            if abs(term) < control.rel_tol * max(abs(total), 1e-300):
+            if abs(term) < SERIES_REL_TOL * max(abs(total), 1e-300):
                 small += 1
                 if small >= 3 and n * j > ell + x:  # past the series hump
                     break
@@ -247,16 +249,6 @@ def nu_roots(ell: float, lam: float) -> tuple[float, float]:
     """Exponents nu(+-) = -ell/2 +- sqrt(ell^2/4 + lam^2 (ell+1)) of the radial factor."""
     disc = math.sqrt(ell * ell / 4.0 + lam * lam * (ell + 1.0))
     return -ell / 2.0 + disc, -ell / 2.0 - disc
-
-
-def frobenius_roots(ell: float, lam: float) -> tuple[float, float]:
-    """Indicial roots of nu^2 + nu (g0 - 1) - lam^2 g0 = 0 with g0 = ell + 1.
-
-    Independent algebraic path kept for cross-checks against :func:`nu_roots`.
-    """
-    g0 = ell + 1.0
-    disc = math.sqrt((g0 - 1.0) ** 2 + 4.0 * lam * lam * g0)
-    return (-(g0 - 1.0) + disc) / 2.0, (-(g0 - 1.0) - disc) / 2.0
 
 
 def kummer_ab(n: float, ell: float, nu: float, lam: float) -> tuple[float, float]:
@@ -400,12 +392,7 @@ def _check_nu(ell: float, lam: float, nu: float) -> None:
         raise ParameterError(f"nu = {nu} does not solve the indicial equation (residual {residual})")
 
 
-def radial_row(
-    params: ModelParams,
-    sol: RadialSolution,
-    rho: float,
-    control: SeriesControl = DEFAULT_SERIES,
-) -> tuple[float, float, float]:
+def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[float, float, float]:
     """``(R, dR/drho, Rcal)`` at one rho, from two series: the radial
     quantities that every point of a rho row shares.
 
@@ -415,7 +402,8 @@ def radial_row(
     working precision, the log-derivative pole on a nodal line: M below the
     bound of :func:`specfun.kummer_vanishes`, Psi = 0, or |Omega| < 1e-300.
     Raises :class:`DomainError` where the radial factor cannot be evaluated
-    (rho_bar^n above ``RHO_BAR_N_CAP``, tau above z_max).  A plain tuple,
+    (rho_bar^n above ``RHO_BAR_N_CAP``, tau above ``specfun.KUMMER_Z_MAX``, or
+    a power of rho_bar or tau beyond the float range at small rho).  A plain tuple,
     since the scalar map calls this once per point.
     """
     if rho <= 0.0:
@@ -423,46 +411,23 @@ def radial_row(
     if sol.kind is RadialKind.CONSTANT:
         return 1.0, 0.0, 0.0
     if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
-        value = hyperbolic_omega(params, rho, control)
+        value = hyperbolic_omega(params, rho)
         slope = omega_slope(params, rho)
         return value, slope, rho * slope / value if abs(value) >= 1e-300 else math.nan
     rb = _check_rho_bar(params, rho)
     tau = params.tau(rho)
     if sol.kind.tricomi:
-        t_val = specfun.tricomi_psi(sol.a, sol.b, tau, control)
-        t_der = specfun.tricomi_psi_deriv(sol.a, sol.b, tau, control)
+        t_val = specfun.tricomi_psi(sol.a, sol.b, tau)
+        t_der = specfun.tricomi_psi_deriv(sol.a, sol.b, tau)
         node = t_val == 0.0
     else:
-        t_val, t_scale = specfun.kummer_m_scaled(sol.a, sol.b, tau, control)
-        t_der = specfun.kummer_m_deriv(sol.a, sol.b, tau, control)
+        t_val, t_scale = specfun.kummer_m_scaled(sol.a, sol.b, tau)
+        t_der = specfun.kummer_m_deriv(sol.a, sol.b, tau)
         node = specfun.kummer_vanishes(t_val, t_scale)
-    value = sol.scale * rb ** sol.nu * t_val
-    slope = sol.scale * rb ** (sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
+    value = sol.scale * specfun.checked_pow(rb, sol.nu) * t_val
+    slope = sol.scale * specfun.checked_pow(rb, sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
     rcal = math.nan if node else sol.nu + params.n * tau * (t_der / t_val)
     return value, slope, rcal
-
-
-def radial_value_slope(
-    params: ModelParams,
-    sol: RadialSolution,
-    rho: float,
-    control: SeriesControl = DEFAULT_SERIES,
-) -> tuple[float, float]:
-    """Radial factor R(rho) and its derivative dR/drho (see :func:`radial_row`)."""
-    value, slope, _ = radial_row(params, sol, rho, control)
-    return value, slope
-
-
-def radial_kummer(
-    params: ModelParams,
-    sol: RadialSolution,
-    rho: float,
-    control: SeriesControl = DEFAULT_SERIES,
-) -> float:
-    """Radial factor R(rho) = scale * rho_bar^nu * T(tau) for Kummer-based kinds."""
-    if not sol.kind.kummer_based:
-        raise ParameterError(f"radial_kummer expects a Kummer-based solution, got {sol.kind}")
-    return radial_value_slope(params, sol, rho, control)[0]
 
 
 def mu_plus(params: ModelParams, rho: float) -> float:
@@ -474,9 +439,7 @@ def mu_plus(params: ModelParams, rho: float) -> float:
     return 2.0 * math.sqrt(params.ell + 1.0) / params.n * (s - math.atan(s))
 
 
-def hyperbolic_omega(
-    params: ModelParams, rho: float, control: SeriesControl = DEFAULT_SERIES
-) -> float:
+def hyperbolic_omega(params: ModelParams, rho: float) -> float:
     """Angularly symmetric exact solution in the hyperbolic region.
 
     ``Omega(rho) = (c1 sqrt(ell+1)/n) e^(-(ell+1)/n) [ I_{n,k}(rho_bar^n) + c2 ]``
@@ -491,16 +454,16 @@ def hyperbolic_omega(
     pref = params.c1 * math.sqrt(ell + 1.0) / n * math.exp(-(ell + 1.0) / n)
     k = _integer_quotient(ell, n)
     if k is not None:
-        core = _i_recurrence(n, k, x, control)
+        core = _i_recurrence(n, k, x)
     else:
         coef = (ell + 1.0) / n
         power = 1.0
         core = 0.0
         small = 0
-        for j in range(control.max_terms):
+        for j in range(SERIES_MAX_TERMS):
             term = n * power * x ** (j - ell / n) / (j * n - ell)
             core += term
-            if abs(term) < control.rel_tol * max(abs(core), 1e-300):
+            if abs(term) < SERIES_REL_TOL * max(abs(core), 1e-300):
                 small += 1
                 if small >= 3 and j > coef * x:
                     break
@@ -567,15 +530,15 @@ class AngularFactor:
         xp = np if isinstance(theta, np.ndarray) else math
         return self.lam * (self.c1 * xp.cos(self.lam * theta) - self.c2 * xp.sin(self.lam * theta))
 
-    def at_node(self, theta, node_tol: float = 1e-12):
-        """Whether Theta vanishes at working precision (elementwise for an array):
-        ``|Theta| < node_tol (|c1| + |c2| [+ |c1 theta| when lam = 0])``."""
+    def at_node(self, theta):
+        """Whether Theta vanishes at working precision, ``THETA_NODE_TOL``
+        (elementwise for an array)."""
         scale = abs(self.c1) + abs(self.c2) + (abs(self.c1 * theta) if self.lam == 0.0 else 0.0)
-        return abs(self.value(theta)) < node_tol * scale
+        return abs(self.value(theta)) < THETA_NODE_TOL * scale
 
-    def logderiv(self, theta: float, node_tol: float = 1e-12) -> float:
+    def logderiv(self, theta: float) -> float:
         """Upsilon(theta) = Theta'/Theta; NodeError on the zero set of Theta."""
-        if self.at_node(theta, node_tol):
+        if self.at_node(theta):
             raise NodeError(f"Theta({theta}) = 0: logarithmic derivative pole")
         return self.deriv(theta) / self.value(theta)
 
@@ -585,14 +548,6 @@ class AngularFactor:
             raise ParameterError("the linear angular factor has no extremum")
         theta0 = math.atan2(self.c2, self.c1)
         return (math.pi / 2.0 + math.pi * k - theta0) / self.lam
-
-
-def angular_theta(fac: AngularFactor, theta: float) -> float:
-    return fac.value(theta)
-
-
-def angular_logderiv(fac: AngularFactor, theta: float) -> float:
-    return fac.logderiv(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -671,34 +626,12 @@ def laguerre_enumerate_for_ell(n: float, ell: float, k_max: int = 16) -> list[La
     return rows
 
 
-def brute_force_orders(n: float, ell: float, lam: float, k_max: int = 200) -> list[int]:
-    """Integer orders k satisfying the degeneration condition, by direct scan.
-
-    Kept deliberately naive: it double-checks the closed-form enumeration.
-    """
-    lam2 = lam * lam
-    hits = []
-    for k in range(0, k_max + 1):
-        kn = k * n
-        if k == 0:
-            if abs(lam2 * (lam2 - 1.0)) <= 1e-9 * max(1.0, lam2 ** 2) and lam >= 1.0 - 1e-12:
-                hits.append(k)
-            continue
-        residual = kn * ell - ((lam2 - kn) ** 2 - lam2)
-        if abs(residual) <= 1e-6 * max(1.0, lam2 ** 2) and kn <= math.sqrt(
-            max(lam2 * (lam2 - 1.0), 0.0)
-        ) * (1.0 + 1e-9):
-            hits.append(k)
-    return hits
-
-
 def factorized_u(
     params: ModelParams,
     sol: RadialSolution,
     fac: AngularFactor,
     rho: float,
     theta: float,
-    control: SeriesControl = DEFAULT_SERIES,
 ) -> float:
     """Separated solution u(rho, theta) = R(rho) Theta(theta).
 
@@ -706,8 +639,7 @@ def factorized_u(
     polynomial normalization, so for those ``u = (-1)^k rho_bar^nu L_k(tau) Theta``.
     """
     require_matching_lam(sol, fac)
-    value, _ = radial_value_slope(params, sol, rho, control)
-    return value * fac.value(theta)
+    return radial_row(params, sol, rho)[0] * fac.value(theta)
 
 
 def require_matching_lam(sol: RadialSolution, fac: AngularFactor) -> None:

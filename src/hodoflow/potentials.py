@@ -24,7 +24,6 @@ from . import momentum, specfun
 from .errors import DivergenceError, DomainError, NodeError, ParameterError
 from .maxwell import ModelParams, coeff_g, normalization_psi_model
 from .momentum import AngularFactor, RadialSolution
-from .specfun import DEFAULT_SERIES, SeriesControl
 
 HBAR = 1.0
 MASS = 1.0
@@ -32,6 +31,10 @@ MASS = 1.0
 #: Closed forms stay evaluable down to r = 0+, but FD oracles degrade in the
 #: essential-singularity zone; grid sweeps skip radii below this floor.
 R_FLOOR_REL = 1e-6
+
+#: :func:`bohr_sommerfeld` rejects contours that come closer to the velocity
+#: pole at the origin than this radius.
+POLE_MIN_RADIUS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,6 @@ def quantum_potential(
     fac: AngularFactor,
     rho: float,
     theta: float,
-    control: SeriesControl = DEFAULT_SERIES,
 ) -> float:
     """Closed-form quantum potential of a mapped separated solution.
 
@@ -120,7 +122,7 @@ def quantum_potential(
     if abs(sol.lam - 1.0) <= 1e-12:
         raise ParameterError("lam = 1 admits no coordinate chart (degenerate map)")
     momentum.require_matching_lam(sol, fac)
-    r_val, _, rcal = momentum.radial_row(params, sol, rho, control)
+    r_val, _, rcal = momentum.radial_row(params, sol, rho)
     u = r_val * fac.value(theta)
     if u == 0.0:
         raise NodeError("u = 0: quantum potential singular on the nodal set")
@@ -138,7 +140,6 @@ def classical_potential(
     fac: AngularFactor,
     rho: float,
     theta: float,
-    control: SeriesControl = DEFAULT_SERIES,
     energy: float = 0.0,
 ) -> float:
     """External potential recovered from stationarity: U = alpha rho^2/(4 beta) - Q + E.
@@ -147,7 +148,7 @@ def classical_potential(
     single-valued across quantum states: shifting the energy shifts Q by the
     same constant and cancels here.
     """
-    return stationary_u(params, rho, quantum_potential(params, sol, fac, rho, theta, control), energy)
+    return stationary_u(params, rho, quantum_potential(params, sol, fac, rho, theta), energy)
 
 
 def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
@@ -293,23 +294,21 @@ def psi_classical_potential(pm: PsiModelParams, r: float) -> float:
     return -(HBAR ** 2) / (8.0 * MASS * r ** 2) * bracket + pm.energy
 
 
-def psi_velocity(pm: PsiModelParams, r: float) -> tuple[float, float]:
-    """Azimuthal flux speed and the (signed) azimuthal component: v = sigma_r sigma_v / r."""
+def psi_velocity(pm: PsiModelParams, r: float) -> float:
+    """Azimuthal flux speed v_phi = sigma_r sigma_v / r (the flux is along +e_phi)."""
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r}")
-    v_phi = pm.sigma_r * pm.sigma_v / r
-    return v_phi, v_phi
+    return pm.sigma_r * pm.sigma_v / r
 
 
 def psi_model_eval(pm: PsiModelParams, r: float, phi: float, t: float = 0.0) -> dict:
     """Density, phase, potentials, and velocity of the vortex state at one point."""
-    v_phi, _ = psi_velocity(pm, r) if r > 0.0 else (math.inf, math.inf)
     return {
         "density": psi_density(pm, r),
         "phase": pm.angular_number * phi - pm.energy / HBAR * t,
         "Q": psi_quantum_potential(pm, r) if r > 0.0 else -math.inf,
         "U": psi_classical_potential(pm, r) if r > 0.0 else math.inf,
-        "v_phi": v_phi,
+        "v_phi": psi_velocity(pm, r) if r > 0.0 else math.inf,
     }
 
 
@@ -407,11 +406,12 @@ def hamilton_jacobi_residual(pm: PsiModelParams, r: float) -> float:
     return abs(residual) / scale
 
 
-def bohr_sommerfeld(pm: PsiModelParams, contour: np.ndarray, min_radius: float = 1e-12) -> float:
+def bohr_sommerfeld(pm: PsiModelParams, contour: np.ndarray) -> float:
     """Momentum circulation along a closed polyline (per-segment Simpson rule).
 
     The polyline is implicitly closed.  Contours that do not enclose the
-    velocity pole integrate to ~0; contours through the pole are rejected.
+    velocity pole integrate to ~0; contours through the pole (closer than
+    ``POLE_MIN_RADIUS``) are rejected.
     Compare against :func:`circulation_quantum`.
     """
     pts = np.asarray(contour, dtype=float)
@@ -421,7 +421,7 @@ def bohr_sommerfeld(pm: PsiModelParams, contour: np.ndarray, min_radius: float =
 
     def p_dot(point: np.ndarray, direction: np.ndarray) -> float:
         r2 = point[0] ** 2 + point[1] ** 2
-        if r2 < min_radius ** 2:
+        if r2 < POLE_MIN_RADIUS ** 2:
             raise DomainError("contour passes through the velocity pole at the origin")
         return coef * (-point[1] * direction[0] + point[0] * direction[1]) / r2
 

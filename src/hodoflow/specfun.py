@@ -1,9 +1,10 @@
 """Self-contained special-function kernel.
 
 Everything downstream (radial solutions, the inverse map, the vortex model)
-is built on these six primitives: the gamma function, the exponential
-integral Ei, the Kummer function M, the Tricomi function Psi, generalized
-Laguerre polynomials, and the logarithmic derivative of M.
+is built on these five primitives: the gamma function, the exponential
+integral Ei, the Kummer function M, the Tricomi function Psi and generalized
+Laguerre polynomials, with the derivatives of M and Psi and the test for a
+zero of M at working precision.
 
 All functions are pure and accept/return Python floats; none hold state.
 """
@@ -11,11 +12,9 @@ All functions are pure and accept/return Python floats; none hold state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DomainError,
-    NodeError,
     ParameterError,
     PoleError,
     SeriesOverflowError,
@@ -35,31 +34,27 @@ EI_MAX_REL_ERR = 1e-11
 #: ``|M| < KUMMER_NODE_TOL * max(1, sum|terms|)``.
 KUMMER_NODE_TOL = 1e-12
 
+#: Truncation policy of the power series in this module: a series is accepted
+#: once ``|term| < SERIES_REL_TOL * |partial sum|`` holds for three consecutive
+#: terms (guards against transient small terms in alternating series); it
+#: fails with :class:`NoConvergenceError` after ``SERIES_MAX_TERMS`` terms.
+SERIES_REL_TOL = 1e-15
+SERIES_MAX_TERMS = 4000
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the power series in this module.
-
-    A series is accepted once ``|term| < rel_tol * |partial sum|`` holds for
-    three consecutive terms (guards against transient small terms in
-    alternating series); it fails with :class:`NoConvergenceError` at
-    ``max_terms``.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 4000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol <= 1e-8:
-            raise ParameterError(f"rel_tol must be in (0, 1e-8], got {self.rel_tol}")
-        if self.max_terms < 100:
-            raise ParameterError(f"max_terms must be >= 100, got {self.max_terms}")
+#: Largest argument the Kummer series is summed at.
+KUMMER_Z_MAX = 50.0
 
 
-DEFAULT_SERIES = SeriesControl()
+def checked_pow(x: float, p: float) -> float:
+    """x^p for x >= 0, with :class:`DomainError` where it leaves the float range."""
+    try:
+        return x ** p
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{x:g}^{p:g} is out of the float range") from None
 
-def is_nonpositive_integer(x: float, tol: float = _INT_TOL) -> bool:
-    return x <= 0.5 and abs(x - round(x)) <= tol
+
+def is_nonpositive_integer(x: float) -> bool:
+    return x <= 0.5 and abs(x - round(x)) <= _INT_TOL
 
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative error below
@@ -103,7 +98,7 @@ def reciprocal_gamma(x: float) -> float:
     return 1.0 / gamma(x)
 
 
-def expint_ei(x: float, control: SeriesControl = DEFAULT_SERIES) -> float:
+def expint_ei(x: float) -> float:
     """Exponential integral Ei via its everywhere-convergent series.
 
     ``Ei(x) = euler_gamma + ln|x| + sum_k x^k / (k! k)``, the principal value
@@ -121,12 +116,12 @@ def expint_ei(x: float, control: SeriesControl = DEFAULT_SERIES) -> float:
     scale = abs(EULER_GAMMA) + abs(math.log(abs(x)))  # sum of |terms|
     power = 1.0  # x^k / k!
     small = 0
-    for k in range(1, control.max_terms + 1):
+    for k in range(1, SERIES_MAX_TERMS + 1):
         power *= x / k
         term = power / k
         total += term
         scale += abs(term)
-        if abs(term) < control.rel_tol * abs(total):
+        if abs(term) < SERIES_REL_TOL * abs(total):
             small += 1
             if small >= 3:
                 if x < 0.0 and _EPS * scale > EI_MAX_REL_ERR * abs(total):
@@ -140,8 +135,15 @@ def expint_ei(x: float, control: SeriesControl = DEFAULT_SERIES) -> float:
     raise NoConvergenceError(f"Ei series did not converge at x = {x}")
 
 
-def _kummer_series(a: float, b: float, z: float, control: SeriesControl) -> tuple[float, float]:
-    """Kummer series; returns (value, sum of |terms|) for node detection."""
+def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
+    """Kummer series for 0 <= z <= ``KUMMER_Z_MAX``; returns (value, sum of
+    |terms|) for node detection."""
+    if is_nonpositive_integer(b):
+        raise ParameterError(f"Kummer M undefined for b = {b} (non-positive integer)")
+    if z < 0.0:
+        raise DomainError(f"Kummer M restricted to z >= 0 here, got z = {z}")
+    if z > KUMMER_Z_MAX:
+        raise DomainError(f"z = {z} exceeds KUMMER_Z_MAX = {KUMMER_Z_MAX}")
     total = 1.0
     scale = 1.0
     term = 1.0
@@ -154,13 +156,13 @@ def _kummer_series(a: float, b: float, z: float, control: SeriesControl) -> tupl
             scale += abs(term)
         return total, scale
     small = 0
-    for j in range(control.max_terms):
+    for j in range(SERIES_MAX_TERMS):
         term *= (a + j) * z / ((b + j) * (j + 1))
         total += term
         scale += abs(term)
         if abs(total) > _OVERFLOW_GUARD or abs(term) > _OVERFLOW_GUARD:
             raise SeriesOverflowError(f"Kummer series overflow at (a={a}, b={b}, z={z})")
-        if abs(term) < control.rel_tol * abs(total):
+        if abs(term) < SERIES_REL_TOL * abs(total):
             small += 1
             if small >= 3:
                 return total, scale
@@ -169,85 +171,37 @@ def _kummer_series(a: float, b: float, z: float, control: SeriesControl) -> tupl
     raise NoConvergenceError(f"Kummer series did not converge at (a={a}, b={b}, z={z})")
 
 
-def kummer_m(
-    a: float,
-    b: float,
-    z: float,
-    control: SeriesControl = DEFAULT_SERIES,
-    z_max: float = 50.0,
-) -> float:
-    """Confluent hypergeometric function M(a, b, z) for z >= 0.
+def kummer_m(a: float, b: float, z: float) -> float:
+    """Confluent hypergeometric function M(a, b, z) for 0 <= z <= ``KUMMER_Z_MAX``.
 
     Terminates exactly when a is a non-positive integer (within 1e-12), so
     the Laguerre-polynomial cases are evaluated without truncation error.
     """
-    if is_nonpositive_integer(b):
-        raise ParameterError(f"Kummer M undefined for b = {b} (non-positive integer)")
-    if z < 0.0:
-        raise DomainError(f"Kummer M restricted to z >= 0 here, got z = {z}")
-    if z > z_max:
-        raise DomainError(f"z = {z} exceeds the configured z_max = {z_max}")
-    value, _ = _kummer_series(a, b, z, control)
-    return value
+    return _kummer_series(a, b, z)[0]
 
 
-def kummer_m_scaled(
-    a: float,
-    b: float,
-    z: float,
-    control: SeriesControl = DEFAULT_SERIES,
-    z_max: float = 50.0,
-) -> tuple[float, float]:
+def kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float]:
     """M(a, b, z) together with the sum of absolute series terms.
 
     The second value is the natural local scale against which a near-zero of
     M is detected (nodal lines of the radial factor).
     """
-    if is_nonpositive_integer(b):
-        raise ParameterError(f"Kummer M undefined for b = {b} (non-positive integer)")
-    if z < 0.0:
-        raise DomainError(f"Kummer M restricted to z >= 0 here, got z = {z}")
-    if z > z_max:
-        raise DomainError(f"z = {z} exceeds the configured z_max = {z_max}")
-    return _kummer_series(a, b, z, control)
+    return _kummer_series(a, b, z)
 
 
-def kummer_m_deriv(a: float, b: float, z: float, control: SeriesControl = DEFAULT_SERIES) -> float:
+def kummer_m_deriv(a: float, b: float, z: float) -> float:
     """dM/dz via the contiguity relation M'(a, b, z) = (a/b) M(a+1, b+1, z)."""
-    return (a / b) * kummer_m(a + 1.0, b + 1.0, z, control)
+    return (a / b) * kummer_m(a + 1.0, b + 1.0, z)
 
 
-def kummer_vanishes(value: float, scale: float, node_tol: float = KUMMER_NODE_TOL) -> bool:
+def kummer_vanishes(value: float, scale: float) -> bool:
     """Whether M is zero at working precision, given the ``(M, sum|terms|)``
-    pair of :func:`kummer_m_scaled`: a nodal line of the radial factor."""
-    return abs(value) < node_tol * max(1.0, scale)
+    pair of :func:`kummer_m_scaled`: a nodal line of the radial factor, where
+    the log-derivative M'/M has a pole."""
+    return abs(value) < KUMMER_NODE_TOL * max(1.0, scale)
 
 
-def kummer_logderiv(
-    a: float,
-    b: float,
-    z: float,
-    control: SeriesControl = DEFAULT_SERIES,
-    node_tol: float = KUMMER_NODE_TOL,
-) -> float:
-    """Logarithmic derivative (d/dz) ln M(a, b, z) = (a/b) M(a+1, b+1, z) / M(a, b, z).
-
-    Raises :class:`NodeError` when M is zero at working precision relative to
-    the magnitude of its series terms: the evaluation point sits on a nodal
-    line and the log-derivative has a pole there.
-    """
-    m0, scale = kummer_m_scaled(a, b, z, control)
-    if kummer_vanishes(m0, scale, node_tol):
-        raise NodeError(f"M({a}, {b}, {z}) vanishes at working precision; log-derivative pole")
-    return kummer_m_deriv(a, b, z, control) / m0
-
-
-def tricomi_psi(
-    a: float,
-    b: float,
-    z: float,
-    control: SeriesControl = DEFAULT_SERIES,
-) -> float:
+def tricomi_psi(a: float, b: float, z: float) -> float:
     """Tricomi function Psi(a, b, z) for z > 0 and non-integer b.
 
     Evaluated through the two-M connection formula
@@ -265,21 +219,21 @@ def tricomi_psi(
         raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {z}")
     first = reciprocal_gamma(a + 1.0 - b)
     if first != 0.0:
-        first *= gamma(1.0 - b) * kummer_m(a, b, z, control)
+        first *= gamma(1.0 - b) * kummer_m(a, b, z)
     second = reciprocal_gamma(a)
     if second != 0.0:
-        second *= gamma(b - 1.0) * z ** (1.0 - b) * kummer_m(a + 1.0 - b, 2.0 - b, z, control)
+        second *= gamma(b - 1.0) * checked_pow(z, 1.0 - b) * kummer_m(a + 1.0 - b, 2.0 - b, z)
     return first + second
 
 
-def tricomi_psi_deriv(a: float, b: float, z: float, control: SeriesControl = DEFAULT_SERIES) -> float:
+def tricomi_psi_deriv(a: float, b: float, z: float) -> float:
     """dPsi/dz = -a Psi(a+1, b+1, z).
 
     b+1 integer is rejected upstream by :func:`tricomi_psi` (b integer).
     """
     if a == 0.0:
         return 0.0
-    return -a * tricomi_psi(a + 1.0, b + 1.0, z, control)
+    return -a * tricomi_psi(a + 1.0, b + 1.0, z)
 
 
 def laguerre(k: int, alpha: float, z: float) -> float:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import momentum, potentials, specfun, verify
+from . import momentum, specfun, verify
 from .errors import ParameterError
 from .mapping import SectorDomain, forward_map, invert_map
 from .maxwell import ModelParams, density_F, discriminant
@@ -26,7 +26,7 @@ from .momentum import (
     hill_coefficient_G,
     hill_substitution_zeta,
     omega_slope,
-    radial_kummer,
+    radial_row,
     zeta_bar,
 )
 from .potentials import (
@@ -151,7 +151,7 @@ def suite_momentum() -> list[VerificationReport]:
             for _ in range(60):
                 rho -= (hill_substitution_zeta(p, rho) - target) / zeta_bar(p, rho)
             rho_guess = rho
-            vals.append(radial_kummer(p, sol, rho))
+            vals.append(radial_row(p, sol, rho)[0])
         second = (-vals[4] + 16.0 * vals[3] - 30.0 * vals[2] + 16.0 * vals[1] - vals[0]) / (12.0 * dz * dz)
         g_coef = hill_coefficient_G(p, sol.lam, rho0)
         residuals.append((second + g_coef * vals[2]) / max(abs(second), abs(g_coef * vals[2]), 1e-300))

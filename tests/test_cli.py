@@ -71,6 +71,27 @@ class TestMapFields:
         "--n-rho", "6", "--n-theta", "5",
     )
 
+    SMALL_RHO = (
+        "--n", "2", "--ell", "4", "--lambda", "2.5", "--radial", "kummer-",
+        "--rho-min", "1e-40", "--rho-max", "0.9", "--theta-min", "-15", "--theta-max", "15",
+        "--n-rho", "4", "--n-theta", "4",
+    )
+
+    def test_row_below_float_range_flagged(self, tmp_path, capsys):
+        # rho_bar^nu overflows on the first row: the sweep flags it, no traceback
+        out_file = tmp_path / "f.csv"
+        code, _, err = run_cli(capsys, "map-fields", *self.SMALL_RHO, "--output", str(out_file))
+        assert code == 0 and err == ""
+        summary = json.loads((tmp_path / "f.csv.json").read_text())["summary"]
+        assert summary["rows"] == 16 and summary["flagged"] == 4
+        first = [line for line in out_file.read_text().splitlines() if not line.startswith("#")][1]
+        assert first.startswith("nan,nan,nan,")
+
+    def test_solve_momentum_below_float_range_is_an_error(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "solve-momentum", *self.SMALL_RHO, "--output", str(tmp_path / "u.csv"))
+        assert code == 1
+        assert err.startswith("error:") and "float range" in err
+
     def test_sector_csv_schema_and_speed_range(self, tmp_path, capsys):
         out_file = tmp_path / "fields.csv"
         code, _, _ = run_cli(capsys, *self.SECTOR, "--output", str(out_file))

@@ -24,13 +24,13 @@ from hodoflow.mapping import (
     map_differential,
     sample_fields,
     sample_fields_radial,
-    script_R,
 )
 from hodoflow.maxwell import ModelParams, RegionTag, density_F
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
     RadialSolution,
+    radial_row,
     zeta_bar,
 )
 from hodoflow.potentials import classical_potential, quantum_potential
@@ -49,27 +49,26 @@ TRIPLES = [(2, 0, 2.0, 1, 2.0), (2, 4, 3.0, 2, 7.0), (2, 2, 4.0, 5, 7.0)]
 
 
 class TestScriptR:
+    """Rcal = rho R'/R, the third value of :func:`radial_row`."""
+
     def test_lambda_one_is_identically_one(self):
         p = ModelParams(n=2, ell=2)
         sol = RadialSolution.kummer(p, 1.0)
         for rho in (0.3, 1.0, 2.9):
-            assert script_R(p, sol, rho) == pytest.approx(1.0, abs=1e-14)
+            assert radial_row(p, sol, rho)[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_small_tau_limit(self):
         p, sol, _ = triple(2, 4, 3.0, 2, 7.0)
-        assert script_R(p, sol, 1e-6 * p.rho_t) == pytest.approx(sol.nu, rel=1e-9)
+        assert radial_row(p, sol, 1e-6 * p.rho_t)[2] == pytest.approx(sol.nu, rel=1e-9)
 
     def test_fd_oracle(self):
         # rho R'(rho)/R(rho) by central differences
-        from hodoflow.momentum import radial_kummer
-
         p, sol, _ = triple(2, 0, 2.0, 1, 2.0)
         rho = 0.5 * p.rho_t
         h = 1e-6 * p.rho_t
-        fd = rho * (radial_kummer(p, sol, rho + h) - radial_kummer(p, sol, rho - h)) / (
-            2.0 * h * radial_kummer(p, sol, rho)
-        )
-        assert script_R(p, sol, rho) == pytest.approx(fd, rel=1e-6)
+        r = lambda x: radial_row(p, sol, x)[0]
+        fd = rho * (r(rho + h) - r(rho - h)) / (2.0 * h * r(rho))
+        assert radial_row(p, sol, rho)[2] == pytest.approx(fd, rel=1e-6)
 
 
 class TestForwardMap:
@@ -512,6 +511,37 @@ class TestSweepNeverAborts:
                 assert s.flag == "" and s.x == pytest.approx(mp.x, rel=1e-14)
                 assert s.phi == pytest.approx(mp.phi_val, rel=1e-14)
             assert math.isfinite(s.speed) and math.isfinite(s.density)
+
+    @pytest.mark.parametrize("radial", ["kummer-", "tricomi-", "tricomi+"])
+    def test_rows_below_float_range_flagged(self, radial):
+        # at rho = 1e-40 rho_T, rho_bar^nu (kummer-, tricomi-) or tau^(1-b)
+        # (tricomi+) leaves the float range
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.kummer(p, 2.5, branch=radial[-1], tricomi=radial.startswith("tricomi"))
+        fac = AngularFactor(lam=2.5, c1=1.0, c2=0.0)
+        dom = SectorDomain(1e-40 * p.rho_t, 0.9 * p.rho_t, -0.25, 0.25)
+        samples = sample_fields(p, sol, fac, dom, grid=(4, 4))
+        assert [s.flag for s in samples[:4]] == ["out-of-range"] * 4
+        assert all(math.isnan(s.x) and math.isnan(s.q_pot) for s in samples[:4])
+        assert all(s.flag != "out-of-range" and math.isfinite(s.x) for s in samples[4:])
+        with pytest.raises(DomainError):
+            forward_map(p, sol, fac, 1e-40 * p.rho_t, 0.1)
+        with pytest.raises(DomainError):
+            quantum_potential(p, sol, fac, 1e-40 * p.rho_t, 0.1)
+
+    def test_density_singular_row_flagged(self):
+        # ell < 0: F diverges at zero speed, and |alpha| rho_min underflows to 0
+        p = ModelParams(n=2, ell=-0.5)
+        fac = AngularFactor(lam=0.0, c1=1.0, c2=0.0)
+        dom = SectorDomain(5e-324, 0.5, -0.1, 0.1)
+        samples = sample_fields(p, RadialSolution.constant(), fac, dom, grid=(3, 3))
+        assert samples[0].speed == 0.0
+        for s in samples[:3]:
+            assert s.flag == "density-singular"
+            assert math.isnan(s.density) and math.isnan(s.q_pot) and math.isnan(s.u_pot)
+        # theta = 0 is a node of Theta = theta; the other rows keep their density
+        assert [s.flag for s in samples[3:]] == ["", "node", ""] * 2
+        assert all(math.isfinite(s.density) for s in samples[3:])
 
     def test_scalar_path_still_raises(self):
         # the flag belongs to the sweep; a single evaluation keeps its error

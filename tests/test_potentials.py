@@ -23,6 +23,7 @@ from hodoflow.potentials import (
     psi_density,
     psi_model_eval,
     psi_quantum_potential,
+    psi_velocity,
     quantum_potential,
     quantum_potential_radial,
     radial_moments,
@@ -211,6 +212,7 @@ class TestPsiModel:
         out = psi_model_eval(pm, r=1.3, phi=0.7, t=2.0)
         assert out["phase"] == pytest.approx(pm.angular_number * 0.7)  # E = 0: no t drift
         assert out["v_phi"] == pytest.approx(pm.sigma_r * pm.sigma_v / 1.3, rel=1e-14)
+        assert out["v_phi"] == psi_velocity(pm, 1.3)
         assert out["density"] == pytest.approx(psi_density(pm, 1.3), rel=1e-14)
 
     @pytest.mark.parametrize("regime", ["two-zeros", "critical", "single-zero"])

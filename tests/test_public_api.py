@@ -1,0 +1,55 @@
+"""The public surface of ``hodoflow`` and the demos that use it."""
+
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hodoflow
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+#: Every public name ``import hodoflow`` binds, the seven submodules included.
+PUBLIC_NAMES = (
+    "AngularFactor", "CharacteristicKind", "CoordPoint", "DegenerateMapError", "DivergenceError",
+    "DomainError", "FieldSample", "FoldError", "HodoflowError", "LaguerreCase", "MapPoint",
+    "ModelParams", "MomentumPoint", "NoConvergenceError", "NodeError", "ParameterError", "PoleError",
+    "PsiModelParams", "QPotentialArgs", "RadialKind", "RadialSolution", "RegionError", "RegionTag",
+    "SaturationWarning", "SectorDomain", "SeriesOverflowError", "UnivalenceWarning",
+    "VerificationReport", "adaptive_quad", "bohr_sommerfeld", "canonical_kappa",
+    "characteristic_chi", "circulation_quantum", "classical_potential", "classical_potential_radial",
+    "classify", "coeff_g", "coeff_h", "coeff_h_bar", "density_F", "density_F_speed_integral",
+    "discriminant", "errors", "expint_ei", "factorized_u", "fd_derivative", "forward_map",
+    "forward_map_radial", "gamma", "hamilton_jacobi_residual", "hill_coefficient_G",
+    "hill_substitution_zeta", "hyperbolic_omega", "invert_map", "invert_map_radial", "kummer_ab",
+    "kummer_m", "kummer_m_deriv", "laguerre", "laguerre_enumerate", "laguerre_enumerate_for_ell",
+    "map_differential", "mapping", "maxwell", "momentum", "mu_plus", "normalization_psi_model",
+    "normalization_sector", "nu_roots", "omega_matched_c1", "omega_slope", "pde_residual_coordinate",
+    "pde_residual_momentum", "potential_zeros", "potentials", "psi_classical_potential",
+    "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity", "quad2d_polar",
+    "quantum_potential", "quantum_potential_radial", "radial_moments", "sample_fields",
+    "sample_fields_radial", "schrodinger_residual", "schrodinger_residual_at",
+    "sigma_r_closed_form", "sigma_r_from_moments", "slope_rho_theta", "specfun", "tricomi_psi",
+    "verify", "zeta_bar",
+)
+
+
+def test_public_names():
+    # a fresh interpreter: other tests import hodoflow.cli and hodoflow.suites,
+    # which would add those submodules to the package namespace
+    code = "import hodoflow; print(' '.join(sorted(n for n in dir(hodoflow) if not n.startswith('_'))))"
+    src = str(Path(hodoflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+    assert out == sorted(PUBLIC_NAMES)
+    assert len(out) == 95
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

@@ -13,34 +13,22 @@ from scipy import integrate
 
 from hodoflow.errors import (
     DomainError,
-    NodeError,
     ParameterError,
     PoleError,
 )
 from hodoflow.specfun import (
     EULER_GAMMA,
-    SeriesControl,
+    checked_pow,
     expint_ei,
     gamma,
-    kummer_logderiv,
     kummer_m,
     kummer_m_deriv,
+    kummer_m_scaled,
+    kummer_vanishes,
     laguerre,
     tricomi_psi,
     tricomi_psi_deriv,
 )
-
-
-class TestSeriesControl:
-    def test_defaults_within_policy(self):
-        ctl = SeriesControl()
-        assert 0.0 < ctl.rel_tol <= 1e-8
-        assert ctl.max_terms >= 100
-
-    @pytest.mark.parametrize("kw", [{"rel_tol": 0.0}, {"rel_tol": 1e-6}, {"max_terms": 50}])
-    def test_invalid_policy_rejected(self, kw):
-        with pytest.raises(ParameterError):
-            SeriesControl(**kw)
 
 
 class TestGamma:
@@ -172,7 +160,14 @@ class TestKummerM:
         with pytest.raises(DomainError):
             kummer_m(1.0, 1.5, -0.5)
         with pytest.raises(DomainError):
-            kummer_m(1.0, 1.5, 60.0)  # beyond default z_max
+            kummer_m(1.0, 1.5, 60.0)  # beyond KUMMER_Z_MAX
+        # kummer_m_scaled shares the checks
+        with pytest.raises(ParameterError):
+            kummer_m_scaled(1.0, -3.0, 1.0)
+        with pytest.raises(DomainError):
+            kummer_m_scaled(1.0, 1.5, -0.5)
+        with pytest.raises(DomainError):
+            kummer_m_scaled(1.0, 1.5, 60.0)
 
 
 def _psi_ode_residual(a, b, z, h=None):
@@ -253,23 +248,41 @@ class TestLaguerre:
             laguerre(2, -1.5, 1.0)
 
 
+def _kummer_logderiv(a, b, z):
+    return kummer_m_deriv(a, b, z) / kummer_m(a, b, z)
+
+
 class TestKummerLogDeriv:
+    """The log-derivative M'/M that :func:`hodoflow.momentum.radial_row` forms,
+    and its pole at a zero of M, which :func:`kummer_vanishes` detects."""
+
     def test_value_at_zero(self):
-        assert kummer_logderiv(0.7, 1.9, 0.0) == pytest.approx(0.7 / 1.9, rel=1e-14)
+        assert _kummer_logderiv(0.7, 1.9, 0.0) == pytest.approx(0.7 / 1.9, rel=1e-14)
 
     def test_exponential_case(self):
         for z in (0.3, 2.0, 11.0):
-            assert kummer_logderiv(1.5, 1.5, z) == pytest.approx(1.0, rel=1e-12)
+            assert _kummer_logderiv(1.5, 1.5, z) == pytest.approx(1.0, rel=1e-12)
 
     def test_polynomial_case_with_fd_oracle(self):
         # M(-1, 3, z) = 1 - z/3, so the log-derivative at 1.2 is -(1/3)/(1 - 0.4)
-        val = kummer_logderiv(-1.0, 3.0, 1.2)
+        val = _kummer_logderiv(-1.0, 3.0, 1.2)
         assert val == pytest.approx(-(1.0 / 3.0) / (1.0 - 1.2 / 3.0), rel=1e-13)
         h = 1e-6
         fd = (math.log(abs(kummer_m(-1.0, 3.0, 1.2 + h))) - math.log(abs(kummer_m(-1.0, 3.0, 1.2 - h)))) / (2.0 * h)
         assert val == pytest.approx(fd, rel=1e-6)
 
     def test_node_detection(self):
-        # M(-1, 0.5, z) = 1 - 2 z vanishes at z = 0.5
-        with pytest.raises(NodeError):
-            kummer_logderiv(-1.0, 0.5, 0.5)
+        # M(-1, 0.5, z) = 1 - 2 z vanishes at z = 0.5, and only there
+        assert kummer_vanishes(*kummer_m_scaled(-1.0, 0.5, 0.5))
+        assert not kummer_vanishes(*kummer_m_scaled(-1.0, 0.5, 0.5 + 1e-9))
+
+
+class TestCheckedPow:
+    def test_in_range_is_plain_pow(self):
+        assert checked_pow(0.3, -2.7) == 0.3 ** -2.7
+        assert checked_pow(1e-40, 7.9) == 1e-40 ** 7.9  # underflow to a tiny value is fine
+
+    @pytest.mark.parametrize("x, p", [(1e-40, -7.9), (0.0, -0.5), (1e200, 2.0)])
+    def test_out_of_range_raises(self, x, p):
+        with pytest.raises(DomainError):
+            checked_pow(x, p)

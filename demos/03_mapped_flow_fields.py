@@ -20,10 +20,9 @@ from hodoflow import (
     SectorDomain,
     UnivalenceWarning,
     forward_map,
-    forward_map_radial,
     invert_map,
+    omega_matched_c1,
     sample_fields,
-    sample_fields_radial,
 )
 from hodoflow.momentum import LaguerreCase
 
@@ -62,16 +61,19 @@ print(f"forward(1.1 rho_T, 0.5) = ({mp.x:.6f}, {mp.y:.6f}); inverse recovers "
 
 print()
 print("=== radially symmetric hyperbolic flow: empty core of radius e^((ell+1)/n) ===")
+# Omega(rho) is the lam = 0 separated solution with Theta = 1; matching its
+# constant c1 makes Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
 p0 = ModelParams(n=2, ell=0)
+omega_chart = (p0.with_(c1=omega_matched_c1(p0)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0))
 floor = math.exp((p0.ell + 1.0) / p0.n)
 print(f"image floor r_min = {floor:.6f}")
 for rho_bar in (1.05, 1.4, 2.0):
-    mp = forward_map_radial(p0, rho_bar * p0.rho_t, 0.0)
+    mp = forward_map(*omega_chart, rho_bar * p0.rho_t, 0.0)
     print(f"  rho = {rho_bar} rho_T maps to r = {math.hypot(mp.x, mp.y):.6f}, "
           f"speed = {abs(p0.alpha) * rho_bar * p0.rho_t:.3f}")
 
 dom = SectorDomain(1.2 * p0.rho_t, 2.2 * p0.rho_t, 0.0, 2.0 * math.pi - 1e-9)
-rows = sample_fields_radial(p0, dom, grid=(8, 12))
+rows = sample_fields(*omega_chart, dom, grid=(8, 12))
 print(f"sampled {len(rows)} radial-flow records; min radius in the image: "
       f"{min(math.hypot(s.x, s.y) for s in rows):.6f}")
 print()

@@ -66,12 +66,10 @@ from .mapping import (
     MomentumPoint,
     SectorDomain,
     forward_map,
-    forward_map_radial,
     invert_map,
     invert_map_radial,
     map_differential,
     sample_fields,
-    sample_fields_radial,
 )
 from .potentials import (
     PsiModelParams,
@@ -79,7 +77,6 @@ from .potentials import (
     bohr_sommerfeld,
     circulation_quantum,
     classical_potential,
-    classical_potential_radial,
     hamilton_jacobi_residual,
     potential_zeros,
     psi_classical_potential,
@@ -88,7 +85,6 @@ from .potentials import (
     psi_quantum_potential,
     psi_velocity,
     quantum_potential,
-    quantum_potential_radial,
     radial_moments,
     schrodinger_residual,
     schrodinger_residual_at,

@@ -29,11 +29,12 @@ from .errors import (
     RegionError,
     UnivalenceWarning,
 )
-from .mapping import FieldSample, SectorDomain, sample_fields, sample_fields_radial
+from .mapping import FieldSample, SectorDomain, sample_fields
 from .maxwell import ModelParams, classify, coeff_g, discriminant, normalization_sector
 from .momentum import (
     AngularFactor,
     CharacteristicKind,
+    RadialKind,
     RadialSolution,
     canonical_kappa,
     characteristic_chi,
@@ -233,13 +234,17 @@ def cmd_solve_momentum(args) -> int:
     rows = []
     for i in range(n_rho):
         rho = rho_lo + (rho_hi - rho_lo) * i / (n_rho - 1)
-        r_val = momentum.radial_row(params, sol, rho)[0]
+        try:
+            r_val = momentum.radial_row(params, sol, rho)[0]
+        except DomainError:  # written as nan, as map-fields flags the row
+            r_val = math.nan
         region = classify(params, rho).value
         rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
                     for theta, t_val in zip(thetas, angular))
     out = Path(args.output)
     _write_csv(out, config, ("rho_bar", "theta", "u", "radial", "angular", "region"), _csv_lines(rows))
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), config, {"rows": len(rows)})
+    summary = {"rows": len(rows), "out_of_range_rows": sum(math.isnan(row[3]) for row in rows)}
+    _write_sidecar(out.with_suffix(out.suffix + ".json"), config, summary)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -259,37 +264,35 @@ def cmd_map_fields(args) -> int:
     n_theta = _resolve(args, cfg_file, "n_theta", int, 24)
     normalize = bool(int(_resolve(args, cfg_file, "normalize", int, 0)))
     domain = SectorDomain(rho_lo, rho_hi, th_lo, th_hi)
+    sol = _build_solution(params, radial, lam)
+    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
+        # matched c1: Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
+        params = params.with_(c1=momentum.omega_matched_c1(params))
+    fac = AngularFactor(lam=sol.lam, c1=_resolve(args, cfg_file, "fc1", float, 0.0) or 0.0,
+                        c2=_resolve(args, cfg_file, "fc2", float, 1.0))
     config = {
         "command": "map-fields", "n": params.n, "ell": params.ell, "sigma_v": params.sigma_v,
         "alpha": params.alpha, "beta": params.beta, "c0": params.c0, "c1": params.c1, "c2": params.c2,
-        "radial": radial, "lam": lam,
+        "radial": radial, "lam": lam, "fc1": fac.c1, "fc2": fac.c2,
         "rho_min": rho_lo_bar, "rho_max": rho_hi_bar,
         "theta_min_deg": th_lo_deg, "theta_max_deg": th_hi_deg,
         "n_rho": n_rho, "n_theta": n_theta, "normalize": int(normalize), "format": "csv",
+        "require_univalent": int(bool(args.require_univalent)),
     }
+    norm = normalization_sector(params, sol, fac, domain) if normalize else 1.0
     univalent = True
-    if radial == "omega":
-        samples = sample_fields_radial(params, domain, (n_rho, n_theta))
-        config["fc1"] = config["fc2"] = 0.0
-    else:
-        sol = _build_solution(params, radial, lam)
-        fac = AngularFactor(lam=sol.lam, c1=_resolve(args, cfg_file, "fc1", float, 0.0) or 0.0,
-                            c2=_resolve(args, cfg_file, "fc2", float, 1.0))
-        config["fc1"], config["fc2"] = fac.c1, fac.c2
-        norm = normalization_sector(params, sol, fac, domain) if normalize else 1.0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            samples = sample_fields(params, sol, fac, domain, (n_rho, n_theta), norm=norm)
-        if any(issubclass(w.category, UnivalenceWarning) for w in caught):
-            univalent = False
-            message = (
-                "the grid spans a fold of the transform (inverse Jacobian changes sign); "
-                "the image is not a single leaf"
-            )
-            if args.require_univalent:
-                raise FoldError(message)
-            print(f"warning: {message}", file=sys.stderr)
-    config["require_univalent"] = int(bool(args.require_univalent))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = sample_fields(params, sol, fac, domain, (n_rho, n_theta), norm=norm)
+    if any(issubclass(w.category, UnivalenceWarning) for w in caught):
+        univalent = False
+        message = (
+            "the grid spans a fold of the transform (inverse Jacobian changes sign); "
+            "the image is not a single leaf"
+        )
+        if args.require_univalent:
+            raise FoldError(message)
+        print(f"warning: {message}", file=sys.stderr)
     out = Path(args.output)
     # one %-format per row, a column at a time: v + 0.0 collapses -0.0 as
     # _fmt does, and NaN still prints nan

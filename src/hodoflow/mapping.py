@@ -79,10 +79,6 @@ class SectorDomain:
         if self.rho_min <= 0.0:
             raise DomainError(f"need rho_min > 0, got {self.rho_min}")
 
-    def require_hyperbolic(self, params: ModelParams) -> None:
-        if self.rho_min <= params.rho_t:
-            raise RegionError("hyperbolic sector requires rho_min > rho_T")
-
 
 class FieldSample(NamedTuple):
     """One coordinate-space record of the mapped flow (a named tuple: read-only)."""
@@ -219,15 +215,22 @@ def forward_map(
     solution is affine, so the tangent transform loses uniqueness), and a
     constant u maps every point to the origin; by default both raise
     :class:`DegenerateMapError`.  Pass ``allow_degenerate=True`` to evaluate
-    anyway, e.g. to inspect the vanishing Jacobian.
+    anyway, e.g. to inspect the vanishing Jacobian.  Raises
+    :class:`DomainError` where the radial factor cannot be evaluated or the
+    inverse Jacobian is beyond the float range.
     """
     if not allow_degenerate:
         _require_chart(sol, fac)
     r, rp, _ = momentum.radial_row(params, sol, rho)
-    x, y, phi, jac_inv = _image(
-        rho, r, rp, coeff_g(params, rho), fac.lam,
-        fac.value(theta), fac.deriv(theta), math.cos(theta), math.sin(theta),
-    )
+    try:
+        x, y, phi, jac_inv = _image(
+            rho, r, rp, coeff_g(params, rho), fac.lam,
+            fac.value(theta), fac.deriv(theta), math.cos(theta), math.sin(theta),
+        )
+    except (OverflowError, ZeroDivisionError):  # a square in J^-1 overflows, or rho^4 underflows
+        jac_inv = math.inf
+    if math.isinf(jac_inv):
+        raise DomainError(f"the inverse Jacobian at rho = {rho} is beyond the float range")
     return MapPoint(rho=rho, theta=theta, x=x, y=y, phi_val=phi, jac_inv=jac_inv,
                     region=classify(params, rho))
 
@@ -254,33 +257,6 @@ def map_differential(
     x_theta = (w1 * thp * ct - w2 * th * st) / rho
     y_theta = (w1 * thp * st + w2 * th * ct) / rho
     return np.array([[x_rho, x_theta], [y_rho, y_theta]])
-
-
-def _radial_chart(params: ModelParams, matched: ModelParams, rho: float):
-    """Image radius zeta_bar, phase and inverse Jacobian of the radial flow at one rho.
-
-    ``matched`` is ``params`` with c1 from :func:`momentum.omega_matched_c1`.
-    """
-    if rho <= params.rho_t:
-        raise RegionError(f"the radial map needs rho > rho_T, got rho = {rho}")
-    omega = momentum.hyperbolic_omega(matched, rho)  # checks the series cap first
-    zb = momentum.zeta_bar(params, rho)
-    phi = rho * zb - omega
-    jac_inv = (params.ell + 1.0) * (params.rho_bar(rho) ** params.n - 1.0) * zb ** 2 / rho ** 2
-    return zb, phi, jac_inv
-
-
-def forward_map_radial(params: ModelParams, rho: float, theta: float) -> MapPoint:
-    """Coordinate image of the angularly symmetric hyperbolic solution.
-
-    The map collapses to ``r = zeta_bar(rho), phi = theta`` and the phase is
-    ``Phi = rho zeta_bar(rho) - Omega(rho)`` with the integration constant of
-    Omega matched to c0 (so that Omega' = zeta_bar exactly).
-    """
-    matched = params.with_(c1=momentum.omega_matched_c1(params))
-    zb, phi, jac_inv = _radial_chart(params, matched, rho)
-    return MapPoint(rho=rho, theta=theta, x=zb * math.cos(theta), y=zb * math.sin(theta),
-                    phi_val=phi, jac_inv=jac_inv, region=classify(params, rho))
 
 
 def invert_map_radial(params: ModelParams, r: float, tol: float = 1e-14) -> float:
@@ -354,7 +330,7 @@ def invert_map(
             if cand_rho > 0.0:
                 try:
                     cand = forward_map(params, sol, fac, cand_rho, cand_theta)
-                except (DomainError, NodeError):
+                except (DomainError, NodeError, RegionError):
                     cand = None
                 if cand is not None:
                     cand_err = math.hypot(cand.x - tx, cand.y - ty)
@@ -430,8 +406,8 @@ def _records(
     regions = [region for r in rho_list for region in [classify(params, r)] * shape[1]]
     flag = np.full(shape, "", dtype=object)
     flag[node] = "node"
-    flag[density_singular, :] = "density-singular"
     flag[out_of_range, :] = "out-of-range"
+    flag[density_singular, :] = "density-singular"
     return list(map(FieldSample._make, zip(*columns, regions, flag.ravel().tolist())))
 
 
@@ -457,16 +433,20 @@ def sample_fields(
     - ``node``: on a nodal line of u, R or Theta, or where the quantum
       potential's denominator vanishes; NaN in ``q_pot`` and ``u_pot``.
     - ``density-singular``: F is singular at the row's speed; NaN in
-      ``density``, ``q_pot`` and ``u_pot``.
+      ``density``, ``q_pot`` and ``u_pot``.  A row whose speed underflows
+      to 0 is also out of range (below); it keeps this flag.
     - ``out-of-range``: the radial factor cannot be evaluated at the row's rho
       (tau above ``specfun.KUMMER_Z_MAX``, rho_bar^n above ``RHO_BAR_N_CAP``,
-      or a power of rho_bar or tau beyond the float range at small rho);
-      NaN in ``x, y, phi, jac_inv, q_pot, u_pot``.
+      or a power of rho_bar or tau beyond the float range at small rho), or
+      u^2 or the inverse Jacobian is beyond the float range somewhere on the
+      row (where :func:`potentials.quantum_potential` or :func:`forward_map`
+      raises :class:`DomainError`); NaN in ``x, y, phi, jac_inv, q_pot, u_pot``.
 
     A sign change of the inverse Jacobian across the grid only warns
     (:class:`UnivalenceWarning`), matching the policy that leaf selection is
     the caller's responsibility.  lam = 1 and a constant u raise
-    :class:`DegenerateMapError`.
+    :class:`DegenerateMapError`; an Omega sector that reaches below rho_T,
+    where Omega does not exist, raises :class:`RegionError`.
     """
     _require_chart(sol, fac)
     momentum.require_matching_lam(sol, fac)
@@ -479,49 +459,20 @@ def sample_fields(
         except DomainError:
             rows.append((math.nan, math.nan, math.nan))
     r, rp, rcal = (np.array(col)[:, None] for col in zip(*rows))
-    out_of_range = np.isnan(r[:, 0])
     g = np.array([coeff_g(params, rho) for rho in rho_list])[:, None]
     rho = rhos[:, None]
     with np.errstate(all="ignore"):
         th, thp = fac.value(thetas), fac.deriv(thetas)
         ups = np.where(fac.at_node(thetas), np.nan, thp / th)
+        u = r * th
         x, y, phi, jac_inv = _image(rho, r, rp, g, fac.lam, th, thp, np.cos(thetas), np.sin(thetas))
-        q_pot, u_pot, node = potentials.potentials_on_grid(params, sol.lam, rho, r * th, rcal, g, ups)
-    if (jac_inv > 0.0).any() and (jac_inv < 0.0).any():
+        q_pot, u_pot, node = potentials.potentials_on_grid(params, sol.lam, rho, u, rcal, g, ups)
+        out_of_range = np.isnan(r[:, 0]) | np.isinf(jac_inv).any(axis=1) | np.isinf(u * u).any(axis=1)
+    grids = [np.where(out_of_range[:, None], math.nan, a) for a in (x, y, phi, q_pot, u_pot, jac_inv)]
+    if (grids[-1] > 0.0).any() and (grids[-1] < 0.0).any():
         warnings.warn(
             "inverse Jacobian changes sign over the grid: the image is not univalent",
             UnivalenceWarning,
             stacklevel=2,
         )
-    return _records(params, rhos, thetas, norm, (x, y, phi, q_pot, u_pot, jac_inv), node, out_of_range)
-
-
-def sample_fields_radial(
-    params: ModelParams,
-    domain: SectorDomain,
-    grid: tuple[int, int],
-    norm: float = 1.0,
-) -> list[FieldSample]:
-    """Field records for the angularly symmetric hyperbolic flow.
-
-    Everything but the position depends on rho only and is evaluated once
-    per row; rows beyond the Omega series cap are flagged ``out-of-range``
-    as in :func:`sample_fields`.
-    """
-    domain.require_hyperbolic(params)
-    rhos, thetas = _grid(domain, grid)
-    rho_list = rhos.tolist()
-    matched = params.with_(c1=momentum.omega_matched_c1(params))
-    rows = []
-    for rho in rho_list:
-        try:
-            zb, phi, jac_inv = _radial_chart(params, matched, rho)
-            q = potentials.quantum_potential_radial(params, rho)
-            rows.append((zb, phi, jac_inv, q, potentials.stationary_u(params, rho, q)))
-        except DomainError:
-            rows.append((math.nan,) * 5)
-    zb, phi, jac_inv, q_pot, u_pot = (np.array(col)[:, None] for col in zip(*rows))
-    no_node = np.zeros((rhos.size, thetas.size), dtype=bool)
-    x, y = zb * np.cos(thetas), zb * np.sin(thetas)
-    grids = (x, y, phi, q_pot, u_pot, jac_inv)
-    return _records(params, rhos, thetas, norm, grids, no_node, np.isnan(zb[:, 0]))
+    return _records(params, rhos, thetas, norm, grids, node, out_of_range)

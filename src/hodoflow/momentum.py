@@ -379,6 +379,16 @@ class RadialSolution:
 
     @staticmethod
     def omega() -> "RadialSolution":
+        """The angularly symmetric hyperbolic solution Omega(rho), the lam = 0
+        separated solution with Theta = 1 (``AngularFactor(lam=0, c1=0, c2=1)``).
+
+        Omega reads its integration constants from ``ModelParams.c1`` and
+        ``c2``.  With ``c1 = omega_matched_c1(params)``, Omega' equals
+        zeta_bar, so the map sends (rho, theta) to radius zeta_bar(rho) at
+        polar angle theta, with phase ``rho zeta_bar - Omega``; pass
+        ``params.with_(c1=omega_matched_c1(params))`` to the map, field and
+        potential functions to get that chart.
+        """
         return RadialSolution(kind=RadialKind.HYPERBOLIC_OMEGA, lam=0.0)
 
     @staticmethod

@@ -117,13 +117,17 @@ def quantum_potential(
     Reported with its natural additive constant; comparisons against the
     finite-difference oracle are made on point differences, where the free
     constant cancels.  Raises :class:`NodeError` on zeros of u, on the poles
-    of Rcal and Upsilon, and where the closed form's denominator vanishes.
+    of Rcal and Upsilon, and where the closed form's denominator vanishes;
+    :class:`DomainError` where the radial factor cannot be evaluated or u^2
+    is beyond the float range.
     """
     if abs(sol.lam - 1.0) <= 1e-12:
         raise ParameterError("lam = 1 admits no coordinate chart (degenerate map)")
     momentum.require_matching_lam(sol, fac)
     r_val, _, rcal = momentum.radial_row(params, sol, rho)
     u = r_val * fac.value(theta)
+    if math.isinf(u * u):
+        raise DomainError(f"u^2 at rho = {rho} is beyond the float range")
     if u == 0.0:
         raise NodeError("u = 0: quantum potential singular on the nodal set")
     if math.isnan(rcal):
@@ -165,32 +169,6 @@ def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
         node = (u == 0.0) | np.isnan(rcal) | np.isnan(ups) | (args.denominator == 0.0)
         q = np.where(node, math.nan, _mapped_q(params, lam, rho, u, args))
         return q, stationary_u(params, rho, q), node
-
-
-def quantum_potential_radial(params: ModelParams, rho: float) -> float:
-    """Quantum potential of the angularly symmetric hyperbolic flow.
-
-    Exact chain-rule evaluation of (alpha/beta) (Lap sqrt f)/sqrt f through
-    the radial map r = zeta_bar(rho); valid for rho > rho_T where the map is
-    regular.
-    """
-    if rho <= params.rho_t:
-        raise DomainError("the radial flow lives at rho > rho_T")
-    n, ell = params.n, params.ell
-    tau = params.tau(rho)
-    rbn = params.rho_bar(rho) ** n
-    zb = momentum.zeta_bar(params, rho)
-    # p = d ln sqrt(f) / drho;  w = dr/drho
-    p = (ell - n * tau) / (2.0 * rho)
-    p_prime = -(n * n * tau + ell - n * tau) / (2.0 * rho ** 2)
-    w = zb * (ell + 1.0) * (rbn - 1.0) / rho
-    w_prime = w * (ell + 1.0) * (rbn - 1.0) / rho + zb * (ell + 1.0) * ((n - 1.0) * rbn + 1.0) / rho ** 2
-    lap_over = (p_prime * w - p * w_prime) / w ** 3 + (p / w) ** 2 + p / (w * zb)
-    return params.alpha / params.beta * lap_over
-
-
-def classical_potential_radial(params: ModelParams, rho: float, energy: float = 0.0) -> float:
-    return stationary_u(params, rho, quantum_potential_radial(params, rho), energy)
 
 
 # ---------------------------------------------------------------------------

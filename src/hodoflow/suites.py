@@ -202,13 +202,7 @@ def suite_map() -> list[VerificationReport]:
         for rho, theta in [(0.55 * p.rho_t, 0.5), (1.6 * p.rho_t, 0.35)]:
             mp = forward_map(p, sol, fac, rho, theta)
             h = 1e-5 * max(abs(mp.x), abs(mp.y), 0.1)
-            seed = {"pt": (rho, theta)}
-
-            def phi_at(x, y):
-                back = invert_map(p, sol, fac, (x, y), seed["pt"])
-                seed["pt"] = back
-                return forward_map(p, sol, fac, back.rho, back.theta).phi_val
-
+            phi_at = verify.chart_phi_fn(p, sol, fac, (rho, theta))
             gx = (phi_at(mp.x + h, mp.y) - phi_at(mp.x - h, mp.y)) / (2.0 * h)
             gy = (phi_at(mp.x, mp.y + h) - phi_at(mp.x, mp.y - h)) / (2.0 * h)
             scale = max(rho, 1e-30)

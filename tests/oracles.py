@@ -1,4 +1,4 @@
-"""Independent test oracles for the momentum-space catalog.
+"""Independent test oracles for the momentum-space catalog and the radial flow.
 
 Each one recomputes a library result along a second, deliberately naive
 path, so the tests compare two derivations instead of one against itself.
@@ -37,3 +37,24 @@ def brute_force_orders(n: float, ell: float, lam: float, k_max: int = 200) -> li
         ) * (1.0 + 1e-9):
             hits.append(k)
     return hits
+
+
+def radial_flow_q(params, rho: float) -> float:
+    """Quantum potential of the angularly symmetric hyperbolic flow at rho > rho_T.
+
+    Chain rule through the radial map r = zeta_bar(rho):
+    (alpha/beta) (Lap sqrt f)/sqrt f with Lap = d^2/dr^2 + (1/r) d/dr, written
+    in closed form from f(rho) and zeta_bar; the library evaluates the same
+    flow through the general separated closed form instead.
+    """
+    n, ell = params.n, params.ell
+    tau = params.tau(rho)
+    rbn = params.rho_bar(rho) ** n
+    zb = params.c0 * params.rho_bar(rho) ** (-(ell + 1.0)) * math.exp(tau)
+    # p = d ln sqrt(f) / drho;  w = dr/drho
+    p = (ell - n * tau) / (2.0 * rho)
+    p_prime = -(n * n * tau + ell - n * tau) / (2.0 * rho ** 2)
+    w = zb * (ell + 1.0) * (rbn - 1.0) / rho
+    w_prime = w * (ell + 1.0) * (rbn - 1.0) / rho + zb * (ell + 1.0) * ((n - 1.0) * rbn + 1.0) / rho ** 2
+    lap_over = (p_prime * w - p * w_prime) / w ** 3 + (p / w) ** 2 + p / (w * zb)
+    return params.alpha / params.beta * lap_over

@@ -280,12 +280,12 @@ def test_criterion_5_coordinate_pde():
             probes.append((mp.x, mp.y))
         report = verify.pde_residual_coordinate(
             p, verify.chart_phi_fn(p, sol, fac, (0.55 * p.rho_t, 0.8)), probes[:2], tol=1e-3,
-            name="disk-a", h_sweep=True,
+            name="disk-a",
         )
         assert report.passed, report
         report = verify.pde_residual_coordinate(
             p, verify.chart_phi_fn(p, sol, fac, (0.75 * p.rho_t, 1.9)), probes[2:], tol=1e-3,
-            name="disk-b", h_sweep=True,
+            name="disk-b",
         )
         assert report.passed, report
 
@@ -308,7 +308,7 @@ def test_criterion_5_coordinate_pde():
             seed = (0.5 * (r1 + r2) * p.rho_t, 0.0)
             report = verify.pde_residual_coordinate(
                 p, verify.chart_phi_fn(p, sol, fac, seed), probes, tol=1e-3,
-                name=f"sector-{n}-{ell}-{lam:g}", h_sweep=True,
+                name=f"sector-{n}-{ell}-{lam:g}",
             )
             assert report.passed, report
 
@@ -327,7 +327,7 @@ def test_criterion_5_coordinate_pde():
             zb = zeta_bar(p, rb * p.rho_t)
             probes.append((zb * math.cos(th), zb * math.sin(th)))
         report = verify.pde_residual_coordinate(
-            p, verify.chart_phi_fn_radial(p), probes, tol=1e-3, name="radial-flow", h_sweep=True,
+            p, verify.chart_phi_fn_radial(p), probes, tol=1e-3, name="radial-flow",
         )
         assert report.passed, report
 

@@ -5,6 +5,14 @@ import math
 
 import pytest
 
+from hodoflow import (
+    AngularFactor,
+    ModelParams,
+    RadialSolution,
+    SectorDomain,
+    normalization_sector,
+    omega_matched_c1,
+)
 from hodoflow.cli import main
 
 
@@ -87,10 +95,17 @@ class TestMapFields:
         first = [line for line in out_file.read_text().splitlines() if not line.startswith("#")][1]
         assert first.startswith("nan,nan,nan,")
 
-    def test_solve_momentum_below_float_range_is_an_error(self, tmp_path, capsys):
-        code, _, err = run_cli(capsys, "solve-momentum", *self.SMALL_RHO, "--output", str(tmp_path / "u.csv"))
-        assert code == 1
-        assert err.startswith("error:") and "float range" in err
+    def test_solve_momentum_below_float_range_writes_nan_rows(self, tmp_path, capsys):
+        # as map-fields flags the row, solve-momentum writes it with nan in u and radial
+        out_file = tmp_path / "u.csv"
+        code, _, err = run_cli(capsys, "solve-momentum", *self.SMALL_RHO, "--output", str(out_file))
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out_file.read_text().splitlines() if not line.startswith("#")][1:]
+        assert len(rows) == 16
+        for row in rows[:4]:
+            assert row[2] == row[3] == "nan" and math.isfinite(float(row[4]))
+        assert all(math.isfinite(float(v)) for row in rows[4:] for v in row[:5])
+        assert json.loads((tmp_path / "u.csv.json").read_text())["summary"]["out_of_range_rows"] == 4
 
     def test_sector_csv_schema_and_speed_range(self, tmp_path, capsys):
         out_file = tmp_path / "fields.csv"
@@ -161,6 +176,28 @@ class TestMapFields:
             x, y = map(float, line.split(",")[:2])
             assert math.hypot(x, y) >= floor - 1e-9
 
+    def test_omega_normalize_scales_density(self, tmp_path, capsys):
+        # --normalize 1 multiplies the unit-norm density by the sector's N
+        omega = (
+            "map-fields", "--n", "2", "--ell", "0", "--radial", "omega",
+            "--rho-min", "1.2", "--rho-max", "2.2", "--theta-min", "0", "--theta-max", "40",
+            "--n-rho", "5", "--n-theta", "4",
+        )
+        densities = {}
+        for normalize in ("0", "1"):
+            out_file = tmp_path / f"omega{normalize}.csv"
+            code, _, _ = run_cli(capsys, *omega, "--normalize", normalize, "--output", str(out_file))
+            assert code == 0
+            lines = [line for line in out_file.read_text().splitlines() if not line.startswith("#")][1:]
+            densities[normalize] = [float(line.split(",")[6]) for line in lines]
+        p = ModelParams(n=2, ell=0)
+        dom = SectorDomain(1.2 * p.rho_t, 2.2 * p.rho_t, 0.0, math.radians(40.0))
+        norm = normalization_sector(p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(),
+                                    AngularFactor(lam=0.0, c1=0.0, c2=1.0), dom)
+        assert norm != pytest.approx(1.0, rel=1e-3)
+        for d0, d1 in zip(densities["0"], densities["1"]):
+            assert d1 == pytest.approx(d0 * norm, rel=1e-14)
+
     def test_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, *self.SECTOR, "--output", str(a))
@@ -216,6 +253,26 @@ class TestSolveMomentum:
         assert len(lines) == 1 + 4 * 3
         regions = {line.split(",")[-1] for line in lines[1:]}
         assert regions == {"elliptic", "hyperbolic"}
+
+
+    def test_rows_beyond_z_max_written_as_nan(self, tmp_path, capsys):
+        # tau > KUMMER_Z_MAX = 50 from rho = 3.7 rho_T on: those rows carry nan, the rest values
+        out_file = tmp_path / "u.csv"
+        code, _, _ = run_cli(
+            capsys, "solve-momentum", "--n", "2", "--ell", "4", "--lambda", "2.5",
+            "--rho-min", "1", "--rho-max", "5", "--output", str(out_file),
+        )
+        assert code == 0
+        lines = [line for line in out_file.read_text().splitlines() if not line.startswith("#")]
+        assert lines[0] == "rho_bar,theta,u,radial,angular,region"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 16 * 16
+        nan_rows = [row for row in rows if row[3] == "nan"]
+        assert all(row[2] == "nan" for row in nan_rows)
+        assert all(2.5 * float(row[0]) ** 2 > 50.0 for row in nan_rows)
+        assert all(math.isfinite(float(row[3])) for row in rows if 2.5 * float(row[0]) ** 2 <= 50.0)
+        summary = json.loads((tmp_path / "u.csv.json").read_text())["summary"]
+        assert summary == {"rows": 256, "out_of_range_rows": len(nan_rows)} and len(nan_rows) > 0
 
 
 class TestPsiModel:

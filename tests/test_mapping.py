@@ -12,24 +12,24 @@ from hodoflow.errors import (
     FoldError,
     NoConvergenceError,
     NodeError,
+    RegionError,
     UnivalenceWarning,
 )
 from hodoflow.mapping import (
     FieldSample,
     SectorDomain,
     forward_map,
-    forward_map_radial,
     invert_map,
     invert_map_radial,
     map_differential,
     sample_fields,
-    sample_fields_radial,
 )
 from hodoflow.maxwell import ModelParams, RegionTag, density_F
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
     RadialSolution,
+    omega_matched_c1,
     radial_row,
     zeta_bar,
 )
@@ -42,6 +42,11 @@ def triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
     sol = RadialSolution.from_laguerre_case(p, case)
     fac = AngularFactor(lam=lam, c1=c1, c2=c2)
     return p, sol, fac
+
+
+def omega_chart(p):
+    """The angularly symmetric flow: Omega with Theta = 1 and c1 matched so Omega' = zeta_bar."""
+    return p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
 
 
 #: The three catalog triples used throughout: (n, ell, lam, k, alpha_bar)
@@ -187,14 +192,14 @@ class TestRadialMap:
         p = ModelParams(n=2, ell=0, c0=1.0)
         expected = math.exp((p.ell + 1.0) / p.n)
         assert zeta_bar(p, p.rho_t) == pytest.approx(expected, rel=1e-14)
-        mp = forward_map_radial(p, 1.0001 * p.rho_t, 0.3)
+        mp = forward_map(*omega_chart(p), 1.0001 * p.rho_t, 0.3)
         assert math.hypot(mp.x, mp.y) >= expected * (1.0 - 1e-3)
 
     def test_velocity_radius_lock(self):
         # the speed at coordinate radius r is |alpha| * zeta_bar^-1(r)
         p = ModelParams(n=2, ell=0)
         rho = 1.9 * p.rho_t
-        mp = forward_map_radial(p, rho, 1.1)
+        mp = forward_map(*omega_chart(p), rho, 1.1)
         r = math.hypot(mp.x, mp.y)
         rho_back = invert_map_radial(p, r)
         assert rho_back == pytest.approx(rho, rel=1e-12)
@@ -203,12 +208,13 @@ class TestRadialMap:
 
     def test_gradient_consistency(self):
         p = ModelParams(n=2, ell=0)
+        chart = omega_chart(p)
         rho, theta = 1.8 * p.rho_t, 0.7
-        mp = forward_map_radial(p, rho, theta)
+        mp = forward_map(*chart, rho, theta)
 
         def phi_at(x, y):
             r = math.hypot(x, y)
-            return forward_map_radial(p, invert_map_radial(p, r), math.atan2(y, x)).phi_val
+            return forward_map(*chart, invert_map_radial(p, r), math.atan2(y, x)).phi_val
 
         h = 1e-5 * math.hypot(mp.x, mp.y)
         gx = (phi_at(mp.x + h, mp.y) - phi_at(mp.x - h, mp.y)) / (2.0 * h)
@@ -218,13 +224,28 @@ class TestRadialMap:
 
     def test_region_error(self):
         p = ModelParams(n=2, ell=0)
-        with pytest.raises(Exception):
-            forward_map_radial(p, 0.5 * p.rho_t, 0.0)
+        with pytest.raises(RegionError):
+            forward_map(*omega_chart(p), 0.5 * p.rho_t, 0.0)
 
     def test_radius_below_floor_rejected(self):
         p = ModelParams(n=2, ell=0)
         with pytest.raises(DomainError):
             invert_map_radial(p, 0.5 * math.exp((p.ell + 1.0) / p.n))
+
+    def test_sector_below_rho_t_raises(self):
+        # Omega exists only for rho >= rho_T: the first row stops the sweep
+        p = ModelParams(n=2, ell=0)
+        with pytest.raises(RegionError):
+            sample_fields(*omega_chart(p), SectorDomain(0.9 * p.rho_t, 1.5 * p.rho_t, 0.0, 1.0), grid=(3, 3))
+
+    def test_row_at_rho_t_is_a_node(self):
+        # g = 0 at rho_T: J^-1 vanishes and so does the denominator of Q
+        p = ModelParams(n=2, ell=0)
+        samples = sample_fields(*omega_chart(p), SectorDomain(p.rho_t, 1.5 * p.rho_t, 0.0, 1.0), grid=(3, 3))
+        assert [s.flag for s in samples] == ["node"] * 3 + [""] * 6
+        for s in samples[:3]:
+            assert s.jac_inv == 0.0 and math.isnan(s.q_pot) and math.isnan(s.u_pot)
+            assert math.hypot(s.x, s.y) == pytest.approx(zeta_bar(p, p.rho_t), rel=1e-14)
 
 
 class TestInvertMap:
@@ -243,6 +264,16 @@ class TestInvertMap:
         mp = forward_map(p, sol, fac, 0.5 * p.rho_t, 0.6)
         with pytest.raises((FoldError, NoConvergenceError)):
             invert_map(p, sol, fac, (mp.x + 1e3, mp.y - 1e3), (0.5 * p.rho_t, 0.6), max_iter=25)
+
+    def test_trial_step_below_rho_t_backtracks(self):
+        # on the Omega chart a full Newton step from this seed lands below
+        # rho_T, where Omega does not exist: the step is shortened, and the
+        # call ends in one of the documented errors
+        p = ModelParams(n=2, ell=0)
+        chart = omega_chart(p)
+        target = forward_map(*chart, 2.3 * p.rho_t, 2.2).xy
+        with pytest.raises((FoldError, NoConvergenceError)):
+            invert_map(*chart, target, (1.3 * p.rho_t, 0.2))
 
 
 class TestSampleFields:
@@ -325,7 +356,7 @@ class TestSampleFields:
             warnings.simplefilter("ignore", UnivalenceWarning)
             results = [
                 sample_fields(p, sol, fac, dom, grid=(4, 5)),
-                sample_fields_radial(ModelParams(n=2, ell=0), radial_dom, grid=(4, 5)),
+                sample_fields(*omega_chart(ModelParams(n=2, ell=0)), radial_dom, grid=(4, 5)),
             ]
         fields = FieldSample.CSV_COLUMNS[:-1] + ("region", "flag")
         for samples in results:
@@ -343,7 +374,7 @@ class TestSampleFields:
     def test_radial_fields(self):
         p = ModelParams(n=2, ell=0)
         dom = SectorDomain(1.5 * p.rho_t, 2.5 * p.rho_t, 0.0, 1.0)
-        samples = sample_fields_radial(p, dom, grid=(5, 5))
+        samples = sample_fields(*omega_chart(p), dom, grid=(5, 5))
         r_floor = math.exp((p.ell + 1.0) / p.n)
         for s in samples:
             assert math.hypot(s.x, s.y) >= r_floor * (1.0 - 1e-12)
@@ -500,14 +531,14 @@ class TestSweepNeverAborts:
         # rho_bar^n > RHO_BAR_N_CAP = 50 from rho_bar = 7.07 on; the Omega series stops there
         p = ModelParams(n=2, ell=0)
         dom = SectorDomain(1.5 * p.rho_t, 9.0 * p.rho_t, 0.0, 1.0)
-        samples = sample_fields_radial(p, dom, grid=(4, 3))
+        samples = sample_fields(*omega_chart(p), dom, grid=(4, 3))
         rhos = np.linspace(1.5, 9.0, 4)
         for k, s in enumerate(samples):
             if rhos[k // 3] ** 2 > 50.0:
                 assert s.flag == "out-of-range"
                 assert math.isnan(s.x) and math.isnan(s.jac_inv) and math.isnan(s.u_pot)
             else:
-                mp = forward_map_radial(p, rhos[k // 3] * p.rho_t, [0.0, 0.5, 1.0][k % 3])
+                mp = forward_map(*omega_chart(p), rhos[k // 3] * p.rho_t, [0.0, 0.5, 1.0][k % 3])
                 assert s.flag == "" and s.x == pytest.approx(mp.x, rel=1e-14)
                 assert s.phi == pytest.approx(mp.phi_val, rel=1e-14)
             assert math.isfinite(s.speed) and math.isfinite(s.density)
@@ -528,6 +559,29 @@ class TestSweepNeverAborts:
             forward_map(p, sol, fac, 1e-40 * p.rho_t, 0.1)
         with pytest.raises(DomainError):
             quantum_potential(p, sol, fac, 1e-40 * p.rho_t, 0.1)
+
+    def test_row_overflowing_the_chart_flagged(self):
+        # rho_bar^nu = 1e238 is finite at rho = 1e-30 rho_T, but u^2 and J^-1 are not
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.kummer(p, 2.5, branch="-")
+        fac = AngularFactor(lam=2.5, c1=1.0, c2=0.0)
+        dom = SectorDomain(1e-30 * p.rho_t, 0.9 * p.rho_t, -0.25, 0.25)
+        assert math.isfinite(radial_row(p, sol, 1e-30 * p.rho_t)[0])
+        samples = sample_fields(p, sol, fac, dom, grid=(4, 4))
+        assert [s.flag for s in samples[:4]] == ["out-of-range"] * 4
+        for s in samples[:4]:
+            for key in ("x", "y", "phi", "jac_inv", "q_pot", "u_pot"):
+                assert math.isnan(getattr(s, key)), key
+        assert all(s.flag == "" and math.isfinite(s.jac_inv) for s in samples[4:])
+        with pytest.raises(DomainError):
+            forward_map(p, sol, fac, 1e-30 * p.rho_t, 0.1)
+        with pytest.raises(DomainError):
+            quantum_potential(p, sol, fac, 1e-30 * p.rho_t, 0.1)
+        with pytest.raises(DomainError):
+            classical_potential(p, sol, fac, 1e-30 * p.rho_t, 0.1)
+        # J^-1 = -P / rho^4 with rho^4 below the float range
+        with pytest.raises(DomainError):
+            forward_map(p, RadialSolution.constant(), AngularFactor(lam=0.0, c1=1.0, c2=0.0), 1e-90, 0.1)
 
     def test_density_singular_row_flagged(self):
         # ell < 0: F diverges at zero speed, and |alpha| rho_min underflows to 0

@@ -314,6 +314,29 @@ class TestSectorNormalization:
         case = _sector_case(name)
         assert normalization_sector(*case) * oracle(*case) == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("n, ell, rho_min", [(2, 4, 1.2), (3, 2.5, 1.0)])
+    def test_omega_chart_against_radial_quadrature(self, n, ell, rho_min):
+        # Theta = 1 and Omega' = zeta_bar make |J^-1| = (ell + 1)(rho_bar^n - 1)
+        # zeta_bar^2 / rho^2 at every theta: a 1-D integral in rho
+        from scipy import integrate
+
+        from hodoflow.mapping import SectorDomain
+        from hodoflow.maxwell import normalization_sector
+        from hodoflow.momentum import RadialSolution, omega_matched_c1
+
+        p = ModelParams(n=n, ell=ell)
+        dom = SectorDomain(rho_min * p.rho_t, 2.2 * p.rho_t, -0.4, 0.9)
+        chart = (p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0))
+
+        def ring(rho):
+            zeta_bar = p.c0 * p.rho_bar(rho) ** -(ell + 1.0) * math.exp(p.tau(rho))
+            jac_inv = (ell + 1.0) * (p.rho_bar(rho) ** n - 1.0) * zeta_bar ** 2 / rho ** 2
+            return density_F(p, abs(p.alpha) * rho) * jac_inv * rho
+
+        arc = dom.theta_max - dom.theta_min
+        inv = arc * integrate.quad(ring, dom.rho_min, dom.rho_max, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        assert normalization_sector(*chart, dom) * inv == pytest.approx(1.0, rel=1e-10, abs=0.0)
+
     def test_disagreeing_orders_raise(self, monkeypatch):
         # this single elliptic panel needs bisecting: the orders differ by ~8e-9
         from hodoflow import maxwell

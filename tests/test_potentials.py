@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from hodoflow import verify
-from hodoflow.errors import DivergenceError, DomainError, NodeError, ParameterError
-from hodoflow.mapping import forward_map, forward_map_radial, invert_map, invert_map_radial
+from hodoflow.errors import DivergenceError, DomainError, NodeError, ParameterError, RegionError
+from hodoflow.mapping import forward_map, invert_map, invert_map_radial
 from hodoflow.maxwell import ModelParams, density_F
-from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution
+from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution, omega_matched_c1
 from hodoflow.potentials import (
     PsiModelParams,
     QPotentialArgs,
     bohr_sommerfeld,
     circulation_quantum,
     classical_potential,
-    classical_potential_radial,
     hamilton_jacobi_residual,
     potential_zeros,
     psi_classical_potential,
@@ -25,12 +24,13 @@ from hodoflow.potentials import (
     psi_quantum_potential,
     psi_velocity,
     quantum_potential,
-    quantum_potential_radial,
     radial_moments,
     schrodinger_residual_at,
     sigma_r_closed_form,
     sigma_r_from_moments,
 )
+
+from oracles import radial_flow_q
 
 
 def triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
@@ -147,11 +147,19 @@ class TestClassicalPotential:
             assert u_val == pytest.approx(classical_potential(p, sol, fac, rho, theta), rel=1e-14)
 
 
+def omega_chart(p):
+    """The angularly symmetric flow: Omega with Theta = 1 and c1 matched so Omega' = zeta_bar."""
+    return p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+
+
 class TestRadialFlowPotential:
+    """The quantum potential of the Omega chart from the general closed form."""
+
     def test_against_fd_laplacian(self):
         p = ModelParams(n=2, ell=0)
+        chart = omega_chart(p)
         for rho in (1.4 * p.rho_t, 2.0 * p.rho_t):
-            mp = forward_map_radial(p, rho, 0.0)
+            mp = forward_map(*chart, rho, 0.0)
             r0 = math.hypot(mp.x, mp.y)
 
             def sqrt_f(r):
@@ -162,18 +170,29 @@ class TestRadialFlowPotential:
                 (sqrt_f(r0 + h) - 2.0 * sqrt_f(r0) + sqrt_f(r0 - h)) / h ** 2
                 + (sqrt_f(r0 + h) - sqrt_f(r0 - h)) / (2.0 * h * r0)
             ) / sqrt_f(r0)
-            assert quantum_potential_radial(p, rho) == pytest.approx(p.alpha / p.beta * lap, rel=1e-5)
+            assert quantum_potential(*chart, rho, 0.0) == pytest.approx(p.alpha / p.beta * lap, rel=1e-5)
+
+    @pytest.mark.parametrize("n, ell", [(2, 0), (2, 4), (1, 5), (3, 2.5)])
+    def test_against_chain_rule_oracle(self, n, ell):
+        p = ModelParams(n=n, ell=ell)
+        chart = omega_chart(p)
+        for rho_bar in np.linspace(1.05, 2.6, 12):
+            rho = rho_bar * p.rho_t
+            want = radial_flow_q(p, rho)
+            for theta in (0.0, 2.5):
+                assert quantum_potential(*chart, rho, theta) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_classical_potential_composition(self):
         p = ModelParams(n=2, ell=0)
+        chart = omega_chart(p)
         rho = 1.7 * p.rho_t
-        expected = p.alpha * rho ** 2 / (4.0 * p.beta) - quantum_potential_radial(p, rho)
-        assert classical_potential_radial(p, rho) == pytest.approx(expected, rel=1e-14)
+        expected = p.alpha * rho ** 2 / (4.0 * p.beta) - quantum_potential(*chart, rho, 0.3)
+        assert classical_potential(*chart, rho, 0.3) == pytest.approx(expected, rel=1e-14)
 
     def test_region_guard(self):
         p = ModelParams(n=2, ell=0)
-        with pytest.raises(DomainError):
-            quantum_potential_radial(p, 0.8 * p.rho_t)
+        with pytest.raises(RegionError):
+            quantum_potential(*omega_chart(p), 0.8 * p.rho_t, 0.0)
 
 
 class TestPsiModel:

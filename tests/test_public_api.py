@@ -20,18 +20,18 @@ PUBLIC_NAMES = (
     "PsiModelParams", "QPotentialArgs", "RadialKind", "RadialSolution", "RegionError", "RegionTag",
     "SaturationWarning", "SectorDomain", "SeriesOverflowError", "UnivalenceWarning",
     "VerificationReport", "adaptive_quad", "bohr_sommerfeld", "canonical_kappa",
-    "characteristic_chi", "circulation_quantum", "classical_potential", "classical_potential_radial",
+    "characteristic_chi", "circulation_quantum", "classical_potential",
     "classify", "coeff_g", "coeff_h", "coeff_h_bar", "density_F", "density_F_speed_integral",
     "discriminant", "errors", "expint_ei", "factorized_u", "fd_derivative", "forward_map",
-    "forward_map_radial", "gamma", "hamilton_jacobi_residual", "hill_coefficient_G",
+    "gamma", "hamilton_jacobi_residual", "hill_coefficient_G",
     "hill_substitution_zeta", "hyperbolic_omega", "invert_map", "invert_map_radial", "kummer_ab",
     "kummer_m", "kummer_m_deriv", "laguerre", "laguerre_enumerate", "laguerre_enumerate_for_ell",
     "map_differential", "mapping", "maxwell", "momentum", "mu_plus", "normalization_psi_model",
     "normalization_sector", "nu_roots", "omega_matched_c1", "omega_slope", "pde_residual_coordinate",
     "pde_residual_momentum", "potential_zeros", "potentials", "psi_classical_potential",
     "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity", "quad2d_polar",
-    "quantum_potential", "quantum_potential_radial", "radial_moments", "sample_fields",
-    "sample_fields_radial", "schrodinger_residual", "schrodinger_residual_at",
+    "quantum_potential", "radial_moments", "sample_fields",
+    "schrodinger_residual", "schrodinger_residual_at",
     "sigma_r_closed_form", "sigma_r_from_moments", "slope_rho_theta", "specfun", "tricomi_psi",
     "verify", "zeta_bar",
 )
@@ -45,7 +45,7 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 95
+    assert len(out) == 91
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

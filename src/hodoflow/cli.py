@@ -205,14 +205,23 @@ def _build_solution(params: ModelParams, radial: str, lam: float) -> RadialSolut
     return RadialSolution.kummer(params, lam, branch=branch, tricomi=radial.startswith("tricomi"))
 
 
+def _separated_model(args, cfg_file: dict, fc1: float, fc2: float):
+    """``(params, radial, sol, fac)`` of the separated solution a command
+    evaluates; ``fc1``, ``fc2`` are the command's angular defaults."""
+    params = _params_from(args, cfg_file)
+    radial = _resolve(args, cfg_file, "radial", str, "kummer+")
+    sol = _build_solution(params, radial, _resolve(args, cfg_file, "lam", float, 2.0))
+    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
+        # matched c1: Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
+        params = params.with_(c1=momentum.omega_matched_c1(params))
+    fac = AngularFactor(lam=sol.lam, c1=_resolve(args, cfg_file, "fc1", float, fc1) or 0.0,
+                        c2=_resolve(args, cfg_file, "fc2", float, fc2))
+    return params, radial, sol, fac
+
+
 def cmd_solve_momentum(args) -> int:
     cfg_file = _load_config_file(args.config) if args.config else {}
-    params = _params_from(args, cfg_file)
-    lam = _resolve(args, cfg_file, "lam", float, 2.0)
-    radial = _resolve(args, cfg_file, "radial", str, "kummer+")
-    sol = _build_solution(params, radial, lam)
-    fac = AngularFactor(lam=sol.lam, c1=_resolve(args, cfg_file, "fc1", float, 1.0),
-                        c2=_resolve(args, cfg_file, "fc2", float, 0.0))
+    params, radial, sol, fac = _separated_model(args, cfg_file, fc1=1.0, fc2=0.0)
     rho_lo_bar = _resolve(args, cfg_file, "rho_min", float, 0.3)
     rho_hi_bar = _resolve(args, cfg_file, "rho_max", float, 2.0)
     th_lo_deg = _resolve(args, cfg_file, "theta_min_deg", float, 0.0)
@@ -236,7 +245,7 @@ def cmd_solve_momentum(args) -> int:
         rho = rho_lo + (rho_hi - rho_lo) * i / (n_rho - 1)
         try:
             r_val = momentum.radial_row(params, sol, rho)[0]
-        except DomainError:  # written as nan, as map-fields flags the row
+        except (DomainError, RegionError):  # written as nan, as map-fields flags the row
             r_val = math.nan
         region = classify(params, rho).value
         rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
@@ -251,9 +260,7 @@ def cmd_solve_momentum(args) -> int:
 
 def cmd_map_fields(args) -> int:
     cfg_file = _load_config_file(args.config) if args.config else {}
-    params = _params_from(args, cfg_file)
-    lam = _resolve(args, cfg_file, "lam", float, 2.0)
-    radial = _resolve(args, cfg_file, "radial", str, "kummer+")
+    params, radial, sol, fac = _separated_model(args, cfg_file, fc1=0.0, fc2=1.0)
     rho_lo_bar = _resolve(args, cfg_file, "rho_min", float, 1.8)
     rho_hi_bar = _resolve(args, cfg_file, "rho_max", float, 2.4)
     th_lo_deg = _resolve(args, cfg_file, "theta_min_deg", float, -12.0)
@@ -264,16 +271,10 @@ def cmd_map_fields(args) -> int:
     n_theta = _resolve(args, cfg_file, "n_theta", int, 24)
     normalize = bool(int(_resolve(args, cfg_file, "normalize", int, 0)))
     domain = SectorDomain(rho_lo, rho_hi, th_lo, th_hi)
-    sol = _build_solution(params, radial, lam)
-    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
-        # matched c1: Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
-        params = params.with_(c1=momentum.omega_matched_c1(params))
-    fac = AngularFactor(lam=sol.lam, c1=_resolve(args, cfg_file, "fc1", float, 0.0) or 0.0,
-                        c2=_resolve(args, cfg_file, "fc2", float, 1.0))
     config = {
         "command": "map-fields", "n": params.n, "ell": params.ell, "sigma_v": params.sigma_v,
         "alpha": params.alpha, "beta": params.beta, "c0": params.c0, "c1": params.c1, "c2": params.c2,
-        "radial": radial, "lam": lam, "fc1": fac.c1, "fc2": fac.c2,
+        "radial": radial, "lam": sol.lam, "fc1": fac.c1, "fc2": fac.c2,
         "rho_min": rho_lo_bar, "rho_max": rho_hi_bar,
         "theta_min_deg": th_lo_deg, "theta_max_deg": th_hi_deg,
         "n_rho": n_rho, "n_theta": n_theta, "normalize": int(normalize), "format": "csv",

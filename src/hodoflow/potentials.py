@@ -395,21 +395,15 @@ def bohr_sommerfeld(pm: PsiModelParams, contour: np.ndarray) -> float:
     pts = np.asarray(contour, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise DomainError("contour must be an (N, 2) array with N >= 3")
-    coef = MASS * pm.sigma_r * pm.sigma_v
-
-    def p_dot(point: np.ndarray, direction: np.ndarray) -> float:
-        r2 = point[0] ** 2 + point[1] ** 2
-        if r2 < POLE_MIN_RADIUS ** 2:
-            raise DomainError("contour passes through the velocity pole at the origin")
-        return coef * (-point[1] * direction[0] + point[0] * direction[1]) / r2
-
-    total = 0.0
-    for i in range(pts.shape[0]):
-        a = pts[i]
-        b = pts[(i + 1) % pts.shape[0]]
-        d = b - a
-        total += (p_dot(a, d) + 4.0 * p_dot(0.5 * (a + b), d) + p_dot(b, d)) / 6.0
-    return total
+    ends = np.roll(pts, -1, axis=0)
+    d = ends - pts
+    # per segment: start, midpoint and end, each dotted with the segment vector
+    nodes = np.stack([pts, 0.5 * (pts + ends), ends])
+    r2 = nodes[..., 0] ** 2 + nodes[..., 1] ** 2
+    if np.any(r2 < POLE_MIN_RADIUS ** 2):
+        raise DomainError("contour passes through the velocity pole at the origin")
+    p_dot = (-nodes[..., 1] * d[:, 0] + nodes[..., 0] * d[:, 1]) / r2
+    return float(MASS * pm.sigma_r * pm.sigma_v * np.sum(p_dot[0] + 4.0 * p_dot[1] + p_dot[2]) / 6.0)
 
 
 def circulation_quantum(pm: PsiModelParams) -> float:

@@ -3,12 +3,15 @@
 Each suite re-derives a slice of the library with independent numerics and
 returns :class:`~hodoflow.verify.VerificationReport` records.  The `all`
 suite is the concatenation.  Suites are deterministic (fixed grids, fixed
-RNG seeds) and sized to run in seconds; the acceptance tests run the same
-checks at their full acceptance grids and tolerances.
+RNG seeds) and run at the acceptance grids and tolerances: acceptance
+criteria 2, 3, 4, 6 and 7 (``tests/test_acceptance.py``) run the `specfun`,
+`momentum`, `map`, `potentials` and `psi` suites and require every report
+to pass, so each check has this one implementation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,10 +22,11 @@ from .mapping import SectorDomain, forward_map, invert_map
 from .maxwell import ModelParams, density_F, discriminant
 from .momentum import (
     AngularFactor,
+    CharacteristicKind,
     LaguerreCase,
     RadialSolution,
     canonical_kappa,
-    factorized_u,
+    characteristic_chi,
     hill_coefficient_G,
     hill_substitution_zeta,
     omega_slope,
@@ -65,10 +69,9 @@ def _triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
 
 def suite_specfun() -> list[VerificationReport]:
     reports = []
-    rng = np.random.default_rng(101)
-
+    rng = np.random.default_rng(17)
     residuals = []
-    for _ in range(200):
+    for _ in range(300):
         a = rng.uniform(-3.0, 3.0)
         b = rng.uniform(0.6, 5.0)
         z = rng.uniform(0.0, 10.0)
@@ -76,8 +79,9 @@ def suite_specfun() -> list[VerificationReport]:
         m1 = specfun.kummer_m_deriv(a, b, z)
         m2 = a * (a + 1.0) / (b * (b + 1.0)) * specfun.kummer_m(a + 2.0, b + 2.0, z)
         residuals.append((z * m2 + (b - z) * m1 - a * m0) / max(1.0, abs(m0)))
-    reports.append(report_from_residuals("kummer-ode-analytic", "200 random (a,b,z)", residuals, 1e-10))
+    reports.append(report_from_residuals("kummer-ode-analytic", "300 random (a,b,z)", residuals, 1e-10))
 
+    rng = np.random.default_rng(101)  # shared by the contiguity and Gamma draws
     residuals = []
     h = 1e-5
     for _ in range(50):
@@ -91,7 +95,7 @@ def suite_specfun() -> list[VerificationReport]:
 
     residuals = []
     for k in range(13):
-        for abar in (0.5, 3.0, 7.0, 10.0):
+        for abar in (0.5, 1.0, 3.0, 7.0, 10.0):
             for z in (0.04, 0.1):
                 c0 = specfun.gamma(1.0 + k) * specfun.gamma(1.0 + abar) / specfun.gamma(1.0 + abar + k)
                 lhs = specfun.kummer_m(float(-k), 1.0 + abar, z)
@@ -123,51 +127,53 @@ def suite_specfun() -> list[VerificationReport]:
 def suite_momentum() -> list[VerificationReport]:
     reports = []
     for n, ell, lam, k, abar in TRIPLES:
-        p, sol, fac = _triple(n, ell, lam, k, abar, c1=1.0, c2=0.3)
-        dom = SectorDomain(0.35 * p.rho_t, 2.0 * p.rho_t, 0.12, 0.75)
+        p, sol, fac = _triple(n, ell, lam, k, abar)
+        # the stencil shares its rho values, so R is evaluated once per rho;
+        # radial * fac.value are the floats factorized_u returns
+        radial = functools.lru_cache(maxsize=None)(lambda rho: radial_row(p, sol, rho)[0])
+        dom = SectorDomain(0.35 * p.rho_t, 2.1 * p.rho_t, 0.12, 0.75)
         reports.append(
             verify.pde_residual_momentum(
                 p,
-                lambda r, t: factorized_u(p, sol, fac, r, t),
+                lambda r, t: radial(r) * fac.value(t),
                 dom,
-                grid=(16, 16),
+                grid=(50, 50),
                 tol=1e-5,
                 name=f"momentum-pde-{n}-{ell}-{lam:g}",
             )
         )
 
-    # oscillator (Hill) form for a non-catalog lam
-    p = ModelParams(n=2, ell=2)
-    sol = RadialSolution.kummer(p, 1.0)
+    # oscillator (Hill) form for a non-catalog lam, closed-form and series branches
     residuals = []
-    for rho0 in (0.6 * p.rho_t, 0.85 * p.rho_t, 1.35 * p.rho_t):
-        z0 = hill_substitution_zeta(p, rho0)
-        dz = 1e-3 * max(abs(z0), 1.0)
-        vals = []
-        rho_guess = rho0
-        for i in (-2, -1, 0, 1, 2):
-            target = z0 + i * dz
-            rho = rho_guess
-            for _ in range(60):
-                rho -= (hill_substitution_zeta(p, rho) - target) / zeta_bar(p, rho)
-            rho_guess = rho
-            vals.append(radial_row(p, sol, rho)[0])
-        second = (-vals[4] + 16.0 * vals[3] - 30.0 * vals[2] + 16.0 * vals[1] - vals[0]) / (12.0 * dz * dz)
-        g_coef = hill_coefficient_G(p, sol.lam, rho0)
-        residuals.append((second + g_coef * vals[2]) / max(abs(second), abs(g_coef * vals[2]), 1e-300))
-    reports.append(report_from_residuals("hill-reduction", "3 radii, 5-pt stencil", residuals, 1e-4))
+    for p in (ModelParams(n=2, ell=2), ModelParams(n=2, ell=2.5)):
+        sol = RadialSolution.kummer(p, 1.0)
+        for rho0 in (0.6 * p.rho_t, 0.85 * p.rho_t, 1.35 * p.rho_t):
+            z0 = hill_substitution_zeta(p, rho0)
+            dz = 1e-3 * max(abs(z0), 1.0)
+            vals = []
+            rho_guess = rho0
+            for i in (-2, -1, 0, 1, 2):
+                target = z0 + i * dz
+                rho = rho_guess
+                for _ in range(60):
+                    rho -= (hill_substitution_zeta(p, rho) - target) / zeta_bar(p, rho)
+                rho_guess = rho
+                vals.append(radial_row(p, sol, rho)[0])
+            second = (-vals[4] + 16.0 * vals[3] - 30.0 * vals[2] + 16.0 * vals[1] - vals[0]) / (12.0 * dz * dz)
+            g_coef = hill_coefficient_G(p, sol.lam, rho0)
+            residuals.append((second + g_coef * vals[2]) / max(abs(second), abs(g_coef * vals[2]), 1e-300))
+    reports.append(report_from_residuals("hill-reduction", "ell 2, 2.5 x 3 radii, 5-pt stencil", residuals, 1e-4))
 
-    # characteristic slope identity
+    # characteristic slope identity, both regions, all four kinds
+    p = ModelParams(n=2, ell=2)
     residuals = []
-    for rho in (1.3 * p.rho_t, 1.5 * p.rho_t, 2.2 * p.rho_t):
-        fd = verify.fd_derivative(
-            lambda r: momentum.characteristic_chi(p, momentum.CharacteristicKind.HYPERBOLIC_PLUS, r, 0.0),
-            rho,
-            h=1e-6 * p.rho_t,
-        )
-        exact = math.sqrt(discriminant(p, rho)) / rho
-        residuals.append((fd - exact) / exact)
-    reports.append(report_from_residuals("characteristic-ode", "3 hyperbolic radii", residuals, 1e-6))
+    for kind in CharacteristicKind:
+        for rb in (1.3, 1.8, 2.4) if kind.hyperbolic else (0.4, 0.6, 0.85):
+            rho = rb * p.rho_t
+            fd = verify.fd_derivative(lambda r: characteristic_chi(p, kind, r, 0.2), rho, h=1e-6 * p.rho_t)
+            exact = math.sqrt(abs(discriminant(p, rho))) / rho
+            residuals.append((fd - exact) / exact)
+    reports.append(report_from_residuals("characteristic-ode", "4 kinds x 3 radii, theta=0.2", residuals, 1e-6))
 
     # flow identity along the radial canonical coordinate
     residuals = []
@@ -195,44 +201,41 @@ def suite_momentum() -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 def suite_map() -> list[VerificationReport]:
-    reports = []
+    reports, jac_residuals = [], []
     for n, ell, lam, k, abar in TRIPLES:
         p, sol, fac = _triple(n, ell, lam, k, abar)
+        f = lambda r, t: forward_map(p, sol, fac, r, t)
         residuals = []
         for rho, theta in [(0.55 * p.rho_t, 0.5), (1.6 * p.rho_t, 0.35)]:
-            mp = forward_map(p, sol, fac, rho, theta)
+            mp = f(rho, theta)
             h = 1e-5 * max(abs(mp.x), abs(mp.y), 0.1)
             phi_at = verify.chart_phi_fn(p, sol, fac, (rho, theta))
             gx = (phi_at(mp.x + h, mp.y) - phi_at(mp.x - h, mp.y)) / (2.0 * h)
             gy = (phi_at(mp.x, mp.y + h) - phi_at(mp.x, mp.y - h)) / (2.0 * h)
-            scale = max(rho, 1e-30)
-            residuals.append((gx - rho * math.cos(theta)) / scale)
-            residuals.append((gy - rho * math.sin(theta)) / scale)
+            # each component to rel 1e-4 with abs 1e-8
+            for grad, exact in ((gx, rho * math.cos(theta)), (gy, rho * math.sin(theta))):
+                residuals.append((grad - exact) / max(abs(exact), 1e-4))
+
+            # closed-form inverse Jacobian vs the FD differential, relative to the smaller
+            h_r, h_t = 1e-5 * p.rho_t, 1e-5
+            dx_r = (f(rho + h_r, theta).x - f(rho - h_r, theta).x) / (2 * h_r)
+            dy_r = (f(rho + h_r, theta).y - f(rho - h_r, theta).y) / (2 * h_r)
+            dx_t = (f(rho, theta + h_t).x - f(rho, theta - h_t).x) / (2 * h_t)
+            dy_t = (f(rho, theta + h_t).y - f(rho, theta - h_t).y) / (2 * h_t)
+            ct, st = math.cos(theta), math.sin(theta)
+            fd_jac = (dx_r * ct - dx_t * st / rho) * (dy_r * st + dy_t * ct / rho) - (
+                dx_r * st + dx_t * ct / rho
+            ) * (dy_r * ct - dy_t * st / rho)
+            jac_residuals.append((mp.jac_inv - fd_jac) / max(min(abs(mp.jac_inv), abs(fd_jac)), 1e-300))
         reports.append(
             report_from_residuals(f"legendre-gradient-{n}-{ell}-{lam:g}", "2 probes", residuals, 1e-4)
         )
-
-    p, sol, fac = _triple(2, 4, 3.0, 2, 7.0)
-    residuals = []
-    for rho, theta in [(0.6 * p.rho_t, 0.45), (1.7 * p.rho_t, 0.3)]:
-        h_r, h_t = 1e-5 * p.rho_t, 1e-5
-        f = lambda r, t: forward_map(p, sol, fac, r, t)
-        dx_r = (f(rho + h_r, theta).x - f(rho - h_r, theta).x) / (2 * h_r)
-        dy_r = (f(rho + h_r, theta).y - f(rho - h_r, theta).y) / (2 * h_r)
-        dx_t = (f(rho, theta + h_t).x - f(rho, theta - h_t).x) / (2 * h_t)
-        dy_t = (f(rho, theta + h_t).y - f(rho, theta - h_t).y) / (2 * h_t)
-        ct, st = math.cos(theta), math.sin(theta)
-        fd_jac = (dx_r * ct - dx_t * st / rho) * (dy_r * st + dy_t * ct / rho) - (
-            dx_r * st + dx_t * ct / rho
-        ) * (dy_r * ct - dy_t * st / rho)
-        exact = f(rho, theta).jac_inv
-        residuals.append((exact - fd_jac) / abs(exact))
-    reports.append(report_from_residuals("jacobian-formula-fd", "2 probes", residuals, 1e-4))
+    reports.append(report_from_residuals("jacobian-formula-fd", "3 triples x 2 probes", jac_residuals, 1e-4))
 
     p = ModelParams(n=2, ell=2)
     sol = RadialSolution.kummer(p, 1.0)
     fac = AngularFactor(lam=1.0, c1=0.7, c2=0.4)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(23)
     residuals = []
     for _ in range(100):
         rho = rng.uniform(0.1, 2.5) * p.rho_t
@@ -298,8 +301,8 @@ def suite_potentials() -> list[VerificationReport]:
         fac0 = AngularFactor(lam=0.0, c1=pm.c1, c2=0.3)
         q_gen = quantum_potential(params, RadialSolution.constant(), fac0, abs(pm.c1) / r, rng.uniform(-1, 1))
         q_ref = psi_quantum_potential(pm, r)
-        residuals.append((q_gen - q_ref) / max(abs(q_ref), 1e-30))
-    reports.append(report_from_residuals("vortex-reduction", "100 random draws", residuals, 1e-12))
+        residuals.append((q_gen - q_ref) / max(abs(q_ref), 1e-300))
+    reports.append(report_from_residuals("vortex-reduction", "100 random draws", residuals, 5e-13))
 
     residuals = []
     pm = PsiModelParams(n=4, ell=6, sigma_r=1.0, rho_t=2.0)
@@ -320,9 +323,9 @@ def suite_psi() -> list[VerificationReport]:
     residuals = []
     for regime in regimes:
         pm = PsiModelParams.for_regime(4, 6, regime)
-        for r in np.geomspace(0.3, 30.0, 12):
+        for r in np.geomspace(0.3, 30.0, 20):
             residuals.append(schrodinger_residual_at(pm, float(r) * pm.sigma_r))
-    reports.append(report_from_residuals("schrodinger-analytic", "3 regimes x 12 radii", residuals, 1e-8))
+    reports.append(report_from_residuals("schrodinger-analytic", "3 regimes x 20 radii", residuals, 1e-8))
 
     residuals = []
     pm = PsiModelParams.for_regime(4, 6, "two-zeros")
@@ -353,9 +356,7 @@ def suite_psi() -> list[VerificationReport]:
     residuals = []
     for regime in regimes:
         pmr = PsiModelParams.for_regime(4, 6, regime)
-        scale = abs(psi_classical_potential(pmr, 0.5 * pmr.sigma_r))
-        for r in potential_zeros(pmr):
-            residuals.append(psi_classical_potential(pmr, r) / max(1.0, scale))
+        residuals.extend(psi_classical_potential(pmr, r) for r in potential_zeros(pmr))
     reports.append(report_from_residuals("potential-zeros", "3 regimes", residuals, 1e-9))
 
     pm2 = PsiModelParams(n=4, ell=6, sigma_r=1.0, rho_t=2.0)

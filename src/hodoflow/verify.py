@@ -80,7 +80,7 @@ def report_from_residuals(
     skipped: int = 0,
     total: int | None = None,
 ) -> VerificationReport:
-    arr = np.asarray([r for r in residuals if math.isfinite(r)], dtype=float)
+    arr = np.asarray(residuals, dtype=float)  # a non-finite residual fails the report
     if arr.size == 0:
         return VerificationReport(name, grid_spec, math.inf, math.inf, 1.0, tol, skipped, total or skipped)
     return VerificationReport(

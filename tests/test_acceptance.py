@@ -2,6 +2,12 @@
 tolerances and runtime budgets.  Each test prints a single pass/fail line
 (run with ``pytest tests/test_acceptance.py -v -s`` to see them).
 
+Criteria 2, 3, 4, 6 and 7 run the verification suite that implements their
+checks (``hodoflow.suites``: `specfun`, `momentum`, `map`, `potentials`,
+`psi`, at the acceptance grids, seeds and tolerances) and require every
+report to pass, printing the ones that fail.  Criterion 4 adds the
+sonic-circle corner here; criteria 1, 5, 8 and 9 are checked only here.
+
 Erratum in criterion 8b: the n = 1 slope minimum is quoted at sqrt(2) rho_T,
 but the slope rho / sqrt(Delta) pinned by 8a and 8c has its minimum where
 d(rho^2 / Delta)/d rho = 0, i.e. rho_bar^n = 2/(2-n), so (2/(2-n))^(1/n) rho_T
@@ -15,48 +21,23 @@ import time
 import warnings
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
-from hodoflow import specfun, verify
+from hodoflow import verify
 from hodoflow.cli import main as cli_main
 from hodoflow.errors import UnivalenceWarning
-from hodoflow.mapping import (
-    SectorDomain,
-    forward_map,
-    invert_map,
-    sample_fields,
-)
-from hodoflow.maxwell import ModelParams, density_F, discriminant
+from hodoflow.mapping import SectorDomain, forward_map, sample_fields
+from hodoflow.maxwell import ModelParams
 from hodoflow.momentum import (
     AngularFactor,
-    CharacteristicKind,
     LaguerreCase,
     RadialSolution,
-    canonical_kappa,
-    characteristic_chi,
-    factorized_u,
-    hill_coefficient_G,
-    hill_substitution_zeta,
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
-    omega_slope,
-    radial_row,
     slope_rho_theta,
     zeta_bar,
 )
-from hodoflow.potentials import (
-    PsiModelParams,
-    bohr_sommerfeld,
-    circulation_quantum,
-    potential_zeros,
-    psi_classical_potential,
-    psi_density,
-    psi_quantum_potential,
-    quantum_potential,
-    schrodinger_residual_at,
-    sigma_r_closed_form,
-)
+from hodoflow.suites import TRIPLES, run_suite
 from oracles import brute_force_orders
 
 
@@ -75,6 +56,15 @@ def criterion(num, label, budget_s):
     print(f"ACCEPTANCE-{num} {label}: PASS ({elapsed:.2f} s)")
 
 
+def assert_suite_passes(name):
+    """Run one verification suite and require every report to pass."""
+    failed = [r for r in run_suite(name) if not r.passed]
+    for report in failed:
+        print(f"  {name}: {report.name} [{report.grid_spec}] max_abs = {report.max_abs:.3e}, "
+              f"tol = {report.tol:g}, skipped {report.skipped_points}")
+    assert not failed, [r.name for r in failed]
+
+
 def catalog_triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
     p = ModelParams(n=n, ell=ell)
     case = LaguerreCase(lam=lam, k=k, n=float(n), ell=float(ell), alpha_bar=abar)
@@ -82,8 +72,6 @@ def catalog_triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
     fac = AngularFactor(lam=lam, c1=c1, c2=c2)
     return p, sol, fac
 
-
-TRIPLES = ((2, 0, 2.0, 1, 2.0), (2, 4, 3.0, 2, 7.0), (2, 2, 4.0, 5, 7.0))
 
 #: Hyperbolic sectors (rho_1/rho_T, rho_2/rho_T, theta_max in degrees) keyed
 #: by the (n, ell, lam) triple they belong to.
@@ -133,27 +121,7 @@ def test_criterion_1_laguerre_catalogs():
 
 def test_criterion_2_special_functions():
     with criterion(2, "special-function-suite", 5.0):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            a = rng.uniform(-3.0, 3.0)
-            b = rng.uniform(0.6, 5.0)
-            z = rng.uniform(0.0, 10.0)
-            m0 = specfun.kummer_m(a, b, z)
-            m1 = specfun.kummer_m_deriv(a, b, z)
-            m2 = a * (a + 1.0) / (b * (b + 1.0)) * specfun.kummer_m(a + 2.0, b + 2.0, z)
-            assert abs(z * m2 + (b - z) * m1 - a * m0) / max(1.0, abs(m0)) < 1e-10
-
-        for k in range(13):
-            for abar in (0.5, 1.0, 3.0, 7.0, 10.0):
-                for z in (0.04, 0.1):
-                    c0 = specfun.gamma(1.0 + k) * specfun.gamma(1.0 + abar) / specfun.gamma(1.0 + abar + k)
-                    lhs = specfun.kummer_m(float(-k), 1.0 + abar, z)
-                    rhs = c0 * specfun.laguerre(k, abar, z)
-                    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
-
-        for x in (0.3, 1.0, 2.0, 5.0, -0.7):
-            fd = (specfun.expint_ei(x + 1e-5) - specfun.expint_ei(x - 1e-5)) / 2e-5
-            assert fd == pytest.approx(math.exp(x) / x, rel=1e-6)
+        assert_suite_passes("specfun")
 
 
 # ---------------------------------------------------------------------------
@@ -162,55 +130,7 @@ def test_criterion_2_special_functions():
 
 def test_criterion_3_momentum_pde():
     with criterion(3, "momentum-pde", 30.0):
-        # separated polynomial solutions on 50x50 grids spanning both regions
-        for n, ell, lam, k, abar in TRIPLES:
-            p, sol, fac = catalog_triple(n, ell, lam, k, abar)
-            dom = SectorDomain(0.35 * p.rho_t, 2.1 * p.rho_t, 0.12, 0.75)
-            report = verify.pde_residual_momentum(
-                p, lambda r, t: factorized_u(p, sol, fac, r, t), dom, grid=(50, 50),
-                tol=1e-5, name=f"acc3-{n}-{ell}-{lam:g}",
-            )
-            assert report.passed, report
-
-        # oscillator (Hill) reduction, closed-form and series branches
-        for params in (ModelParams(n=2, ell=2), ModelParams(n=2, ell=2.5)):
-            sol = RadialSolution.kummer(params, 1.0)
-            for rho0 in (0.6 * params.rho_t, 0.85 * params.rho_t, 1.35 * params.rho_t):
-                z0 = hill_substitution_zeta(params, rho0)
-                dz = 1e-3 * max(abs(z0), 1.0)
-                vals = []
-                rho_guess = rho0
-                for i in (-2, -1, 0, 1, 2):
-                    target = z0 + i * dz
-                    rho = rho_guess
-                    for _ in range(60):
-                        rho -= (hill_substitution_zeta(params, rho) - target) / zeta_bar(params, rho)
-                    rho_guess = rho
-                    vals.append(radial_row(params, sol, rho)[0])
-                second = (-vals[4] + 16.0 * vals[3] - 30.0 * vals[2] + 16.0 * vals[1] - vals[0]) / (12.0 * dz * dz)
-                g_coef = hill_coefficient_G(params, sol.lam, rho0)
-                residual = second + g_coef * vals[2]
-                assert abs(residual) / max(abs(second), abs(g_coef * vals[2])) < 1e-4
-
-        # characteristic slope identity, both regions, all four kinds
-        p = ModelParams(n=2, ell=2)
-        for kind in CharacteristicKind:
-            radii = (1.3, 1.8, 2.4) if kind.hyperbolic else (0.4, 0.6, 0.85)
-            for rb in radii:
-                rho = rb * p.rho_t
-                fd = verify.fd_derivative(
-                    lambda r: characteristic_chi(p, kind, r, 0.2), rho, h=1e-6 * p.rho_t
-                )
-                exact = math.sqrt(abs(discriminant(p, rho))) / rho
-                assert fd == pytest.approx(exact, rel=1e-6)
-
-        # flow identity of the canonical first-order coefficient
-        for rho in (1.4 * p.rho_t, 1.6 * p.rho_t, 2.0 * p.rho_t):
-            lam_fn = lambda r: omega_slope(p, r) * r / math.sqrt(discriminant(p, r))
-            dmu = math.sqrt(discriminant(p, rho)) / rho
-            lam_prime = verify.fd_derivative(lam_fn, rho, h=1e-6 * p.rho_t) / dmu
-            residual = lam_prime + 4.0 * canonical_kappa(p, rho, "hyperbolic") * lam_fn(rho)
-            assert abs(residual) / abs(lam_prime) < 1e-4
+        assert_suite_passes("momentum")
 
 
 # ---------------------------------------------------------------------------
@@ -219,45 +139,7 @@ def test_criterion_3_momentum_pde():
 
 def test_criterion_4_inverse_legendre():
     with criterion(4, "inverse-legendre", 30.0):
-        for n, ell, lam, k, abar in TRIPLES:
-            p, sol, fac = catalog_triple(n, ell, lam, k, abar)
-            for rho, theta in [(0.55 * p.rho_t, 0.5), (1.6 * p.rho_t, 0.35)]:
-                mp = forward_map(p, sol, fac, rho, theta)
-                seed = {"pt": (rho, theta)}
-
-                def phi_at(x, y):
-                    back = invert_map(p, sol, fac, (x, y), seed["pt"])
-                    seed["pt"] = back
-                    return forward_map(p, sol, fac, back.rho, back.theta).phi_val
-
-                h = 1e-5 * max(abs(mp.x), abs(mp.y), 0.1)
-                gx = (phi_at(mp.x + h, mp.y) - phi_at(mp.x - h, mp.y)) / (2.0 * h)
-                gy = (phi_at(mp.x, mp.y + h) - phi_at(mp.x, mp.y - h)) / (2.0 * h)
-                assert gx == pytest.approx(rho * math.cos(theta), rel=1e-4, abs=1e-8)
-                assert gy == pytest.approx(rho * math.sin(theta), rel=1e-4, abs=1e-8)
-
-                # closed-form inverse Jacobian vs the FD differential
-                h_r, h_t = 1e-5 * p.rho_t, 1e-5
-                f = lambda r, t: forward_map(p, sol, fac, r, t)
-                dx_r = (f(rho + h_r, theta).x - f(rho - h_r, theta).x) / (2 * h_r)
-                dy_r = (f(rho + h_r, theta).y - f(rho - h_r, theta).y) / (2 * h_r)
-                dx_t = (f(rho, theta + h_t).x - f(rho, theta - h_t).x) / (2 * h_t)
-                dy_t = (f(rho, theta + h_t).y - f(rho, theta - h_t).y) / (2 * h_t)
-                ct, st = math.cos(theta), math.sin(theta)
-                fd_jac = (dx_r * ct - dx_t * st / rho) * (dy_r * st + dy_t * ct / rho) - (
-                    dx_r * st + dx_t * ct / rho
-                ) * (dy_r * ct - dy_t * st / rho)
-                assert mp.jac_inv == pytest.approx(fd_jac, rel=1e-4)
-
-        # lam = 1 degeneracy everywhere
-        p = ModelParams(n=2, ell=2)
-        sol1 = RadialSolution.kummer(p, 1.0)
-        fac1 = AngularFactor(lam=1.0, c1=0.7, c2=0.4)
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            rho = rng.uniform(0.1, 2.5) * p.rho_t
-            theta = rng.uniform(-math.pi, math.pi)
-            assert abs(forward_map(p, sol1, fac1, rho, theta, allow_degenerate=True).jac_inv) < 1e-12
+        assert_suite_passes("map")
 
         # sonic-circle extremum corner
         for n, ell, lam, k, abar in TRIPLES:
@@ -338,44 +220,7 @@ def test_criterion_5_coordinate_pde():
 
 def test_criterion_6_quantum_potential():
     with criterion(6, "quantum-potential", 60.0):
-        for n, ell, lam, k, abar in TRIPLES:
-            p, sol, fac = catalog_triple(n, ell, lam, k, abar)
-            pts = [(0.5 * p.rho_t, 0.45), (0.62 * p.rho_t, 0.52), (1.55 * p.rho_t, 0.38)]
-            closed = [quantum_potential(p, sol, fac, r, t) for r, t in pts]
-            oracle = []
-            for rho, theta in pts:
-                mp = forward_map(p, sol, fac, rho, theta)
-                seed = {"pt": (rho, theta)}
-
-                def sqrt_f(x, y):
-                    back = invert_map(p, sol, fac, (x, y), seed["pt"])
-                    seed["pt"] = back
-                    return math.sqrt(density_F(p, abs(p.alpha) * back.rho))
-
-                h = 5e-4 * max(math.hypot(mp.x, mp.y), 1e-3)
-                c0 = sqrt_f(mp.x, mp.y)
-                lap = (
-                    sqrt_f(mp.x + h, mp.y) + sqrt_f(mp.x - h, mp.y)
-                    + sqrt_f(mp.x, mp.y + h) + sqrt_f(mp.x, mp.y - h) - 4.0 * c0
-                ) / h ** 2
-                oracle.append(p.alpha / p.beta * lap / c0)
-            scale = max(abs(closed[1] - closed[0]), abs(closed[2] - closed[0]))
-            for i in (1, 2):
-                diff = (closed[i] - closed[0]) - (oracle[i] - oracle[0])
-                assert abs(diff) / scale < 1e-3
-
-        # reduction to the vortex closed form at lam = 0, constant radial factor
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            n = rng.uniform(0.7, 5.0)
-            ell = rng.uniform(2.1, 9.0)
-            sigma_r = rng.uniform(0.4, 2.5)
-            r = rng.uniform(0.3, 4.0) * sigma_r
-            pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=2.0)
-            params = ModelParams(n=n, ell=ell, sigma_v=1.0)
-            fac0 = AngularFactor(lam=0.0, c1=pm.c1, c2=0.3)
-            q_gen = quantum_potential(params, RadialSolution.constant(), fac0, abs(pm.c1) / r, rng.uniform(-1, 1))
-            assert q_gen == pytest.approx(psi_quantum_potential(pm, r), rel=5e-13)
+        assert_suite_passes("potentials")
 
 
 # ---------------------------------------------------------------------------
@@ -384,44 +229,7 @@ def test_criterion_6_quantum_potential():
 
 def test_criterion_7_psi_model():
     with criterion(7, "psi-model", 30.0):
-        regimes = ("two-zeros", "critical", "single-zero")
-        for regime in regimes:
-            pm = PsiModelParams.for_regime(4, 6, regime)
-            for r in np.geomspace(0.3, 30.0, 20):
-                assert schrodinger_residual_at(pm, float(r) * pm.sigma_r) < 1e-8
-
-        pm = PsiModelParams(n=4, ell=6, sigma_r=1.3, rho_t=2.0)
-        total = verify.quad2d_polar(
-            lambda r, phi: psi_density(pm, r), (0.0, math.inf), (0.0, 2.0 * math.pi), tol=1e-10
-        )
-        assert total == pytest.approx(1.0, rel=1e-6)
-
-        m1 = verify.quad2d_polar(lambda r, phi: r * psi_density(pm, r), (0.0, math.inf), (0.0, 2 * math.pi), tol=1e-10)
-        m2 = verify.quad2d_polar(lambda r, phi: r * r * psi_density(pm, r), (0.0, math.inf), (0.0, 2 * math.pi), tol=1e-10)
-        assert math.sqrt(m2 - m1 ** 2) == pytest.approx(sigma_r_closed_form(pm), rel=1e-6)
-
-        for regime in regimes:
-            pmr = PsiModelParams.for_regime(4, 6, regime)
-            for r in potential_zeros(pmr):
-                assert abs(psi_classical_potential(pmr, r)) < 1e-9
-
-        pm2 = PsiModelParams(n=4, ell=6, sigma_r=1.0, rho_t=2.0)
-        t = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
-        circle = np.column_stack([1.7 * np.cos(t), 1.7 * np.sin(t)])
-        ellipse = np.column_stack([2.5 * np.cos(t), 0.8 * np.sin(t)])
-        ref = circulation_quantum(pm2)
-        assert bohr_sommerfeld(pm2, circle) == pytest.approx(ref, rel=1e-8)
-        assert bohr_sommerfeld(pm2, ellipse) == pytest.approx(ref, rel=1e-8)
-
-        expected = {"two-zeros": -2.0, "critical": -6.0, "single-zero": -2.0}
-        for regime, slope_expected in expected.items():
-            pmr = PsiModelParams.for_regime(4, 6, regime)
-            r1, r2 = 1e3 * pmr.sigma_r, 2e3 * pmr.sigma_r
-            slope = (
-                math.log(abs(psi_classical_potential(pmr, r2)))
-                - math.log(abs(psi_classical_potential(pmr, r1)))
-            ) / (math.log(r2) - math.log(r1))
-            assert slope == pytest.approx(slope_expected, rel=0.02)
+        assert_suite_passes("psi")
 
 
 # ---------------------------------------------------------------------------

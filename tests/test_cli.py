@@ -14,6 +14,7 @@ from hodoflow import (
     omega_matched_c1,
 )
 from hodoflow.cli import main
+from hodoflow.momentum import radial_row
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +199,18 @@ class TestMapFields:
         for d0, d1 in zip(densities["0"], densities["1"]):
             assert d1 == pytest.approx(d0 * norm, rel=1e-14)
 
+    @pytest.mark.parametrize("radial, fc1", [("omega", "0"), ("constant", "1")])
+    def test_lam_zero_solutions_echo_lam_zero(self, tmp_path, capsys, radial, fc1):
+        # omega and constant are lam = 0 solutions whatever --lambda says
+        out_file = tmp_path / "f.csv"
+        code, _, _ = run_cli(
+            capsys, "map-fields", "--n", "2", "--ell", "0", "--radial", radial, "--lambda", "3",
+            "--fc1", fc1, "--n-rho", "3", "--n-theta", "3", "--output", str(out_file),
+        )
+        assert code == 0
+        assert "# lam = 0" in out_file.read_text().splitlines()
+        assert json.loads((tmp_path / "f.csv.json").read_text())["config"]["lam"] == 0.0
+
     def test_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, *self.SECTOR, "--output", str(a))
@@ -273,6 +286,27 @@ class TestSolveMomentum:
         assert all(math.isfinite(float(row[3])) for row in rows if 2.5 * float(row[0]) ** 2 <= 50.0)
         summary = json.loads((tmp_path / "u.csv.json").read_text())["summary"]
         assert summary == {"rows": 256, "out_of_range_rows": len(nan_rows)} and len(nan_rows) > 0
+
+    def test_omega_evaluates_the_mapped_flow(self, tmp_path, capsys):
+        # the matched-c1 Omega that map-fields maps; rows inside rho_T are nan, not an error
+        out_file = tmp_path / "u.csv"
+        code, _, err = run_cli(
+            capsys, "solve-momentum", "--n", "2", "--ell", "0", "--radial", "omega",
+            "--n-rho", "9", "--n-theta", "2", "--output", str(out_file),
+        )
+        assert code == 0 and err == ""
+        p = ModelParams(n=2, ell=0)
+        matched = p.with_(c1=omega_matched_c1(p))
+        sidecar = json.loads((tmp_path / "u.csv.json").read_text())
+        assert sidecar["config"]["c1"] == matched.c1 and sidecar["config"]["lam"] == 0.0
+        rows = [line.split(",") for line in out_file.read_text().splitlines() if not line.startswith("#")][1:]
+        inside = [row for row in rows if float(row[0]) < 1.0]
+        assert len(inside) == 8 and all(row[2] == row[3] == "nan" for row in inside)
+        for row in rows:
+            if float(row[0]) > 1.0:
+                rho = float(row[0]) * p.rho_t
+                assert float(row[3]) == pytest.approx(radial_row(matched, RadialSolution.omega(), rho)[0], rel=1e-13)
+        assert sidecar["summary"] == {"rows": 18, "out_of_range_rows": 8}
 
 
 class TestPsiModel:

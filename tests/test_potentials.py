@@ -304,6 +304,7 @@ class TestBohrSommerfeld:
     def test_circle_quantization(self):
         pm = self._pm(2.0)
         value = bohr_sommerfeld(pm, self._circle(1.7))
+        assert type(value) is float
         assert circulation_quantum(pm) == pytest.approx(2.0 * math.pi)  # (h/2)|c1| with h = 2 pi
         assert value == pytest.approx(circulation_quantum(pm), rel=1e-8)
 
@@ -322,6 +323,9 @@ class TestBohrSommerfeld:
         pm = self._pm(2.0)
         with pytest.raises(DomainError):
             bohr_sommerfeld(pm, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        # no vertex near the pole, but the midpoint of the first segment is on it
+        with pytest.raises(DomainError):
+            bohr_sommerfeld(pm, np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, -1.0]]))
 
 
 class TestMoments:

@@ -72,6 +72,12 @@ class TestReports:
         assert d["max_abs"] == pytest.approx(2e-7)
         assert d["rms"] == pytest.approx(math.sqrt((1e-14 + 4e-14) / 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_residual_fails(self, bad):
+        rep = report_from_residuals("check", "grid", [1e-9, bad], tol=1e-5)
+        assert not rep.passed
+        assert not math.isfinite(rep.max_abs)
+
     def test_deterministic(self):
         p = ModelParams(n=2, ell=2)
         sol = RadialSolution.kummer(p, 2.0)

@@ -240,13 +240,10 @@ def cmd_solve_momentum(args) -> int:
     }
     thetas = [th_lo + (th_hi - th_lo) * j / (n_theta - 1) for j in range(n_theta)]
     angular = [fac.value(theta) for theta in thetas]
+    rhos = [rho_lo + (rho_hi - rho_lo) * i / (n_rho - 1) for i in range(n_rho)]
     rows = []
-    for i in range(n_rho):
-        rho = rho_lo + (rho_hi - rho_lo) * i / (n_rho - 1)
-        try:
-            r_val = momentum.radial_row(params, sol, rho)[0]
-        except (DomainError, RegionError):  # written as nan, as map-fields flags the row
-            r_val = math.nan
+    # a row the radial factor cannot be evaluated at is nan, as map-fields flags it
+    for rho, r_val in zip(rhos, momentum.radial_rows(params, sol, rhos)[0].tolist()):
         region = classify(params, rho).value
         rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
                     for theta, t_val in zip(thetas, angular))

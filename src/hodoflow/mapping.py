@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -394,21 +395,26 @@ def _records(
     rho = rhos[:, None]
     density, density_singular = _row_densities(params, rho_list, norm)
     x, y, phi, q_pot, u_pot, jac_inv = grids
-    q_pot = np.where(density_singular[:, None], math.nan, q_pot)
-    u_pot = np.where(density_singular[:, None], math.nan, u_pot)
-    vx = -params.alpha * rho * np.cos(thetas)
-    vy = -params.alpha * rho * np.sin(thetas)
-    speed = abs(params.alpha) * rho
-    columns = [
-        np.broadcast_to(a, shape).ravel().tolist()
-        for a in (x, y, phi, vx, vy, speed, density[:, None], q_pot, u_pot, jac_inv)
-    ]
-    regions = [region for r in rho_list for region in [classify(params, r)] * shape[1]]
+    q_pot, u_pot = (np.where(density_singular[:, None], math.nan, a) for a in (q_pot, u_pot))
+    vx, vy = -params.alpha * rho * np.cos(thetas), -params.alpha * rho * np.sin(thetas)
+    # one (field, rho, theta) block, so that one tolist() makes every float
+    block = np.empty((8, *shape))
+    for k, a in enumerate((x, y, phi, vx, vy, q_pot, u_pot, jac_inv)):
+        block[k] = a
+    x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block.reshape(8, -1).tolist()
+
+    def per_point(row_values):
+        return list(chain.from_iterable(repeat(v, shape[1]) for v in row_values))
+
+    speed = per_point([abs(params.alpha) * r for r in rho_list])
+    regions = per_point([classify(params, r) for r in rho_list])
     flag = np.full(shape, "", dtype=object)
     flag[node] = "node"
     flag[out_of_range, :] = "out-of-range"
     flag[density_singular, :] = "density-singular"
-    return list(map(FieldSample._make, zip(*columns, regions, flag.ravel().tolist())))
+    columns = zip(x, y, phi, vx, vy, speed, per_point(density.tolist()), q_pot, u_pot, jac_inv, regions,
+                  flag.ravel().tolist())
+    return list(map(tuple.__new__, repeat(FieldSample), columns))
 
 
 def sample_fields(
@@ -422,10 +428,10 @@ def sample_fields(
     """Full field records on a (rho, theta) product grid, row-major in rho.
 
     The solution separates as ``u = R(rho) Theta(theta)``, so the radial
-    factor is evaluated once per rho row (two series, see
-    :func:`momentum.radial_row`) and Theta once per theta column; the map,
-    the inverse Jacobian and both potentials are then broadcast over the
-    grid.  Each value equals the scalar path's (:func:`forward_map`,
+    factor is evaluated once per rho row, the series of all rows summed as
+    one NumPy block (:func:`momentum.radial_rows`), and Theta once per theta
+    column; the map, the inverse Jacobian and both potentials are then
+    broadcast over the grid.  Each value equals the scalar path's (:func:`forward_map`,
     :func:`potentials.quantum_potential`, ...) to rounding.
 
     The sweep never aborts on a point; flagged points carry NaN:
@@ -450,16 +456,11 @@ def sample_fields(
     """
     _require_chart(sol, fac)
     momentum.require_matching_lam(sol, fac)
+    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
+        momentum._require_hyperbolic(params, domain.rho_min)
     rhos, thetas = _grid(domain, grid)
-    rho_list = rhos.tolist()
-    rows = []
-    for rho in rho_list:
-        try:
-            rows.append(momentum.radial_row(params, sol, rho))
-        except DomainError:
-            rows.append((math.nan, math.nan, math.nan))
-    r, rp, rcal = (np.array(col)[:, None] for col in zip(*rows))
-    g = np.array([coeff_g(params, rho) for rho in rho_list])[:, None]
+    r, rp, rcal = (col[:, None] for col in momentum.radial_rows(params, sol, rhos))
+    g = np.array([coeff_g(params, rho) for rho in rhos.tolist()])[:, None]
     rho = rhos[:, None]
     with np.errstate(all="ignore"):
         th, thp = fac.value(thetas), fac.deriv(thetas)

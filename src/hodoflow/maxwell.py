@@ -14,6 +14,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -201,7 +202,9 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     back to ``|J^-1| rho drho dtheta``, so ``N^-1 = integral F(|alpha| rho) |J^-1| rho``.
 
     The solution separates, so at each rho the radial factor is evaluated
-    once (:func:`momentum.radial_row`) and the theta integral of ``|J^-1|``
+    once, for all nodes of a panel's two rules (and for the kink scan's
+    radii) in one sweep (:func:`momentum.radial_rows`; bisection uses the
+    scalar :func:`momentum.radial_row`), and the theta integral of ``|J^-1|``
     is taken in closed form, split at the fold angles
     (:func:`mapping._abs_jac_inv_arc`).  The rho integrand is then analytic
     except at the radii where a fold meets a sector edge or two folds merge
@@ -228,25 +231,34 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     arc = (domain.theta_min, domain.theta_max)
     rho_t = params.rho_t
 
-    def radial(rho: float) -> tuple:
-        r, rp, _ = momentum.radial_row(params, sol, rho)
+    def arc_args(rho: float, r: float, rp: float) -> tuple:
         return rho, r, rp, coeff_g(params, rho), fac, *arc
 
-    def integrand(rho: float) -> float:
-        return density_F(params, abs(params.alpha) * rho) * rho * mapping._abs_jac_inv_arc(*radial(rho))
+    def sweep(rhos: list[float]) -> list[tuple]:
+        """:func:`arc_args` at each rho from one radial sweep; a row the sweep
+        could not evaluate is redone by the scalar path, which raises the reason."""
+        r, rp, _ = momentum.radial_rows(params, sol, rhos)
+        return [arc_args(rho, *(momentum.radial_row(params, sol, rho)[:2] if math.isnan(r_i) else (r_i, rp_i)))
+                for rho, r_i, rp_i in zip(rhos, r.tolist(), rp.tolist())]
 
-    def negative(rho: float) -> list[bool]:
-        return [v < 0.0 for v in mapping._arc_kink_terms(*radial(rho))]
+    def negative(args: tuple) -> list[bool]:
+        return [v < 0.0 for v in mapping._arc_kink_terms(*args)]
 
     def panel(lo: float, hi: float) -> list:
+        # a panel from rho_T runs in s = sqrt(rho - rho_T); both orders' nodes in one sweep
+        a, b = (0.0, math.sqrt(hi - lo)) if lo == rho_t else (lo, hi)
+        nodes = [x for m in SECTOR_GL_ORDERS for x in _legendre_nodes(a, b, m)]
+        values = [density_F(params, abs(params.alpha) * args[0]) * args[0] * mapping._abs_jac_inv_arc(*args)
+                  for args in sweep([lo + s * s for s in nodes] if lo == rho_t else nodes)]
         if lo == rho_t:
-            sums = [_gauss_legendre(lambda s: 2.0 * s * integrand(lo + s * s), 0.0, math.sqrt(hi - lo), m)
-                    for m in SECTOR_GL_ORDERS]
-        else:
-            sums = [_gauss_legendre(integrand, lo, hi, m) for m in SECTOR_GL_ORDERS]
+            values = [2.0 * s * v for s, v in zip(nodes, values)]
+        values = iter(values)
+        sums = [_legendre_sum(islice(values, m), a, b, m) for m in SECTOR_GL_ORDERS]
         return [lo, hi, sums[-1], abs(sums[-1] - sums[0])]
 
-    cuts = _sign_change_radii(negative, domain.rho_min, domain.rho_max, SECTOR_KINK_SCAN)
+    cuts = _sign_change_radii(lambda rho: negative(arc_args(rho, *momentum.radial_row(params, sol, rho)[:2])),
+                              lambda rhos: [negative(args) for args in sweep(rhos)],
+                              domain.rho_min, domain.rho_max, SECTOR_KINK_SCAN)
     if domain.rho_min < rho_t < domain.rho_max:
         cuts = sorted({*cuts, rho_t})
     panels = [panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
@@ -268,12 +280,12 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
         panels[i:i + 1] = [panel(lo, mid), panel(mid, hi)]
 
 
-def _sign_change_radii(negative, lo: float, hi: float, n_scan: int) -> list[float]:
+def _sign_change_radii(negative, negative_rows, lo: float, hi: float, n_scan: int) -> list[float]:
     """``lo``, ``hi`` and every radius between where a component of
-    ``negative(rho)`` flips: a scan at ``n_scan + 1`` even radii, then
-    bisection of each bracket."""
+    ``negative(rho)`` flips: a scan at ``n_scan + 1`` even radii (one
+    ``negative_rows`` call), then bisection of each bracket."""
     grid = [lo + (hi - lo) * i / n_scan for i in range(n_scan)] + [hi]
-    flags = [negative(rho) for rho in grid]
+    flags = negative_rows(grid)
     cuts = {lo, hi}
     for i in range(n_scan):
         for k, (fa, fb) in enumerate(zip(flags[i], flags[i + 1])):
@@ -289,11 +301,16 @@ def _sign_change_radii(negative, lo: float, hi: float, n_scan: int) -> list[floa
     return sorted(cuts)
 
 
-def _gauss_legendre(f, a: float, b: float, m: int) -> float:
-    """m-point Gauss-Legendre rule for the integral of f over [a, b]."""
-    nodes, weights = _legendre_rule(m)
+def _legendre_nodes(a: float, b: float, m: int) -> list[float]:
+    """Nodes of the m-point Gauss-Legendre rule on [a, b]."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    return half * math.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+    return [mid + half * x for x in _legendre_rule(m)[0]]
+
+
+def _legendre_sum(values, a: float, b: float, m: int) -> float:
+    """The m-point Gauss-Legendre rule on [a, b] from the integrand ``values``
+    at :func:`_legendre_nodes`."""
+    return 0.5 * (b - a) * math.fsum(w * v for w, v in zip(_legendre_rule(m)[1], values))
 
 
 @functools.lru_cache(maxsize=None)

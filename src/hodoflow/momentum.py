@@ -403,8 +403,9 @@ def _check_nu(ell: float, lam: float, nu: float) -> None:
 
 
 def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[float, float, float]:
-    """``(R, dR/drho, Rcal)`` at one rho, from two series: the radial
-    quantities that every point of a rho row shares.
+    """``(R, dR/drho, Rcal)`` at one rho: the radial quantities that every
+    point of a rho row shares.  Sweeps over many rows use :func:`radial_rows`,
+    which sums the same series for all rows at once.
 
     Rcal = rho R'/R is evaluated as ``nu + n tau T'/T``.  The derivative uses
     the exact contiguity relations of M / Psi, not finite differences, so it
@@ -426,13 +427,73 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
         return value, slope, rho * slope / value if abs(value) >= 1e-300 else math.nan
     rb = _check_rho_bar(params, rho)
     tau = params.tau(rho)
-    if sol.kind.tricomi:
-        t_val = specfun.tricomi_psi(sol.a, sol.b, tau)
-        t_der = specfun.tricomi_psi_deriv(sol.a, sol.b, tau)
+    return _radial_values(params, sol, _tricomi_parts(sol), rb, tau, lambda a, b: specfun._kummer_series(a, b, tau))
+
+
+def radial_rows(params: ModelParams, sol: RadialSolution, rhos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`radial_row` at every rho of ``rhos``: three arrays ``R, dR/drho,
+    Rcal``, equal bit for bit to the scalar rows, with NaN in all three where
+    :func:`radial_row` raises :class:`DomainError` or :class:`RegionError`.
+
+    For the Kummer-based kinds every series of every row is summed in one
+    :func:`specfun._kummer_block` call: M(a, b) and M(a+1, b+1) for the M
+    branch, the four M of Psi and Psi' for the Tricomi branch, whose gamma
+    factors are computed once.  The rows then combine their series through
+    the same arithmetic as the scalar path.
+    """
+    rhos = [float(rho) for rho in rhos]
+    rows = [(math.nan, math.nan, math.nan)] * len(rhos)
+    if not sol.kind.kummer_based:
+        for i, rho in enumerate(rhos):
+            try:
+                rows[i] = radial_row(params, sol, rho)
+            except (DomainError, RegionError):
+                pass
+        return tuple(np.array(rows).reshape(-1, 3).T)
+    psi = _tricomi_parts(sol)
+    valid = []  # (row, rho_bar, tau) of the rows whose series can be summed
+    for i, rho in enumerate(rhos):
+        try:
+            rb = _check_rho_bar(params, rho)
+        except DomainError:
+            continue
+        tau = params.tau(rho)
+        if tau <= specfun.KUMMER_Z_MAX and (tau > 0.0 or psi is None):
+            valid.append((i, rb, tau))
+    if psi is None:
+        pairs = [(sol.a, sol.b), (sol.a + 1.0, sol.b + 1.0)]
+    else:
+        pairs = list(dict.fromkeys((a, b) for parts in psi for rgam, _, a, b in parts if rgam != 0.0))
+    value, scale = specfun._kummer_block([a for a, _ in pairs], [b for _, b in pairs], [tau for *_, tau in valid])
+    series = {pair: list(zip(v, s)) for pair, v, s in zip(pairs, value.tolist(), scale.tolist())}
+    for k, (i, rb, tau) in enumerate(valid):
+        try:
+            rows[i] = _radial_values(params, sol, psi, rb, tau, lambda a, b: series[a, b][k])
+        except DomainError:
+            pass
+    return tuple(np.array(rows).reshape(-1, 3).T)
+
+
+def _tricomi_parts(sol: RadialSolution):
+    """The connection terms (:func:`specfun._psi_parts`) of Psi(a, b) and of
+    Psi(a+1, b+1), which gives Psi' = -a Psi(a+1, b+1) (none when a = 0,
+    where Psi' = 0); None for the M branch."""
+    if not sol.kind.tricomi:
+        return None
+    return specfun._psi_parts(sol.a, sol.b), specfun._psi_parts(sol.a + 1.0, sol.b + 1.0) if sol.a != 0.0 else ()
+
+
+def _radial_values(params: ModelParams, sol: RadialSolution, psi, rb: float, tau: float, series) -> tuple[float, float, float]:
+    """``(R, dR/drho, Rcal)`` of a Kummer-based solution at one row from
+    ``series(a, b)``, the ``(M, sum|terms|)`` pair of the Kummer series at
+    tau: the arithmetic that :func:`radial_row` and :func:`radial_rows` share."""
+    if psi is not None:
+        t_val = specfun._psi_from(psi[0], tau, series)
+        t_der = 0.0 if sol.a == 0.0 else -sol.a * specfun._psi_from(psi[1], tau, series)
         node = t_val == 0.0
     else:
-        t_val, t_scale = specfun.kummer_m_scaled(sol.a, sol.b, tau)
-        t_der = specfun.kummer_m_deriv(sol.a, sol.b, tau)
+        t_val, t_scale = series(sol.a, sol.b)
+        t_der = (sol.a / sol.b) * series(sol.a + 1.0, sol.b + 1.0)[0]
         node = specfun.kummer_vanishes(t_val, t_scale)
     value = sol.scale * specfun.checked_pow(rb, sol.nu) * t_val
     slope = sol.scale * specfun.checked_pow(rb, sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
@@ -440,10 +501,14 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
     return value, slope, rcal
 
 
+def _require_hyperbolic(params: ModelParams, rho: float, what: str = "hyperbolic solution") -> None:
+    if rho < params.rho_t * (1.0 - _REL_BAND):
+        raise RegionError(f"{what} needs rho >= rho_T, got {rho}")
+
+
 def mu_plus(params: ModelParams, rho: float) -> float:
     """Radial canonical coordinate of the hyperbolic region (zero on the sonic circle)."""
-    if rho < params.rho_t * (1.0 - _REL_BAND):
-        raise RegionError(f"mu_plus needs rho >= rho_T, got {rho}")
+    _require_hyperbolic(params, rho, "mu_plus")
     eps = max(params.rho_bar(rho) ** params.n - 1.0, 0.0)
     s = math.sqrt(eps)
     return 2.0 * math.sqrt(params.ell + 1.0) / params.n * (s - math.atan(s))
@@ -456,8 +521,7 @@ def hyperbolic_omega(params: ModelParams, rho: float) -> float:
     when ell = n k, and the entire-series analogue otherwise.  Depends on rho
     only; the angular average of any flow built on it is trivially preserved.
     """
-    if rho < params.rho_t * (1.0 - _REL_BAND):
-        raise RegionError(f"hyperbolic solution needs rho >= rho_T, got {rho}")
+    _require_hyperbolic(params, rho)
     rb = _check_rho_bar(params, rho)
     n, ell = params.n, params.ell
     x = rb ** n  # = eps_n + 1
@@ -487,8 +551,7 @@ def hyperbolic_omega(params: ModelParams, rho: float) -> float:
 
 def omega_slope(params: ModelParams, rho: float) -> float:
     """Exact d(Omega)/d(rho); matches zeta_bar when c1 = c0 rho_T e^((ell+1)/n)/sqrt(ell+1)."""
-    if rho < params.rho_t * (1.0 - _REL_BAND):
-        raise RegionError(f"hyperbolic solution needs rho >= rho_T, got {rho}")
+    _require_hyperbolic(params, rho)
     rb = params.rho_bar(rho)
     ell = params.ell
     return (

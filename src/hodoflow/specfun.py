@@ -6,12 +6,16 @@ integral Ei, the Kummer function M, the Tricomi function Psi and generalized
 Laguerre polynomials, with the derivatives of M and Psi and the test for a
 zero of M at working precision.
 
-All functions are pure and accept/return Python floats; none hold state.
+All functions are pure and none hold state.  The public ones accept and
+return Python floats; ``_kummer_block`` sums the Kummer series of a whole
+sweep as one NumPy block.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -57,38 +61,18 @@ def is_nonpositive_integer(x: float) -> bool:
     return x <= 0.5 and abs(x - round(x)) <= _INT_TOL
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error below
-# ~1e-13 for positive arguments; reflection handles x < 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
-    """Gamma function of a real argument.
+    """Gamma function of a real argument (the C library's, through :func:`math.gamma`).
 
-    Raises :class:`PoleError` at 0, -1, -2, ...
+    Raises :class:`PoleError` at 0, -1, -2, ... (within 1e-12) and
+    :class:`DomainError` where gamma leaves the float range (x above 171.6).
     """
     if is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        # reflection: gamma(x) gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x}) is beyond the float range") from None
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -135,15 +119,19 @@ def expint_ei(x: float) -> float:
     raise NoConvergenceError(f"Ei series did not converge at x = {x}")
 
 
-def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
-    """Kummer series for 0 <= z <= ``KUMMER_Z_MAX``; returns (value, sum of
-    |terms|) for node detection."""
+def _check_kummer_args(b: float, z: float) -> None:
     if is_nonpositive_integer(b):
         raise ParameterError(f"Kummer M undefined for b = {b} (non-positive integer)")
     if z < 0.0:
         raise DomainError(f"Kummer M restricted to z >= 0 here, got z = {z}")
     if z > KUMMER_Z_MAX:
         raise DomainError(f"z = {z} exceeds KUMMER_Z_MAX = {KUMMER_Z_MAX}")
+
+
+def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
+    """Kummer series for 0 <= z <= ``KUMMER_Z_MAX``; returns (value, sum of
+    |terms|) for node detection."""
+    _check_kummer_args(b, z)
     total = 1.0
     scale = 1.0
     term = 1.0
@@ -169,6 +157,103 @@ def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
         else:
             small = 0
     raise NoConvergenceError(f"Kummer series did not converge at (a={a}, b={b}, z={z})")
+
+
+def _kummer_block(a, b, z) -> tuple[np.ndarray, np.ndarray]:
+    """The Kummer series of S parameter pairs (``a``, ``b``, length S) at N
+    arguments ``z`` at once: (S, N) arrays of M and of the sum of |terms|,
+    equal element by element, bit for bit, to :func:`_kummer_series`, with
+    the same errors.
+
+    ``np.multiply.accumulate`` forms the terms and ``np.add.accumulate`` the
+    partial sums, both in the scalar loop's order.  A terminating series
+    (a = -k) takes its k terms in one block; the others run in chunks of 16
+    terms, then twice as many each round, and each element takes the partial
+    sum at its own stop, the third of three consecutive terms below
+    ``SERIES_REL_TOL`` of the sum.  The rest of its chunk is discarded.
+    """
+    a, b, z = (np.asarray(v, dtype=float).ravel() for v in (a, b, z))
+    value, scale = np.ones((a.size, z.size)), np.ones((a.size, z.size))
+    if not z.size:
+        return value, scale
+    z_ends = float(z.min()), float(z.max())
+    for b_s in b.tolist():
+        for z_n in z_ends:
+            _check_kummer_args(b_s, z_n)
+    degree = [round(-a_s) if is_nonpositive_integer(a_s) else -1 for a_s in a.tolist()]
+    poly = [s for s, k in enumerate(degree) if k >= 0]
+    rest = [s for s, k in enumerate(degree) if k < 0]
+    with np.errstate(all="ignore"):  # the discarded tail of a block may overflow
+        if poly:
+            value[poly], scale[poly] = _kummer_polynomials(a[poly], b[poly], z, [degree[s] for s in poly])
+        if rest:
+            value[rest], scale[rest] = _kummer_converging(a[rest], b[rest], z)
+    return value, scale
+
+
+def _kummer_ratios(a, b, z, j):
+    """term_{j+1} / term_j of the Kummer series, the scalar loop's expression."""
+    return (a + j) * z / ((b + j) * (j + 1.0))
+
+
+def _kummer_polynomials(a, b, z, degree: list[int]):
+    """:func:`_kummer_block` for a = -k: exactly k terms, no stopping rule."""
+    j = np.arange(max(degree), dtype=float)[:, None, None]
+    terms = np.empty((j.size + 1, a.size, z.size))
+    terms[0] = 1.0
+    terms[1:] = _kummer_ratios(a[:, None], b[:, None], z, j)
+    np.multiply.accumulate(terms, axis=0, out=terms)
+    last = (degree, np.arange(a.size))
+    return np.add.accumulate(terms, axis=0)[last], np.add.accumulate(np.abs(terms), axis=0)[last]
+
+
+def _kummer_converging(a, b, z):
+    """:func:`_kummer_block` for series that stop by the ``SERIES_REL_TOL`` rule."""
+    # one element per (series, argument) pair, row-major; live ones are still summing
+    ea, eb, ez = np.repeat(a, z.size), np.repeat(b, z.size), np.tile(z, a.size)
+    value, scale = np.empty(ea.size), np.empty(ea.size)
+    live = np.arange(ea.size)
+    term, total, absum = np.ones(ea.size), np.ones(ea.size), np.ones(ea.size)
+    tail = np.zeros((2, ea.size), dtype=bool)  # whether the last two terms were small
+    start, size = 0, 16
+    while live.size:
+        size = min(size, SERIES_MAX_TERMS - start)
+        # row i holds the state after term start + i - 1, row 0 the state before
+        terms = np.empty((size + 1, live.size))
+        terms[0] = term
+        terms[1:] = _kummer_ratios(ea[live], eb[live], ez[live], np.arange(start, start + size, dtype=float)[:, None])
+        np.multiply.accumulate(terms, axis=0, out=terms)
+        totals = terms.copy()
+        totals[0] = total
+        np.add.accumulate(totals, axis=0, out=totals)
+        mag, tot_mag = np.abs(terms[1:]), np.abs(totals[1:])
+        small = np.empty((size + 2, live.size), dtype=bool)
+        small[:2] = tail
+        np.less(mag, SERIES_REL_TOL * tot_mag, out=small[2:])
+        three = small[2:] & small[1:-1] & small[:-2]
+        done = three.any(axis=0)
+        stop = three.argmax(axis=0) + 1
+        if np.fmax.reduce(mag, axis=None) > _OVERFLOW_GUARD or np.fmax.reduce(tot_mag, axis=None) > _OVERFLOW_GUARD:
+            over = (mag > _OVERFLOW_GUARD) | (tot_mag > _OVERFLOW_GUARD)
+            over_at = np.where(over.any(axis=0), over.argmax(axis=0) + 1, size + 1)
+            overflowed = over_at <= np.where(done, stop, size)
+            if overflowed.any():
+                e = live[overflowed.argmax()]
+                raise SeriesOverflowError(f"Kummer series overflow at (a={ea[e]}, b={eb[e]}, z={ez[e]})")
+        if start + size == SERIES_MAX_TERMS and not done.all():
+            e = live[(~done).argmax()]
+            raise NoConvergenceError(f"Kummer series did not converge at (a={ea[e]}, b={eb[e]}, z={ez[e]})")
+        sums = np.abs(terms)
+        sums[0] = absum
+        np.add.accumulate(sums, axis=0, out=sums)
+        cols = np.flatnonzero(done)
+        value[live[cols]] = totals[stop[cols], cols]
+        scale[live[cols]] = sums[stop[cols], cols]
+        keep = ~done
+        live, tail = live[keep], small[-2:, keep]
+        term, total, absum = terms[-1, keep], totals[-1, keep], sums[-1, keep]
+        start, size = start + size, 2 * size
+    return value.reshape(a.size, z.size), scale.reshape(a.size, z.size)
 
 
 def kummer_m(a: float, b: float, z: float) -> float:
@@ -213,16 +298,32 @@ def tricomi_psi(a: float, b: float, z: float) -> float:
     :class:`ParameterError`.  When a (or a+1-b) is a non-positive integer the
     corresponding 1/Gamma factor vanishes and that term is dropped.
     """
+    return _psi_from(_psi_parts(a, b), z, lambda a_, b_: _kummer_series(a_, b_, z))
+
+
+def _psi_parts(a: float, b: float) -> tuple[tuple[float, float, float, float], ...]:
+    """The two terms of :func:`tricomi_psi`'s connection formula as
+    ``(1/G, G, a, b)`` of their Kummer series; the gamma factors depend on
+    (a, b) alone, so a sweep computes them once.  ``1/G = 0`` drops a term."""
     if abs(b - round(b)) <= 1e-9:
         raise ParameterError(f"integer b = {b}: logarithmic Tricomi limit not implemented")
+    first, second = reciprocal_gamma(a + 1.0 - b), reciprocal_gamma(a)
+    return ((first, gamma(1.0 - b) if first != 0.0 else 0.0, a, b),
+            (second, gamma(b - 1.0) if second != 0.0 else 0.0, a + 1.0 - b, 2.0 - b))
+
+
+def _psi_from(parts, z: float, series) -> float:
+    """Psi at z from :func:`_psi_parts` and ``series(a, b)``, the
+    ``(M, sum|terms|)`` pair of the Kummer series at z."""
     if z <= 0.0:
         raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {z}")
-    first = reciprocal_gamma(a + 1.0 - b)
+    (rgam1, gam1, a1, b1), (rgam2, gam2, a2, b2) = parts
+    first = rgam1
     if first != 0.0:
-        first *= gamma(1.0 - b) * kummer_m(a, b, z)
-    second = reciprocal_gamma(a)
+        first *= gam1 * series(a1, b1)[0]
+    second = rgam2
     if second != 0.0:
-        second *= gamma(b - 1.0) * checked_pow(z, 1.0 - b) * kummer_m(a + 1.0 - b, 2.0 - b, z)
+        second *= gam2 * checked_pow(z, 1.0 - b1) * series(a2, b2)[0]
     return first + second
 
 

@@ -31,6 +31,7 @@ from hodoflow.momentum import (
     RadialSolution,
     omega_matched_c1,
     radial_row,
+    radial_rows,
     zeta_bar,
 )
 from hodoflow.potentials import classical_potential, quantum_potential
@@ -494,6 +495,56 @@ class TestGridAgainstScalar:
         assert flagged["fold"][1] and flagged["tricomi+"][1]
         p, sol, fac, dom, grid = GRID_CASES["degenerate-corner"]
         assert min(abs(s.jac_inv) for s in sample_fields(p, sol, fac, dom, grid)) < 1e-10
+
+
+def _radial_solutions():
+    """name -> (params, sol): every radial kind the sweeps evaluate."""
+    p = ModelParams(n=2, ell=4)
+    out = {
+        kind: (p, RadialSolution.kummer(p, 2.5, branch=kind[-1], tricomi=kind.startswith("tricomi")))
+        for kind in ("kummer+", "kummer-", "tricomi+", "tricomi-")
+    }
+    out["laguerre"] = triple(2, 4, 3.0, 2, 7.0)[:2]
+    out["laguerre-m-node"] = triple(2, 0, 2.0, 1, 2.0)[:2]  # M(-1, 3, tau) = 0 at rho = sqrt(6) rho_T
+    out["omega"] = omega_chart(ModelParams(n=2, ell=0))[:2]
+    return out
+
+
+class TestRadialRows:
+    # tiny radii leave the float range, tau = 2.5 rho_bar^2 passes z_max = 50
+    # at rho_bar = 4.47, and rho_bar^2 passes the cap 50 at 7.07; Omega exists
+    # from rho_T on
+    RHO_BARS = (1e-40, 1e-30, 1e-3, 0.3, 0.9, 1.0, 1.5, math.sqrt(6.0), 2.8, 4.4, 4.5, 5.0, 7.0, 7.2, 12.0)
+
+    @pytest.mark.parametrize("name", sorted(_radial_solutions()))
+    def test_equals_scalar_rows(self, name):
+        p, sol = _radial_solutions()[name]
+        rhos = [r * p.rho_t for r in self.RHO_BARS]
+        want = []
+        for rho in rhos:
+            try:
+                want.append(radial_row(p, sol, rho))
+            except (DomainError, RegionError):
+                want.append((math.nan,) * 3)
+        got = radial_rows(p, sol, rhos)
+        np.testing.assert_array_equal(np.array(got).T, np.array(want))
+
+    def test_rows_cover_every_rejection(self):
+        # the comparison above is only as strong as its rows
+        def nan_rows(name):
+            p, sol = _radial_solutions()[name]
+            r, _, rcal = radial_rows(p, sol, [r * p.rho_t for r in self.RHO_BARS])
+            return [i for i, v in enumerate(r) if math.isnan(v)], [i for i, v in enumerate(rcal) if math.isnan(v)]
+
+        assert nan_rows("kummer+")[0] == [10, 11, 12, 13, 14]  # past z_max
+        assert nan_rows("kummer-")[0] == [0, 10, 11, 12, 13, 14]  # and rho_bar^nu overflows
+        assert nan_rows("tricomi+")[0] == [0, 1, 10, 11, 12, 13, 14]  # tau^(1-b) overflows
+        assert nan_rows("laguerre-m-node") == ([13, 14], [7, 13, 14])  # ell = 0: the cap; Rcal at the node
+        assert nan_rows("omega")[0] == [0, 1, 2, 3, 4, 13, 14]  # inside rho_T, past the cap
+
+    def test_no_rows(self):
+        p, sol = _radial_solutions()["kummer+"]
+        assert [col.shape for col in radial_rows(p, sol, [])] == [(0,)] * 3
 
 
 class TestSweepNeverAborts:

@@ -1,6 +1,6 @@
 """Special-function kernel checks against independent oracles.
 
-Oracles used here: the libm gamma, recurrence identities, principal-value
+Oracles used here: mpmath (optional), the libm gamma, recurrence identities, principal-value
 quadrature (scipy, a fully separate code path), central differences, and the
 direct monomial expansion of the Laguerre polynomials.
 """
@@ -13,11 +13,16 @@ from scipy import integrate
 
 from hodoflow.errors import (
     DomainError,
+    NoConvergenceError,
     ParameterError,
     PoleError,
+    SeriesOverflowError,
 )
 from hodoflow.specfun import (
     EULER_GAMMA,
+    SERIES_REL_TOL,
+    _kummer_block,
+    _kummer_series,
     checked_pow,
     expint_ei,
     gamma,
@@ -58,6 +63,22 @@ class TestGamma:
     def test_pole_error(self, x):
         with pytest.raises(PoleError):
             gamma(x)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        near_poles = [-k + d for k in (1, 3, 8, 12) for d in (1e-9, -1e-9, 1e-6, -1e-6)]
+        xs = [*rng.uniform(-12.0, 0.0, 400), *rng.uniform(0.0, 171.6, 400),
+              -11.999999, -8.998, 1e-9, *near_poles, 143.0, 150.0, 171.5]
+        with mpmath.workdps(40):
+            for x in xs:
+                want = mpmath.gamma(mpmath.mpf(x))
+                assert abs(gamma(x) - want) <= 1e-14 * abs(want), x
+
+    def test_beyond_float_range_raises(self):
+        assert gamma(150.0) == pytest.approx(3.8089226376305703e260, rel=1e-14)
+        with pytest.raises(DomainError):
+            gamma(172.0)
 
 
 class TestExpintEi:
@@ -168,6 +189,69 @@ class TestKummerM:
             kummer_m_scaled(1.0, 1.5, -0.5)
         with pytest.raises(DomainError):
             kummer_m_scaled(1.0, 1.5, 60.0)
+
+
+def _terms_used(a, b, z):
+    """Terms the converging Kummer series sums before its stopping rule holds."""
+    term = total = 1.0
+    small = 0
+    for j in range(4000):
+        term *= (a + j) * z / ((b + j) * (j + 1))
+        total += term
+        small = small + 1 if abs(term) < SERIES_REL_TOL * abs(total) else 0
+        if small == 3:
+            return j + 1
+
+
+class TestKummerBlock:
+    """The block kernel of the sweeps against the scalar series, its reference."""
+
+    @staticmethod
+    def _box():
+        rng = np.random.default_rng(2026)
+        a = rng.uniform(-12.0, 6.0, 48)
+        # terminating series, and values within the 1e-12 integer band on either side
+        a[:13] = -np.arange(13.0)
+        a[13:19] = -np.array([1.0, 2.0, 5.0, 9.0, 12.0, 3.0]) + np.array([1e-13, -1e-13] * 3)
+        return a, rng.uniform(0.6, 12.0, 48), np.concatenate([[0.0, 50.0], rng.uniform(0.0, 50.0, 38)])
+
+    def test_box_bit_for_bit(self):
+        a, b, z = self._box()
+        value, scale = _kummer_block(a, b, z)
+        assert value.shape == scale.shape == (a.size, z.size)
+        for i in range(a.size):
+            for j in range(z.size):
+                assert (value[i, j], scale[i, j]) == _kummer_series(a[i], b[i], z[j]), (a[i], b[i], z[j])
+
+    def test_box_reaches_chunk_edges(self):
+        # chunks hold terms 1-16, 17-48, 49-112: the box stops on the last term
+        # of a chunk, the first of the next, and with a run of small terms
+        # carried over the edge
+        a, b, z = self._box()
+        used = {_terms_used(a_s, b_s, z_n) for a_s, b_s in zip(a[19:], b[19:]) for z_n in z}
+        assert {16, 17, 18, 48, 49, 50} <= used
+
+    def test_no_arguments(self):
+        value, scale = _kummer_block([0.5, -2.0], [1.5, 3.0], [])
+        assert value.shape == scale.shape == (2, 0)
+
+    @pytest.mark.parametrize("a, b, z, error", [
+        (1.0, 0.0, 1.0, ParameterError),
+        (1.0, -3.0, 1.0, ParameterError),
+        (1.0, 1.5, -0.5, DomainError),
+        (1.0, 1.5, 60.0, DomainError),
+        (1e300, 1e-4, 50.0, SeriesOverflowError),  # on the first term
+        (5000.5, 1.5, 50.0, SeriesOverflowError),  # past the first chunks
+        (0.5, 1.5, math.nan, NoConvergenceError),
+    ])
+    def test_errors_match_scalar(self, a, b, z, error):
+        with pytest.raises(error):
+            _kummer_series(a, b, z)
+        with pytest.raises(error):
+            _kummer_block([a], [b], [z])
+        # one failing element fails the block
+        with pytest.raises(error):
+            _kummer_block([0.5, a], [2.5, b], [1.0, z])
 
 
 def _psi_ode_residual(a, b, z, h=None):

@@ -6,8 +6,10 @@ generalized Laguerre polynomial.
 Radial solutions separate as ``u(rho, theta) = R(rho) Theta(theta)``.  In the
 variable ``tau = ((ell+1)/n) (rho/rho_T)^n`` the radial equation is confluent
 hypergeometric, so R is a power times a Kummer M (regular branch) or Tricomi
-Psi (singular branch).  An angularly symmetric exact solution exists in the
-hyperbolic region built from the exponential integral.
+Psi (singular branch).  An angularly symmetric exact solution Omega exists in
+the hyperbolic region.  Omega and the oscillator-form substitution zeta are
+one antiderivative, summed as one power series in rho_bar^n; when ell = n k
+its k-th term carries the logarithm of the exponential integral.
 """
 
 from __future__ import annotations
@@ -133,28 +135,6 @@ def canonical_kappa(params: ModelParams, rho: float, branch: str) -> float:
 # Oscillator-form (Hill) substitution
 # ---------------------------------------------------------------------------
 
-def _beta(n: float, k: int) -> float:
-    return k + 1.0 / n
-
-
-def _j_recurrence(n: float, k: int, x: float) -> float:
-    """J_{n,k}(x): antiderivative of exp(beta_k x^n) / x^(kn+1), by recurrence."""
-    if k == 0:
-        return specfun.expint_ei(_beta(n, 0) * x ** n) / n
-    bk, bk1 = _beta(n, k), _beta(n, k - 1)
-    scaled = _j_recurrence(n, k - 1, x * (bk / bk1) ** (1.0 / n))
-    return bk ** k / (k * bk1 ** (k - 1)) * scaled - math.exp(bk * x ** n) / (k * n * x ** (k * n))
-
-
-def _i_recurrence(n: float, k: int, x: float) -> float:
-    """I_{n,k}(x): antiderivative of exp(beta_k x) / x^(k+1), by recurrence."""
-    if k == 0:
-        return specfun.expint_ei(_beta(n, 0) * x)
-    bk, bk1 = _beta(n, k), _beta(n, k - 1)
-    scaled = _i_recurrence(n, k - 1, x * bk / bk1)
-    return bk ** k / (k * bk1 ** (k - 1)) * scaled - math.exp(bk * x) / (k * x ** k)
-
-
 def _integer_quotient(ell: float, n: float) -> int | None:
     """k >= 0 with ell = n k, if one exists within 1e-9."""
     q = ell / n
@@ -175,40 +155,58 @@ def _check_rho_bar(params: ModelParams, rho: float) -> float:
     return rb
 
 
-def hill_substitution_zeta(params: ModelParams, rho: float) -> float:
-    """Radial substitution zeta(rho) that removes the first-derivative term.
+def _hill_integral(params: ModelParams, rho: float) -> float:
+    """The antiderivative I(x) of ``x^-(q+1) e^(coef x)`` at ``x = rho_bar^n``
+    (``coef = (ell+1)/n``, ``q = ell/n``) that zeta and Omega share:
+    ``I = x^-q sum_j (coef x)^j / (j! (j - q))``.
 
-    For ell = n k the antiderivative closes through the exponential integral
-    (recurrence ``_j_recurrence``); otherwise the entire power series is
-    summed.  The two branches differ by an additive constant that diverges as
-    ell -> n k, so only differences (or the derivative ``zeta_bar``) are
-    branch-independent.
+    When ell = n k the j = k term is ``(coef x)^k / k! (ln(coef x) +
+    euler_gamma - H_k)`` instead, H_k the k-th harmonic number: the constant
+    of the closed form through the exponential integral (``Ei(coef x)`` for
+    k = 0, integration by parts for each higher k).  That constant diverges
+    as ell -> n k, so only differences (or the derivative) are continuous in
+    ell there.  Raises :class:`DomainError` above ``RHO_BAR_N_CAP`` and where
+    the sum leaves the float range.
     """
     rb = _check_rho_bar(params, rho)
     n, ell = params.n, params.ell
+    x = rb ** n
+    if x == 0.0:
+        raise DomainError(f"rho_bar^n underflows to 0 at rho = {rho}")
+    z = (ell + 1.0) / n * x
     k = _integer_quotient(ell, n)
-    if k is not None:
-        val = _j_recurrence(n, k, rb)
-    else:
-        x = rb ** n
-        coef = (ell + 1.0) / n
-        power = 1.0  # coef^k / k!
-        total = 0.0
-        small = 0
-        for j in range(SERIES_MAX_TERMS):
-            term = power * rb ** (n * j - ell) / (n * j - ell)
-            total += term
-            if abs(term) < SERIES_REL_TOL * max(abs(total), 1e-300):
-                small += 1
-                if small >= 3 and n * j > ell + x:  # past the series hump
-                    break
-            else:
-                small = 0
-            power *= coef / (j + 1)
+    q = ell / n if k is None else k
+    power = 1.0  # z^j / j!
+    total = 0.0
+    small = 0
+    for j in range(SERIES_MAX_TERMS):
+        if j == k:
+            term = power * (math.log(z) + specfun.EULER_GAMMA - sum(1.0 / i for i in range(1, k + 1)))
         else:
-            raise DomainError(f"zeta series did not converge at rho_bar = {rb}")
-        val = total
-    return params.c0 * params.rho_t * val
+            term = power / (j - q)
+        total += term
+        if abs(term) < SERIES_REL_TOL * abs(total):
+            small += 1
+            if small >= 3 and j > max(z, q):  # past the series hump and the pole
+                break
+        elif math.isinf(term):
+            raise DomainError(f"the Hill integral at rho_bar = {rb} is beyond the float range")
+        else:
+            small = 0
+        power *= z / (j + 1)
+    else:
+        raise DomainError(f"the Hill integral series did not converge at rho_bar = {rb}")
+    value = total * specfun.checked_pow(x, -q)
+    if not math.isfinite(value):
+        raise DomainError(f"the Hill integral at rho_bar = {rb} is beyond the float range")
+    return value
+
+
+def hill_substitution_zeta(params: ModelParams, rho: float) -> float:
+    """Radial substitution zeta(rho) that removes the first-derivative term:
+    ``c0 rho_T I / n``, I the Hill integral (:func:`_hill_integral`), so
+    that zeta' = :func:`zeta_bar`."""
+    return params.c0 * params.rho_t * (_hill_integral(params, rho) / params.n)
 
 
 def zeta_bar(params: ModelParams, rho: float) -> float:
@@ -501,52 +499,28 @@ def _radial_values(params: ModelParams, sol: RadialSolution, psi, rb: float, tau
     return value, slope, rcal
 
 
-def _require_hyperbolic(params: ModelParams, rho: float, what: str = "hyperbolic solution") -> None:
+def _require_hyperbolic(params: ModelParams, rho: float) -> None:
     if rho < params.rho_t * (1.0 - _REL_BAND):
-        raise RegionError(f"{what} needs rho >= rho_T, got {rho}")
+        raise RegionError(f"hyperbolic solution needs rho >= rho_T, got {rho}")
 
 
 def mu_plus(params: ModelParams, rho: float) -> float:
-    """Radial canonical coordinate of the hyperbolic region (zero on the sonic circle)."""
-    _require_hyperbolic(params, rho, "mu_plus")
-    eps = max(params.rho_bar(rho) ** params.n - 1.0, 0.0)
-    s = math.sqrt(eps)
-    return 2.0 * math.sqrt(params.ell + 1.0) / params.n * (s - math.atan(s))
+    """Radial canonical coordinate of the hyperbolic region (zero on the sonic
+    circle): the radial part of the hyperbolic characteristic chi."""
+    return characteristic_chi(params, CharacteristicKind.HYPERBOLIC_PLUS, rho, 0.0)
 
 
 def hyperbolic_omega(params: ModelParams, rho: float) -> float:
-    """Angularly symmetric exact solution in the hyperbolic region.
-
-    ``Omega(rho) = (c1 sqrt(ell+1)/n) e^(-(ell+1)/n) [ I_{n,k}(rho_bar^n) + c2 ]``
-    when ell = n k, and the entire-series analogue otherwise.  Depends on rho
-    only; the angular average of any flow built on it is trivially preserved.
+    """Angularly symmetric exact solution in the hyperbolic region,
+    ``Omega(rho) = (c1 sqrt(ell+1)/n) e^(-(ell+1)/n) [I(rho_bar^n) + c2]``
+    with ``I`` the Hill integral (:func:`_hill_integral`) that zeta uses.
+    Depends on rho only; the angular average of any flow built on it is
+    trivially preserved.
     """
     _require_hyperbolic(params, rho)
-    rb = _check_rho_bar(params, rho)
     n, ell = params.n, params.ell
-    x = rb ** n  # = eps_n + 1
     pref = params.c1 * math.sqrt(ell + 1.0) / n * math.exp(-(ell + 1.0) / n)
-    k = _integer_quotient(ell, n)
-    if k is not None:
-        core = _i_recurrence(n, k, x)
-    else:
-        coef = (ell + 1.0) / n
-        power = 1.0
-        core = 0.0
-        small = 0
-        for j in range(SERIES_MAX_TERMS):
-            term = n * power * x ** (j - ell / n) / (j * n - ell)
-            core += term
-            if abs(term) < SERIES_REL_TOL * max(abs(core), 1e-300):
-                small += 1
-                if small >= 3 and j > coef * x:
-                    break
-            else:
-                small = 0
-            power *= coef / (j + 1)
-        else:
-            raise DomainError(f"omega series did not converge at rho_bar = {rb}")
-    return pref * (core + params.c2)
+    return pref * (_hill_integral(params, rho) + params.c2)
 
 
 def omega_slope(params: ModelParams, rho: float) -> float:

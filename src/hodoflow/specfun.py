@@ -14,6 +14,7 @@ sweep as one NumPy block.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -65,14 +66,19 @@ def gamma(x: float) -> float:
     """Gamma function of a real argument (the C library's, through :func:`math.gamma`).
 
     Raises :class:`PoleError` at 0, -1, -2, ... (within 1e-12) and
-    :class:`DomainError` where gamma leaves the float range (x above 171.6).
+    :class:`DomainError` where gamma leaves the normal float range: above
+    x = 171.6, and where ``|gamma|`` falls below the smallest normal float
+    (x below about -170.5, away from the poles).
     """
     if is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")
     try:
-        return math.gamma(x)
+        value = math.gamma(x)
     except OverflowError:
         raise DomainError(f"gamma({x}) is beyond the float range") from None
+    if abs(value) < sys.float_info.min:
+        raise DomainError(f"gamma({x}) underflows the float range")
+    return value
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -265,15 +271,6 @@ def kummer_m(a: float, b: float, z: float) -> float:
     return _kummer_series(a, b, z)[0]
 
 
-def kummer_m_scaled(a: float, b: float, z: float) -> tuple[float, float]:
-    """M(a, b, z) together with the sum of absolute series terms.
-
-    The second value is the natural local scale against which a near-zero of
-    M is detected (nodal lines of the radial factor).
-    """
-    return _kummer_series(a, b, z)
-
-
 def kummer_m_deriv(a: float, b: float, z: float) -> float:
     """dM/dz via the contiguity relation M'(a, b, z) = (a/b) M(a+1, b+1, z)."""
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z)
@@ -281,7 +278,7 @@ def kummer_m_deriv(a: float, b: float, z: float) -> float:
 
 def kummer_vanishes(value: float, scale: float) -> bool:
     """Whether M is zero at working precision, given the ``(M, sum|terms|)``
-    pair of :func:`kummer_m_scaled`: a nodal line of the radial factor, where
+    pair of :func:`_kummer_series`: a nodal line of the radial factor, where
     the log-derivative M'/M has a pole."""
     return abs(value) < KUMMER_NODE_TOL * max(1.0, scale)
 

@@ -197,29 +197,21 @@ def pde_residual_momentum(
     grid: tuple[int, int],
     tol: float = 1e-5,
     name: str = "momentum-pde",
-    h_sweep: bool = False,
 ) -> VerificationReport:
     """Finite-difference residual of the polar momentum-space equation.
 
     ``u_rr + g (u_r / rho + u_tt / rho^2)`` normalized per point by the
     largest term magnitude.  The steps, ``2e-4 rho_T`` and ``2e-4``, are
-    truncation-dominated, so an h-sweep (h vs h/2) shrinks residuals ~4x.
+    truncation-dominated.
     """
     hr, ht = 2e-4 * params.rho_t, 2e-4
     points = [(float(rho), float(theta))
               for rho in np.linspace(domain.rho_min, domain.rho_max, grid[0])
               for theta in np.linspace(domain.theta_min, domain.theta_max, grid[1])]
-
-    def sweep(step_r: float, step_t: float) -> tuple[list[float], int]:
-        return _residuals(points, lambda rho, theta: _momentum_residual_at(
-            params, u_fn, rho, theta, step_r, step_t))
-
+    residuals, skipped = _residuals(points, lambda rho, theta: _momentum_residual_at(
+        params, u_fn, rho, theta, hr, ht))
     grid_note = f"{grid[0]}x{grid[1]} rho[{domain.rho_min:.4g},{domain.rho_max:.4g}] h={hr:.2e}"
-    coarse, skipped = sweep(hr, ht)
-    if not h_sweep:
-        return report_from_residuals(name, grid_note, coarse, tol, skipped, len(points))
-    fine, skipped = sweep(hr / 2.0, ht / 2.0)
-    return _h_sweep_report(name, grid_note, coarse, fine, tol, skipped, len(points))
+    return report_from_residuals(name, grid_note, residuals, tol, skipped, len(points))
 
 
 def chart_phi_fn(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hodoflow import verify
-from hodoflow.errors import NodeError, ParameterError, RegionError, SaturationWarning
+from hodoflow.errors import DomainError, NodeError, ParameterError, RegionError, SaturationWarning
 from hodoflow.mapping import SectorDomain
 from hodoflow.maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant
 from hodoflow.momentum import (
@@ -348,6 +348,81 @@ class TestHyperbolicOmega:
             p = ModelParams(n=2, ell=ell)
             d = hyperbolic_omega(p, rho_b) - hyperbolic_omega(p, rho_a)
             assert d == pytest.approx(d_ref, rel=1e-4)
+
+
+def _mp_hill_integral(mpmath, n, ell, x):
+    """The Hill integral I(x) in mpmath: the Ei recurrence in k when
+    ell = n k, the summed power series otherwise."""
+    n, ell, x = mpmath.mpf(n), mpmath.mpf(ell), mpmath.mpf(x)
+    q = ell / n
+    k = int(mpmath.nint(q))
+    if abs(q - k) < 1e-9:
+        coef = [i + 1 / n for i in range(k + 1)]
+
+        def recurrence(k, x):
+            if k == 0:
+                return mpmath.ei(coef[0] * x)
+            step = coef[k] ** k / (k * coef[k - 1] ** (k - 1))
+            return step * recurrence(k - 1, x * coef[k] / coef[k - 1]) - mpmath.exp(coef[k] * x) / (k * x ** k)
+
+        return recurrence(k, x)
+    z = (ell + 1) / n * x
+    total, power, j = mpmath.mpf(0), mpmath.mpf(1), 0
+    while True:
+        term = power / (j - q)
+        total += term
+        if j > z and j > q and abs(term) < mpmath.mpf(10) ** -70 * abs(total):
+            return x ** -q * total
+        j += 1
+        power *= z / j
+
+
+class TestHillIntegral:
+    """zeta and Omega share one antiderivative, the Hill integral."""
+
+    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_against_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for k in range(9):
+                for ell in (n * k, n * k + 0.37):
+                    p = ModelParams(n=n, ell=ell)
+                    for x_target in (0.25, 0.8, 1.0, 2.5, 7.0, 20.0, 49.9):
+                        rho = x_target ** (1.0 / n) * p.rho_t
+                        x = p.rho_bar(rho) ** n
+                        hill = _mp_hill_integral(mpmath, n, ell, x)
+                        want = p.c0 * p.rho_t * hill / n
+                        got = hill_substitution_zeta(p, rho)
+                        assert abs(got - want) <= 1e-12 * abs(want), ("zeta", n, ell, x)
+                        if x_target < 1.0:
+                            continue
+                        pref = p.c1 * mpmath.sqrt(ell + 1) / n * mpmath.exp(-(mpmath.mpf(ell) + 1) / n)
+                        want = pref * (hill + p.c2)
+                        got = hyperbolic_omega(p, rho)
+                        assert abs(got - want) <= 1e-12 * abs(want), ("omega", n, ell, x)
+
+    @pytest.mark.parametrize("n, k, rho_bar", [(2.0, 3, 1.5), (1.0, 8, 30.0), (1.5, 5, 9.0), (4.0, 6, 2.6)])
+    def test_fd_derivatives_high_k(self, n, k, rho_bar):
+        p = ModelParams(n=n, ell=n * k, c1=0.8, c2=0.3)
+        rho = rho_bar * p.rho_t
+        h = 1e-7 * p.rho_t
+        fd = fd_derivative(lambda r: hill_substitution_zeta(p, r), rho, h=h)
+        assert fd == pytest.approx(zeta_bar(p, rho), rel=1e-6)
+        fd = fd_derivative(lambda r: hyperbolic_omega(p, r), rho, h=h)
+        assert fd == pytest.approx(omega_slope(p, rho), rel=1e-6)
+
+    def test_beyond_float_range_raises(self):
+        # coef x = 15.75 * 48: the series' terms leave the float range
+        p = ModelParams(n=2, ell=30.5)
+        rho = math.sqrt(48.0) * p.rho_t
+        with pytest.raises(DomainError):
+            hyperbolic_omega(p, rho)
+        with pytest.raises(DomainError):
+            hill_substitution_zeta(p, rho)
+        # rho_bar^n underflows to 0, where ln(coef x) is undefined
+        for ell in (0.0, 2.0):
+            with pytest.raises(DomainError):
+                hill_substitution_zeta(ModelParams(n=2, ell=ell), 1e-200)
 
 
 class TestMuPlus:

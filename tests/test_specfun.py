@@ -28,9 +28,9 @@ from hodoflow.specfun import (
     gamma,
     kummer_m,
     kummer_m_deriv,
-    kummer_m_scaled,
     kummer_vanishes,
     laguerre,
+    reciprocal_gamma,
     tricomi_psi,
     tricomi_psi_deriv,
 )
@@ -79,6 +79,16 @@ class TestGamma:
         assert gamma(150.0) == pytest.approx(3.8089226376305703e260, rel=1e-14)
         with pytest.raises(DomainError):
             gamma(172.0)
+
+    def test_underflow_raises(self):
+        # -170.5 still has a normal float value; further down gamma underflows
+        # to a subnormal (-171.2) or to -0.0 (-200.5), and 1/gamma overflows
+        assert gamma(-170.5) == pytest.approx(-3.3127395215386e-308, rel=1e-12)
+        for x in (-171.2, -200.5):
+            with pytest.raises(DomainError):
+                gamma(x)
+        with pytest.raises(DomainError):
+            reciprocal_gamma(-200.5)
 
 
 class TestExpintEi:
@@ -144,13 +154,11 @@ class TestKummerM:
         # At larger z the comparison is checked at machine level relative to
         # the magnitude of the summed terms (the identity is exact; only the
         # conditioning of the evaluation degrades near polynomial roots).
-        from hodoflow.specfun import kummer_m_scaled
-
         for k in range(0, 13):
             for abar in (0.5, 3.0, 10.0):
                 for z in (1.3, 4.2, 9.5):
                     c0 = gamma(1.0 + k) * gamma(1.0 + abar) / gamma(1.0 + abar + k)
-                    lhs, scale = kummer_m_scaled(float(-k), 1.0 + abar, z)
+                    lhs, scale = _kummer_series(float(-k), 1.0 + abar, z)
                     rhs = c0 * laguerre(k, abar, z)
                     assert abs(lhs - rhs) <= 1e-13 * scale
 
@@ -182,13 +190,13 @@ class TestKummerM:
             kummer_m(1.0, 1.5, -0.5)
         with pytest.raises(DomainError):
             kummer_m(1.0, 1.5, 60.0)  # beyond KUMMER_Z_MAX
-        # kummer_m_scaled shares the checks
+        # the (value, scale) series shares the checks
         with pytest.raises(ParameterError):
-            kummer_m_scaled(1.0, -3.0, 1.0)
+            _kummer_series(1.0, -3.0, 1.0)
         with pytest.raises(DomainError):
-            kummer_m_scaled(1.0, 1.5, -0.5)
+            _kummer_series(1.0, 1.5, -0.5)
         with pytest.raises(DomainError):
-            kummer_m_scaled(1.0, 1.5, 60.0)
+            _kummer_series(1.0, 1.5, 60.0)
 
 
 def _terms_used(a, b, z):
@@ -357,8 +365,8 @@ class TestKummerLogDeriv:
 
     def test_node_detection(self):
         # M(-1, 0.5, z) = 1 - 2 z vanishes at z = 0.5, and only there
-        assert kummer_vanishes(*kummer_m_scaled(-1.0, 0.5, 0.5))
-        assert not kummer_vanishes(*kummer_m_scaled(-1.0, 0.5, 0.5 + 1e-9))
+        assert kummer_vanishes(*_kummer_series(-1.0, 0.5, 0.5))
+        assert not kummer_vanishes(*_kummer_series(-1.0, 0.5, 0.5 + 1e-9))
 
 
 class TestCheckedPow:

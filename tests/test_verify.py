@@ -11,6 +11,7 @@ from hodoflow.momentum import AngularFactor, RadialSolution, factorized_u
 from hodoflow.specfun import expint_ei
 from hodoflow.verify import (
     VerificationReport,
+    _h_sweep_report,
     adaptive_quad,
     fd_derivative,
     pde_residual_momentum,
@@ -105,18 +106,14 @@ class TestMomentumResidualHarness:
         assert rep.passed
 
     def test_h_sweep_flags_wrong_solution(self):
-        # a function that does NOT solve the equation: residual must not
+        # residuals of a function that does NOT solve the equation do not
         # shrink under h refinement, so the sweep marks the report failed
-        p = ModelParams(n=2, ell=2)
-        dom = SectorDomain(0.4 * p.rho_t, 1.5 * p.rho_t, 0.1, 0.9)
-        rep = pde_residual_momentum(p, lambda r, t: r ** 2 + t, dom, grid=(4, 4), tol=1e-5, h_sweep=True)
+        rep = _h_sweep_report("momentum-pde", "4x4", [0.31, 0.12], [0.30, 0.11], 1e-5, 0, 2)
         assert not rep.passed
+        assert rep.max_abs == math.inf and rep.grid_spec.endswith("[no-shrink]")
 
     def test_h_sweep_passes_true_solution(self):
-        p = ModelParams(n=2, ell=4)
-        sol = RadialSolution.kummer(p, 3.0)
-        fac = AngularFactor(lam=3.0, c1=1.0, c2=0.2)
-        dom = SectorDomain(0.4 * p.rho_t, 1.6 * p.rho_t, 0.15, 0.8)
-        u = lambda r, t: factorized_u(p, sol, fac, r, t)
-        rep = pde_residual_momentum(p, u, dom, grid=(6, 6), tol=1e-5, h_sweep=True)
+        # truncation error of a true solution: halving h quarters the residual
+        rep = _h_sweep_report("momentum-pde", "6x6", [8e-6, 4e-6], [2e-6, 1e-6], 1e-5, 0, 2)
         assert rep.passed, rep
+        assert rep.max_abs == 2e-6

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import momentum, potentials
+from . import maxwell, momentum, potentials, specfun
 from .errors import (
     DegenerateMapError,
     DomainError,
@@ -32,7 +32,7 @@ from .errors import (
     RegionError,
     UnivalenceWarning,
 )
-from .maxwell import ModelParams, RegionTag, classify, coeff_g, density_F
+from .maxwell import ModelParams, RegionTag, classify, coeff_g
 from .momentum import AngularFactor, RadialKind, RadialSolution
 
 
@@ -117,7 +117,8 @@ def _require_chart(sol: RadialSolution, fac: AngularFactor) -> None:
 
 def _weights(rho, r, rp, lam):
     """Node-free radial combinations w1 = R (Rcal - 1) and w2 = R (Rcal - lam^2)."""
-    return rho * rp - r, rho * rp - lam ** 2 * r
+    rho_rp = rho * rp
+    return rho_rp - r, rho_rp - lam ** 2 * r
 
 
 def _image(rho, r, rp, g, lam, th, thp, cos_t, sin_t):
@@ -140,63 +141,72 @@ def _fold_form(w1, w2, g, th, thp):
     return (w1 * thp) ** 2 + g * (w2 * th) ** 2
 
 
-def _fold_angles(w1: float, w2: float, g: float, fac: AngularFactor, lo: float, hi: float) -> list[float]:
-    """Angles in (lo, hi), ascending, where P vanishes at one rho (closed form).
+def _fold_angles(w1, w2, g, fac: AngularFactor, lo: float, hi: float) -> np.ndarray:
+    """Angles where P vanishes at each rho (closed form), one row per rho, in
+    ascending order within (lo, hi) and padded to a common width with ``hi``.
 
     P takes both signs only where ``g < 0``.  With ``S = c1^2 + c2^2`` and
     ``y = lam theta - atan2(c1, c2)``, Theta = sqrt(S) cos y and
     ``P = S (lam^2 w1^2 sin^2 y + g w2^2 cos^2 y)``, zero at ``y = +-y0 + k pi``,
-    ``y0 = atan2(sqrt(-g) |w2|, lam |w1|)``.  For lam = 0,
+    ``y0 = atan2(sqrt(-g) |w2|, lam |w1|)`` in [0, pi/2], so one range of k,
+    with a margin of one on each side, serves every row.  For lam = 0,
     ``P = c1^2 w1^2 + g w2^2 s^2`` with ``s = c1 theta + c2``, zero at
     ``s = +-|c1 w1| / (sqrt(-g) |w2|)``.
     """
     c1, c2, lam = fac.c1, fac.c2, fac.lam
-    if not g < 0.0 or w2 == 0.0 or (lam == 0.0 and c1 == 0.0):
-        return []
+    folds = (g < 0.0) & (w2 != 0.0) & (lam != 0.0 or c1 != 0.0)
+    if not folds.any():
+        return np.full((w1.size, 0), hi)
+    # math's functions row by row: NumPy's atan2 can differ from them in the last bit
+    rows = zip(folds.tolist(), w1.tolist(), w2.tolist(), g.tolist())
     if lam == 0.0:
-        s0 = abs(c1 * w1) / (math.sqrt(-g) * abs(w2))
-        cands = [(-s0 - c2) / c1, (s0 - c2) / c1]
+        s0 = np.array([abs(c1 * v1) / (math.sqrt(-gk) * abs(v2)) if fold else 0.0 for fold, v1, v2, gk in rows])
+        cands = np.stack([(-s0 - c2) / c1, (s0 - c2) / c1], axis=-1)
     else:
         phi0 = math.atan2(c1, c2)
-        y0 = math.atan2(math.sqrt(-g) * abs(w2), lam * abs(w1))
-        k_lo = math.floor((lam * lo - phi0 - y0) / math.pi)
-        k_hi = math.ceil((lam * hi - phi0 + y0) / math.pi)
-        cands = [(phi0 + y + k * math.pi) / lam for k in range(k_lo, k_hi + 1) for y in (-y0, y0)]
-    return sorted(t for t in cands if lo < t < hi)
+        y0 = np.array([[math.atan2(math.sqrt(-gk) * abs(v2), lam * abs(v1)) if fold else 0.0]
+                       for fold, v1, v2, gk in rows])
+        k = np.arange(math.floor((lam * lo - phi0) / math.pi) - 1, math.ceil((lam * hi - phi0) / math.pi) + 2)
+        cands = np.concatenate([(phi0 - y0 + k * math.pi) / lam, (phi0 + y0 + k * math.pi) / lam], axis=-1)
+    return np.sort(np.where(folds[:, None] & (lo < cands) & (cands < hi), cands, hi), axis=-1)
 
 
-def _abs_jac_inv_arc(rho: float, r: float, rp: float, g: float, fac: AngularFactor,
-                     lo: float, hi: float) -> float:
-    """Exact integral of |J^-1| over theta in [lo, hi] at one rho.
+def _abs_jac_inv_arc(rho, r, rp, g, fac: AngularFactor, lo: float, hi: float) -> np.ndarray:
+    """Exact integral of |J^-1| over theta in [lo, hi] at each rho: one
+    radial row per element of the arrays ``rho, r, rp, g``.
 
     P (:func:`_fold_form`) is a trigonometric polynomial of degree one in
     ``2 lam theta`` (a quadratic in theta for lam = 0), so it has a closed
     antiderivative; splitting at :func:`_fold_angles` makes the integral of
-    ``|P|`` the sum of the absolute integrals of the pieces.
+    ``|P|`` the sum of the absolute integrals of the pieces.  A row with
+    fewer folds than the widest has pieces of zero width at ``hi``.
     """
-    w1, w2 = _weights(rho, r, rp, fac.lam)
-    a, b = (fac.lam * w1) ** 2, g * w2 ** 2
-    cuts = [lo, *_fold_angles(w1, w2, g, fac, lo, hi), hi]
-    total = 0.0
-    for t1, t2 in zip(cuts[:-1], cuts[1:]):
+    with np.errstate(all="ignore"):
+        w1, w2 = _weights(rho, r, rp, fac.lam)
+        folds = _fold_angles(w1, w2, g, fac, lo, hi)
+        cuts = np.empty((rho.size, folds.shape[1] + 2))
+        cuts[:, 0], cuts[:, 1:-1], cuts[:, -1] = lo, folds, hi
+        t1, t2 = cuts[:, :-1], cuts[:, 1:]
+        b = (g * w2 ** 2)[:, None]
         if fac.lam == 0.0:
             s1, s2 = fac.value(t1), fac.value(t2)
-            piece = (t2 - t1) * ((fac.c1 * w1) ** 2 + b * (s1 * s1 + s1 * s2 + s2 * s2) / 3.0)
+            pieces = (t2 - t1) * (((fac.c1 * w1) ** 2)[:, None] + b * (s1 * s1 + s1 * s2 + s2 * s2) / 3.0)
         else:
+            a = ((fac.lam * w1) ** 2)[:, None]
             # d is half the integral of cos(2 y) over the piece
             y_sum = fac.lam * (t1 + t2) - 2.0 * math.atan2(fac.c1, fac.c2)
-            d = math.cos(y_sum) * math.sin(fac.lam * (t2 - t1)) / (2.0 * fac.lam)
-            piece = (fac.c1 ** 2 + fac.c2 ** 2) * ((a + b) * (t2 - t1) / 2.0 + (b - a) * d)
-        total += abs(piece)
-    return total / rho ** 4
+            d = np.cos(y_sum) * np.sin(fac.lam * (t2 - t1)) / (2.0 * fac.lam)
+            pieces = (fac.c1 ** 2 + fac.c2 ** 2) * ((a + b) * (t2 - t1) / 2.0 + (b - a) * d)
+        # summed in the order of the pieces, as a running total
+        return np.add.accumulate(np.abs(pieces), axis=-1)[:, -1] / specfun._power(rho, 4)
 
 
-def _arc_kink_terms(rho: float, r: float, rp: float, g: float, fac: AngularFactor,
-                    lo: float, hi: float) -> tuple[float, ...]:
+def _arc_kink_terms(rho, r, rp, g, fac: AngularFactor, lo: float, hi: float) -> tuple:
     """Where one of these changes sign along rho, the theta integral of |J^-1|
     has a kink: P at either edge (a fold enters or leaves the sector) and
     w1, w2 (two folds merge).  The discriminant of the fold condition is
-    ``-lam^2 w1^2 g w2^2``; its other factor, g, vanishes at rho_T."""
+    ``-lam^2 w1^2 g w2^2``; its other factor, g, vanishes at rho_T.  Plain
+    arithmetic: floats give one rho, arrays every rho of a scan."""
     w1, w2 = _weights(rho, r, rp, fac.lam)
     p_lo, p_hi = (_fold_form(w1, w2, g, fac.value(t), fac.deriv(t)) for t in (lo, hi))
     return w1, w2, p_lo, p_hi
@@ -361,19 +371,6 @@ def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.
     )
 
 
-def _row_densities(params: ModelParams, rhos: list[float], norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """F(|alpha| rho) per row, NaN and True in the second array where F is singular."""
-    dens, singular = [], []
-    for rho in rhos:
-        try:
-            dens.append(density_F(params, abs(params.alpha) * rho, norm))
-            singular.append(False)
-        except DomainError:
-            dens.append(math.nan)
-            singular.append(True)
-    return np.array(dens), np.array(singular)
-
-
 def _records(
     params: ModelParams,
     rhos: np.ndarray,
@@ -393,7 +390,8 @@ def _records(
     shape = (rhos.size, thetas.size)
     rho_list = rhos.tolist()
     rho = rhos[:, None]
-    density, density_singular = _row_densities(params, rho_list, norm)
+    density = maxwell._density(params, abs(params.alpha) * rhos, norm)
+    density_singular = np.isnan(density)
     x, y, phi, q_pot, u_pot, jac_inv = grids
     q_pot, u_pot = (np.where(density_singular[:, None], math.nan, a) for a in (q_pot, u_pot))
     vx, vy = -params.alpha * rho * np.cos(thetas), -params.alpha * rho * np.sin(thetas)
@@ -428,8 +426,9 @@ def sample_fields(
     """Full field records on a (rho, theta) product grid, row-major in rho.
 
     The solution separates as ``u = R(rho) Theta(theta)``, so the radial
-    factor is evaluated once per rho row, the series of all rows summed as
-    one NumPy block (:func:`momentum.radial_rows`), and Theta once per theta
+    factor is evaluated once per rho row, all rows as arrays
+    (:func:`momentum.radial_rows`, with g and the density F from the arrays
+    that :func:`maxwell.normalization_sector` uses), and Theta once per theta
     column; the map, the inverse Jacobian and both potentials are then
     broadcast over the grid.  Each value equals the scalar path's (:func:`forward_map`,
     :func:`potentials.quantum_potential`, ...) to rounding.
@@ -460,7 +459,7 @@ def sample_fields(
         momentum._require_hyperbolic(params, domain.rho_min)
     rhos, thetas = _grid(domain, grid)
     r, rp, rcal = (col[:, None] for col in momentum.radial_rows(params, sol, rhos))
-    g = np.array([coeff_g(params, rho) for rho in rhos.tolist()])[:, None]
+    g = maxwell._g(params, rhos)[:, None]
     rho = rhos[:, None]
     with np.errstate(all="ignore"):
         th, thp = fac.value(thetas), fac.deriv(thetas)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from itertools import islice
 
 import numpy as np
 
@@ -92,8 +92,9 @@ class ModelParams:
         return rho / self.rho_t
 
     def tau(self, rho: float) -> float:
-        """Kummer argument tau = ((ell+1)/n) (rho/rho_T)^n."""
-        return (self.ell + 1.0) / self.n * self.rho_bar(rho) ** self.n
+        """Kummer argument tau = ((ell+1)/n) (rho/rho_T)^n; :class:`DomainError`
+        where the power leaves the float range."""
+        return (self.ell + 1.0) / self.n * specfun.checked_pow(self.rho_bar(rho), self.n)
 
     def with_(self, **kw) -> "ModelParams":
         return replace(self, **kw)
@@ -107,13 +108,19 @@ def density_F(params: ModelParams, z: float, norm: float = 1.0) -> float:
     """
     if z < 0.0:
         raise DomainError(f"speed must be non-negative, got {z}")
-    if z == 0.0:
-        if params.ell < 0.0:
-            raise DomainError("F has a power singularity at z = 0 for -1 < ell < 0")
-        return norm if params.ell == 0.0 else 0.0
+    if z == 0.0 and params.ell < 0.0:
+        raise DomainError("F has a power singularity at z = 0 for -1 < ell < 0")
+    return _density(params, z, norm)
+
+
+def _density(params: ModelParams, z, norm: float):
+    """F at a speed z >= 0, or at each speed of an array, NaN where F is
+    singular (z = 0 with ell < 0); the powers and the exponential are
+    Python's, so both give :func:`density_F`'s bits."""
     w = z / params.sigma_v
     c = (params.ell + 1.0) / params.n
-    return norm * c ** (params.ell / params.n) * w ** params.ell * math.exp(-c * w ** params.n)
+    decay = specfun._exp(-c * specfun._power(w, params.n))
+    return norm * c ** (params.ell / params.n) * specfun._power(w, params.ell) * decay
 
 
 def density_F_speed_integral(params: ModelParams, norm: float = 1.0) -> float:
@@ -147,7 +154,12 @@ def coeff_g(params: ModelParams, rho: float) -> float:
     """g(rho) = 1 + rho^2 h_bar(rho) = (ell+1)(1 - (rho/rho_T)^n)."""
     if rho <= 0.0:
         raise DomainError(f"g requires rho > 0, got {rho}")
-    return (params.ell + 1.0) * (1.0 - params.rho_bar(rho) ** params.n)
+    return _g(params, rho)
+
+
+def _g(params: ModelParams, rho):
+    """:func:`coeff_g` at a rho > 0, or at each rho of an array (Python's power)."""
+    return (params.ell + 1.0) * (1.0 - specfun._power(params.rho_bar(rho), params.n))
 
 
 def discriminant(params: ModelParams, rho: float) -> float:
@@ -201,20 +213,25 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     Computed without inverting the map: the area element of the image pulls
     back to ``|J^-1| rho drho dtheta``, so ``N^-1 = integral F(|alpha| rho) |J^-1| rho``.
 
-    The solution separates, so at each rho the radial factor is evaluated
-    once, for all nodes of a panel's two rules (and for the kink scan's
-    radii) in one sweep (:func:`momentum.radial_rows`; bisection uses the
-    scalar :func:`momentum.radial_row`), and the theta integral of ``|J^-1|``
-    is taken in closed form, split at the fold angles
-    (:func:`mapping._abs_jac_inv_arc`).  The rho integrand is then analytic
-    except at the radii where a fold meets a sector edge or two folds merge
-    (w1 or w2 vanishes): a sign scan over ``SECTOR_KINK_SCAN`` intervals and
-    bisection find them, and the rho range is cut there and at rho_T, where
+    The solution separates, so the rho integrand needs the radial factor once
+    per rho, and the theta integral of ``|J^-1|`` is taken in closed form,
+    split at the fold angles (:func:`mapping._abs_jac_inv_arc`).  The rho
+    integrand is then analytic except at the radii where a fold meets a
+    sector edge or two folds merge (w1 or w2 vanishes): a sign scan over
+    ``SECTOR_KINK_SCAN`` intervals and bisection find them, and the rho range
+    is cut there and at rho_T, where
     the folds are born with a width growing like ``sqrt(rho - rho_T)``.  A
     panel starting at rho_T is integrated in ``s = sqrt(rho - rho_T)``, which
     makes that growth smooth.  Every panel gets Gauss-Legendre rules of both
     orders in ``SECTOR_GL_ORDERS``; the panel where they differ most is
     bisected until they agree (this also covers a kink the scan missed).
+
+    Every set of radii goes through one array pass: the radial rows
+    (:func:`momentum.radial_rows`), g, F, the kink terms or the arc integral,
+    and the Gauss-Legendre sums, for all rows at once.  The scan's radii
+    share their pass with the nodes of the panels that stand if the scan
+    finds no kink; only the bisection evaluates one rho at a time, through
+    the scalar :func:`momentum.radial_row` and the same kink terms.
 
     Accuracy contract: N is the reciprocal of the higher-order sum, and the
     two sums differ by at most ``tol`` relative; where that takes more than
@@ -231,37 +248,54 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     arc = (domain.theta_min, domain.theta_max)
     rho_t = params.rho_t
 
-    def arc_args(rho: float, r: float, rp: float) -> tuple:
-        return rho, r, rp, coeff_g(params, rho), fac, *arc
-
-    def sweep(rhos: list[float]) -> list[tuple]:
-        """:func:`arc_args` at each rho from one radial sweep; a row the sweep
-        could not evaluate is redone by the scalar path, which raises the reason."""
+    def rows(rhos: np.ndarray) -> tuple:
+        """rho, R, R' and g at every rho, from one radial sweep; where the
+        sweep could not evaluate a row, the scalar path raises the reason."""
         r, rp, _ = momentum.radial_rows(params, sol, rhos)
-        return [arc_args(rho, *(momentum.radial_row(params, sol, rho)[:2] if math.isnan(r_i) else (r_i, rp_i)))
-                for rho, r_i, rp_i in zip(rhos, r.tolist(), rp.tolist())]
+        if np.isnan(r).any():
+            momentum.radial_row(params, sol, float(rhos[np.isnan(r)][0]))
+        return rhos, r, rp, _g(params, rhos)
 
-    def negative(args: tuple) -> list[bool]:
-        return [v < 0.0 for v in mapping._arc_kink_terms(*args)]
+    def negative(rho: float) -> list[bool]:
+        r, rp, _ = momentum.radial_row(params, sol, rho)
+        return [v < 0.0 for v in mapping._arc_kink_terms(rho, r, rp, coeff_g(params, rho), fac, *arc)]
 
-    def panel(lo: float, hi: float) -> list:
-        # a panel from rho_T runs in s = sqrt(rho - rho_T); both orders' nodes in one sweep
+    def nodes(lo: float, hi: float) -> tuple:
+        """A panel's range of integration, both rules' nodes on it, and their
+        radii: a panel from rho_T runs in s = sqrt(rho - rho_T)."""
         a, b = (0.0, math.sqrt(hi - lo)) if lo == rho_t else (lo, hi)
-        nodes = [x for m in SECTOR_GL_ORDERS for x in _legendre_nodes(a, b, m)]
-        values = [density_F(params, abs(params.alpha) * args[0]) * args[0] * mapping._abs_jac_inv_arc(*args)
-                  for args in sweep([lo + s * s for s in nodes] if lo == rho_t else nodes)]
+        s = _legendre_nodes(a, b, SECTOR_GL_ORDERS)
+        return a, b, s, lo + s * s if lo == rho_t else s
+
+    def panel(lo: float, hi: float, swept: tuple | None = None) -> list:
+        """[lo, hi, integral, error] of one panel; ``swept`` holds its rows if
+        they are already known."""
+        a, b, s, rhos = nodes(lo, hi)
+        rhos, r, rp, g = swept or rows(rhos)
+        arc_integral = mapping._abs_jac_inv_arc(rhos, r, rp, g, fac, *arc)
+        values = _density(params, abs(params.alpha) * rhos, 1.0) * rhos * arc_integral
         if lo == rho_t:
-            values = [2.0 * s * v for s, v in zip(nodes, values)]
-        values = iter(values)
-        sums = [_legendre_sum(islice(values, m), a, b, m) for m in SECTOR_GL_ORDERS]
+            values = 2.0 * s * values
+        sums = _legendre_sums(values, a, b, SECTOR_GL_ORDERS)
         return [lo, hi, sums[-1], abs(sums[-1] - sums[0])]
 
-    cuts = _sign_change_radii(lambda rho: negative(arc_args(rho, *momentum.radial_row(params, sol, rho)[:2])),
-                              lambda rhos: [negative(args) for args in sweep(rhos)],
-                              domain.rho_min, domain.rho_max, SECTOR_KINK_SCAN)
-    if domain.rho_min < rho_t < domain.rho_max:
+    # The scan's radii and the nodes of the panels that stand if it finds no
+    # kink (from edge to edge, cut at rho_T) go through one sweep; a kink
+    # discards those panels' rows.
+    lo, hi = domain.rho_min, domain.rho_max
+    edges = [lo, *([rho_t] if lo < rho_t < hi else []), hi]
+    grid = [lo + (hi - lo) * i / SECTOR_KINK_SCAN for i in range(SECTOR_KINK_SCAN)] + [hi]
+    spans = [grid, *(nodes(a, b)[3] for a, b in zip(edges[:-1], edges[1:]))]
+    swept = rows(np.concatenate(spans))
+    ends = list(itertools.accumulate(map(len, spans)))
+    scanned, *ahead = [tuple(col[i:j] for col in swept) for i, j in zip([0, *ends], ends)]
+    cuts = _sign_change_radii(negative, grid, np.array(mapping._arc_kink_terms(*scanned, fac, *arc)) < 0.0)
+    if lo < rho_t < hi:
         cuts = sorted({*cuts, rho_t})
-    panels = [panel(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    if cuts == edges:
+        panels = [panel(a, b, rows_ab) for a, b, rows_ab in zip(edges[:-1], edges[1:], ahead)]
+    else:
+        panels = [panel(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
     while True:
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)
@@ -280,40 +314,40 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
         panels[i:i + 1] = [panel(lo, mid), panel(mid, hi)]
 
 
-def _sign_change_radii(negative, negative_rows, lo: float, hi: float, n_scan: int) -> list[float]:
-    """``lo``, ``hi`` and every radius between where a component of
-    ``negative(rho)`` flips: a scan at ``n_scan + 1`` even radii (one
-    ``negative_rows`` call), then bisection of each bracket."""
-    grid = [lo + (hi - lo) * i / n_scan for i in range(n_scan)] + [hi]
-    flags = negative_rows(grid)
-    cuts = {lo, hi}
-    for i in range(n_scan):
-        for k, (fa, fb) in enumerate(zip(flags[i], flags[i + 1])):
-            if fa != fb:
-                a, b = grid[i], grid[i + 1]
-                while b - a > 1e-13 * b:
-                    mid = 0.5 * (a + b)
-                    if negative(mid)[k] == fa:
-                        a = mid
-                    else:
-                        b = mid
-                cuts.add(0.5 * (a + b))
+def _sign_change_radii(negative, grid: list[float], flags: np.ndarray) -> list[float]:
+    """The ends of ``grid`` and every radius between where a component of
+    ``negative(rho)`` flips: ``flags`` holds it at each radius of the scan
+    ``grid`` (a (component, radius) array), and bisection of each bracket
+    where it flips finds the radius."""
+    cuts = {grid[0], grid[-1]}
+    for k, i in zip(*np.nonzero(flags[:, 1:] != flags[:, :-1])):
+        fa = flags[k, i]
+        a, b = grid[i], grid[i + 1]
+        while b - a > 1e-13 * b:
+            mid = 0.5 * (a + b)
+            if negative(mid)[k] == fa:
+                a = mid
+            else:
+                b = mid
+        cuts.add(0.5 * (a + b))
     return sorted(cuts)
 
 
-def _legendre_nodes(a: float, b: float, m: int) -> list[float]:
-    """Nodes of the m-point Gauss-Legendre rule on [a, b]."""
+def _legendre_nodes(a: float, b: float, orders: tuple[int, ...]) -> np.ndarray:
+    """Nodes of the Gauss-Legendre rules of each order on [a, b], one rule after the other."""
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    return [mid + half * x for x in _legendre_rule(m)[0]]
+    return mid + half * _legendre_rules(orders)[0]
 
 
-def _legendre_sum(values, a: float, b: float, m: int) -> float:
-    """The m-point Gauss-Legendre rule on [a, b] from the integrand ``values``
+def _legendre_sums(values: np.ndarray, a: float, b: float, orders: tuple[int, ...]) -> list[float]:
+    """Each order's Gauss-Legendre rule on [a, b] from the integrand ``values``
     at :func:`_legendre_nodes`."""
-    return 0.5 * (b - a) * math.fsum(w * v for w, v in zip(_legendre_rule(m)[1], values))
+    weighted = (_legendre_rules(orders)[1] * values).tolist()
+    ends = itertools.accumulate(orders)
+    return [0.5 * (b - a) * math.fsum(weighted[end - m:end]) for m, end in zip(orders, ends)]
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre_rule(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
+def _legendre_rules(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    rules = [np.polynomial.legendre.leggauss(m) for m in orders]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])

@@ -78,7 +78,7 @@ def characteristic_chi(params: ModelParams, kind: CharacteristicKind, rho: float
     if kind.hyperbolic:
         if rho < rho_t * (1.0 - _REL_BAND):
             raise RegionError(f"hyperbolic characteristic needs rho >= rho_T, got rho = {rho}")
-        t = math.sqrt(max(params.rho_bar(rho) ** params.n - 1.0, 0.0))
+        t = math.sqrt(max(specfun.checked_pow(params.rho_bar(rho), params.n) - 1.0, 0.0))
         radial = pref * (t - math.atan(t))
     else:
         if rho > rho_t * (1.0 + _REL_BAND):
@@ -91,7 +91,7 @@ def characteristic_chi(params: ModelParams, kind: CharacteristicKind, rho: float
                 stacklevel=2,
             )
             rho = floor
-        t = math.sqrt(max(1.0 - params.rho_bar(rho) ** params.n, 0.0))
+        t = math.sqrt(max(1.0 - specfun.checked_pow(params.rho_bar(rho), params.n), 0.0))
         radial = pref * (t - math.atanh(t)) if t < 1.0 else -math.inf
     return radial + kind.sign * theta
 
@@ -148,10 +148,9 @@ def _check_rho_bar(params: ModelParams, rho: float) -> float:
     if rho <= 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rb = params.rho_bar(rho)
-    if rb ** params.n > RHO_BAR_N_CAP:
-        raise DomainError(
-            f"rho_bar^n = {rb ** params.n:.3g} exceeds the series cap {RHO_BAR_N_CAP}"
-        )
+    x = specfun.checked_pow(rb, params.n)
+    if x > RHO_BAR_N_CAP:
+        raise DomainError(f"rho_bar^n = {x:.3g} exceeds the series cap {RHO_BAR_N_CAP}")
     return rb
 
 
@@ -214,7 +213,7 @@ def zeta_bar(params: ModelParams, rho: float) -> float:
     if rho <= 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rb = params.rho_bar(rho)
-    return params.c0 * rb ** (-(params.ell + 1.0)) * math.exp(params.tau(rho))
+    return params.c0 * specfun.checked_pow(rb, -(params.ell + 1.0)) * math.exp(params.tau(rho))
 
 
 def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
@@ -232,8 +231,8 @@ def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
         lam
         * math.sqrt(params.ell + 1.0)
         / (params.c0 * params.rho_t)
-        * rb ** params.ell
-        * math.sqrt(abs(rb ** params.n - 1.0))
+        * specfun.checked_pow(rb, params.ell)
+        * math.sqrt(abs(specfun.checked_pow(rb, params.n) - 1.0))
         * math.exp(-params.tau(rho))
     )
     return vart ** 2 if rb >= 1.0 else -(vart ** 2)
@@ -403,7 +402,8 @@ def _check_nu(ell: float, lam: float, nu: float) -> None:
 def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[float, float, float]:
     """``(R, dR/drho, Rcal)`` at one rho: the radial quantities that every
     point of a rho row shares.  Sweeps over many rows use :func:`radial_rows`,
-    which sums the same series for all rows at once.
+    which sums the same series for all rows at once and runs the same
+    arithmetic (:func:`_radial_values`) over arrays.
 
     Rcal = rho R'/R is evaluated as ``nu + n tau T'/T``.  The derivative uses
     the exact contiguity relations of M / Psi, not finite differences, so it
@@ -425,7 +425,14 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
         return value, slope, rho * slope / value if abs(value) >= 1e-300 else math.nan
     rb = _check_rho_bar(params, rho)
     tau = params.tau(rho)
-    return _radial_values(params, sol, _tricomi_parts(sol), rb, tau, lambda a, b: specfun._kummer_series(a, b, tau))
+    psi = _tricomi_parts(sol)
+    if psi is not None and tau <= 0.0:
+        raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {tau}")
+    series = {pair: specfun._kummer_series(*pair, tau) for pair in _series_pairs(sol, psi)}
+    value, slope, rcal = _radial_values(params, sol, psi, rb, tau, series)
+    if math.isnan(value) or math.isnan(slope):
+        raise DomainError(f"a power of rho_bar or tau at rho = {rho} is beyond the float range")
+    return value, slope, rcal
 
 
 def radial_rows(params: ModelParams, sol: RadialSolution, rhos) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -436,40 +443,35 @@ def radial_rows(params: ModelParams, sol: RadialSolution, rhos) -> tuple[np.ndar
     For the Kummer-based kinds every series of every row is summed in one
     :func:`specfun._kummer_block` call: M(a, b) and M(a+1, b+1) for the M
     branch, the four M of Psi and Psi' for the Tricomi branch, whose gamma
-    factors are computed once.  The rows then combine their series through
-    the same arithmetic as the scalar path.
+    factors are computed once.  :func:`_radial_values` then combines them for
+    all rows at once, the Tricomi connection included.  The Omega kind goes
+    row by row through :func:`radial_row`.
     """
-    rhos = [float(rho) for rho in rhos]
-    rows = [(math.nan, math.nan, math.nan)] * len(rhos)
+    rhos = np.asarray(rhos, dtype=float).ravel()
     if not sol.kind.kummer_based:
-        for i, rho in enumerate(rhos):
+        rows = [(math.nan, math.nan, math.nan)] * rhos.size
+        for i, rho in enumerate(rhos.tolist()):
             try:
                 rows[i] = radial_row(params, sol, rho)
             except (DomainError, RegionError):
                 pass
         return tuple(np.array(rows).reshape(-1, 3).T)
     psi = _tricomi_parts(sol)
-    valid = []  # (row, rho_bar, tau) of the rows whose series can be summed
-    for i, rho in enumerate(rhos):
-        try:
-            rb = _check_rho_bar(params, rho)
-        except DomainError:
-            continue
-        tau = params.tau(rho)
-        if tau <= specfun.KUMMER_Z_MAX and (tau > 0.0 or psi is None):
-            valid.append((i, rb, tau))
-    if psi is None:
-        pairs = [(sol.a, sol.b), (sol.a + 1.0, sol.b + 1.0)]
-    else:
-        pairs = list(dict.fromkeys((a, b) for parts in psi for rgam, _, a, b in parts if rgam != 0.0))
-    value, scale = specfun._kummer_block([a for a, _ in pairs], [b for _, b in pairs], [tau for *_, tau in valid])
-    series = {pair: list(zip(v, s)) for pair, v, s in zip(pairs, value.tolist(), scale.tolist())}
-    for k, (i, rb, tau) in enumerate(valid):
-        try:
-            rows[i] = _radial_values(params, sol, psi, rb, tau, lambda a, b: series[a, b][k])
-        except DomainError:
-            pass
-    return tuple(np.array(rows).reshape(-1, 3).T)
+    rb = np.where(rhos > 0.0, rhos / params.rho_t, math.nan)
+    x = specfun._power(rb, params.n)
+    tau = (params.ell + 1.0) / params.n * x
+    # the rows that radial_row admits: NaN fails every comparison
+    valid = (x <= RHO_BAR_N_CAP) & (tau <= specfun.KUMMER_Z_MAX) & ((tau > 0.0) | (psi is None))
+    rb, tau = rb[valid], tau[valid]
+    pairs = _series_pairs(sol, psi)
+    value, scale = specfun._kummer_block([a for a, _ in pairs], [b for _, b in pairs], tau,
+                                         scaled=[psi is None and k == 0 for k in range(len(pairs))])
+    series = dict(zip(pairs, zip(value, scale)))
+    with np.errstate(all="ignore"):
+        r, rp, rcal = _radial_values(params, sol, psi, rb, tau, series)
+    rows = np.full((3, rhos.size), math.nan)
+    rows[:, valid] = np.where(np.isnan(r) | np.isnan(rp), math.nan, (r, rp, rcal))
+    return tuple(rows)
 
 
 def _tricomi_parts(sol: RadialSolution):
@@ -481,22 +483,43 @@ def _tricomi_parts(sol: RadialSolution):
     return specfun._psi_parts(sol.a, sol.b), specfun._psi_parts(sol.a + 1.0, sol.b + 1.0) if sol.a != 0.0 else ()
 
 
-def _radial_values(params: ModelParams, sol: RadialSolution, psi, rb: float, tau: float, series) -> tuple[float, float, float]:
-    """``(R, dR/drho, Rcal)`` of a Kummer-based solution at one row from
-    ``series(a, b)``, the ``(M, sum|terms|)`` pair of the Kummer series at
-    tau: the arithmetic that :func:`radial_row` and :func:`radial_rows` share."""
+def _series_pairs(sol: RadialSolution, psi) -> list[tuple[float, float]]:
+    """The (a, b) of the Kummer series a row needs: M(a, b) and M(a+1, b+1)
+    for the M branch (only the first one's sum of |terms| is read), and the
+    terms of Psi and Psi' that :func:`_tricomi_parts` keeps."""
+    if psi is None:
+        return [(sol.a, sol.b), (sol.a + 1.0, sol.b + 1.0)]
+    return list(dict.fromkeys((a, b) for parts in psi for rgam, _, a, b in parts if rgam != 0.0))
+
+
+def _radial_values(params: ModelParams, sol: RadialSolution, psi, rb, tau, series):
+    """``(R, dR/drho, Rcal)`` of a Kummer-based solution from rho_bar, tau and
+    ``series[a, b]``, the ``(M, sum|terms|)`` pair of the Kummer series at
+    tau: floats for one row (:func:`radial_row`), or arrays with one element
+    per row (:func:`radial_rows`).  The powers are Python's
+    (:func:`specfun._power`) and the rest is ``+ - * /``, so both give the
+    same bits.  R or R' is NaN where a power leaves the float range."""
     if psi is not None:
-        t_val = specfun._psi_from(psi[0], tau, series)
-        t_der = 0.0 if sol.a == 0.0 else -sol.a * specfun._psi_from(psi[1], tau, series)
+        terms = (lambda a, b: series[a, b][0], lambda p: specfun._power(tau, p))
+        t_val = specfun._psi_from(psi[0], *terms)
+        t_der = 0.0 if sol.a == 0.0 else -sol.a * specfun._psi_from(psi[1], *terms)
         node = t_val == 0.0
     else:
-        t_val, t_scale = series(sol.a, sol.b)
-        t_der = (sol.a / sol.b) * series(sol.a + 1.0, sol.b + 1.0)[0]
+        t_val, t_scale = series[sol.a, sol.b]
+        t_der = (sol.a / sol.b) * series[sol.a + 1.0, sol.b + 1.0][0]
         node = specfun.kummer_vanishes(t_val, t_scale)
-    value = sol.scale * specfun.checked_pow(rb, sol.nu) * t_val
-    slope = sol.scale * specfun.checked_pow(rb, sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
-    rcal = math.nan if node else sol.nu + params.n * tau * (t_der / t_val)
+    value = sol.scale * specfun._power(rb, sol.nu) * t_val
+    slope = sol.scale * specfun._power(rb, sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
+    rcal = sol.nu + params.n * tau * (t_der / _nan_where(node, t_val))
     return value, slope, rcal
+
+
+def _nan_where(mask, x):
+    """x with NaN where ``mask`` holds: elementwise for an array, a plain
+    choice for a float."""
+    if isinstance(x, np.ndarray):
+        return np.where(mask, math.nan, x)
+    return math.nan if mask else x
 
 
 def _require_hyperbolic(params: ModelParams, rho: float) -> None:

@@ -58,6 +58,30 @@ def checked_pow(x: float, p: float) -> float:
         raise DomainError(f"{x:g}^{p:g} is out of the float range") from None
 
 
+def _power(x, p):
+    """x^p for x >= 0 at a float, or at each element of an array, by Python's
+    ``**``: NumPy's power can differ from it in the last bit, and the sweeps
+    promise the scalar path's bits.  NaN where x^p leaves the float range."""
+    if isinstance(x, np.ndarray):
+        values = x.tolist()
+        try:
+            return np.array([v ** p for v in values])
+        except (OverflowError, ZeroDivisionError):
+            return np.array([_power(v, p) for v in values])
+    try:
+        return x ** p
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+def _exp(x):
+    """e^x at a float, or at each element of an array, by :func:`math.exp`
+    (NumPy's exp can differ from it in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.array([math.exp(v) for v in x.tolist()])
+    return math.exp(x)
+
+
 def is_nonpositive_integer(x: float) -> bool:
     return x <= 0.5 and abs(x - round(x)) <= _INT_TOL
 
@@ -165,23 +189,25 @@ def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
     raise NoConvergenceError(f"Kummer series did not converge at (a={a}, b={b}, z={z})")
 
 
-def _kummer_block(a, b, z) -> tuple[np.ndarray, np.ndarray]:
+def _kummer_block(a, b, z, scaled=None) -> tuple[np.ndarray, np.ndarray]:
     """The Kummer series of S parameter pairs (``a``, ``b``, length S) at N
     arguments ``z`` at once: (S, N) arrays of M and of the sum of |terms|,
     equal element by element, bit for bit, to :func:`_kummer_series`, with
-    the same errors.
+    the same errors.  ``scaled`` (S booleans, all by default) names the
+    series whose sum of |terms| is formed; the other rows of it are NaN.
 
     ``np.multiply.accumulate`` forms the terms and ``np.add.accumulate`` the
     partial sums, both in the scalar loop's order.  A terminating series
-    (a = -k) takes its k terms in one block; the others run in chunks of 16
-    terms, then twice as many each round, and each element takes the partial
-    sum at its own stop, the third of three consecutive terms below
+    (a = -k) takes its k terms in one block; the others run in chunks, the
+    first of ``26 + 2.5 max(z)`` terms (enough for most series at the largest
+    argument to stop), then twice as many each round, and each element takes
+    the partial sum at its own stop, the third of three consecutive terms below
     ``SERIES_REL_TOL`` of the sum.  The rest of its chunk is discarded.
     """
     a, b, z = (np.asarray(v, dtype=float).ravel() for v in (a, b, z))
-    value, scale = np.ones((a.size, z.size)), np.ones((a.size, z.size))
+    scaled = np.ones(a.size, dtype=bool) if scaled is None else np.asarray(scaled, dtype=bool)
     if not z.size:
-        return value, scale
+        return np.ones((a.size, 0)), np.ones((a.size, 0))
     z_ends = float(z.min()), float(z.max())
     for b_s in b.tolist():
         for z_n in z_ends:
@@ -190,10 +216,13 @@ def _kummer_block(a, b, z) -> tuple[np.ndarray, np.ndarray]:
     poly = [s for s, k in enumerate(degree) if k >= 0]
     rest = [s for s, k in enumerate(degree) if k < 0]
     with np.errstate(all="ignore"):  # the discarded tail of a block may overflow
-        if poly:
-            value[poly], scale[poly] = _kummer_polynomials(a[poly], b[poly], z, [degree[s] for s in poly])
-        if rest:
-            value[rest], scale[rest] = _kummer_converging(a[rest], b[rest], z)
+        if not rest:
+            return _kummer_polynomials(a, b, z, degree, scaled)
+        if not poly:
+            return _kummer_converging(a, b, z, scaled)
+        value, scale = np.empty((a.size, z.size)), np.empty((a.size, z.size))
+        value[poly], scale[poly] = _kummer_polynomials(a[poly], b[poly], z, [degree[s] for s in poly], scaled[poly])
+        value[rest], scale[rest] = _kummer_converging(a[rest], b[rest], z, scaled[rest])
     return value, scale
 
 
@@ -202,26 +231,31 @@ def _kummer_ratios(a, b, z, j):
     return (a + j) * z / ((b + j) * (j + 1.0))
 
 
-def _kummer_polynomials(a, b, z, degree: list[int]):
+def _kummer_polynomials(a, b, z, degree: list[int], scaled):
     """:func:`_kummer_block` for a = -k: exactly k terms, no stopping rule."""
     j = np.arange(max(degree), dtype=float)[:, None, None]
     terms = np.empty((j.size + 1, a.size, z.size))
     terms[0] = 1.0
     terms[1:] = _kummer_ratios(a[:, None], b[:, None], z, j)
     np.multiply.accumulate(terms, axis=0, out=terms)
-    last = (degree, np.arange(a.size))
-    return np.add.accumulate(terms, axis=0)[last], np.add.accumulate(np.abs(terms), axis=0)[last]
+    degree = np.array(degree)
+    scale = np.full((a.size, z.size), math.nan)
+    if scaled.any():
+        sums = np.add.accumulate(np.abs(terms[:, scaled]), axis=0)
+        scale[scaled] = sums[degree[scaled], np.arange(sums.shape[1])]
+    return np.add.accumulate(terms, axis=0)[degree, np.arange(a.size)], scale
 
 
-def _kummer_converging(a, b, z):
+def _kummer_converging(a, b, z, scaled):
     """:func:`_kummer_block` for series that stop by the ``SERIES_REL_TOL`` rule."""
     # one element per (series, argument) pair, row-major; live ones are still summing
     ea, eb, ez = np.repeat(a, z.size), np.repeat(b, z.size), np.tile(z, a.size)
-    value, scale = np.empty(ea.size), np.empty(ea.size)
+    value, scale = np.empty(ea.size), np.full(ea.size, math.nan)
     live = np.arange(ea.size)
+    need = np.repeat(scaled, z.size)  # whether the element's sum of |terms| is formed
     term, total, absum = np.ones(ea.size), np.ones(ea.size), np.ones(ea.size)
     tail = np.zeros((2, ea.size), dtype=bool)  # whether the last two terms were small
-    start, size = 0, 16
+    start, size = 0, 26 + int(2.5 * np.fmin(z.max(), KUMMER_Z_MAX))  # fmin: a NaN argument runs to the cap
     while live.size:
         size = min(size, SERIES_MAX_TERMS - start)
         # row i holds the state after term start + i - 1, row 0 the state before
@@ -249,15 +283,19 @@ def _kummer_converging(a, b, z):
         if start + size == SERIES_MAX_TERMS and not done.all():
             e = live[(~done).argmax()]
             raise NoConvergenceError(f"Kummer series did not converge at (a={ea[e]}, b={eb[e]}, z={ez[e]})")
-        sums = np.abs(terms)
-        sums[0] = absum
-        np.add.accumulate(sums, axis=0, out=sums)
         cols = np.flatnonzero(done)
         value[live[cols]] = totals[stop[cols], cols]
-        scale[live[cols]] = sums[stop[cols], cols]
+        summed = np.flatnonzero(need[live])  # the columns whose sum of |terms| is formed
+        if summed.size:
+            sums = np.abs(terms[:, summed])
+            sums[0] = absum[summed]
+            np.add.accumulate(sums, axis=0, out=sums)
+            fin = done[summed]
+            scale[live[summed[fin]]] = sums[stop[summed[fin]], fin]
+            absum[summed] = sums[-1]
         keep = ~done
         live, tail = live[keep], small[-2:, keep]
-        term, total, absum = terms[-1, keep], totals[-1, keep], sums[-1, keep]
+        term, total, absum = terms[-1, keep], totals[-1, keep], absum[keep]
         start, size = start + size, 2 * size
     return value.reshape(a.size, z.size), scale.reshape(a.size, z.size)
 
@@ -279,8 +317,10 @@ def kummer_m_deriv(a: float, b: float, z: float) -> float:
 def kummer_vanishes(value: float, scale: float) -> bool:
     """Whether M is zero at working precision, given the ``(M, sum|terms|)``
     pair of :func:`_kummer_series`: a nodal line of the radial factor, where
-    the log-derivative M'/M has a pole."""
-    return abs(value) < KUMMER_NODE_TOL * max(1.0, scale)
+    the log-derivative M'/M has a pole.  Elementwise over the arrays of
+    :func:`_kummer_block`."""
+    # |M| below KUMMER_NODE_TOL max(1, scale), in operators floats and arrays share
+    return (abs(value) < KUMMER_NODE_TOL) | (abs(value) < KUMMER_NODE_TOL * scale)
 
 
 def tricomi_psi(a: float, b: float, z: float) -> float:
@@ -295,7 +335,9 @@ def tricomi_psi(a: float, b: float, z: float) -> float:
     :class:`ParameterError`.  When a (or a+1-b) is a non-positive integer the
     corresponding 1/Gamma factor vanishes and that term is dropped.
     """
-    return _psi_from(_psi_parts(a, b), z, lambda a_, b_: _kummer_series(a_, b_, z))
+    if z <= 0.0:
+        raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {z}")
+    return _psi_from(_psi_parts(a, b), lambda a_, b_: _kummer_series(a_, b_, z)[0], lambda p: checked_pow(z, p))
 
 
 def _psi_parts(a: float, b: float) -> tuple[tuple[float, float, float, float], ...]:
@@ -309,18 +351,17 @@ def _psi_parts(a: float, b: float) -> tuple[tuple[float, float, float, float], .
             (second, gamma(b - 1.0) if second != 0.0 else 0.0, a + 1.0 - b, 2.0 - b))
 
 
-def _psi_from(parts, z: float, series) -> float:
-    """Psi at z from :func:`_psi_parts` and ``series(a, b)``, the
-    ``(M, sum|terms|)`` pair of the Kummer series at z."""
-    if z <= 0.0:
-        raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {z}")
+def _psi_from(parts, series, power):
+    """Psi from :func:`_psi_parts`, ``series(a, b)``, the Kummer M at the
+    argument z, and ``power(p)``, z^p.  Plain arithmetic: floats give Psi at
+    one z, arrays (one element per z) give it at each."""
     (rgam1, gam1, a1, b1), (rgam2, gam2, a2, b2) = parts
     first = rgam1
     if first != 0.0:
-        first *= gam1 * series(a1, b1)[0]
+        first *= gam1 * series(a1, b1)
     second = rgam2
     if second != 0.0:
-        second *= gam2 * checked_pow(z, 1.0 - b1) * series(a2, b2)[0]
+        second *= gam2 * power(1.0 - b1) * series(a2, b2)
     return first + second
 
 

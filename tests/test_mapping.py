@@ -692,7 +692,7 @@ class TestAbsJacInvArc:
         fac = AngularFactor(lam=lam, c1=c1, c2=c2)
         rho = rho_bar * p.rho_t
         r, rp, _ = radial_row(p, sol, rho)
-        got = _abs_jac_inv_arc(rho, r, rp, coeff_g(p, rho), fac, *theta)
+        got = _abs_jac_inv_arc(*(np.array([v]) for v in (rho, r, rp, coeff_g(p, rho))), fac, *theta)[0]
 
         def jac(t):
             return forward_map(p, sol, fac, rho, t, allow_degenerate=True).jac_inv
@@ -706,3 +706,62 @@ class TestAbsJacInvArc:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         if lam == 3.0:
             assert len(folds) >= 4
+
+
+class TestAbsJacInvArcRows:
+    """The arc integral over a whole sweep at once, row by row against
+    adaptive quadrature of ``|P| / rho^4``, split where P changes sign."""
+
+    #: (w1, w2, g) per row
+    ROWS = [
+        (0.02, 1.0, -1.0),
+        (0.3, 1.0, -1.0),
+        (3.0, 1.0, -1.0),
+        (1.0, 1.0, -5.0),
+        (0.3, 1.0, -0.1),
+        (10.0, 1.0, -0.1),
+        (0.5, 1.0, -1.0),
+        (2.0, 1.0, -0.1),
+        (1.0, 0.7, 0.8),  # g > 0: P > 0, no fold
+        (1.0, 0.0, -1.0),  # w2 = 0: P = (w1 Theta')^2 touches zero, no fold
+    ]
+
+    @pytest.mark.parametrize(
+        "lam, c1, c2, arc, folds",
+        [
+            (2.5, 0.7, 1.3, (-0.3, 0.4), {0, 1, 2}),
+            # 2.1 periods of cos(2 lam theta)
+            (2.5, 0.7, 1.3, (-1.2, 1.5), {0, 4, 5, 6}),
+            (3.0, 0.0, 1.0, (-0.9, 1.1), {0, 3, 4}),
+            # lam = 0: P is a quadratic in theta
+            (0.0, 1.0, 0.5, (-1.5, 0.4), {0, 1, 2}),
+        ],
+    )
+    def test_rows_against_fold_split_quadrature(self, lam, c1, c2, arc, folds):
+        from scipy import integrate, optimize
+
+        from hodoflow.mapping import _abs_jac_inv_arc
+
+        fac = AngularFactor(lam=lam, c1=c1, c2=c2)
+        rho = 2.0  # so that rho R' - lam^2 R is exactly 0 on the w2 = 0 row
+        w1, w2, g = (np.array(col) for col in zip(*self.ROWS))
+        r = (w2 - w1) if lam == 0.0 else (w1 - w2) / (lam ** 2 - 1.0)
+        rp = (w2 + lam ** 2 * r) / rho
+        got = _abs_jac_inv_arc(np.full(r.size, rho), r, rp, g, fac, *arc)
+        assert got.shape == (r.size,)
+        seen = set()
+        for k in range(r.size):
+            v1, v2 = rho * rp[k] - r[k], rho * rp[k] - lam ** 2 * r[k]
+
+            def form(t):
+                return (v1 * fac.deriv(t)) ** 2 + g[k] * (v2 * fac.value(t)) ** 2
+
+            grid = np.linspace(*arc, 4097)
+            vals = [form(t) for t in grid.tolist()]
+            cuts = [optimize.brentq(form, grid[i], grid[i + 1], xtol=1e-15)
+                    for i in range(grid.size - 1) if vals[i] * vals[i + 1] < 0.0]
+            seen.add(len(cuts))
+            want = integrate.quad(lambda t: abs(form(t)), *arc, points=cuts or None,
+                                  epsabs=0.0, epsrel=1e-13, limit=400)[0] / rho ** 4
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0), (k, self.ROWS[k])
+        assert seen == folds

@@ -348,6 +348,46 @@ class TestSectorNormalization:
             maxwell.normalization_sector(*case)
         assert maxwell.normalization_sector(*case, tol=1e-7) > 0.0
 
+    #: values recorded from the per-row implementation; the array passes keep them within 1e-13
+    RECORDED = {
+        "lam0-linear": 0.002351783671494746,
+        "mixed-theta": 6.449290904532349,
+        "elliptic": 4.859915358612438e-08,
+        "readme": 0.004125814066469144,
+        "found": 6.442614951556001,
+        "across-rho-t": 1.71532797961853,
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_recorded_values(self, name):
+        from hodoflow.maxwell import normalization_sector
+
+        assert normalization_sector(*_sector_case(name)) == pytest.approx(self.RECORDED[name], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "radial, lam, rho, half, value",
+        [
+            # the fold-crossing sectors of the normalize benchmark at seed 1, Theta = cos(lam theta)
+            ("laguerre", 3.0, (3.439999602731589, 3.5200026388285397), 0.10471968551958742, 0.8099713785474035),
+            ("laguerre", 3.0, (3.10000117192056, 3.19999893298406), 0.2617993137562337, 0.01826790371677517),
+            ("+", 2.5, (2.800000268179422, 2.9999989596945205), 0.5235991383260877, 4.150412591355085),
+            ("+", 2.5, (3.3999975929634756, 3.600002513588934), 0.331612364850692, 9.74890844725355),
+        ],
+    )
+    def test_recorded_benchmark_values(self, radial, lam, rho, half, value):
+        from hodoflow.mapping import SectorDomain
+        from hodoflow.maxwell import normalization_sector
+        from hodoflow.momentum import LaguerreCase, RadialSolution
+
+        p = ModelParams(n=2, ell=4)
+        if radial == "laguerre":
+            sol = RadialSolution.from_laguerre_case(p, LaguerreCase(lam=lam, k=2, n=2.0, ell=4.0, alpha_bar=7.0))
+        else:
+            sol = RadialSolution.kummer(p, lam, branch=radial)
+        dom = SectorDomain(*rho, -half, half)
+        n_const = normalization_sector(p, sol, AngularFactor(lam=lam, c1=0.0, c2=1.0), dom)
+        assert n_const == pytest.approx(value, rel=1e-13, abs=0.0)
+
     def test_mismatched_lam_raises(self):
         from hodoflow.mapping import SectorDomain
         from hodoflow.maxwell import normalization_sector

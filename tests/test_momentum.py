@@ -187,6 +187,20 @@ class TestHillSubstitution:
         assert hill_coefficient_G(m22, 2.0, 0.5 * m22.rho_t) < 0.0
         assert classify(m22, 1.5 * m22.rho_t) is RegionTag.HYPERBOLIC
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda p: zeta_bar(p, 1e-200),  # rho_bar^-(ell+1) overflows
+            lambda p: zeta_bar(p, 1e200),  # rho_bar^n in tau overflows
+            lambda p: mu_plus(p, 1e200),
+            lambda p: hill_coefficient_G(p, 2.0, 1e200),
+        ],
+        ids=["zeta_bar-tiny", "zeta_bar-huge", "mu_plus-huge", "hill_G-huge"],
+    )
+    def test_powers_beyond_float_range_raise_domain_error(self, m22, evaluate):
+        with pytest.raises(DomainError, match="out of the float range"):
+            evaluate(m22)
+
     def test_oscillator_equation_residual(self, m22):
         # reparametrize R by zeta and check R'' + G R = 0 by finite differences
         lam = 1.0

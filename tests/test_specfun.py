@@ -239,6 +239,27 @@ class TestKummerBlock:
         used = {_terms_used(a_s, b_s, z_n) for a_s, b_s in zip(a[19:], b[19:]) for z_n in z}
         assert {16, 17, 18, 48, 49, 50} <= used
 
+    def test_first_chunk_edges(self):
+        # with z up to 10 the first chunk holds 26 + 2.5 * 10 = 51 terms; these
+        # series stop on its last term and on the two after it, the small
+        # terms carried over the edge
+        a, b, z = [33.007, 33.007, 45.389], [10.828, 10.828, 5.934], [7.5, 8.0, 6.0, 10.0]
+        assert {51, 52, 53} <= {_terms_used(a_s, b_s, z_n) for a_s, b_s in zip(a, b) for z_n in z}
+        value, scale = _kummer_block(a, b, z)
+        for i in range(len(a)):
+            for j in range(len(z)):
+                assert (value[i, j], scale[i, j]) == _kummer_series(a[i], b[i], z[j]), (a[i], b[i], z[j])
+
+    def test_scale_only_where_asked(self):
+        # the sum of |terms| is formed only for the series named in `scaled`
+        a, b, z = self._box()
+        scaled = np.arange(a.size) % 3 == 0
+        value, scale = _kummer_block(a, b, z, scaled=scaled)
+        full_value, full_scale = _kummer_block(a, b, z)
+        np.testing.assert_array_equal(value, full_value)
+        np.testing.assert_array_equal(scale[scaled], full_scale[scaled])
+        assert np.isnan(scale[~scaled]).all()
+
     def test_no_arguments(self):
         value, scale = _kummer_block([0.5, -2.0], [1.5, 3.0], [])
         assert value.shape == scale.shape == (2, 0)

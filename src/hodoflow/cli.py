@@ -30,7 +30,7 @@ from .errors import (
     UnivalenceWarning,
 )
 from .mapping import FieldSample, SectorDomain, sample_fields
-from .maxwell import ModelParams, classify, coeff_g, discriminant, normalization_sector
+from .maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant, normalization_sector
 from .momentum import (
     AngularFactor,
     CharacteristicKind,
@@ -58,7 +58,20 @@ EXIT_DEGENERATE = 2
 EXIT_FOLD = 3
 EXIT_VERIFY = 4
 
-_RADIAL_CHOICES = ("kummer+", "kummer-", "tricomi+", "tricomi-", "omega", "constant")
+_MODEL = {"n": 2.0, "ell": 0.0, "sigma_v": 1.0, "alpha": -0.5, "beta": 1.0, "c0": 1.0, "c1": 1.0, "c2": 0.0,
+          "radial": "kummer+", "lam": 2.0}
+
+#: Defaults of the commands that take ``--config``, by flag dest.  A config
+#: file value is cast to the type of its default; the resolved values are the
+#: config a command echoes.
+_DEFAULTS = {
+    "solve-momentum": {**_MODEL, "fc1": 1.0, "fc2": 0.0, "rho_min": 0.3, "rho_max": 2.0,
+                       "theta_min_deg": 0.0, "theta_max_deg": 60.0, "n_rho": 16, "n_theta": 16},
+    "map-fields": {**_MODEL, "fc1": 0.0, "fc2": 1.0, "rho_min": 1.8, "rho_max": 2.4,
+                   "theta_min_deg": -12.0, "theta_max_deg": 12.0, "n_rho": 24, "n_theta": 24, "normalize": 0},
+    "psi-model": {"n": 4.0, "ell": 6.0, "sigma_r": 1.0, "rho_t": 2.0, "regime": "explicit",
+                  "r_min": 0.2, "r_max": 6.0, "n_r": 200},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,30 +83,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # collapse -0.0 for stable output
-        return "%.17g" % value
-    return str(value)
+    """A float to 17 significant digits, -0.0 collapsed to 0; anything else by ``str``."""
+    return "%.17g" % (value + 0.0) if isinstance(value, float) else str(value)
 
 
-def _echo_lines(config: dict) -> list[str]:
-    return [f"# {key} = {_fmt(config[key])}" for key in sorted(config)]
+def _table(header, columns) -> list[str]:
+    """Header and data lines of a table given column by column, one type to a
+    column: each cell as :func:`_fmt` prints it, with one ``%`` format per line."""
+    columns = list(columns)
+    floats = [isinstance(col[0], float) for col in columns]
+    cells = [[v + 0.0 for v in col] if is_float else col for is_float, col in zip(floats, columns)]
+    line = ",".join("%.17g" if is_float else "%s" for is_float in floats)
+    return [",".join(header), *map(line.__mod__, zip(*cells))]
 
 
-def _csv_lines(rows: list[tuple]) -> list[str]:
-    return [",".join(_fmt(v) for v in row) for row in rows]
-
-
-def _write_csv(path: Path, config: dict, columns: tuple, body: list[str]) -> None:
-    """Echoed config, header and the already formatted data lines ``body``."""
-    lines = [*_echo_lines(config), ",".join(columns), *body]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _write_sidecar(path: Path, config: dict, summary: dict) -> None:
-    payload = {"config": {k: config[k] for k in sorted(config)}, "summary": summary}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+def _write_table(path: str, config: dict, header, columns, summary: dict) -> Path:
+    """The CSV at ``path`` (echoed config, then the table) and its JSON sidecar."""
+    out = Path(path)
+    lines = [*(f"# {key} = {_fmt(config[key])}" for key in sorted(config)), *_table(header, columns)]
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    sidecar = json.dumps({"config": config, "summary": summary}, sort_keys=True, indent=2)
+    out.with_suffix(out.suffix + ".json").write_text(sidecar + "\n", encoding="utf-8", newline="\n")
+    return out
 
 
 def _load_config_file(path: str) -> dict:
@@ -110,31 +121,48 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(args, file_keys: dict, name: str, cast, default=None):
-    """Flag wins over config file, which wins over the default."""
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in file_keys:
-        return cast(file_keys[name])
-    return default
+def _resolve(args) -> dict:
+    """The command's config: each key of its defaults table from the flag, else
+    from the ``--config`` file, else the default.  Grid counts must be >= 2."""
+    defaults = _DEFAULTS[args.command]
+    file_keys = _load_config_file(args.config) if args.config else {}
+    config = {"command": args.command, **defaults}
+    config.update((key, type(defaults[key])(value)) for key, value in file_keys.items() if key in defaults)
+    config.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
+    shape = tuple(config[key] for key in ("n_rho", "n_theta", "n_r") if key in config)
+    if min(shape) < 2:
+        raise DomainError(f"grid must be at least {'x'.join('2' * len(shape))}, got {shape}")
+    return config
 
 
-def _params_from(args, cfg) -> ModelParams:
-    return ModelParams(
-        n=_resolve(args, cfg, "n", float, 2.0),
-        ell=_resolve(args, cfg, "ell", float, 0.0),
-        sigma_v=_resolve(args, cfg, "sigma_v", float, 1.0),
-        alpha=_resolve(args, cfg, "alpha", float, -0.5),
-        beta=_resolve(args, cfg, "beta", float, 1.0),
-        c0=_resolve(args, cfg, "c0", float, 1.0),
-        c1=_resolve(args, cfg, "c1", float, 1.0),
-        c2=_resolve(args, cfg, "c2", float, 0.0),
-    )
+def _separated_model(config: dict):
+    """``(params, sol, fac)`` of the separated solution in ``config``, which
+    is updated to the values evaluated: the matched c1 of Omega, the
+    solution's lam and fc1 with -0.0 collapsed."""
+    params = ModelParams(**{key: config[key] for key in ("n", "ell", "sigma_v", "alpha", "beta", "c0", "c1", "c2")})
+    try:
+        kind = RadialKind(config["radial"])
+    except ValueError:
+        raise ParameterError(f"unknown radial {config['radial']!r}") from None
+    if kind is RadialKind.HYPERBOLIC_OMEGA:
+        sol = RadialSolution.omega()
+        # matched c1: Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
+        params = params.with_(c1=momentum.omega_matched_c1(params))
+    elif kind is RadialKind.CONSTANT:
+        sol = RadialSolution.constant()
+    else:
+        sol = RadialSolution.kummer(params, config["lam"], branch=config["radial"][-1], tricomi=kind.tricomi)
+    fac = AngularFactor(lam=sol.lam, c1=config["fc1"] + 0.0, c2=config["fc2"])
+    config.update(c1=params.c1, lam=sol.lam, fc1=fac.c1)
+    return params, sol, fac
 
 
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +171,21 @@ def _float_list(text: str) -> list[float]:
 
 def cmd_classify(args) -> int:
     params = ModelParams(n=args.n, ell=args.ell, sigma_v=args.sigma_v)
-    print("rho_bar,Delta,g,region")
+    rows = []
     for rho_bar in _float_list(args.rho):
         rho = rho_bar * params.rho_t
-        print(
-            ",".join(
-                [
-                    _fmt(rho_bar),
-                    _fmt(discriminant(params, rho)),
-                    _fmt(coeff_g(params, rho)),
-                    str(classify(params, rho)),
-                ]
-            )
-        )
+        rows.append((rho_bar, discriminant(params, rho), coeff_g(params, rho), classify(params, rho)))
+    print("\n".join(_table(("rho_bar", "Delta", "g", "region"), zip(*rows))))
     return EXIT_OK
 
 
 def cmd_characteristics(args) -> int:
     params = ModelParams(n=args.n, ell=args.ell, sigma_v=args.sigma_v)
-    print("rho_bar,region,chi_plus_at_theta0,slope_drho_dtheta,kappa")
+    rows = []
     for rho_bar in _float_list(args.rho):
         rho = rho_bar * params.rho_t
         region = classify(params, rho)
-        if region.value == "hyperbolic":
+        if region is RegionTag.HYPERBOLIC:
             kind, branch = CharacteristicKind.HYPERBOLIC_PLUS, "hyperbolic"
         else:
             kind, branch = CharacteristicKind.ELLIPTIC_PLUS, "elliptic"
@@ -175,115 +195,58 @@ def cmd_characteristics(args) -> int:
             kappa = canonical_kappa(params, rho, branch)
         except HodoflowError:
             kappa = math.nan
-        print(",".join([_fmt(rho_bar), region.value, _fmt(chi), _fmt(slope), _fmt(kappa)]))
+        rows.append((rho_bar, region, chi, slope, kappa))
+    header = ("rho_bar", "region", "chi_plus_at_theta0", "slope_drho_dtheta", "kappa")
+    print("\n".join(_table(header, zip(*rows))))
     return EXIT_OK
 
 
 def cmd_laguerre_enum(args) -> int:
-    print("lam,lam_squared,k,ell,alpha_bar")
     if args.ell_fixed is not None:
-        rows = laguerre_enumerate_for_ell(args.n, args.ell_fixed, k_max=args.k_max)
+        cases = laguerre_enumerate_for_ell(args.n, args.ell_fixed, k_max=args.k_max)
+    elif args.lam:
+        cases = laguerre_enumerate(args.n, _float_list(args.lam), ell_max=args.ell_max)
     else:
-        if not args.lam:
-            raise ParameterError("either --lambda or --ell-fixed is required")
-        rows = laguerre_enumerate(args.n, _float_list(args.lam), ell_max=args.ell_max)
-    for case in rows:
-        print(
-            ",".join(
-                [_fmt(case.lam), _fmt(case.lam ** 2), str(case.k), _fmt(case.ell), _fmt(case.alpha_bar)]
-            )
-        )
+        raise ParameterError("either --lambda or --ell-fixed is required")
+    rows = [(case.lam, case.lam ** 2, case.k, case.ell, case.alpha_bar) for case in cases]
+    print("\n".join(_table(("lam", "lam_squared", "k", "ell", "alpha_bar"), zip(*rows))))
     return EXIT_OK
 
 
-def _build_solution(params: ModelParams, radial: str, lam: float) -> RadialSolution:
-    if radial == "omega":
-        return RadialSolution.omega()
-    if radial == "constant":
-        return RadialSolution.constant()
-    branch = "+" if radial.endswith("+") else "-"
-    return RadialSolution.kummer(params, lam, branch=branch, tricomi=radial.startswith("tricomi"))
-
-
-def _separated_model(args, cfg_file: dict, fc1: float, fc2: float):
-    """``(params, radial, sol, fac)`` of the separated solution a command
-    evaluates; ``fc1``, ``fc2`` are the command's angular defaults."""
-    params = _params_from(args, cfg_file)
-    radial = _resolve(args, cfg_file, "radial", str, "kummer+")
-    sol = _build_solution(params, radial, _resolve(args, cfg_file, "lam", float, 2.0))
-    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
-        # matched c1: Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
-        params = params.with_(c1=momentum.omega_matched_c1(params))
-    fac = AngularFactor(lam=sol.lam, c1=_resolve(args, cfg_file, "fc1", float, fc1) or 0.0,
-                        c2=_resolve(args, cfg_file, "fc2", float, fc2))
-    return params, radial, sol, fac
-
-
 def cmd_solve_momentum(args) -> int:
-    cfg_file = _load_config_file(args.config) if args.config else {}
-    params, radial, sol, fac = _separated_model(args, cfg_file, fc1=1.0, fc2=0.0)
-    rho_lo_bar = _resolve(args, cfg_file, "rho_min", float, 0.3)
-    rho_hi_bar = _resolve(args, cfg_file, "rho_max", float, 2.0)
-    th_lo_deg = _resolve(args, cfg_file, "theta_min_deg", float, 0.0)
-    th_hi_deg = _resolve(args, cfg_file, "theta_max_deg", float, 60.0)
-    rho_lo, rho_hi = rho_lo_bar * params.rho_t, rho_hi_bar * params.rho_t
-    th_lo, th_hi = math.radians(th_lo_deg), math.radians(th_hi_deg)
-    n_rho = _resolve(args, cfg_file, "n_rho", int, 16)
-    n_theta = _resolve(args, cfg_file, "n_theta", int, 16)
-    config = {
-        "command": "solve-momentum", "n": params.n, "ell": params.ell, "sigma_v": params.sigma_v,
-        "alpha": params.alpha, "beta": params.beta, "c0": params.c0, "c1": params.c1, "c2": params.c2,
-        "radial": radial, "lam": sol.lam, "fc1": fac.c1, "fc2": fac.c2,
-        "rho_min": rho_lo_bar, "rho_max": rho_hi_bar,
-        "theta_min_deg": th_lo_deg, "theta_max_deg": th_hi_deg,
-        "n_rho": n_rho, "n_theta": n_theta,
-    }
-    thetas = [th_lo + (th_hi - th_lo) * j / (n_theta - 1) for j in range(n_theta)]
+    config = _resolve(args)
+    params, sol, fac = _separated_model(config)
+    rhos = _linspace(config["rho_min"] * params.rho_t, config["rho_max"] * params.rho_t, config["n_rho"])
+    thetas = _linspace(math.radians(config["theta_min_deg"]), math.radians(config["theta_max_deg"]),
+                       config["n_theta"])
     angular = [fac.value(theta) for theta in thetas]
-    rhos = [rho_lo + (rho_hi - rho_lo) * i / (n_rho - 1) for i in range(n_rho)]
     rows = []
     # a row the radial factor cannot be evaluated at is nan, as map-fields flags it
     for rho, r_val in zip(rhos, momentum.radial_rows(params, sol, rhos)[0].tolist()):
-        region = classify(params, rho).value
+        region = classify(params, rho)
         rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
                     for theta, t_val in zip(thetas, angular))
-    out = Path(args.output)
-    _write_csv(out, config, ("rho_bar", "theta", "u", "radial", "angular", "region"), _csv_lines(rows))
-    summary = {"rows": len(rows), "out_of_range_rows": sum(math.isnan(row[3]) for row in rows)}
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), config, summary)
+    columns = list(zip(*rows))
+    summary = {"rows": len(rows), "out_of_range_rows": sum(map(math.isnan, columns[3]))}
+    out = _write_table(args.output, config, ("rho_bar", "theta", "u", "radial", "angular", "region"),
+                       columns, summary)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_map_fields(args) -> int:
-    cfg_file = _load_config_file(args.config) if args.config else {}
-    params, radial, sol, fac = _separated_model(args, cfg_file, fc1=0.0, fc2=1.0)
-    rho_lo_bar = _resolve(args, cfg_file, "rho_min", float, 1.8)
-    rho_hi_bar = _resolve(args, cfg_file, "rho_max", float, 2.4)
-    th_lo_deg = _resolve(args, cfg_file, "theta_min_deg", float, -12.0)
-    th_hi_deg = _resolve(args, cfg_file, "theta_max_deg", float, 12.0)
-    rho_lo, rho_hi = rho_lo_bar * params.rho_t, rho_hi_bar * params.rho_t
-    th_lo, th_hi = math.radians(th_lo_deg), math.radians(th_hi_deg)
-    n_rho = _resolve(args, cfg_file, "n_rho", int, 24)
-    n_theta = _resolve(args, cfg_file, "n_theta", int, 24)
-    normalize = bool(int(_resolve(args, cfg_file, "normalize", int, 0)))
-    domain = SectorDomain(rho_lo, rho_hi, th_lo, th_hi)
-    config = {
-        "command": "map-fields", "n": params.n, "ell": params.ell, "sigma_v": params.sigma_v,
-        "alpha": params.alpha, "beta": params.beta, "c0": params.c0, "c1": params.c1, "c2": params.c2,
-        "radial": radial, "lam": sol.lam, "fc1": fac.c1, "fc2": fac.c2,
-        "rho_min": rho_lo_bar, "rho_max": rho_hi_bar,
-        "theta_min_deg": th_lo_deg, "theta_max_deg": th_hi_deg,
-        "n_rho": n_rho, "n_theta": n_theta, "normalize": int(normalize), "format": "csv",
-        "require_univalent": int(bool(args.require_univalent)),
-    }
-    norm = normalization_sector(params, sol, fac, domain) if normalize else 1.0
-    univalent = True
+    config = _resolve(args)
+    params, sol, fac = _separated_model(config)
+    config.update(normalize=int(bool(config["normalize"])), format="csv",
+                  require_univalent=int(args.require_univalent))
+    domain = SectorDomain(config["rho_min"] * params.rho_t, config["rho_max"] * params.rho_t,
+                          math.radians(config["theta_min_deg"]), math.radians(config["theta_max_deg"]))
+    norm = normalization_sector(params, sol, fac, domain) if config["normalize"] else 1.0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        samples = sample_fields(params, sol, fac, domain, (n_rho, n_theta), norm=norm)
-    if any(issubclass(w.category, UnivalenceWarning) for w in caught):
-        univalent = False
+        samples = sample_fields(params, sol, fac, domain, (config["n_rho"], config["n_theta"]), norm=norm)
+    univalent = not any(issubclass(w.category, UnivalenceWarning) for w in caught)
+    if not univalent:
         message = (
             "the grid spans a fold of the transform (inverse Jacobian changes sign); "
             "the image is not a single leaf"
@@ -291,49 +254,33 @@ def cmd_map_fields(args) -> int:
         if args.require_univalent:
             raise FoldError(message)
         print(f"warning: {message}", file=sys.stderr)
-    out = Path(args.output)
-    # one %-format per row, a column at a time: v + 0.0 collapses -0.0 as
-    # _fmt does, and NaN still prints nan
-    *values, regions, _ = zip(*samples)
-    row_format = ",".join(["%.17g"] * len(values)) + ",%s"
-    body = list(map(row_format.__mod__, zip(*([v + 0.0 for v in col] for col in values), regions)))
-    _write_csv(out, config, FieldSample.CSV_COLUMNS, body)
-    finite = [s for s in samples if math.isfinite(s.density)]
+    column = dict(zip(FieldSample._fields, zip(*samples)))
+    finite = [d for d in column["density"] if math.isfinite(d)]
     summary = {
         "rows": len(samples),
-        "speed_min": min(s.speed for s in samples),
-        "speed_max": max(s.speed for s in samples),
-        "density_min": min(s.density for s in finite) if finite else math.nan,
-        "density_max": max(s.density for s in finite) if finite else math.nan,
-        "flagged": sum(1 for s in samples if s.flag),
+        "speed_min": min(column["speed"]),
+        "speed_max": max(column["speed"]),
+        "density_min": min(finite, default=math.nan),
+        "density_max": max(finite, default=math.nan),
+        "flagged": sum(map(bool, column["flag"])),
         "univalent": univalent,
     }
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), config, summary)
+    header = FieldSample.CSV_COLUMNS
+    out = _write_table(args.output, config, header, [column[name] for name in header], summary)
     print(f"wrote {out} ({len(samples)} rows)")
     return EXIT_OK
 
 
 def cmd_psi_model(args) -> int:
-    cfg_file = _load_config_file(args.config) if args.config else {}
-    n = _resolve(args, cfg_file, "n", float, 4.0)
-    ell = _resolve(args, cfg_file, "ell", float, 6.0)
-    sigma_r = _resolve(args, cfg_file, "sigma_r", float, 1.0)
-    regime = _resolve(args, cfg_file, "regime", str, None)
-    if regime is not None:
-        pm = PsiModelParams.for_regime(n, ell, regime, sigma_r=sigma_r)
+    config = _resolve(args)
+    n, ell, sigma_r, regime = config["n"], config["ell"], config["sigma_r"], config["regime"]
+    if regime == "explicit":
+        pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=config["rho_t"])
     else:
-        pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r,
-                            rho_t=_resolve(args, cfg_file, "rho_t", float, 2.0))
-    r_lo = _resolve(args, cfg_file, "r_min", float, 0.2)
-    r_hi = _resolve(args, cfg_file, "r_max", float, 6.0)
-    n_r = _resolve(args, cfg_file, "n_r", int, 200)
-    config = {
-        "command": "psi-model", "n": pm.n, "ell": pm.ell, "sigma_r": pm.sigma_r, "rho_t": pm.rho_t,
-        "regime": regime or "explicit", "r_min": r_lo, "r_max": r_hi, "n_r": n_r,
-    }
+        pm = PsiModelParams.for_regime(n, ell, regime, sigma_r=sigma_r)
+    config["rho_t"] = pm.rho_t
     rows = []
-    for i in range(n_r):
-        r_bar = r_lo + (r_hi - r_lo) * i / (n_r - 1)
+    for r_bar in _linspace(config["r_min"], config["r_max"], config["n_r"]):
         r = r_bar * pm.sigma_r
         rows.append((r_bar, psi_density(pm, r), psi_quantum_potential(pm, r),
                      psi_classical_potential(pm, r), psi_velocity(pm, r)))
@@ -344,9 +291,7 @@ def cmd_psi_model(args) -> int:
         "circulation": circulation_quantum(pm),
         "c1": pm.c1,
     }
-    out = Path(args.output)
-    _write_csv(out, config, ("r_bar", "density", "q_pot", "u_pot", "v_phi"), _csv_lines(rows))
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), config, summary)
+    out = _write_table(args.output, config, ("r_bar", "density", "q_pot", "u_pot", "v_phi"), zip(*rows), summary)
     names = ", ".join(_fmt(z / pm.sigma_r) for z in zeros)
     print(f"wrote {out}; potential zeros at r/sigma_r = {names}")
     return EXIT_OK
@@ -371,18 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hodoflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[], help="region classification table (rho in rho_T units)")
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--sigma-v", type=float, default=1.0, dest="sigma_v")
-    p.add_argument("--rho", type=str, required=True, help="comma list of rho / rho_T")
+    def add_point_flags(q):
+        q.add_argument("--n", type=float, required=True)
+        q.add_argument("--ell", type=float, required=True)
+        q.add_argument("--sigma-v", type=float, default=1.0, dest="sigma_v")
+        q.add_argument("--rho", type=str, required=True, help="comma list of rho / rho_T")
+
+    p = sub.add_parser("classify", help="region classification table (rho in rho_T units)")
+    add_point_flags(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("characteristics", help="characteristic values, slopes, canonical coefficients")
-    p.add_argument("--n", type=float, required=True)
-    p.add_argument("--ell", type=float, required=True)
-    p.add_argument("--sigma-v", type=float, default=1.0, dest="sigma_v")
-    p.add_argument("--rho", type=str, required=True, help="comma list of rho / rho_T")
+    add_point_flags(p)
     p.add_argument("--theta0", type=float, default=0.0, help="angle offset in degrees")
     p.set_defaults(func=cmd_characteristics)
 
@@ -405,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--c1", type=float, default=None)
         q.add_argument("--c2", type=float, default=None)
         q.add_argument("--lambda", type=float, default=None, dest="lam")
-        q.add_argument("--radial", type=str, default=None, choices=_RADIAL_CHOICES)
+        q.add_argument("--radial", type=str, default=None, choices=[kind.value for kind in RadialKind])
         q.add_argument("--fc1", type=float, default=None, help="angular-factor c1")
         q.add_argument("--fc2", type=float, default=None, help="angular-factor c2")
         q.add_argument("--rho-min", type=float, default=None, dest="rho_min", help="in rho_T units")

@@ -213,7 +213,7 @@ def zeta_bar(params: ModelParams, rho: float) -> float:
     if rho <= 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rb = params.rho_bar(rho)
-    return params.c0 * specfun.checked_pow(rb, -(params.ell + 1.0)) * math.exp(params.tau(rho))
+    return params.c0 * specfun.checked_pow(rb, -(params.ell + 1.0)) * specfun.checked_exp(params.tau(rho))
 
 
 def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
@@ -556,8 +556,8 @@ def omega_slope(params: ModelParams, rho: float) -> float:
         * math.sqrt(ell + 1.0)
         / params.rho_t
         * math.exp(-(ell + 1.0) / params.n)
-        * math.exp(params.tau(rho))
-        * rb ** (-(ell + 1.0))
+        * specfun.checked_exp(params.tau(rho))
+        * specfun.checked_pow(rb, -(ell + 1.0))
     )
 
 

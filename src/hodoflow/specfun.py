@@ -1,10 +1,12 @@
 """Self-contained special-function kernel.
 
 Everything downstream (radial solutions, the inverse map, the vortex model)
-is built on these five primitives: the gamma function, the exponential
-integral Ei, the Kummer function M, the Tricomi function Psi and generalized
-Laguerre polynomials, with the derivatives of M and Psi and the test for a
-zero of M at working precision.
+is built on four primitives: the gamma function, the Kummer function M, the
+Tricomi function Psi and generalized Laguerre polynomials, with the
+derivatives of M and Psi and the test for a zero of M at working precision.
+The exponential integral Ei is public too, but nothing downstream uses it:
+only the ``ei-derivative-identity`` check of the ``specfun`` suite and the
+tests call it.
 
 All functions are pure and none hold state.  The public ones accept and
 return Python floats; ``_kummer_block`` sums the Kummer series of a whole
@@ -56,6 +58,14 @@ def checked_pow(x: float, p: float) -> float:
         return x ** p
     except (OverflowError, ZeroDivisionError):
         raise DomainError(f"{x:g}^{p:g} is out of the float range") from None
+
+
+def checked_exp(x: float) -> float:
+    """e^x, with :class:`DomainError` where it leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"exp({x:g}) is out of the float range") from None
 
 
 def _power(x, p):

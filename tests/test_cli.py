@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -9,18 +11,71 @@ from hodoflow import (
     AngularFactor,
     ModelParams,
     RadialSolution,
+    RegionTag,
     SectorDomain,
     normalization_sector,
     omega_matched_c1,
 )
-from hodoflow.cli import main
+from hodoflow.cli import _fmt, _table, main
 from hodoflow.momentum import radial_row
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the commands in README's "Command line" block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command(argv, tmp_path, monkeypatch, capsys):
+    # every README command runs; one that writes files writes the same bytes twice
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    if "--output" in argv:
+        name = argv[argv.index("--output") + 1]
+        assert set(files) == ({name, name + ".json"} if name.endswith(".csv") else {name})
+        assert main(argv) == 0
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+class TestTable:
+    def test_cells_as_fmt(self):
+        floats = [1.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 0.1]
+        ks = [0, 1, 2, 3, 4, 5, 16]  # an int column, as laguerre-enum's k
+        regions = [RegionTag.ELLIPTIC, RegionTag.PARABOLIC, RegionTag.HYPERBOLIC] * 2 + [RegionTag.ELLIPTIC]
+        names = ["elliptic", "x", "", "a b", "nan", "0", "-0.0"]
+        lines = _table(("f", "k", "region", "name"), [floats, ks, regions, names])
+        assert lines[0] == "f,k,region,name"
+        assert lines[1:] == [",".join(map(_fmt, row)) for row in zip(floats, ks, regions, names)]
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "1.5", "0", "0", "nan", "inf", "-inf", "0.10000000000000001"
+        ]
+        assert lines[2] == "0,1,parabolic,x"
+
+    def test_no_rows(self):
+        assert _table(("a", "b"), zip(*[])) == ["a,b"]
+
+
+@pytest.mark.parametrize("count", [1, 0, -3])
+@pytest.mark.parametrize("command, flag", [
+    ("solve-momentum", "--n-rho"), ("map-fields", "--n-theta"), ("psi-model", "--n-r"),
+])
+def test_grid_counts_below_two_rejected(tmp_path, capsys, command, flag, count):
+    out_file = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, command, flag, str(count), "--output", str(out_file))
+    assert code == 1 and out == ""
+    assert err.startswith("error: grid must be at least 2") and str(count) in err
+    assert not out_file.exists()
 
 
 class TestClassify:
@@ -250,6 +305,14 @@ class TestMapFields:
         # echo lines appear in the CSV header block
         text = out_file.read_text()
         assert "# n_theta = 7" in text
+
+    def test_config_file_unknown_radial(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("radial = kumer+\n")
+        out_file = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "map-fields", "--config", str(cfg), "--output", str(out_file))
+        assert code == 1 and "unknown radial 'kumer+'" in err
+        assert not out_file.exists()
 
 
 class TestSolveMomentum:

@@ -8,7 +8,7 @@ import pytest
 
 from hodoflow import verify
 from hodoflow.errors import DomainError, NodeError, ParameterError, RegionError, SaturationWarning
-from hodoflow.mapping import SectorDomain
+from hodoflow.mapping import SectorDomain, invert_map_radial
 from hodoflow.maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant
 from hodoflow.momentum import (
     AngularFactor,
@@ -194,8 +194,12 @@ class TestHillSubstitution:
             lambda p: zeta_bar(p, 1e200),  # rho_bar^n in tau overflows
             lambda p: mu_plus(p, 1e200),
             lambda p: hill_coefficient_G(p, 2.0, 1e200),
+            lambda p: zeta_bar(p, 100.0),  # exp(tau) overflows, tau = 3750
+            lambda p: omega_slope(p, 100.0),
+            lambda p: invert_map_radial(p, 1e308),  # its bracket reaches exp(tau) > 1e308
         ],
-        ids=["zeta_bar-tiny", "zeta_bar-huge", "mu_plus-huge", "hill_G-huge"],
+        ids=["zeta_bar-tiny", "zeta_bar-huge", "mu_plus-huge", "hill_G-huge", "zeta_bar-exp", "omega_slope-exp",
+             "invert_map_radial-huge"],
     )
     def test_powers_beyond_float_range_raise_domain_error(self, m22, evaluate):
         with pytest.raises(DomainError, match="out of the float range"):

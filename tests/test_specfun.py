@@ -232,12 +232,19 @@ class TestKummerBlock:
                 assert (value[i, j], scale[i, j]) == _kummer_series(a[i], b[i], z[j]), (a[i], b[i], z[j])
 
     def test_box_reaches_chunk_edges(self):
-        # chunks hold terms 1-16, 17-48, 49-112: the box stops on the last term
-        # of a chunk, the first of the next, and with a run of small terms
-        # carried over the edge
+        # with z up to 50 the first chunk holds 26 + 2.5 * 50 = 151 terms, and
+        # every series of the box stops inside it.  Three more series stop, at
+        # z = 50, on its last term and on the two after it, with the small
+        # terms carried over the edge; summing on past those terms would change
+        # the last bits of the two later ones
         a, b, z = self._box()
-        used = {_terms_used(a_s, b_s, z_n) for a_s, b_s in zip(a[19:], b[19:]) for z_n in z}
-        assert {16, 17, 18, 48, 49, 50} <= used
+        assert max(_terms_used(a_s, b_s, z_n) for a_s, b_s in zip(a[19:], b[19:]) for z_n in z) < 151
+        a_edge, b_edge = [47.25, 50.23, 52.33], [0.75, 0.75, 0.75]
+        assert [_terms_used(a_s, b_s, 50.0) for a_s, b_s in zip(a_edge, b_edge)] == [151, 152, 153]
+        value, scale = _kummer_block(np.concatenate([a, a_edge]), np.concatenate([b, b_edge]), z)
+        for i, (a_s, b_s) in enumerate(zip(a_edge, b_edge), start=a.size):
+            for j in range(z.size):
+                assert (value[i, j], scale[i, j]) == _kummer_series(a_s, b_s, z[j]), (a_s, b_s, z[j])
 
     def test_first_chunk_edges(self):
         # with z up to 10 the first chunk holds 26 + 2.5 * 10 = 51 terms; these

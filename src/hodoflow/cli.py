@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 from . import momentum, suites
@@ -27,9 +26,8 @@ from .errors import (
     HodoflowError,
     ParameterError,
     RegionError,
-    UnivalenceWarning,
 )
-from .mapping import FieldSample, SectorDomain, sample_fields
+from .mapping import FieldSample, SectorDomain, _field_columns
 from .maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant, normalization_sector
 from .momentum import (
     AngularFactor,
@@ -123,11 +121,18 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args) -> dict:
     """The command's config: each key of its defaults table from the flag, else
-    from the ``--config`` file, else the default.  Grid counts must be >= 2."""
+    from the ``--config`` file, else the default.  A file value must parse as
+    its default's type, and grid counts must be >= 2."""
     defaults = _DEFAULTS[args.command]
     file_keys = _load_config_file(args.config) if args.config else {}
     config = {"command": args.command, **defaults}
-    config.update((key, type(defaults[key])(value)) for key, value in file_keys.items() if key in defaults)
+    for key, value in file_keys.items():
+        if key in defaults:
+            cast = type(defaults[key])
+            try:
+                config[key] = cast(value)
+            except ValueError:
+                raise ParameterError(f"config value {key} = {value!r} is not a valid {cast.__name__}") from None
     config.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
     shape = tuple(config[key] for key in ("n_rho", "n_theta", "n_r") if key in config)
     if min(shape) < 2:
@@ -242,10 +247,7 @@ def cmd_map_fields(args) -> int:
     domain = SectorDomain(config["rho_min"] * params.rho_t, config["rho_max"] * params.rho_t,
                           math.radians(config["theta_min_deg"]), math.radians(config["theta_max_deg"]))
     norm = normalization_sector(params, sol, fac, domain) if config["normalize"] else 1.0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        samples = sample_fields(params, sol, fac, domain, (config["n_rho"], config["n_theta"]), norm=norm)
-    univalent = not any(issubclass(w.category, UnivalenceWarning) for w in caught)
+    columns, univalent = _field_columns(params, sol, fac, domain, (config["n_rho"], config["n_theta"]), norm)
     if not univalent:
         message = (
             "the grid spans a fold of the transform (inverse Jacobian changes sign); "
@@ -254,10 +256,11 @@ def cmd_map_fields(args) -> int:
         if args.require_univalent:
             raise FoldError(message)
         print(f"warning: {message}", file=sys.stderr)
-    column = dict(zip(FieldSample._fields, zip(*samples)))
+    column = dict(zip(FieldSample._fields, columns))
+    rows = len(column["x"])
     finite = [d for d in column["density"] if math.isfinite(d)]
     summary = {
-        "rows": len(samples),
+        "rows": rows,
         "speed_min": min(column["speed"]),
         "speed_max": max(column["speed"]),
         "density_min": min(finite, default=math.nan),
@@ -267,7 +270,7 @@ def cmd_map_fields(args) -> int:
     }
     header = FieldSample.CSV_COLUMNS
     out = _write_table(args.output, config, header, [column[name] for name in header], summary)
-    print(f"wrote {out} ({len(samples)} rows)")
+    print(f"wrote {out} ({rows} rows)")
     return EXIT_OK
 
 

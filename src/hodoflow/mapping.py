@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -371,48 +371,47 @@ def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.
     )
 
 
-def _records(
-    params: ModelParams,
-    rhos: np.ndarray,
-    thetas: np.ndarray,
-    norm: float,
-    grids: tuple,
-    node: np.ndarray,
-    out_of_range: np.ndarray,
-) -> list[FieldSample]:
-    """FieldSample records, row-major in rho, with velocity, speed, density,
-    region and flag added.
+#: The flag of each code of :func:`_field_columns`; a higher code takes precedence.
+_FLAGS = np.array(["", "node", "out-of-range", "density-singular"], dtype=object)
 
-    ``grids`` holds x, y, phi, q_pot, u_pot and jac_inv, each broadcastable
-    to the (rho, theta) grid; ``node`` is a grid mask and ``out_of_range`` a
-    row mask.
-    """
-    shape = (rhos.size, thetas.size)
-    rho_list = rhos.tolist()
+
+def _field_columns(params: ModelParams, sol: RadialSolution, fac: AngularFactor, domain: SectorDomain,
+                   grid: tuple[int, int], norm: float) -> tuple[list[list], bool]:
+    """The columns of :func:`sample_fields`' records, one list per
+    :class:`FieldSample` field, row-major in rho, and whether the grid is
+    univalent (the inverse Jacobian keeps one sign on it)."""
+    _require_chart(sol, fac)
+    momentum.require_matching_lam(sol, fac)
+    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
+        momentum._require_hyperbolic(params, domain.rho_min)
+    rhos, thetas = _grid(domain, grid)
+    r, rp, rcal = (col[:, None] for col in momentum.radial_rows(params, sol, rhos))
+    g = maxwell._g(params, rhos)[:, None]
     rho = rhos[:, None]
-    density = maxwell._density(params, abs(params.alpha) * rhos, norm)
-    density_singular = np.isnan(density)
-    x, y, phi, q_pot, u_pot, jac_inv = grids
-    q_pot, u_pot = (np.where(density_singular[:, None], math.nan, a) for a in (q_pot, u_pot))
-    vx, vy = -params.alpha * rho * np.cos(thetas), -params.alpha * rho * np.sin(thetas)
     # one (field, rho, theta) block, so that one tolist() makes every float
-    block = np.empty((8, *shape))
-    for k, a in enumerate((x, y, phi, vx, vy, q_pot, u_pot, jac_inv)):
-        block[k] = a
+    block = np.empty((8, rhos.size, thetas.size))
+    x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block
+    with np.errstate(all="ignore"):
+        th, thp = fac.value(thetas), fac.deriv(thetas)
+        ups = np.where(fac.at_node(thetas), np.nan, thp / th)
+        u = r * th
+        x[...], y[...], phi[...], jac_inv[...] = _image(rho, r, rp, g, fac.lam, th, thp,
+                                                        np.cos(thetas), np.sin(thetas))
+        q_pot[...], u_pot[...], node = potentials.potentials_on_grid(params, sol.lam, rho, u, rcal, g, ups)
+        out_of_range = np.isnan(r[:, 0]) | np.isinf(jac_inv).any(axis=1) | np.isinf(u * u).any(axis=1)
+    block[:, out_of_range] = math.nan
+    univalent = not ((jac_inv > 0.0).any() and (jac_inv < 0.0).any())
+    vx[...], vy[...] = -params.alpha * rho * np.cos(thetas), -params.alpha * rho * np.sin(thetas)
+    speed = abs(params.alpha) * rhos
+    density = maxwell._density(params, speed, norm)
+    density_singular = np.isnan(density)
+    block[5:7, density_singular] = math.nan  # q_pot and u_pot
+    code = np.maximum(node, np.maximum(2 * out_of_range, 3 * density_singular)[:, None])
+    per_row = np.array([speed, density, [classify(params, v) for v in rhos.tolist()]], dtype=object)
+    speed, density, region = np.repeat(per_row, thetas.size, axis=1).tolist()
     x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block.reshape(8, -1).tolist()
-
-    def per_point(row_values):
-        return list(chain.from_iterable(repeat(v, shape[1]) for v in row_values))
-
-    speed = per_point([abs(params.alpha) * r for r in rho_list])
-    regions = per_point([classify(params, r) for r in rho_list])
-    flag = np.full(shape, "", dtype=object)
-    flag[node] = "node"
-    flag[out_of_range, :] = "out-of-range"
-    flag[density_singular, :] = "density-singular"
-    columns = zip(x, y, phi, vx, vy, speed, per_point(density.tolist()), q_pot, u_pot, jac_inv, regions,
-                  flag.ravel().tolist())
-    return list(map(tuple.__new__, repeat(FieldSample), columns))
+    flag = _FLAGS[code].ravel().tolist()
+    return [x, y, phi, vx, vy, speed, density, q_pot, u_pot, jac_inv, region, flag], univalent
 
 
 def sample_fields(
@@ -453,26 +452,11 @@ def sample_fields(
     :class:`DegenerateMapError`; an Omega sector that reaches below rho_T,
     where Omega does not exist, raises :class:`RegionError`.
     """
-    _require_chart(sol, fac)
-    momentum.require_matching_lam(sol, fac)
-    if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
-        momentum._require_hyperbolic(params, domain.rho_min)
-    rhos, thetas = _grid(domain, grid)
-    r, rp, rcal = (col[:, None] for col in momentum.radial_rows(params, sol, rhos))
-    g = maxwell._g(params, rhos)[:, None]
-    rho = rhos[:, None]
-    with np.errstate(all="ignore"):
-        th, thp = fac.value(thetas), fac.deriv(thetas)
-        ups = np.where(fac.at_node(thetas), np.nan, thp / th)
-        u = r * th
-        x, y, phi, jac_inv = _image(rho, r, rp, g, fac.lam, th, thp, np.cos(thetas), np.sin(thetas))
-        q_pot, u_pot, node = potentials.potentials_on_grid(params, sol.lam, rho, u, rcal, g, ups)
-        out_of_range = np.isnan(r[:, 0]) | np.isinf(jac_inv).any(axis=1) | np.isinf(u * u).any(axis=1)
-    grids = [np.where(out_of_range[:, None], math.nan, a) for a in (x, y, phi, q_pot, u_pot, jac_inv)]
-    if (grids[-1] > 0.0).any() and (grids[-1] < 0.0).any():
+    columns, univalent = _field_columns(params, sol, fac, domain, grid, norm)
+    if not univalent:
         warnings.warn(
             "inverse Jacobian changes sign over the grid: the image is not univalent",
             UnivalenceWarning,
             stacklevel=2,
         )
-    return _records(params, rhos, thetas, norm, grids, node, out_of_range)
+    return list(map(tuple.__new__, repeat(FieldSample), zip(*columns)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -154,28 +155,10 @@ def _check_rho_bar(params: ModelParams, rho: float) -> float:
     return rb
 
 
-def _hill_integral(params: ModelParams, rho: float) -> float:
-    """The antiderivative I(x) of ``x^-(q+1) e^(coef x)`` at ``x = rho_bar^n``
-    (``coef = (ell+1)/n``, ``q = ell/n``) that zeta and Omega share:
-    ``I = x^-q sum_j (coef x)^j / (j! (j - q))``.
-
-    When ell = n k the j = k term is ``(coef x)^k / k! (ln(coef x) +
-    euler_gamma - H_k)`` instead, H_k the k-th harmonic number: the constant
-    of the closed form through the exponential integral (``Ei(coef x)`` for
-    k = 0, integration by parts for each higher k).  That constant diverges
-    as ell -> n k, so only differences (or the derivative) are continuous in
-    ell there.  Raises :class:`DomainError` above ``RHO_BAR_N_CAP`` and where
-    the sum leaves the float range.
-    """
-    rb = _check_rho_bar(params, rho)
-    n, ell = params.n, params.ell
-    x = rb ** n
-    if x == 0.0:
-        raise DomainError(f"rho_bar^n underflows to 0 at rho = {rho}")
-    z = (ell + 1.0) / n * x
-    k = _integer_quotient(ell, n)
-    q = ell / n if k is None else k
-    power = 1.0  # z^j / j!
+def _hill_sum(z: float, q: float, k: int | None, power: float) -> float:
+    """``power sum_j z^j / (j! (j - q))``, the j = k term as :func:`_hill_integral`
+    takes it; inf where a term leaves the float range, NaN where the series
+    does not converge."""
     total = 0.0
     small = 0
     for j in range(SERIES_MAX_TERMS):
@@ -187,15 +170,45 @@ def _hill_integral(params: ModelParams, rho: float) -> float:
         if abs(term) < SERIES_REL_TOL * abs(total):
             small += 1
             if small >= 3 and j > max(z, q):  # past the series hump and the pole
-                break
+                return total
         elif math.isinf(term):
-            raise DomainError(f"the Hill integral at rho_bar = {rb} is beyond the float range")
+            return math.inf
         else:
             small = 0
         power *= z / (j + 1)
-    else:
+    return math.nan
+
+
+def _hill_integral(params: ModelParams, rho: float) -> float:
+    """The antiderivative I(x) of ``x^-(q+1) e^(coef x)`` at ``x = rho_bar^n``
+    (``coef = (ell+1)/n``, ``q = ell/n``) that zeta and Omega share:
+    ``I = x^-q sum_j (coef x)^j / (j! (j - q))``.
+
+    When ell = n k the j = k term is ``(coef x)^k / k! (ln(coef x) +
+    euler_gamma - H_k)`` instead, H_k the k-th harmonic number: the constant
+    of the closed form through the exponential integral (``Ei(coef x)`` for
+    k = 0, integration by parts for each higher k).  That constant diverges
+    as ell -> n k, so only differences (or the derivative) are continuous in
+    ell there.  The sum is scaled by ``x^-q`` after it is taken; where the
+    sum alone leaves the float range, a normal ``x^-q`` scales its first
+    term instead.  Raises :class:`DomainError` above ``RHO_BAR_N_CAP`` and where
+    I leaves the float range.
+    """
+    rb = _check_rho_bar(params, rho)
+    n, ell = params.n, params.ell
+    x = rb ** n
+    if x == 0.0:
+        raise DomainError(f"rho_bar^n underflows to 0 at rho = {rho}")
+    z = (ell + 1.0) / n * x
+    k = _integer_quotient(ell, n)
+    q = ell / n if k is None else k
+    total = _hill_sum(z, q, k, 1.0)
+    if math.isnan(total):
         raise DomainError(f"the Hill integral series did not converge at rho_bar = {rb}")
-    value = total * specfun.checked_pow(x, -q)
+    scale = specfun.checked_pow(x, -q)
+    value = total * scale
+    if math.isinf(total) and scale >= sys.float_info.min:
+        value = _hill_sum(z, q, k, scale)
     if not math.isfinite(value):
         raise DomainError(f"the Hill integral at rho_bar = {rb} is beyond the float range")
     return value
@@ -636,27 +649,19 @@ def _case_from_k(n: float, lam: float, k: int) -> LaguerreCase | None:
     return LaguerreCase(lam=lam, k=k, n=n, ell=ell, alpha_bar=alpha_bar)
 
 
-def laguerre_enumerate(
-    n: float,
-    lambda_set: list[float],
-    ell_max: float,
-    ell_for_k0: float | None = None,
-) -> list[LaguerreCase]:
+def laguerre_enumerate(n: float, lambda_set: list[float], ell_max: float) -> list[LaguerreCase]:
     """All polynomial radial cases for each lam in ``lambda_set``.
 
     For lam >= 1 the admissible orders are k <= lam sqrt(lam^2 - 1) / n; each
     k pins ell through the degeneration condition.  lam = 1 only admits the
-    trivial k = 0 polynomial, which holds for every ell and is reported when
-    ``ell_for_k0`` pins one.  Output is ordered by lam, then k.
+    trivial k = 0 polynomial, which holds for every ell and so gives no row
+    (:func:`laguerre_enumerate_for_ell` lists it).  Output is ordered by lam,
+    then k.
     """
     rows: list[LaguerreCase] = []
     for lam in sorted(lambda_set):
         if lam < 1.0 - 1e-12:
             continue
-        if abs(lam - 1.0) <= 1e-12 and ell_for_k0 is not None:
-            rows.append(
-                LaguerreCase(lam=1.0, k=0, n=n, ell=ell_for_k0, alpha_bar=(2.0 + ell_for_k0) / n)
-            )
         k_cap = int(math.floor(math.sqrt(max(lam ** 2 * (lam ** 2 - 1.0), 0.0)) / n + 1e-9))
         for k in range(1, k_cap + 1):
             case = _case_from_k(n, lam, k)

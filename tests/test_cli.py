@@ -1,20 +1,25 @@
 """Command-line interface: tables, files, config handling, exit codes."""
 
+import hashlib
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
 
 from hodoflow import (
     AngularFactor,
+    FieldSample,
     ModelParams,
     RadialSolution,
     RegionTag,
     SectorDomain,
+    UnivalenceWarning,
     normalization_sector,
     omega_matched_c1,
+    sample_fields,
 )
 from hodoflow.cli import _fmt, _table, main
 from hodoflow.momentum import radial_row
@@ -46,6 +51,59 @@ def test_readme_command(argv, tmp_path, monkeypatch, capsys):
         assert set(files) == ({name, name + ".json"} if name.endswith(".csv") else {name})
         assert main(argv) == 0
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+def test_readme_map_fields_bytes(tmp_path, monkeypatch):
+    # the README example's CSV and sidecar, pinned by their sha256
+    monkeypatch.chdir(tmp_path)
+    argv = next(argv for argv in _readme_commands() if argv[0] == "map-fields")
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("fields.csv", "fields.csv.json")}
+    assert digests == {
+        "fields.csv": "d058f9a512623773e15d3ade85ef34b6bb1c5be6e942e0ab171c3b1ff510531b",
+        "fields.csv.json": "673270c01e9b91cb9cf3a63ef604dcac8c1c64366f20c9719572f63082a1f233",
+    }
+
+
+def _omega_chart(p):
+    return p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+
+
+@pytest.mark.parametrize("flags, model, rho_t_units, theta_deg", [
+    # the README sector (kummer+, Theta = cos 3 theta), crossed by a fold
+    (("--n", "2", "--ell", "4", "--lambda", "3", "--rho-min", "1.5", "--rho-max", "1.89",
+      "--theta-min", "-15", "--theta-max", "15"),
+     lambda p: (p, RadialSolution.kummer(p, 3.0, branch="+"), AngularFactor(lam=3.0, c1=0.0, c2=1.0)),
+     (1.5, 1.89), (-15.0, 15.0)),
+    # the Omega chart, univalent
+    (("--radial", "omega", "--n", "2", "--ell", "0", "--lambda", "0", "--rho-min", "1.2", "--rho-max", "2"),
+     _omega_chart, (1.2, 2.0), (-12.0, 12.0)),
+    # rows beyond the Kummer series' z_max: out-of-range, NaN cells
+    (("--n", "2", "--ell", "4", "--lambda", "2.5", "--rho-min", "4", "--rho-max", "5",
+      "--n-rho", "6", "--n-theta", "6"),
+     lambda p: (p, RadialSolution.kummer(p, 2.5, branch="+"), AngularFactor(lam=2.5, c1=0.0, c2=1.0)),
+     (4.0, 5.0), (-12.0, 12.0)),
+], ids=["readme", "omega", "out-of-range"])
+def test_map_fields_reads_the_records(tmp_path, capsys, flags, model, rho_t_units, theta_deg):
+    # map-fields and sample_fields read one field core: the CSV is the records
+    # as text, and the sidecar is not univalent exactly where sample_fields warns
+    out_file = tmp_path / "f.csv"
+    code, _, _ = run_cli(capsys, "map-fields", *flags, "--output", str(out_file))
+    assert code == 0
+    config = json.loads((tmp_path / "f.csv.json").read_text())["config"]
+    params, sol, fac = model(ModelParams(n=config["n"], ell=config["ell"]))
+    domain = SectorDomain(rho_t_units[0] * params.rho_t, rho_t_units[1] * params.rho_t,
+                          *map(math.radians, theta_deg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = sample_fields(params, sol, fac, domain, (config["n_rho"], config["n_theta"]))
+    lines = [line for line in out_file.read_text().splitlines() if not line.startswith("#")]
+    assert lines[0].split(",") == list(FieldSample.CSV_COLUMNS)
+    expected = [[_fmt(getattr(s, name)) for name in FieldSample.CSV_COLUMNS] for s in samples]
+    assert [line.split(",") for line in lines[1:]] == expected
+    warned = any(issubclass(w.category, UnivalenceWarning) for w in caught)
+    assert json.loads((tmp_path / "f.csv.json").read_text())["summary"]["univalent"] is not warned
 
 
 class TestTable:
@@ -312,6 +370,22 @@ class TestMapFields:
         out_file = tmp_path / "x.csv"
         code, _, err = run_cli(capsys, "map-fields", "--config", str(cfg), "--output", str(out_file))
         assert code == 1 and "unknown radial 'kumer+'" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("command, line, kind", [
+        ("map-fields", "n_rho = 2.5", "int"),
+        ("psi-model", "ell = four", "float"),
+        ("map-fields", "normalize = yes", "int"),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, line, kind):
+        # a file value that does not parse as its key's type is a usage error, not a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--output", str(out_file))
+        key, value = (part.strip() for part in line.split("="))
+        assert code == 1 and out == ""
+        assert err == f"error: config value {key} = {value!r} is not a valid {kind}\n"
         assert not out_file.exists()
 
 

@@ -67,7 +67,6 @@ from .mapping import (
     SectorDomain,
     forward_map,
     invert_map,
-    invert_map_radial,
     map_differential,
     sample_fields,
 )
@@ -92,7 +91,6 @@ from .potentials import (
     sigma_r_from_moments,
 )
 from .specfun import (
-    expint_ei,
     gamma,
     kummer_m,
     kummer_m_deriv,

@@ -5,8 +5,9 @@ map-fields, psi-model, verify.  Momentum radii are given in units of the
 sonic radius rho_T, angles in degrees; vortex-model radii are in units of
 sigma_r.  CSV output uses '.' decimals, ',' separators, Unix newlines, a
 mandatory header row, and 17-significant-digit floats, so identical configs
-produce byte-identical files.  Exit codes: 0 ok, 1 usage, 2 degenerate map,
-3 fold/multivalence, 4 verification failure.
+produce byte-identical files.  Exit codes: 0 ok, 1 usage, input or
+evaluation error, 2 degenerate map, 3 fold/multivalence, 4 a failed
+``verify`` report.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from pathlib import Path
 from . import momentum, suites
 from .errors import (
     DegenerateMapError,
-    DivergenceError,
     DomainError,
     FoldError,
     HodoflowError,
     ParameterError,
-    RegionError,
 )
 from .mapping import FieldSample, SectorDomain, _field_columns
 from .maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant, normalization_sector
@@ -409,12 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except FoldError as exc:
         print(f"fold detected: {exc}", file=sys.stderr)
         return EXIT_FOLD
-    except (ParameterError, DivergenceError, DomainError, RegionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except HodoflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

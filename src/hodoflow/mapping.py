@@ -270,36 +270,6 @@ def map_differential(
     return np.array([[x_rho, x_theta], [y_rho, y_theta]])
 
 
-def invert_map_radial(params: ModelParams, r: float, tol: float = 1e-14) -> float:
-    """Solve zeta_bar(rho) = r for rho > rho_T (monotone; Newton with bisection fallback)."""
-    r_min = momentum.zeta_bar(params, params.rho_t)
-    if r < r_min * (1.0 - 1e-12):
-        raise DomainError(f"radius {r} below the image floor {r_min}")
-    lo = params.rho_t
-    hi = params.rho_t * 1.5
-    while momentum.zeta_bar(params, hi) < r:
-        hi *= 1.5
-        if hi > 1e6 * params.rho_t:
-            raise NoConvergenceError("could not bracket the radial inverse")
-    rho = 0.5 * (lo + hi)
-    target = math.log(r)
-    for _ in range(200):
-        val = math.log(momentum.zeta_bar(params, rho)) - target
-        if val > 0.0:
-            hi = rho
-        else:
-            lo = rho
-        deriv = (params.ell + 1.0) * (params.rho_bar(rho) ** params.n - 1.0) / rho
-        step = val / deriv if deriv > 0.0 else math.inf
-        cand = rho - step
-        if not lo < cand < hi:
-            cand = 0.5 * (lo + hi)  # bisection fallback
-        if abs(cand - rho) <= tol * rho:
-            return cand
-        rho = cand
-    raise NoConvergenceError(f"radial inversion stalled at r = {r}")
-
-
 def invert_map(
     params: ModelParams,
     sol: RadialSolution,

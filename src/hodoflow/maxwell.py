@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, NoConvergenceError, ParameterError
+from .errors import DivergenceError, DomainError, NoConvergenceError, ParameterError, PoleError
 from . import specfun
 
 
@@ -185,16 +185,23 @@ def normalization_psi_model(n: float, ell: float, sigma_r: float) -> float:
     """Normalization constant of the vortex-model density over the plane.
 
     ``N^-1 = (2 pi sigma_r^2 / n) ((ell+1)/n)^(2/n) Gamma((ell-2)/n)``; the
-    integral diverges for ell <= 2.
+    integral diverges for ell <= 2.  :class:`DomainError` where N or a factor
+    of it leaves the float range or Gamma's argument is at its pole 0.
     """
     if ell <= 2.0:
         raise DivergenceError(f"plane normalization diverges for ell = {ell} <= 2")
-    inv = (
-        2.0 * math.pi * sigma_r ** 2 / n
-        * ((ell + 1.0) / n) ** (2.0 / n)
-        * specfun.gamma((ell - 2.0) / n)
-    )
-    return 1.0 / inv
+    try:
+        norm = 1.0 / (
+            2.0 * math.pi * sigma_r ** 2 / n
+            * ((ell + 1.0) / n) ** (2.0 / n)
+            * specfun.gamma((ell - 2.0) / n)
+        )
+    except (OverflowError, ZeroDivisionError, PoleError):
+        norm = 0.0
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"the vortex-model normalization at n = {n:g}, ell = {ell:g}, "
+                          f"sigma_r = {sigma_r:g} is beyond the float range")
+    return norm
 
 
 #: Gauss-Legendre orders compared on every rho panel of :func:`normalization_sector`.

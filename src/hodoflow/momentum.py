@@ -48,6 +48,10 @@ _REL_BAND = 1e-12  # tolerance band around rho_T for region admission
 #: ``|Theta| < THETA_NODE_TOL (|c1| + |c2| [+ |c1 theta| when lam = 0])``.
 THETA_NODE_TOL = 1e-12
 
+#: Most orders k the Laguerre enumerators scan for one lam (or one ell): a
+#: larger range raises :class:`ParameterError` before the scan starts.
+LAGUERRE_MAX_ORDER = 10_000
+
 
 class CharacteristicKind(enum.Enum):
     HYPERBOLIC_PLUS = "h+"
@@ -637,6 +641,24 @@ class AngularFactor:
 # Laguerre-case enumeration
 # ---------------------------------------------------------------------------
 
+def _require_order_n(n: float) -> None:
+    if not (math.isfinite(n) and n > 0.0):
+        raise ParameterError(f"n must be finite and positive, got {n}")
+
+
+def _order_cap(n: float, lam: float) -> int:
+    """The largest admissible order, floor(lam sqrt(lam^2 - 1) / n);
+    :class:`ParameterError` beyond ``LAGUERRE_MAX_ORDER``."""
+    try:
+        top = math.sqrt(max(lam ** 2 * (lam ** 2 - 1.0), 0.0)) / n + 1e-9
+    except OverflowError:
+        top = math.inf
+    if top > LAGUERRE_MAX_ORDER:
+        raise ParameterError(f"lam = {lam:g} at n = {n:g} admits orders k up to {top:.3g}, "
+                             f"beyond LAGUERRE_MAX_ORDER = {LAGUERRE_MAX_ORDER}")
+    return int(math.floor(top))
+
+
 def _case_from_k(n: float, lam: float, k: int) -> LaguerreCase | None:
     lam2 = lam * lam
     ell = ((lam2 - k * n) ** 2 - lam2) / (k * n)
@@ -656,14 +678,17 @@ def laguerre_enumerate(n: float, lambda_set: list[float], ell_max: float) -> lis
     k pins ell through the degeneration condition.  lam = 1 only admits the
     trivial k = 0 polynomial, which holds for every ell and so gives no row
     (:func:`laguerre_enumerate_for_ell` lists it).  Output is ordered by lam,
-    then k.
+    then k.  ``n`` must be finite and positive and each lam finite, with at
+    most ``LAGUERRE_MAX_ORDER`` orders, else :class:`ParameterError`.
     """
+    _require_order_n(n)
     rows: list[LaguerreCase] = []
     for lam in sorted(lambda_set):
+        if not math.isfinite(lam):
+            raise ParameterError(f"lam must be finite, got {lam}")
         if lam < 1.0 - 1e-12:
             continue
-        k_cap = int(math.floor(math.sqrt(max(lam ** 2 * (lam ** 2 - 1.0), 0.0)) / n + 1e-9))
-        for k in range(1, k_cap + 1):
+        for k in range(1, _order_cap(n, lam) + 1):
             case = _case_from_k(n, lam, k)
             if case is not None and case.ell <= ell_max:
                 rows.append(case)
@@ -676,7 +701,15 @@ def laguerre_enumerate_for_ell(n: float, ell: float, k_max: int = 16) -> list[La
     For each order k >= 1 the degeneration condition is a quadratic in lam^2;
     only the root compatible with ``k n <= lam sqrt(lam^2 - 1)`` (and lam >= 1)
     survives.  k = 0 always contributes lam = 1.  Ordered by lam, then k.
+    :class:`ParameterError` unless n is finite and positive, ell finite and
+    above -1 and ``k_max <= LAGUERRE_MAX_ORDER``; :class:`DomainError` where
+    an order's lam^4 leaves the float range.
     """
+    _require_order_n(n)
+    if not (math.isfinite(ell) and ell > -1.0):
+        raise ParameterError(f"ell must be finite and exceed -1, got {ell}")
+    if k_max > LAGUERRE_MAX_ORDER:
+        raise ParameterError(f"k_max = {k_max} is beyond LAGUERRE_MAX_ORDER = {LAGUERRE_MAX_ORDER}")
     rows: list[LaguerreCase] = [
         LaguerreCase(lam=1.0, k=0, n=n, ell=ell, alpha_bar=(2.0 + ell) / n)
     ]
@@ -694,8 +727,13 @@ def laguerre_enumerate_for_ell(n: float, ell: float, k_max: int = 16) -> list[La
             alpha_bar = (2.0 * nu + ell) / n
             if alpha_bar == 0.0:
                 continue
-            residual = kn * ell - ((lam2 - kn) ** 2 - lam2)
-            if abs(residual) <= 1e-9 * max(1.0, lam2 ** 2):
+            try:
+                residual = kn * ell - ((lam2 - kn) ** 2 - lam2)
+                accepted = abs(residual) <= 1e-9 * max(1.0, lam2 ** 2)
+            except OverflowError:
+                raise DomainError(f"lam^4 at order k = {k} (n = {n:g}, ell = {ell:g}) "
+                                  "is beyond the float range") from None
+            if accepted:
                 rows.append(LaguerreCase(lam=lam, k=k, n=n, ell=ell, alpha_bar=alpha_bar))
     rows.sort(key=lambda c: (c.lam, c.k))
     return rows

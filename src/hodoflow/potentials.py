@@ -22,7 +22,7 @@ import numpy as np
 
 from . import momentum, specfun
 from .errors import DivergenceError, DomainError, NodeError, ParameterError
-from .maxwell import ModelParams, coeff_g, normalization_psi_model
+from .maxwell import ModelParams, coeff_g, normalization_psi_model, require_finite
 from .momentum import AngularFactor, RadialSolution
 
 HBAR = 1.0
@@ -46,11 +46,6 @@ class QPotentialArgs:
     z2: float
     z3: float
     z4: float
-
-    def check(self, lam: float) -> None:
-        # z1 - z2 = lam^2 - 1 identically
-        if abs((self.z1 - self.z2) - (lam * lam - 1.0)) > 1e-9 * max(1.0, lam * lam):
-            raise ParameterError("inconsistent (z1, z2) pair")
 
     @property
     def denominator(self):
@@ -192,12 +187,14 @@ class PsiModelParams:
     energy: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n <= 0.0:
             raise ParameterError(f"n must be positive, got {self.n}")
         if self.ell <= 2.0:
             raise DivergenceError(f"normalizable vortex states need ell > 2, got {self.ell}")
         if self.sigma_r <= 0.0 or self.rho_t <= 0.0:
             raise ParameterError("sigma_r and rho_t must be positive")
+        normalization_psi_model(self.n, self.ell, self.sigma_r)  # DomainError where it leaves the float range
 
     @property
     def c1(self) -> float:

@@ -3,10 +3,7 @@
 Everything downstream (radial solutions, the inverse map, the vortex model)
 is built on four primitives: the gamma function, the Kummer function M, the
 Tricomi function Psi and generalized Laguerre polynomials, with the
-derivatives of M and Psi and the test for a zero of M at working precision.
-The exponential integral Ei is public too, but nothing downstream uses it:
-only the ``ei-derivative-identity`` check of the ``specfun`` suite and the
-tests call it.
+derivative of M and the test for a zero of M at working precision.
 
 All functions are pure and none hold state.  The public ones accept and
 return Python floats; ``_kummer_block`` sums the Kummer series of a whole
@@ -31,11 +28,6 @@ from .errors import (
 EULER_GAMMA = 0.5772156649015328606
 _OVERFLOW_GUARD = 1e305
 _INT_TOL = 1e-12
-_EPS = math.ulp(1.0)  # machine epsilon
-
-#: Largest running error bound ``eps * sum|terms| / |Ei|`` accepted from the
-#: alternating Ei series at negative arguments.
-EI_MAX_REL_ERR = 1e-11
 
 #: M(a, b, z) counts as zero (a nodal line of the radial factor) when
 #: ``|M| < KUMMER_NODE_TOL * max(1, sum|terms|)``.
@@ -120,43 +112,6 @@ def reciprocal_gamma(x: float) -> float:
     if is_nonpositive_integer(x):
         return 0.0
     return 1.0 / gamma(x)
-
-
-def expint_ei(x: float) -> float:
-    """Exponential integral Ei via its everywhere-convergent series.
-
-    ``Ei(x) = euler_gamma + ln|x| + sum_k x^k / (k! k)``, the principal value
-    of the integral of e^t / t up to x.  For negative x the terms alternate
-    and cancel: once the running error bound ``eps * sum|terms| / |Ei|``
-    exceeds ``EI_MAX_REL_ERR`` (below about x = -5.13) the call raises
-    :class:`DomainError` instead of returning a value without digits.  This
-    package only consumes x > 0.
-    """
-    if x == 0.0:
-        raise DomainError("Ei is undefined at x = 0")
-    if abs(x) > 700.0:
-        raise SeriesOverflowError(f"Ei series term overflow at x = {x}")
-    total = EULER_GAMMA + math.log(abs(x))
-    scale = abs(EULER_GAMMA) + abs(math.log(abs(x)))  # sum of |terms|
-    power = 1.0  # x^k / k!
-    small = 0
-    for k in range(1, SERIES_MAX_TERMS + 1):
-        power *= x / k
-        term = power / k
-        total += term
-        scale += abs(term)
-        if abs(term) < SERIES_REL_TOL * abs(total):
-            small += 1
-            if small >= 3:
-                if x < 0.0 and _EPS * scale > EI_MAX_REL_ERR * abs(total):
-                    raise DomainError(
-                        f"Ei({x}): the alternating series cancels to a relative error bound "
-                        f"of {_EPS * scale / abs(total):.1e}"
-                    )
-                return total
-        else:
-            small = 0
-    raise NoConvergenceError(f"Ei series did not converge at x = {x}")
 
 
 def _check_kummer_args(b: float, z: float) -> None:
@@ -373,16 +328,6 @@ def _psi_from(parts, series, power):
     if second != 0.0:
         second *= gam2 * power(1.0 - b1) * series(a2, b2)
     return first + second
-
-
-def tricomi_psi_deriv(a: float, b: float, z: float) -> float:
-    """dPsi/dz = -a Psi(a+1, b+1, z).
-
-    b+1 integer is rejected upstream by :func:`tricomi_psi` (b integer).
-    """
-    if a == 0.0:
-        return 0.0
-    return -a * tricomi_psi(a + 1.0, b + 1.0, z)
 
 
 def laguerre(k: int, alpha: float, z: float) -> float:

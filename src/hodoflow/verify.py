@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
-from . import mapping, momentum
+from . import mapping
 from .errors import DomainError, NodeError, NoConvergenceError, ParameterError
 from .maxwell import ModelParams, coeff_h
 from .mapping import SectorDomain
@@ -231,24 +231,6 @@ def chart_phi_fn(
         mp = mapping.invert_map(params, sol, fac, (x, y), state["seed"])
         state["seed"] = mp
         return mapping.forward_map(params, sol, fac, mp.rho, mp.theta).phi_val
-
-    return phi_at
-
-
-def chart_phi_fn_radial(params: ModelParams) -> Callable[[float, float], float]:
-    """Phase of the angularly symmetric flow as a function of coordinates.
-
-    The radius is inverted exactly (:func:`mapping.invert_map_radial`, the 1-D
-    inverse of zeta_bar), then the phase is read off :func:`mapping.forward_map`
-    on the Omega chart: ``RadialSolution.omega()``, Theta = 1 and c1 matched
-    so that Omega' = zeta_bar.
-    """
-    matched = params.with_(c1=momentum.omega_matched_c1(params))
-    sol, fac = RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
-
-    def phi_at(x: float, y: float) -> float:
-        rho = mapping.invert_map_radial(params, math.hypot(x, y))
-        return mapping.forward_map(matched, sol, fac, rho, math.atan2(y, x)).phi_val
 
     return phi_at
 

@@ -34,6 +34,7 @@ from hodoflow.momentum import (
     RadialSolution,
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
+    omega_matched_c1,
     slope_rho_theta,
     zeta_bar,
 )
@@ -202,16 +203,18 @@ def test_criterion_5_coordinate_pde():
             lo, hi = r1 * p.rho_t * abs(p.alpha), r2 * p.rho_t * abs(p.alpha)
             assert all(lo - 1e-12 <= s.speed <= hi + 1e-12 for s in samples)
 
-        # angularly symmetric hyperbolic flow
+        # angularly symmetric hyperbolic flow: the Omega chart (Theta = 1, matched c1),
+        # one chart per probe, seeded at the probe itself (the probes are ~1 rad apart)
         p = ModelParams(n=2, ell=0)
-        probes = []
+        matched = p.with_(c1=omega_matched_c1(p))
+        sol, fac = RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
         for rb, th in [(1.3, 0.2), (1.8, 1.0), (2.3, 2.2)]:
             zb = zeta_bar(p, rb * p.rho_t)
-            probes.append((zb * math.cos(th), zb * math.sin(th)))
-        report = verify.pde_residual_coordinate(
-            p, verify.chart_phi_fn_radial(p), probes, tol=1e-3, name="radial-flow",
-        )
-        assert report.passed, report
+            report = verify.pde_residual_coordinate(
+                matched, verify.chart_phi_fn(matched, sol, fac, (rb * p.rho_t, th)),
+                [(zb * math.cos(th), zb * math.sin(th))], tol=1e-3, name="radial-flow",
+            )
+            assert report.passed, report
 
 
 # ---------------------------------------------------------------------------

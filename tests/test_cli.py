@@ -185,6 +185,23 @@ class TestLaguerreEnum:
         assert code == 0
         assert out.strip().splitlines()[1:] == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--n=0", "--lambda=0.5,2"), "n must be finite and positive"),
+        (("--n=nan", "--lambda=2"), "n must be finite and positive"),
+        (("--n=-1", "--ell-fixed=0"), "n must be finite and positive"),
+        (("--n=2", "--lambda=2,nan"), "lam must be finite"),
+        (("--n=2", "--lambda=inf"), "lam must be finite"),
+        (("--n=2", "--lambda=1e300"), "LAGUERRE_MAX_ORDER"),
+        (("--n=1e-9", "--lambda=2.5"), "LAGUERRE_MAX_ORDER"),  # k would run to 5.7e9
+        (("--n=2", "--ell-fixed=0", "--k-max=100000"), "LAGUERRE_MAX_ORDER"),
+        (("--n=2", "--ell-fixed=-inf"), "ell must be finite"),
+        (("--n=1e300", "--ell-fixed=2"), "beyond the float range"),
+    ])
+    def test_bad_input_exits_one(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "laguerre-enum", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
 
 class TestMapFields:
     SECTOR = (
@@ -467,6 +484,21 @@ class TestPsiModel:
         assert code == 1
         assert "ell > 2" in err
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--n=inf", "must be finite"),
+        ("--n=1e300", "beyond the float range"),  # Gamma at its pole 0
+        ("--n=1e-300", "beyond the float range"),
+        ("--n=1e-9", "beyond the float range"),
+        ("--sigma-r=1e300", "beyond the float range"),
+        ("--sigma-r=1e-300", "beyond the float range"),
+    ])
+    def test_normalization_beyond_float_range_exits_one(self, tmp_path, capsys, flag, message):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "psi-model", flag, "--output", str(out_file))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert not out_file.exists()
+
 
 class TestVerify:
     def test_specfun_suite_json(self, capsys, tmp_path):
@@ -492,3 +524,77 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "specfun")
         assert code == 4
         assert json.loads(out)["pass"] is False
+
+
+# ---------------------------------------------------------------------------
+# every numeric flag of the model subcommands at boundary and non-finite values
+# ---------------------------------------------------------------------------
+
+GRID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e-9")
+
+_MODEL_FLAGS = ("--n", "--ell", "--sigma-v", "--alpha", "--beta", "--c0", "--c1", "--c2", "--lambda", "--fc1",
+                "--fc2", "--rho-min", "--rho-max", "--theta-min", "--theta-max", "--n-rho", "--n-theta")
+
+#: Each subcommand's required arguments and the numeric flags varied on them,
+#: the others left at their defaults; laguerre-enum runs in both of its modes.
+GRID_BASES = {
+    "classify": (("classify", "--n", "2", "--ell", "0", "--rho", "0.5,1.0,2.0"),
+                 ("--n", "--ell", "--sigma-v", "--rho")),
+    "characteristics": (("characteristics", "--n", "2", "--ell", "0", "--rho", "0.5,1.0,2.0"),
+                        ("--n", "--ell", "--sigma-v", "--rho", "--theta0")),
+    "laguerre-enum-lambda": (("laguerre-enum", "--n", "2", "--lambda", "2.5"), ("--n", "--lambda", "--ell-max")),
+    "laguerre-enum-ell-fixed": (("laguerre-enum", "--n", "2", "--ell-fixed", "2"), ("--n", "--ell-fixed", "--k-max")),
+    "solve-momentum": (("solve-momentum",), _MODEL_FLAGS),
+    "map-fields": (("map-fields",), _MODEL_FLAGS + ("--normalize",)),
+    "psi-model": (("psi-model",), ("--n", "--ell", "--sigma-r", "--rho-t", "--r-min", "--r-max", "--n-r")),
+}
+
+#: The exit codes the README documents for each subcommand: 2 and 3 belong to the map.
+DOCUMENTED_EXITS = {"classify": {0, 1}, "characteristics": {0, 1}, "laguerre-enum": {0, 1},
+                    "solve-momentum": {0, 1}, "map-fields": {0, 1, 2, 3}, "psi-model": {0, 1}}
+
+#: Inputs that still end in a traceback instead of a documented exit code.
+GRID_OPEN = {
+    ("characteristics", "--ell", "1e300"),
+    ("solve-momentum", "--lambda", "1e300"),
+    ("solve-momentum", "--theta-max", "inf"),
+    ("solve-momentum", "--theta-max", "-inf"),
+    ("map-fields", "--ell", "1e300"),
+    ("map-fields", "--lambda", "1e300"),
+    ("map-fields", "--rho-max", "inf"),
+    ("map-fields", "--theta-min", "-inf"),
+    ("map-fields", "--theta-max", "inf"),
+    ("psi-model", "--rho-t", "1e300"),
+    ("psi-model", "--r-min", "1e300"),
+    ("psi-model", "--r-min", "1e-300"),
+    ("psi-model", "--r-max", "1e300"),
+}
+
+
+def _grid_cases():
+    for name, (base, flags) in GRID_BASES.items():
+        for flag in flags:
+            for value in GRID_VALUES:
+                marks = ()
+                if (base[0], flag, value) in GRID_OPEN:
+                    marks = pytest.mark.xfail(raises=(ArithmeticError, ValueError, RuntimeWarning), strict=True,
+                                              reason="ROADMAP item 13")
+                yield pytest.param(base, f"{flag}={value}", marks=marks, id=f"{name} {flag}={value}")
+
+
+@pytest.fixture(scope="module")
+def grid_output(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("grid") / "out.csv")
+
+
+@pytest.mark.filterwarnings("ignore::hodoflow.errors.SaturationWarning")  # a clamped radius, flagged as documented
+@pytest.mark.parametrize("base, flag", _grid_cases())
+def test_numeric_flag_grid(base, flag, grid_output, capsys):
+    # no exception escapes and the exit code is a documented one; argparse
+    # rejecting a value (an int flag given nan) is a usage error, exit 1
+    writes = base[0] in ("solve-momentum", "map-fields", "psi-model")
+    try:
+        code = main([*base, flag, *(("--output", grid_output) if writes else ())])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in DOCUMENTED_EXITS[base[0]]

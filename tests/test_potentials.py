@@ -7,7 +7,7 @@ import pytest
 
 from hodoflow import verify
 from hodoflow.errors import DivergenceError, DomainError, NodeError, ParameterError, RegionError
-from hodoflow.mapping import forward_map, invert_map, invert_map_radial
+from hodoflow.mapping import forward_map, invert_map
 from hodoflow.maxwell import ModelParams, density_F
 from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution, omega_matched_c1
 from hodoflow.potentials import (
@@ -65,12 +65,6 @@ def fd_quantum_potential(p, sol, fac, rho, theta, h_rel=5e-4):
 
 
 class TestQuantumPotentialMapped:
-    def test_args_invariant(self):
-        args = QPotentialArgs(z1=2.3, z2=2.3 - (9.0 - 1.0), z3=0.4, z4=1.1)
-        args.check(lam=3.0)
-        with pytest.raises(ParameterError):
-            QPotentialArgs(z1=2.3, z2=0.0, z3=0.4, z4=1.1).check(lam=3.0)
-
     def test_vortex_reduction_coefficients(self):
         # at (z1, z2) = (-1, 0) only the z4^4 numerator survives with weight 1
         from hodoflow.potentials import _a_coeffs
@@ -163,7 +157,7 @@ class TestRadialFlowPotential:
             r0 = math.hypot(mp.x, mp.y)
 
             def sqrt_f(r):
-                return math.sqrt(density_F(p, abs(p.alpha) * invert_map_radial(p, r)))
+                return math.sqrt(density_F(p, abs(p.alpha) * invert_map(*chart, (r, 0.0), (rho, 0.0)).rho))
 
             h = 1e-4 * r0
             lap = (

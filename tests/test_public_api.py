@@ -22,9 +22,9 @@ PUBLIC_NAMES = (
     "VerificationReport", "adaptive_quad", "bohr_sommerfeld", "canonical_kappa",
     "characteristic_chi", "circulation_quantum", "classical_potential",
     "classify", "coeff_g", "coeff_h", "coeff_h_bar", "density_F", "density_F_speed_integral",
-    "discriminant", "errors", "expint_ei", "factorized_u", "fd_derivative", "forward_map",
+    "discriminant", "errors", "factorized_u", "fd_derivative", "forward_map",
     "gamma", "hamilton_jacobi_residual", "hill_coefficient_G",
-    "hill_substitution_zeta", "hyperbolic_omega", "invert_map", "invert_map_radial", "kummer_ab",
+    "hill_substitution_zeta", "hyperbolic_omega", "invert_map", "kummer_ab",
     "kummer_m", "kummer_m_deriv", "laguerre", "laguerre_enumerate", "laguerre_enumerate_for_ell",
     "map_differential", "mapping", "maxwell", "momentum", "mu_plus", "normalization_psi_model",
     "normalization_sector", "nu_roots", "omega_matched_c1", "omega_slope", "pde_residual_coordinate",
@@ -45,7 +45,7 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 91
+    assert len(out) == 89
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -8,7 +8,6 @@ from hodoflow.errors import ParameterError
 from hodoflow.mapping import SectorDomain
 from hodoflow.maxwell import ModelParams
 from hodoflow.momentum import AngularFactor, RadialSolution, factorized_u
-from hodoflow.specfun import expint_ei
 from hodoflow.verify import (
     VerificationReport,
     _h_sweep_report,
@@ -27,9 +26,6 @@ class TestFdDerivative:
     def test_second_derivative_sine(self):
         val = fd_derivative(math.sin, 0.7, order=2)
         assert val == pytest.approx(-math.sin(0.7), abs=1e-5)
-
-    def test_ei_derivative(self):
-        assert fd_derivative(expint_ei, 1.0, order=1, h=1e-5) == pytest.approx(math.e, rel=1e-6)
 
     def test_invalid_order(self):
         with pytest.raises(ParameterError):

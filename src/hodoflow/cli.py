@@ -18,6 +18,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import momentum, suites
 from .errors import (
     DegenerateMapError,
@@ -26,7 +28,7 @@ from .errors import (
     HodoflowError,
     ParameterError,
 )
-from .mapping import FieldSample, SectorDomain, _field_columns
+from .mapping import FieldSample, SectorDomain, _field_block
 from .maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant, normalization_sector
 from .momentum import (
     AngularFactor,
@@ -84,21 +86,39 @@ def _fmt(value) -> str:
     return "%.17g" % (value + 0.0) if isinstance(value, float) else str(value)
 
 
-def _table(header, columns) -> list[str]:
-    """Header and data lines of a table given column by column, one type to a
-    column: each cell as :func:`_fmt` prints it, with one ``%`` format per line."""
+def _lines(columns):
+    """Data lines of a table given column by column, one type to a column:
+    each cell as :func:`_fmt` prints it, with one ``%`` format per line."""
     columns = list(columns)
     floats = [isinstance(col[0], float) for col in columns]
     cells = [[v + 0.0 for v in col] if is_float else col for is_float, col in zip(floats, columns)]
     line = ",".join("%.17g" if is_float else "%s" for is_float in floats)
-    return [",".join(header), *map(line.__mod__, zip(*cells))]
+    return map(line.__mod__, zip(*cells))
 
 
-def _write_table(path: str, config: dict, header, columns, summary: dict) -> Path:
-    """The CSV at ``path`` (echoed config, then the table) and its JSON sidecar."""
+def _table(header, columns) -> list[str]:
+    """Header and data lines of a table given column by column (:func:`_lines`)."""
+    return [",".join(header), *_lines(columns)]
+
+
+def _row_lines(cells, columns) -> str:
+    """The data lines of one rho row, joined: ``cells`` holds the row's cells
+    in column order, the text of a cell the whole row shares (no ``%`` in it)
+    and None for one that varies along it, whose floats ``columns`` gives in
+    the same order, -0.0 already collapsed.  One ``%`` format per line."""
+    line = ",".join("%.17g" if cell is None else cell for cell in cells)
+    return "\n".join(map(line.__mod__, zip(*columns)))
+
+
+def _write_table(path: str, config: dict, header, lines, summary: dict) -> Path:
+    """The CSV at ``path`` (echoed config, header, then each item of ``lines``:
+    one data line or a row's lines joined, written as it comes) and its JSON
+    sidecar."""
     out = Path(path)
-    lines = [*(f"# {key} = {_fmt(config[key])}" for key in sorted(config)), *_table(header, columns)]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with out.open("w", encoding="utf-8", newline="\n") as csv:
+        csv.writelines(f"# {key} = {_fmt(config[key])}\n" for key in sorted(config))
+        csv.write(",".join(header) + "\n")
+        csv.writelines(f"{text}\n" for text in lines)
     sidecar = json.dumps({"config": config, "summary": summary}, sort_keys=True, indent=2)
     out.with_suffix(out.suffix + ".json").write_text(sidecar + "\n", encoding="utf-8", newline="\n")
     return out
@@ -121,7 +141,7 @@ def _load_config_file(path: str) -> dict:
 def _resolve(args) -> dict:
     """The command's config: each key of its defaults table from the flag, else
     from the ``--config`` file, else the default.  A file value must parse as
-    its default's type, and grid counts must be >= 2."""
+    its default's type, every float must be finite and grid counts must be >= 2."""
     defaults = _DEFAULTS[args.command]
     file_keys = _load_config_file(args.config) if args.config else {}
     config = {"command": args.command, **defaults}
@@ -133,6 +153,9 @@ def _resolve(args) -> dict:
             except ValueError:
                 raise ParameterError(f"config value {key} = {value!r} is not a valid {cast.__name__}") from None
     config.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
+    for key, value in config.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{key} must be finite, got {value}")
     shape = tuple(config[key] for key in ("n_rho", "n_theta", "n_r") if key in config)
     if min(shape) < 2:
         raise DomainError(f"grid must be at least {'x'.join('2' * len(shape))}, got {shape}")
@@ -223,19 +246,27 @@ def cmd_solve_momentum(args) -> int:
     rhos = _linspace(config["rho_min"] * params.rho_t, config["rho_max"] * params.rho_t, config["n_rho"])
     thetas = _linspace(math.radians(config["theta_min_deg"]), math.radians(config["theta_max_deg"]),
                        config["n_theta"])
-    angular = [fac.value(theta) for theta in thetas]
-    rows = []
+    angular = np.array([fac.value(theta) for theta in thetas])
     # a row the radial factor cannot be evaluated at is nan, as map-fields flags it
-    for rho, r_val in zip(rhos, momentum.radial_rows(params, sol, rhos)[0].tolist()):
-        region = classify(params, rho)
-        rows.extend((rho / params.rho_t, theta, r_val * t_val, r_val, t_val, region)
-                    for theta, t_val in zip(thetas, angular))
-    columns = list(zip(*rows))
-    summary = {"rows": len(rows), "out_of_range_rows": sum(map(math.isnan, columns[3]))}
-    out = _write_table(args.output, config, ("rho_bar", "theta", "u", "radial", "angular", "region"),
-                       columns, summary)
+    radial = momentum.radial_rows(params, sol, rhos)[0]
+    regions = [classify(params, rho) for rho in rhos]
+    theta_cells, angular_cells = [theta + 0.0 for theta in thetas], (angular + 0.0).tolist()
+    rows = (_row_lines((_fmt(rho / params.rho_t), None, None, _fmt(r_val), None, _fmt(region)),
+                       (theta_cells, (r_val * angular + 0.0).tolist(), angular_cells))
+            for rho, r_val, region in zip(rhos, radial.tolist(), regions))
+    summary = {"rows": len(rhos) * len(thetas), "out_of_range_rows": len(thetas) * int(np.isnan(radial).sum())}
+    out = _write_table(args.output, config, ("rho_bar", "theta", "u", "radial", "angular", "region"), rows, summary)
     print(f"wrote {out}")
     return EXIT_OK
+
+
+def _field_rows(block, speed, density, region):
+    """The map-fields CSV, one rho row of lines at a time: the row's speed,
+    density and region formatted once, its points from the block's row."""
+    for fields, *shared in zip(block.transpose(1, 0, 2), speed.tolist(), density.tolist(), region):
+        text = dict(zip(("speed", "density", "region"), map(_fmt, shared)))
+        cells = [text.get(name) for name in FieldSample.CSV_COLUMNS]
+        yield _row_lines(cells, (fields + 0.0).tolist())
 
 
 def cmd_map_fields(args) -> int:
@@ -246,7 +277,8 @@ def cmd_map_fields(args) -> int:
     domain = SectorDomain(config["rho_min"] * params.rho_t, config["rho_max"] * params.rho_t,
                           math.radians(config["theta_min_deg"]), math.radians(config["theta_max_deg"]))
     norm = normalization_sector(params, sol, fac, domain) if config["normalize"] else 1.0
-    columns, univalent = _field_columns(params, sol, fac, domain, (config["n_rho"], config["n_theta"]), norm)
+    block, speed, density, region, code, univalent = _field_block(
+        params, sol, fac, domain, (config["n_rho"], config["n_theta"]), norm)
     if not univalent:
         message = (
             "the grid spans a fold of the transform (inverse Jacobian changes sign); "
@@ -255,20 +287,20 @@ def cmd_map_fields(args) -> int:
         if args.require_univalent:
             raise FoldError(message)
         print(f"warning: {message}", file=sys.stderr)
-    column = dict(zip(FieldSample._fields, columns))
-    rows = len(column["x"])
-    finite = [d for d in column["density"] if math.isfinite(d)]
+    rows = code.size
+    # the speed and density columns repeat each row's value: the rows give their extremes
+    finite = [d for d in density.tolist() if math.isfinite(d)]
     summary = {
         "rows": rows,
-        "speed_min": min(column["speed"]),
-        "speed_max": max(column["speed"]),
+        "speed_min": min(speed.tolist()),
+        "speed_max": max(speed.tolist()),
         "density_min": min(finite, default=math.nan),
         "density_max": max(finite, default=math.nan),
-        "flagged": sum(map(bool, column["flag"])),
+        "flagged": int(np.count_nonzero(code)),
         "univalent": univalent,
     }
-    header = FieldSample.CSV_COLUMNS
-    out = _write_table(args.output, config, header, [column[name] for name in header], summary)
+    out = _write_table(args.output, config, FieldSample.CSV_COLUMNS, _field_rows(block, speed, density, region),
+                       summary)
     print(f"wrote {out} ({rows} rows)")
     return EXIT_OK
 
@@ -293,7 +325,8 @@ def cmd_psi_model(args) -> int:
         "circulation": circulation_quantum(pm),
         "c1": pm.c1,
     }
-    out = _write_table(args.output, config, ("r_bar", "density", "q_pot", "u_pot", "v_phi"), zip(*rows), summary)
+    out = _write_table(args.output, config, ("r_bar", "density", "q_pot", "u_pot", "v_phi"), _lines(zip(*rows)),
+                       summary)
     names = ", ".join(_fmt(z / pm.sigma_r) for z in zeros)
     print(f"wrote {out}; potential zeros at r/sigma_r = {names}")
     return EXIT_OK

@@ -341,15 +341,19 @@ def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.
     )
 
 
-#: The flag of each code of :func:`_field_columns`; a higher code takes precedence.
+#: The flag of each code of :func:`_field_block`; a higher code takes precedence.
 _FLAGS = np.array(["", "node", "out-of-range", "density-singular"], dtype=object)
 
 
-def _field_columns(params: ModelParams, sol: RadialSolution, fac: AngularFactor, domain: SectorDomain,
-                   grid: tuple[int, int], norm: float) -> tuple[list[list], bool]:
-    """The columns of :func:`sample_fields`' records, one list per
-    :class:`FieldSample` field, row-major in rho, and whether the grid is
-    univalent (the inverse Jacobian keeps one sign on it)."""
+def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, domain: SectorDomain,
+                 grid: tuple[int, int], norm: float) -> tuple:
+    """The numbers of :func:`sample_fields`' records: ``(block, speed,
+    density, region, code, univalent)``.  ``block`` is ``(8, n_rho, n_theta)``
+    with the fields x, y, phi, vx, vy, q_pot, u_pot, jac_inv; ``speed`` and
+    ``density`` are arrays and ``region`` a list, one entry per rho row;
+    ``code`` is the ``(n_rho, n_theta)`` flag code (an index into
+    ``_FLAGS``); ``univalent`` says whether the inverse Jacobian keeps one
+    sign on the grid."""
     _require_chart(sol, fac)
     momentum.require_matching_lam(sol, fac)
     if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
@@ -358,7 +362,6 @@ def _field_columns(params: ModelParams, sol: RadialSolution, fac: AngularFactor,
     r, rp, rcal = (col[:, None] for col in momentum.radial_rows(params, sol, rhos))
     g = maxwell._g(params, rhos)[:, None]
     rho = rhos[:, None]
-    # one (field, rho, theta) block, so that one tolist() makes every float
     block = np.empty((8, rhos.size, thetas.size))
     x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block
     with np.errstate(all="ignore"):
@@ -377,11 +380,8 @@ def _field_columns(params: ModelParams, sol: RadialSolution, fac: AngularFactor,
     density_singular = np.isnan(density)
     block[5:7, density_singular] = math.nan  # q_pot and u_pot
     code = np.maximum(node, np.maximum(2 * out_of_range, 3 * density_singular)[:, None])
-    per_row = np.array([speed, density, [classify(params, v) for v in rhos.tolist()]], dtype=object)
-    speed, density, region = np.repeat(per_row, thetas.size, axis=1).tolist()
-    x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block.reshape(8, -1).tolist()
-    flag = _FLAGS[code].ravel().tolist()
-    return [x, y, phi, vx, vy, speed, density, q_pot, u_pot, jac_inv, region, flag], univalent
+    region = [classify(params, v) for v in rhos.tolist()]
+    return block, speed, density, region, code, univalent
 
 
 def sample_fields(
@@ -422,11 +422,18 @@ def sample_fields(
     :class:`DegenerateMapError`; an Omega sector that reaches below rho_T,
     where Omega does not exist, raises :class:`RegionError`.
     """
-    columns, univalent = _field_columns(params, sol, fac, domain, grid, norm)
+    block, speed, density, region, code, univalent = _field_block(params, sol, fac, domain, grid, norm)
     if not univalent:
         warnings.warn(
             "inverse Jacobian changes sign over the grid: the image is not univalent",
             UnivalenceWarning,
             stacklevel=2,
         )
+    # one tolist() makes every float of the block
+    per_row = np.array([speed, density, region], dtype=object)
+    speed, density, region = np.repeat(per_row, block.shape[2], axis=1).tolist()
+    x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block.reshape(8, -1).tolist()
+    flag = _FLAGS[code].ravel().tolist()
+    del block, code  # the arrays go before the records come
+    columns = x, y, phi, vx, vy, speed, density, q_pot, u_pot, jac_inv, region, flag
     return list(map(tuple.__new__, repeat(FieldSample), zip(*columns)))

@@ -120,7 +120,7 @@ def _density(params: ModelParams, z, norm: float):
     w = z / params.sigma_v
     c = (params.ell + 1.0) / params.n
     decay = specfun._exp(-c * specfun._power(w, params.n))
-    return norm * c ** (params.ell / params.n) * specfun._power(w, params.ell) * decay
+    return norm * specfun.checked_pow(c, params.ell / params.n) * specfun._power(w, params.ell) * decay
 
 
 def density_F_speed_integral(params: ModelParams, norm: float = 1.0) -> float:

@@ -128,11 +128,11 @@ def canonical_kappa(params: ModelParams, rho: float, branch: str) -> float:
     if branch == "elliptic":
         if delta >= 0.0:
             raise RegionError(f"elliptic kappa needs Delta < 0, got Delta = {delta}")
-        return (core + 2.0 * delta ** 2) / (4.0 * (-delta) ** 1.5)
+        return (core + 2.0 * specfun.checked_pow(delta, 2)) / (4.0 * (-delta) ** 1.5)
     if branch == "hyperbolic":
         if delta <= 0.0:
             raise RegionError(f"hyperbolic kappa needs Delta > 0, got Delta = {delta}")
-        return (core - 2.0 * delta ** 2) / (8.0 * delta ** 1.5)
+        return (core - 2.0 * specfun.checked_pow(delta, 2)) / (8.0 * delta ** 1.5)
     raise ParameterError(f"branch must be 'elliptic' or 'hyperbolic', got {branch!r}")
 
 
@@ -412,7 +412,7 @@ class RadialSolution:
 
 def _check_nu(ell: float, lam: float, nu: float) -> None:
     residual = nu * nu + ell * nu - lam * lam * (ell + 1.0)
-    if abs(residual) > 1e-12 * max(1.0, nu * nu, lam ** 4):
+    if abs(residual) > 1e-12 * max(1.0, nu * nu, specfun.checked_pow(lam, 4)):
         raise ParameterError(f"nu = {nu} does not solve the indicial equation (residual {residual})")
 
 

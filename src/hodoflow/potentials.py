@@ -217,7 +217,7 @@ class PsiModelParams:
     @property
     def regime_discriminant(self) -> float:
         """Sign selects the far-field branch: rho_t^2 sigma_r^2 - ell^2."""
-        return (self.rho_t * self.sigma_r) ** 2 - self.ell ** 2
+        return specfun.checked_pow(self.rho_t * self.sigma_r, 2) - self.ell ** 2
 
     @staticmethod
     def for_regime(n: float, ell: float, regime: str, sigma_r: float = 1.0) -> "PsiModelParams":
@@ -233,7 +233,8 @@ class PsiModelParams:
 
 
 def psi_density(pm: PsiModelParams, r: float) -> float:
-    """Probability density; defined as 0 at r = 0 (the essential decay wins)."""
+    """Probability density; defined as 0 at r = 0 (the essential decay wins).
+    Raises :class:`DomainError` where a power of r leaves the float range."""
     if r < 0.0:
         raise DomainError(f"radius must be non-negative, got {r}")
     if r == 0.0:
@@ -242,8 +243,8 @@ def psi_density(pm: PsiModelParams, r: float) -> float:
     return (
         pm.norm
         * c ** (pm.ell / pm.n)
-        * (pm.sigma_r / r) ** pm.ell
-        * math.exp(-c * pm.sigma_r ** pm.n / r ** pm.n)
+        * specfun.checked_pow(pm.sigma_r / r, pm.ell)
+        * math.exp(-c * pm.sigma_r ** pm.n / specfun.checked_pow(r, pm.n))
     )
 
 

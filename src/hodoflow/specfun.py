@@ -45,7 +45,8 @@ KUMMER_Z_MAX = 50.0
 
 
 def checked_pow(x: float, p: float) -> float:
-    """x^p for x >= 0, with :class:`DomainError` where it leaves the float range."""
+    """x^p for x >= 0 or an integer p, with :class:`DomainError` where it
+    leaves the float range."""
     try:
         return x ** p
     except (OverflowError, ZeroDivisionError):

@@ -58,11 +58,11 @@ EXIT_FOLD = 3
 EXIT_VERIFY = 4
 
 _MODEL = {"n": 2.0, "ell": 0.0, "sigma_v": 1.0, "alpha": -0.5, "beta": 1.0, "c0": 1.0, "c1": 1.0, "c2": 0.0,
-          "radial": "kummer+", "lam": 2.0}
+          "lam": 2.0, "radial": "kummer+"}
 
-#: Defaults of the commands that take ``--config``, by flag dest.  A config
-#: file value is cast to the type of its default; the resolved values are the
-#: config a command echoes.
+#: Defaults of the commands that take ``--config``, by flag dest.  Each key is
+#: one flag of its command, of its default's type; a config file value is cast
+#: to that type; the resolved values are the config a command echoes.
 _DEFAULTS = {
     "solve-momentum": {**_MODEL, "fc1": 1.0, "fc2": 0.0, "rho_min": 0.3, "rho_max": 2.0,
                        "theta_min_deg": 0.0, "theta_max_deg": 60.0, "n_rho": 16, "n_theta": 16},
@@ -71,6 +71,15 @@ _DEFAULTS = {
     "psi-model": {"n": 4.0, "ell": 6.0, "sigma_r": 1.0, "rho_t": 2.0, "regime": "explicit",
                   "r_min": 0.2, "r_max": 6.0, "n_r": 200},
 }
+
+
+#: The flags whose name is not ``--`` plus the dest with '_' turned into '-'.
+_FLAGS = {"lam": "--lambda", "theta_min_deg": "--theta-min", "theta_max_deg": "--theta-max"}
+_CHOICES = {"radial": [kind.value for kind in RadialKind], "regime": ("two-zeros", "critical", "single-zero")}
+_HELP = {"config": "flat key = value config file", "fc1": "angular-factor c1", "fc2": "angular-factor c2",
+         "rho_min": "in rho_T units", "rho_max": "in rho_T units", "theta_min_deg": "degrees",
+         "theta_max_deg": "degrees", "normalize": "1: normalize density over the sector image",
+         "r_min": "in sigma_r units", "r_max": "in sigma_r units"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -374,54 +383,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=16, dest="k_max")
     p.set_defaults(func=cmd_laguerre_enum)
 
-    def add_model_flags(q):
-        q.add_argument("--config", type=str, default=None, help="flat key = value config file")
-        q.add_argument("--n", type=float, default=None)
-        q.add_argument("--ell", type=float, default=None)
-        q.add_argument("--sigma-v", type=float, default=None, dest="sigma_v")
-        q.add_argument("--alpha", type=float, default=None)
-        q.add_argument("--beta", type=float, default=None)
-        q.add_argument("--c0", type=float, default=None)
-        q.add_argument("--c1", type=float, default=None)
-        q.add_argument("--c2", type=float, default=None)
-        q.add_argument("--lambda", type=float, default=None, dest="lam")
-        q.add_argument("--radial", type=str, default=None, choices=[kind.value for kind in RadialKind])
-        q.add_argument("--fc1", type=float, default=None, help="angular-factor c1")
-        q.add_argument("--fc2", type=float, default=None, help="angular-factor c2")
-        q.add_argument("--rho-min", type=float, default=None, dest="rho_min", help="in rho_T units")
-        q.add_argument("--rho-max", type=float, default=None, dest="rho_max", help="in rho_T units")
-        q.add_argument("--theta-min", type=float, default=None, dest="theta_min_deg", help="degrees")
-        q.add_argument("--theta-max", type=float, default=None, dest="theta_max_deg", help="degrees")
-        q.add_argument("--n-rho", type=int, default=None, dest="n_rho")
-        q.add_argument("--n-theta", type=int, default=None, dest="n_theta")
-
-    p = sub.add_parser("solve-momentum", help="evaluate a separated momentum-space solution on a grid")
-    add_model_flags(p)
-    p.add_argument("--output", type=str, required=True)
-    p.set_defaults(func=cmd_solve_momentum)
-
-    p = sub.add_parser("map-fields", help="coordinate-space field grid (CSV + JSON sidecar)")
-    add_model_flags(p)
-    p.add_argument("--normalize", type=int, default=None, help="1: normalize density over the sector image")
-    p.add_argument(
-        "--require-univalent", action="store_true", dest="require_univalent",
-        help="exit 3 if the inverse Jacobian changes sign over the grid (default: warn and proceed)",
-    )
-    p.add_argument("--output", type=str, required=True)
-    p.set_defaults(func=cmd_map_fields)
-
-    p = sub.add_parser("psi-model", help="vortex wavefunction profiles and potential zeros")
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--n", type=float, default=None)
-    p.add_argument("--ell", type=float, default=None)
-    p.add_argument("--sigma-r", type=float, default=None, dest="sigma_r")
-    p.add_argument("--rho-t", type=float, default=None, dest="rho_t")
-    p.add_argument("--regime", type=str, default=None, choices=("two-zeros", "critical", "single-zero"))
-    p.add_argument("--r-min", type=float, default=None, dest="r_min", help="in sigma_r units")
-    p.add_argument("--r-max", type=float, default=None, dest="r_max", help="in sigma_r units")
-    p.add_argument("--n-r", type=int, default=None, dest="n_r")
-    p.add_argument("--output", type=str, required=True)
-    p.set_defaults(func=cmd_psi_model)
+    for command, func, text in (
+        ("solve-momentum", cmd_solve_momentum, "evaluate a separated momentum-space solution on a grid"),
+        ("map-fields", cmd_map_fields, "coordinate-space field grid (CSV + JSON sidecar)"),
+        ("psi-model", cmd_psi_model, "vortex wavefunction profiles and potential zeros"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", type=str, default=None, help=_HELP["config"])
+        for key, default in _DEFAULTS[command].items():
+            p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), type=type(default), default=None, dest=key,
+                           choices=_CHOICES.get(key), help=_HELP.get(key))
+        if command == "map-fields":
+            p.add_argument(
+                "--require-univalent", action="store_true", dest="require_univalent",
+                help="exit 3 if the inverse Jacobian changes sign over the grid (default: warn and proceed)",
+            )
+        p.add_argument("--output", type=str, required=True)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run a named verification suite, emit a JSON report")
     p.add_argument("suite", choices=suites.SUITE_NAMES)

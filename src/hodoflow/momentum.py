@@ -18,7 +18,7 @@ import enum
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     RegionError,
     SaturationWarning,
 )
-from .maxwell import ModelParams, discriminant, require_finite
+from .maxwell import EPS_PARABOLIC, ModelParams, discriminant, require_finite
 from .specfun import SERIES_MAX_TERMS, SERIES_REL_TOL
 
 #: Elliptic characteristics contain artanh(sqrt(1 - rho_bar^n)), divergent as
@@ -41,8 +41,6 @@ RHO_FLOOR_REL = 1e-6
 #: Power-series branches lose digits for large rho_bar^n; the mapped domains
 #: never exceed rho_bar ~ 3, so the cap is generous.
 RHO_BAR_N_CAP = 50.0
-
-_REL_BAND = 1e-12  # tolerance band around rho_T for region admission
 
 #: Theta counts as zero (a nodal line of the angular factor) when
 #: ``|Theta| < THETA_NODE_TOL (|c1| + |c2| [+ |c1 theta| when lam = 0])``.
@@ -81,12 +79,12 @@ def characteristic_chi(params: ModelParams, kind: CharacteristicKind, rho: float
     rho_t = params.rho_t
     pref = 2.0 / params.n * math.sqrt(params.ell + 1.0)
     if kind.hyperbolic:
-        if rho < rho_t * (1.0 - _REL_BAND):
+        if rho < rho_t * (1.0 - EPS_PARABOLIC):
             raise RegionError(f"hyperbolic characteristic needs rho >= rho_T, got rho = {rho}")
         t = math.sqrt(max(specfun.checked_pow(params.rho_bar(rho), params.n) - 1.0, 0.0))
         radial = pref * (t - math.atan(t))
     else:
-        if rho > rho_t * (1.0 + _REL_BAND):
+        if rho > rho_t * (1.0 + EPS_PARABOLIC):
             raise RegionError(f"elliptic characteristic needs rho <= rho_T, got rho = {rho}")
         floor = RHO_FLOOR_REL * rho_t
         if rho < floor:
@@ -348,15 +346,11 @@ class RadialSolution:
     a: float = 0.0
     b: float = 0.0
     scale: float = 1.0
-    laguerre_case: LaguerreCase | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.lam < 0.0:
             raise ParameterError(f"lam must be non-negative, got {self.lam}")
         if self.kind.kummer_based:
-            # nu must solve nu^2 + ell nu - lam^2 (ell+1) = 0 with ell from (a, b):
-            # reconstruct ell = n b - 2 nu - n via the stored parameters is not
-            # possible without n, so the factory methods validate instead.
             if specfun.is_nonpositive_integer(self.b) and not self.kind.tricomi:
                 raise ParameterError(f"b = {self.b} is a non-positive integer; M branch undefined")
             if self.kind.tricomi and abs(self.b - round(self.b)) <= 1e-9:
@@ -388,7 +382,6 @@ class RadialSolution:
             a=sol.a,
             b=sol.b,
             scale=sign / case.bridge_constant,
-            laguerre_case=case,
         )
 
     @staticmethod
@@ -540,7 +533,7 @@ def _nan_where(mask, x):
 
 
 def _require_hyperbolic(params: ModelParams, rho: float) -> None:
-    if rho < params.rho_t * (1.0 - _REL_BAND):
+    if rho < params.rho_t * (1.0 - EPS_PARABOLIC):
         raise RegionError(f"hyperbolic solution needs rho >= rho_T, got {rho}")
 
 

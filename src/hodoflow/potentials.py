@@ -15,6 +15,7 @@ cancel in U).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -194,7 +195,7 @@ class PsiModelParams:
             raise DivergenceError(f"normalizable vortex states need ell > 2, got {self.ell}")
         if self.sigma_r <= 0.0 or self.rho_t <= 0.0:
             raise ParameterError("sigma_r and rho_t must be positive")
-        normalization_psi_model(self.n, self.ell, self.sigma_r)  # DomainError where it leaves the float range
+        self.norm  # noqa: B018 - computes and caches N: DomainError where it leaves the float range
 
     @property
     def c1(self) -> float:
@@ -210,7 +211,7 @@ class PsiModelParams:
         """Phase winding rate kappa: arg psi = kappa phi - E t / hbar."""
         return self.rho_t * self.sigma_r / 2.0
 
-    @property
+    @functools.cached_property
     def norm(self) -> float:
         return normalization_psi_model(self.n, self.ell, self.sigma_r)
 
@@ -232,6 +233,17 @@ class PsiModelParams:
         return PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=factors[regime] * ell / sigma_r)
 
 
+def _psi_powers(pm: PsiModelParams, r: float) -> tuple[float, float, float]:
+    """``(sigma_r^n, r^n, r^2)`` at a radius r > 0, the powers the vortex
+    profiles are formed from, with :class:`DomainError` where one of them or
+    ``sigma_r^n / r^n`` leaves the float range: beyond it, or for the divisors
+    r^n and r^2 below it to zero."""
+    sigma_n, r_n, r_2 = specfun.checked_pow(pm.sigma_r, pm.n), specfun.checked_pow(r, pm.n), specfun.checked_pow(r, 2)
+    if r_n == 0.0 or r_2 == 0.0 or sigma_n / r_n == math.inf:
+        raise DomainError(f"sigma_r^n / r^n at r = {r:g}, n = {pm.n:g} is out of the float range")
+    return sigma_n, r_n, r_2
+
+
 def psi_density(pm: PsiModelParams, r: float) -> float:
     """Probability density; defined as 0 at r = 0 (the essential decay wins).
     Raises :class:`DomainError` where a power of r leaves the float range."""
@@ -240,34 +252,32 @@ def psi_density(pm: PsiModelParams, r: float) -> float:
     if r == 0.0:
         return 0.0
     c = (pm.ell + 1.0) / pm.n
-    return (
-        pm.norm
-        * c ** (pm.ell / pm.n)
-        * specfun.checked_pow(pm.sigma_r / r, pm.ell)
-        * math.exp(-c * pm.sigma_r ** pm.n / specfun.checked_pow(r, pm.n))
-    )
+    sigma_n, r_n, _ = _psi_powers(pm, r)
+    return pm.norm * c ** (pm.ell / pm.n) * specfun.checked_pow(pm.sigma_r / r, pm.ell) * math.exp(-c * sigma_n / r_n)
 
 
 def psi_quantum_potential(pm: PsiModelParams, r: float) -> float:
     """Q(r) = -(1/(8 r^2)) [ell^2 - 2(ell+1)(ell+n) s^n/r^n + (ell+1)^2 s^2n/r^2n]."""
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r}")
-    s = pm.sigma_r ** pm.n / r ** pm.n
+    sigma_n, r_n, r_2 = _psi_powers(pm, r)
+    s = sigma_n / r_n
     bracket = pm.ell ** 2 - 2.0 * (pm.ell + 1.0) * (pm.ell + pm.n) * s + (pm.ell + 1.0) ** 2 * s * s
-    return -(HBAR ** 2) / (8.0 * MASS * r ** 2) * bracket
+    return -(HBAR ** 2) / (8.0 * MASS * r_2) * bracket
 
 
 def psi_classical_potential(pm: PsiModelParams, r: float) -> float:
     """U(r) from stationarity; decays like +1/r^2, -1/r^(n+2) or -1/r^2 by regime."""
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r}")
-    s = pm.sigma_r ** pm.n / r ** pm.n
+    sigma_n, r_n, r_2 = _psi_powers(pm, r)
+    s = sigma_n / r_n
     bracket = (
         pm.regime_discriminant
         + 2.0 * (pm.ell + 1.0) * (pm.ell + pm.n) * s
         - (pm.ell + 1.0) ** 2 * s * s
     )
-    return -(HBAR ** 2) / (8.0 * MASS * r ** 2) * bracket + pm.energy
+    return -(HBAR ** 2) / (8.0 * MASS * r_2) * bracket + pm.energy
 
 
 def psi_velocity(pm: PsiModelParams, r: float) -> float:

@@ -37,24 +37,23 @@ COORD_H_REL = 1e-3
 class VerificationReport:
     """Residual statistics of one oracle check.
 
-    ``max_abs`` and ``rms`` are already normalized by ``rel_scale`` when the
-    check uses per-point scales (then ``rel_scale`` is 1.0); a report passes
-    iff ``max_abs / rel_scale <= tol``.  ``skipped_points`` counts flagged
-    nodes and degenerate points, which must stay below 5% of the grid.
+    ``max_abs`` and ``rms`` are already normalized when the check uses
+    per-point scales; a report passes iff ``max_abs <= tol``.
+    ``skipped_points`` counts flagged nodes and degenerate points, which must
+    stay below 5% of the grid.
     """
 
     name: str
     grid_spec: str
     max_abs: float
     rms: float
-    rel_scale: float
     tol: float
     skipped_points: int = 0
     total_points: int = 0
 
     @property
     def passed(self) -> bool:
-        ok = self.max_abs / self.rel_scale <= self.tol
+        ok = self.max_abs <= self.tol
         if self.total_points > 0:
             ok = ok and self.skipped_points <= 0.05 * self.total_points
         return ok
@@ -65,7 +64,6 @@ class VerificationReport:
             "grid_spec": self.grid_spec,
             "max_abs": self.max_abs,
             "rms": self.rms,
-            "rel_scale": self.rel_scale,
             "tol": self.tol,
             "pass": self.passed,
             "skipped_points": self.skipped_points,
@@ -82,13 +80,12 @@ def report_from_residuals(
 ) -> VerificationReport:
     arr = np.asarray(residuals, dtype=float)  # a non-finite residual fails the report
     if arr.size == 0:
-        return VerificationReport(name, grid_spec, math.inf, math.inf, 1.0, tol, skipped, total or skipped)
+        return VerificationReport(name, grid_spec, math.inf, math.inf, tol, skipped, total or skipped)
     return VerificationReport(
         name=name,
         grid_spec=grid_spec,
         max_abs=float(np.max(np.abs(arr))),
         rms=float(np.sqrt(np.mean(arr ** 2))),
-        rel_scale=1.0,
         tol=tol,
         skipped_points=skipped,
         total_points=total if total is not None else arr.size + skipped,

@@ -1,5 +1,6 @@
 """Command-line interface: tables, files, config handling, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from hodoflow import (
     omega_matched_c1,
     sample_fields,
 )
-from hodoflow.cli import _fmt, _table, main
+from hodoflow.cli import _DEFAULTS, _fmt, _resolve, _table, build_parser, main
 from hodoflow.momentum import radial_row
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -169,6 +170,41 @@ def test_grid_counts_below_two_rejected(tmp_path, capsys, command, flag, count):
     assert code == 1 and out == ""
     assert err.startswith("error: grid must be at least 2") and str(count) in err
     assert not out_file.exists()
+
+
+#: A flag value and a config-file value for a setting of each type, both
+#: unlike every default; the strings are valid choices of radial and regime.
+_SETTING_VALUES = {float: ("3.5", "2.5"), int: ("7", "5")}
+_STRING_VALUES = {"radial": ("tricomi+", "kummer-"), "regime": ("critical", "single-zero")}
+
+
+def _config_actions(command) -> list[argparse.Action]:
+    """The actions of a config command's parser, help excepted."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [action for action in sub.choices[command]._actions if action.dest != "help"]
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_one_flag_per_setting(command):
+    dests = [action.dest for action in _config_actions(command)]
+    assert len(dests) == len(set(dests))
+    assert set(dests) - {"config", "output", "require_univalent"} == set(_DEFAULTS[command])
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in sorted(_DEFAULTS)
+                                          for key in _DEFAULTS[command]])
+def test_every_setting_from_flag_and_file(command, key, tmp_path):
+    # each setting reaches the config from its flag and from a config file; the flag wins
+    flag = next(action.option_strings[0] for action in _config_actions(command) if action.dest == key)
+    cast = type(_DEFAULTS[command][key])
+    flag_value, file_value = _STRING_VALUES[key] if cast is str else _SETTING_VALUES[cast]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {file_value}\n")
+    tail = ("--config", str(cfg), "--output", str(tmp_path / "x.csv"))
+    from_file = _resolve(build_parser().parse_args([command, *tail]))[key]
+    from_flag = _resolve(build_parser().parse_args([command, flag, flag_value, *tail]))[key]
+    assert (from_file, from_flag) == (cast(file_value), cast(flag_value))
+    assert cast(file_value) != _DEFAULTS[command][key] != cast(flag_value)
 
 
 class TestClassify:
@@ -550,6 +586,18 @@ class TestPsiModel:
         assert err.startswith("error: ") and message in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--n", "10", "--ell", "3", "--r-min", "1e-50"),  # r^n underflows to 0 before (sigma_r/r)^ell overflows
+        ("--n", "1", "--ell", "3", "--r-max", "1e300"),  # r^2 overflows, r^n does not
+        ("--n", "40", "--ell", "3", "--sigma-r", "1e10"),  # sigma_r^n overflows
+    ])
+    def test_power_of_r_beyond_float_range_exits_one(self, tmp_path, capsys, flags):
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "psi-model", *flags, "--output", str(out_file))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "out of the float range" in err
+        assert not out_file.exists()
+
 
 class TestVerify:
     def test_specfun_suite_json(self, capsys, tmp_path):
@@ -570,7 +618,7 @@ class TestVerify:
         from hodoflow import cli
         from hodoflow.verify import VerificationReport
 
-        failing = VerificationReport("synthetic", "g", max_abs=1.0, rms=1.0, rel_scale=1.0, tol=1e-6)
+        failing = VerificationReport("synthetic", "g", max_abs=1.0, rms=1.0, tol=1e-6)
         monkeypatch.setattr(cli.suites, "run_suite", lambda name: [failing])
         code, out, _ = run_cli(capsys, "verify", "specfun")
         assert code == 4
@@ -581,7 +629,9 @@ class TestVerify:
 # every numeric flag of the model subcommands at boundary and non-finite values
 # ---------------------------------------------------------------------------
 
-GRID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e-9")
+#: 1e-50 is small enough that a 10th power underflows and large enough that a
+#: 3rd power of its reciprocal stays finite.
+GRID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e-9", "1e-50")
 
 _MODEL_FLAGS = ("--n", "--ell", "--sigma-v", "--alpha", "--beta", "--c0", "--c1", "--c2", "--lambda", "--fc1",
                 "--fc2", "--rho-min", "--rho-max", "--theta-min", "--theta-max", "--n-rho", "--n-theta")
@@ -598,6 +648,8 @@ GRID_BASES = {
     "solve-momentum": (("solve-momentum",), _MODEL_FLAGS),
     "map-fields": (("map-fields",), _MODEL_FLAGS + ("--normalize",)),
     "psi-model": (("psi-model",), ("--n", "--ell", "--sigma-r", "--rho-t", "--r-min", "--r-max", "--n-r")),
+    # n well above ell: r^n underflows before (sigma_r / r)^ell overflows
+    "psi-model-n10-ell3": (("psi-model", "--n", "10", "--ell", "3"), ("--r-min", "--r-max", "--sigma-r", "--rho-t")),
 }
 
 #: The exit codes the README documents for each subcommand: 2 and 3 belong to the map.

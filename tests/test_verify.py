@@ -52,19 +52,19 @@ class TestQuadrature:
 
 class TestReports:
     def test_pass_rule(self):
-        rep = VerificationReport("x", "g", max_abs=1e-6, rms=1e-7, rel_scale=1.0, tol=1e-5)
+        rep = VerificationReport("x", "g", max_abs=1e-6, rms=1e-7, tol=1e-5)
         assert rep.passed
-        rep2 = VerificationReport("x", "g", max_abs=2e-5, rms=1e-7, rel_scale=1.0, tol=1e-5)
+        rep2 = VerificationReport("x", "g", max_abs=2e-5, rms=1e-7, tol=1e-5)
         assert not rep2.passed
 
     def test_skip_budget(self):
-        rep = VerificationReport("x", "g", 1e-9, 1e-9, 1.0, 1e-5, skipped_points=10, total_points=100)
+        rep = VerificationReport("x", "g", 1e-9, 1e-9, 1e-5, skipped_points=10, total_points=100)
         assert not rep.passed  # 10% skipped exceeds the 5% budget
 
     def test_serialization_fields(self):
         rep = report_from_residuals("check", "grid", [1e-7, -2e-7], tol=1e-5)
         d = rep.to_dict()
-        assert set(d) == {"name", "grid_spec", "max_abs", "rms", "rel_scale", "tol", "pass", "skipped_points"}
+        assert set(d) == {"name", "grid_spec", "max_abs", "rms", "tol", "pass", "skipped_points"}
         assert d["pass"] is True
         assert d["max_abs"] == pytest.approx(2e-7)
         assert d["rms"] == pytest.approx(math.sqrt((1e-14 + 4e-14) / 2.0))

@@ -361,20 +361,19 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
     rhos, thetas = _grid(domain, grid)
     r, rp, rcal = (col[:, None] for col in momentum.radial_rows(params, sol, rhos))
     g = maxwell._g(params, rhos)[:, None]
-    rho = rhos[:, None]
+    rho, cos_t, sin_t = rhos[:, None], np.cos(thetas), np.sin(thetas)
     block = np.empty((8, rhos.size, thetas.size))
     x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block
     with np.errstate(all="ignore"):
         th, thp = fac.value(thetas), fac.deriv(thetas)
         ups = np.where(fac.at_node(thetas), np.nan, thp / th)
         u = r * th
-        x[...], y[...], phi[...], jac_inv[...] = _image(rho, r, rp, g, fac.lam, th, thp,
-                                                        np.cos(thetas), np.sin(thetas))
+        x[...], y[...], phi[...], jac_inv[...] = _image(rho, r, rp, g, fac.lam, th, thp, cos_t, sin_t)
         q_pot[...], u_pot[...], node = potentials.potentials_on_grid(params, sol.lam, rho, u, rcal, g, ups)
         out_of_range = np.isnan(r[:, 0]) | np.isinf(jac_inv).any(axis=1) | np.isinf(u * u).any(axis=1)
     block[:, out_of_range] = math.nan
     univalent = not ((jac_inv > 0.0).any() and (jac_inv < 0.0).any())
-    vx[...], vy[...] = -params.alpha * rho * np.cos(thetas), -params.alpha * rho * np.sin(thetas)
+    vx[...], vy[...] = -params.alpha * rho * cos_t, -params.alpha * rho * sin_t
     speed = abs(params.alpha) * rhos
     density = maxwell._density(params, speed, norm)
     density_singular = np.isnan(density)

@@ -474,8 +474,7 @@ def radial_rows(params: ModelParams, sol: RadialSolution, rhos) -> tuple[np.ndar
     valid = (x <= RHO_BAR_N_CAP) & (tau <= specfun.KUMMER_Z_MAX) & ((tau > 0.0) | (psi is None))
     rb, tau = rb[valid], tau[valid]
     pairs = _series_pairs(sol, psi)
-    value, scale = specfun._kummer_block([a for a, _ in pairs], [b for _, b in pairs], tau,
-                                         scaled=[psi is None and k == 0 for k in range(len(pairs))])
+    value, scale = specfun._kummer_block([a for a, _ in pairs], [b for _, b in pairs], tau)
     series = dict(zip(pairs, zip(value, scale)))
     with np.errstate(all="ignore"):
         r, rp, rcal = _radial_values(params, sol, psi, rb, tau, series)

@@ -48,7 +48,7 @@ class QPotentialArgs:
     z3: float
     z4: float
 
-    @property
+    @functools.cached_property
     def denominator(self):
         """z1^2 z4^2 + z3 z2^2; the closed form is singular where it vanishes."""
         return self.z1 ** 2 * self.z4 ** 2 + self.z3 * self.z2 ** 2

@@ -155,115 +155,65 @@ def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
     raise NoConvergenceError(f"Kummer series did not converge at (a={a}, b={b}, z={z})")
 
 
-def _kummer_block(a, b, z, scaled=None) -> tuple[np.ndarray, np.ndarray]:
+def _kummer_block(a, b, z) -> tuple[np.ndarray, np.ndarray]:
     """The Kummer series of S parameter pairs (``a``, ``b``, length S) at N
     arguments ``z`` at once: (S, N) arrays of M and of the sum of |terms|,
     equal element by element, bit for bit, to :func:`_kummer_series`, with
-    the same errors.  ``scaled`` (S booleans, all by default) names the
-    series whose sum of |terms| is formed; the other rows of it are NaN.
+    the same errors.
 
-    ``np.multiply.accumulate`` forms the terms and ``np.add.accumulate`` the
-    partial sums, both in the scalar loop's order.  A terminating series
-    (a = -k) takes its k terms in one block; the others run in chunks, the
-    first of ``26 + 2.5 max(z)`` terms (enough for most series at the largest
-    argument to stop), then twice as many each round, and each element takes
-    the partial sum at its own stop, the third of three consecutive terms below
-    ``SERIES_REL_TOL`` of the sum.  The rest of its chunk is discarded.
+    One pass sums a ``(terms + 1, S, N)`` block: the ratios are the scalar
+    loop's expression, ``np.multiply.accumulate`` forms the terms and
+    ``np.add.accumulate`` the partial sums, both in the scalar loop's order.
+    A terminating series (a = -k) stops after its k terms, every other one at
+    the third of three consecutive terms below ``SERIES_REL_TOL`` of the sum,
+    and each takes the partial sums at its own stop.  The pass holds
+    ``max(k, 26 + 2.5 max(z))`` terms (just k where every series terminates),
+    enough for most series at the largest argument to stop; if one has not,
+    the block is summed again from the first term at twice the length, up to
+    ``SERIES_MAX_TERMS``, so such a series costs up to about three passes.
     """
     a, b, z = (np.asarray(v, dtype=float).ravel() for v in (a, b, z))
-    scaled = np.ones(a.size, dtype=bool) if scaled is None else np.asarray(scaled, dtype=bool)
     if not z.size:
         return np.ones((a.size, 0)), np.ones((a.size, 0))
-    z_ends = float(z.min()), float(z.max())
     for b_s in b.tolist():
-        for z_n in z_ends:
+        for z_n in (float(z.min()), float(z.max())):
             _check_kummer_args(b_s, z_n)
-    degree = [round(-a_s) if is_nonpositive_integer(a_s) else -1 for a_s in a.tolist()]
-    poly = [s for s, k in enumerate(degree) if k >= 0]
-    rest = [s for s, k in enumerate(degree) if k < 0]
-    with np.errstate(all="ignore"):  # the discarded tail of a block may overflow
-        if not rest:
-            return _kummer_polynomials(a, b, z, degree, scaled)
-        if not poly:
-            return _kummer_converging(a, b, z, scaled)
-        value, scale = np.empty((a.size, z.size)), np.empty((a.size, z.size))
-        value[poly], scale[poly] = _kummer_polynomials(a[poly], b[poly], z, [degree[s] for s in poly], scaled[poly])
-        value[rest], scale[rest] = _kummer_converging(a[rest], b[rest], z, scaled[rest])
-    return value, scale
-
-
-def _kummer_ratios(a, b, z, j):
-    """term_{j+1} / term_j of the Kummer series, the scalar loop's expression."""
-    return (a + j) * z / ((b + j) * (j + 1.0))
-
-
-def _kummer_polynomials(a, b, z, degree: list[int], scaled):
-    """:func:`_kummer_block` for a = -k: exactly k terms, no stopping rule."""
-    j = np.arange(max(degree), dtype=float)[:, None, None]
-    terms = np.empty((j.size + 1, a.size, z.size))
-    terms[0] = 1.0
-    terms[1:] = _kummer_ratios(a[:, None], b[:, None], z, j)
-    np.multiply.accumulate(terms, axis=0, out=terms)
-    degree = np.array(degree)
-    scale = np.full((a.size, z.size), math.nan)
-    if scaled.any():
-        sums = np.add.accumulate(np.abs(terms[:, scaled]), axis=0)
-        scale[scaled] = sums[degree[scaled], np.arange(sums.shape[1])]
-    return np.add.accumulate(terms, axis=0)[degree, np.arange(a.size)], scale
-
-
-def _kummer_converging(a, b, z, scaled):
-    """:func:`_kummer_block` for series that stop by the ``SERIES_REL_TOL`` rule."""
-    # one element per (series, argument) pair, row-major; live ones are still summing
-    ea, eb, ez = np.repeat(a, z.size), np.repeat(b, z.size), np.tile(z, a.size)
-    value, scale = np.empty(ea.size), np.full(ea.size, math.nan)
-    live = np.arange(ea.size)
-    need = np.repeat(scaled, z.size)  # whether the element's sum of |terms| is formed
-    term, total, absum = np.ones(ea.size), np.ones(ea.size), np.ones(ea.size)
-    tail = np.zeros((2, ea.size), dtype=bool)  # whether the last two terms were small
-    start, size = 0, 26 + int(2.5 * np.fmin(z.max(), KUMMER_Z_MAX))  # fmin: a NaN argument runs to the cap
-    while live.size:
-        size = min(size, SERIES_MAX_TERMS - start)
-        # row i holds the state after term start + i - 1, row 0 the state before
-        terms = np.empty((size + 1, live.size))
-        terms[0] = term
-        terms[1:] = _kummer_ratios(ea[live], eb[live], ez[live], np.arange(start, start + size, dtype=float)[:, None])
-        np.multiply.accumulate(terms, axis=0, out=terms)
-        totals = terms.copy()
-        totals[0] = total
-        np.add.accumulate(totals, axis=0, out=totals)
-        mag, tot_mag = np.abs(terms[1:]), np.abs(totals[1:])
-        small = np.empty((size + 2, live.size), dtype=bool)
-        small[:2] = tail
-        np.less(mag, SERIES_REL_TOL * tot_mag, out=small[2:])
-        three = small[2:] & small[1:-1] & small[:-2]
-        done = three.any(axis=0)
-        stop = three.argmax(axis=0) + 1
-        if np.fmax.reduce(mag, axis=None) > _OVERFLOW_GUARD or np.fmax.reduce(tot_mag, axis=None) > _OVERFLOW_GUARD:
-            over = (mag > _OVERFLOW_GUARD) | (tot_mag > _OVERFLOW_GUARD)
-            over_at = np.where(over.any(axis=0), over.argmax(axis=0) + 1, size + 1)
-            overflowed = over_at <= np.where(done, stop, size)
-            if overflowed.any():
-                e = live[overflowed.argmax()]
-                raise SeriesOverflowError(f"Kummer series overflow at (a={ea[e]}, b={eb[e]}, z={ez[e]})")
-        if start + size == SERIES_MAX_TERMS and not done.all():
-            e = live[(~done).argmax()]
-            raise NoConvergenceError(f"Kummer series did not converge at (a={ea[e]}, b={eb[e]}, z={ez[e]})")
-        cols = np.flatnonzero(done)
-        value[live[cols]] = totals[stop[cols], cols]
-        summed = np.flatnonzero(need[live])  # the columns whose sum of |terms| is formed
-        if summed.size:
-            sums = np.abs(terms[:, summed])
-            sums[0] = absum[summed]
-            np.add.accumulate(sums, axis=0, out=sums)
-            fin = done[summed]
-            scale[live[summed[fin]]] = sums[stop[summed[fin]], fin]
-            absum[summed] = sums[-1]
-        keep = ~done
-        live, tail = live[keep], small[-2:, keep]
-        term, total, absum = terms[-1, keep], totals[-1, keep], absum[keep]
-        start, size = start + size, 2 * size
-    return value.reshape(a.size, z.size), scale.reshape(a.size, z.size)
+    degree = np.array([round(-a_s) if is_nonpositive_integer(a_s) else -1 for a_s in a.tolist()], dtype=int)
+    poly = (degree >= 0)[:, None]
+    # fmin: a NaN argument runs to the cap; the stopping test needs 3 terms
+    size = max(degree.max(initial=0), 3 if poly.all() else 26 + int(2.5 * np.fmin(z.max(), KUMMER_Z_MAX)))
+    with np.errstate(all="ignore"):  # terms past a series' stop may overflow
+        while True:
+            j = np.arange(size, dtype=float)[:, None, None]
+            terms = np.empty((size + 1, a.size, z.size))
+            terms[0] = 1.0
+            terms[1:] = (a[:, None] + j) * z / ((b[:, None] + j) * (j + 1.0))
+            np.multiply.accumulate(terms, axis=0, out=terms)
+            totals = np.add.accumulate(terms, axis=0)
+            mag, tot_mag = np.abs(terms[1:]), np.abs(totals[1:])
+            small = mag < SERIES_REL_TOL * tot_mag
+            three = small[2:] & small[1:-1] & small[:-2]  # row i: terms i+1..i+3 are small
+            stop = np.where(three.any(axis=0), three.argmax(axis=0) + 3, size + 1)
+            cap = min(size, SERIES_MAX_TERMS)
+            # the scalar loop tests for overflow up to its stop, or to its last term
+            over = np.fmax(mag, tot_mag) > _OVERFLOW_GUARD
+            if over.any():
+                over_at = np.where(over.any(axis=0), over.argmax(axis=0) + 1, size + 1)
+                failed = ~poly & (over_at <= np.minimum(stop, cap))
+                if failed.any():
+                    s, n = np.unravel_index(failed.argmax(), failed.shape)
+                    raise SeriesOverflowError(f"Kummer series overflow at (a={a[s]}, b={b[s]}, z={z[n]})")
+            pending = ~poly & (stop > cap)
+            if not pending.any():
+                break
+            if size >= SERIES_MAX_TERMS:
+                s, n = np.unravel_index(pending.argmax(), pending.shape)
+                raise NoConvergenceError(f"Kummer series did not converge at (a={a[s]}, b={b[s]}, z={z[n]})")
+            size = min(2 * size, SERIES_MAX_TERMS)
+        at = (np.where(poly, degree[:, None], stop), np.arange(a.size)[:, None], np.arange(z.size))
+        np.abs(terms, out=terms)
+        np.add.accumulate(terms, axis=0, out=terms)
+        return totals[at], terms[at]
 
 
 def kummer_m(a: float, b: float, z: float) -> float:

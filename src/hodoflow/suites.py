@@ -211,10 +211,10 @@ def suite_map() -> list[VerificationReport]:
 
             # closed-form inverse Jacobian vs the FD differential, relative to the smaller
             h_r, h_t = 1e-5 * p.rho_t, 1e-5
-            dx_r = (f(rho + h_r, theta).x - f(rho - h_r, theta).x) / (2 * h_r)
-            dy_r = (f(rho + h_r, theta).y - f(rho - h_r, theta).y) / (2 * h_r)
-            dx_t = (f(rho, theta + h_t).x - f(rho, theta - h_t).x) / (2 * h_t)
-            dy_t = (f(rho, theta + h_t).y - f(rho, theta - h_t).y) / (2 * h_t)
+            r_up, r_down = f(rho + h_r, theta), f(rho - h_r, theta)
+            t_up, t_down = f(rho, theta + h_t), f(rho, theta - h_t)
+            dx_r, dy_r = (r_up.x - r_down.x) / (2 * h_r), (r_up.y - r_down.y) / (2 * h_r)
+            dx_t, dy_t = (t_up.x - t_down.x) / (2 * h_t), (t_up.y - t_down.y) / (2 * h_t)
             ct, st = math.cos(theta), math.sin(theta)
             fd_jac = (dx_r * ct - dx_t * st / rho) * (dy_r * st + dy_t * ct / rho) - (
                 dx_r * st + dx_t * ct / rho

@@ -150,8 +150,9 @@ def _momentum_residual_at(
     from .maxwell import coeff_g
 
     u_c = u_fn(rho, theta)
-    u_rr = (u_fn(rho + h_rho, theta) - 2.0 * u_c + u_fn(rho - h_rho, theta)) / h_rho ** 2
-    u_r = (u_fn(rho + h_rho, theta) - u_fn(rho - h_rho, theta)) / (2.0 * h_rho)
+    u_up, u_down = u_fn(rho + h_rho, theta), u_fn(rho - h_rho, theta)
+    u_rr = (u_up - 2.0 * u_c + u_down) / h_rho ** 2
+    u_r = (u_up - u_down) / (2.0 * h_rho)
     u_tt = (u_fn(rho, theta + h_theta) - 2.0 * u_c + u_fn(rho, theta - h_theta)) / h_theta ** 2
     g = coeff_g(params, rho)
     t1 = u_rr

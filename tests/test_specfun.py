@@ -187,48 +187,49 @@ class TestKummerBlock:
         return a, rng.uniform(0.6, 12.0, 48), np.concatenate([[0.0, 50.0], rng.uniform(0.0, 50.0, 38)])
 
     def test_box_bit_for_bit(self):
-        a, b, z = self._box()
-        value, scale = _kummer_block(a, b, z)
-        assert value.shape == scale.shape == (a.size, z.size)
-        for i in range(a.size):
-            for j in range(z.size):
-                assert (value[i, j], scale[i, j]) == _kummer_series(a[i], b[i], z[j]), (a[i], b[i], z[j])
+        self._assert_block_equals_series(*self._box())
 
     def test_box_reaches_chunk_edges(self):
-        # with z up to 50 the first chunk holds 26 + 2.5 * 50 = 151 terms, and
+        # with z up to 50 the first pass holds 26 + 2.5 * 50 = 151 terms, and
         # every series of the box stops inside it.  Three more series stop, at
-        # z = 50, on its last term and on the two after it, with the small
-        # terms carried over the edge; summing on past those terms would change
-        # the last bits of the two later ones
+        # z = 50, on its last term and on the two after it; the block is then
+        # summed again from the first term, and summing on past a series' stop
+        # would change the last bits of the two later ones
         a, b, z = self._box()
         assert max(_terms_used(a_s, b_s, z_n) for a_s, b_s in zip(a[19:], b[19:]) for z_n in z) < 151
         a_edge, b_edge = [47.25, 50.23, 52.33], [0.75, 0.75, 0.75]
         assert [_terms_used(a_s, b_s, 50.0) for a_s, b_s in zip(a_edge, b_edge)] == [151, 152, 153]
-        value, scale = _kummer_block(np.concatenate([a, a_edge]), np.concatenate([b, b_edge]), z)
-        for i, (a_s, b_s) in enumerate(zip(a_edge, b_edge), start=a.size):
-            for j in range(z.size):
-                assert (value[i, j], scale[i, j]) == _kummer_series(a_s, b_s, z[j]), (a_s, b_s, z[j])
+        self._assert_block_equals_series(np.concatenate([a, a_edge]), np.concatenate([b, b_edge]), z)
 
     def test_first_chunk_edges(self):
-        # with z up to 10 the first chunk holds 26 + 2.5 * 10 = 51 terms; these
-        # series stop on its last term and on the two after it, the small
-        # terms carried over the edge
+        # with z up to 10 the first pass holds 26 + 2.5 * 10 = 51 terms; these
+        # series stop on its last term and on the two after it, where the
+        # block is summed again from the first term at twice the length
         a, b, z = [33.007, 33.007, 45.389], [10.828, 10.828, 5.934], [7.5, 8.0, 6.0, 10.0]
         assert {51, 52, 53} <= {_terms_used(a_s, b_s, z_n) for a_s, b_s in zip(a, b) for z_n in z}
+        self._assert_block_equals_series(a, b, z)
+
+    def test_terminating_series_longer_than_first_pass(self):
+        # k = 200 terms against a first pass of 26 + 2.5 * 0.5 = 27, next to a
+        # converging series
+        a, b, z = [-200.0, 0.5], [3.0, 1.5], [0.25, 0.5]
+        assert _terms_used(0.5, 1.5, 0.5) < 27
+        self._assert_block_equals_series(a, b, z)
+
+    def test_series_past_two_doublings(self):
+        # the first pass holds 26 + 2.5 * 1 = 28 terms, the second 56; the
+        # first series stops only in the third, of 112
+        a, b, z = [800.0, 0.5], [0.75, 1.5], [0.5, 1.0]
+        assert 56 < _terms_used(800.0, 0.75, 1.0) <= 112
+        self._assert_block_equals_series(a, b, z)
+
+    @staticmethod
+    def _assert_block_equals_series(a, b, z):
         value, scale = _kummer_block(a, b, z)
+        assert value.shape == scale.shape == (len(a), len(z))
         for i in range(len(a)):
             for j in range(len(z)):
                 assert (value[i, j], scale[i, j]) == _kummer_series(a[i], b[i], z[j]), (a[i], b[i], z[j])
-
-    def test_scale_only_where_asked(self):
-        # the sum of |terms| is formed only for the series named in `scaled`
-        a, b, z = self._box()
-        scaled = np.arange(a.size) % 3 == 0
-        value, scale = _kummer_block(a, b, z, scaled=scaled)
-        full_value, full_scale = _kummer_block(a, b, z)
-        np.testing.assert_array_equal(value, full_value)
-        np.testing.assert_array_equal(scale[scaled], full_scale[scaled])
-        assert np.isnan(scale[~scaled]).all()
 
     def test_no_arguments(self):
         value, scale = _kummer_block([0.5, -2.0], [1.5, 3.0], [])
@@ -240,7 +241,7 @@ class TestKummerBlock:
         (1.0, 1.5, -0.5, DomainError),
         (1.0, 1.5, 60.0, DomainError),
         (1e300, 1e-4, 50.0, SeriesOverflowError),  # on the first term
-        (5000.5, 1.5, 50.0, SeriesOverflowError),  # past the first chunks
+        (5000.5, 1.5, 50.0, SeriesOverflowError),  # past the first pass, on term 172
         (0.5, 1.5, math.nan, NoConvergenceError),
     ])
     def test_errors_match_scalar(self, a, b, z, error):

@@ -103,7 +103,6 @@ from .verify import (
     fd_derivative,
     pde_residual_coordinate,
     pde_residual_momentum,
-    quad2d_polar,
 )
 
 __version__ = "0.1.0"

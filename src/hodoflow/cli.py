@@ -13,6 +13,7 @@ evaluation error, 2 degenerate map, 3 fold/multivalence, 4 a failed
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -424,5 +425,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def console_main():
+    """Entry point of the ``hodoflow`` script and ``python -m hodoflow.cli``:
+    :func:`main` on ``sys.argv``, then exit with its code.  The collector is
+    frozen first, so the interpreter's exit-time collections skip the objects
+    of numpy, scipy and hodoflow; atexit handlers and the stream flush still
+    run.  :func:`main` itself leaves the collector as it is."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -393,25 +393,27 @@ def hamilton_jacobi_residual(pm: PsiModelParams, r: float) -> float:
 
 
 def bohr_sommerfeld(pm: PsiModelParams, contour: np.ndarray) -> float:
-    """Momentum circulation along a closed polyline (per-segment Simpson rule).
+    """Momentum circulation along a closed polyline, exact per segment.
 
+    The momentum is ``m sigma_r sigma_v (-y, x) / r^2``, and along a straight
+    segment from ``(x0, y0)`` to ``(x1, y1)`` the circulation of
+    ``(-y, x) / r^2`` is the angle the segment subtends at the origin,
+    ``atan2(x0 y1 - y0 x1, x0 x1 + y0 y1)``; the segments' angles are summed.
     The polyline is implicitly closed.  Contours that do not enclose the
-    velocity pole integrate to ~0; contours through the pole (closer than
-    ``POLE_MIN_RADIUS``) are rejected.
+    velocity pole integrate to ~0; contours with a vertex or a segment
+    midpoint closer to the pole than ``POLE_MIN_RADIUS`` are rejected.
     Compare against :func:`circulation_quantum`.
     """
     pts = np.asarray(contour, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise DomainError("contour must be an (N, 2) array with N >= 3")
-    ends = np.roll(pts, -1, axis=0)
-    d = ends - pts
-    # per segment: start, midpoint and end, each dotted with the segment vector
-    nodes = np.stack([pts, 0.5 * (pts + ends), ends])
-    r2 = nodes[..., 0] ** 2 + nodes[..., 1] ** 2
-    if np.any(r2 < POLE_MIN_RADIUS ** 2):
+    x0, y0 = pts.T
+    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
+    near = POLE_MIN_RADIUS ** 2
+    if np.any(x0 * x0 + y0 * y0 < near) or np.any((x0 + x1) ** 2 + (y0 + y1) ** 2 < 4.0 * near):
         raise DomainError("contour passes through the velocity pole at the origin")
-    p_dot = (-nodes[..., 1] * d[:, 0] + nodes[..., 0] * d[:, 1]) / r2
-    return float(MASS * pm.sigma_r * pm.sigma_v * np.sum(p_dot[0] + 4.0 * p_dot[1] + p_dot[2]) / 6.0)
+    angles = np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
+    return float(MASS * pm.sigma_r * pm.sigma_v * np.sum(angles))
 
 
 def circulation_quantum(pm: PsiModelParams) -> float:

@@ -119,22 +119,6 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float = 
     return value
 
 
-def quad2d_polar(
-    f: Callable[[float, float], float],
-    r_range: tuple[float, float],
-    phi_range: tuple[float, float],
-    tol: float = 1e-9,
-) -> float:
-    """Iterated adaptive quadrature of f over the polar measure r dr dphi."""
-    r_lo, r_hi = r_range
-
-    def ring(r: float) -> float:
-        inner, _ = integrate.quad(lambda p: f(r, p), phi_range[0], phi_range[1], epsabs=tol, epsrel=tol, limit=200)
-        return inner * r
-
-    return adaptive_quad(ring, r_lo, r_hi, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # PDE residuals
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ path, so the tests compare two derivations instead of one against itself.
 
 import math
 
+from scipy import integrate
+
 
 def frobenius_roots(ell: float, lam: float) -> tuple[float, float]:
     """Indicial roots of nu^2 + nu (g0 - 1) - lam^2 g0 = 0 with g0 = ell + 1.
@@ -37,6 +39,17 @@ def brute_force_orders(n: float, ell: float, lam: float, k_max: int = 200) -> li
         ) * (1.0 + 1e-9):
             hits.append(k)
     return hits
+
+
+def polar_quad(f, r_range: tuple[float, float], phi_range: tuple[float, float], tol: float) -> float:
+    """Integral of f(r, phi) over the polar measure r dr dphi by nested
+    ``scipy.integrate.quad``, with tol as both its absolute and its relative
+    tolerance: phi inside, r outside (an infinite r bound is quad's own)."""
+
+    def ring(r: float) -> float:
+        return r * integrate.quad(lambda phi: f(r, phi), *phi_range, epsabs=tol, epsrel=tol, limit=200)[0]
+
+    return integrate.quad(ring, *r_range, epsabs=tol, epsrel=tol, limit=300)[0]
 
 
 def radial_flow_q(params, rho: float) -> float:

@@ -1,16 +1,21 @@
 """Command-line interface: tables, files, config handling, exit codes."""
 
 import argparse
+import gc
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
+import hodoflow
 from hodoflow import (
     AngularFactor,
     FieldSample,
@@ -23,7 +28,7 @@ from hodoflow import (
     omega_matched_c1,
     sample_fields,
 )
-from hodoflow.cli import _DEFAULTS, _fmt, _resolve, _table, build_parser, main
+from hodoflow.cli import _DEFAULTS, _fmt, _resolve, _table, build_parser, console_main, main
 from hodoflow.momentum import radial_row
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -55,17 +60,23 @@ def test_readme_command(argv, tmp_path, monkeypatch, capsys):
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
+#: sha256 of the README ``map-fields`` example's CSV and sidecar.
+MAP_FIELDS_DIGESTS = {
+    "fields.csv": "d058f9a512623773e15d3ade85ef34b6bb1c5be6e942e0ab171c3b1ff510531b",
+    "fields.csv.json": "673270c01e9b91cb9cf3a63ef604dcac8c1c64366f20c9719572f63082a1f233",
+}
+
+
+def _digests(folder: Path) -> dict:
+    return {name: hashlib.sha256((folder / name).read_bytes()).hexdigest() for name in MAP_FIELDS_DIGESTS}
+
+
 def test_readme_map_fields_bytes(tmp_path, monkeypatch):
     # the README example's CSV and sidecar, pinned by their sha256
     monkeypatch.chdir(tmp_path)
     argv = next(argv for argv in _readme_commands() if argv[0] == "map-fields")
     assert main(argv) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("fields.csv", "fields.csv.json")}
-    assert digests == {
-        "fields.csv": "d058f9a512623773e15d3ade85ef34b6bb1c5be6e942e0ab171c3b1ff510531b",
-        "fields.csv.json": "673270c01e9b91cb9cf3a63ef604dcac8c1c64366f20c9719572f63082a1f233",
-    }
+    assert _digests(tmp_path) == MAP_FIELDS_DIGESTS
 
 
 @pytest.mark.parametrize("command, digests", [
@@ -84,6 +95,52 @@ def test_readme_table_bytes(command, digests, tmp_path, monkeypatch):
     argv = next(argv for argv in _readme_commands() if argv[0] == command)
     assert main(argv) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
+def _script(*argv, cwd):
+    """``python -m hodoflow.cli ARGV`` in a fresh interpreter on this checkout."""
+    src = str(Path(hodoflow.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "hodoflow.cli", *argv], cwd=cwd, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+class TestScriptExit:
+    def test_readme_map_fields(self, tmp_path):
+        argv = next(argv for argv in _readme_commands() if argv[0] == "map-fields")
+        result = _script(*argv, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("wrote fields.csv")
+        assert _digests(tmp_path) == MAP_FIELDS_DIGESTS
+
+    def test_failing_command_as_in_process(self, tmp_path, monkeypatch, capsys):
+        argv = ("map-fields", "--n", "2", "--ell", "4", "--radial", "constant", "--rho-min", "1.2",
+                "--rho-max", "1.6", "--output", "x.csv")
+        result = _script(*argv, cwd=tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+        assert code == 2 and err.startswith("degenerate map:")
+
+    def test_main_leaves_the_collector(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["classify", "--n", "2", "--ell", "4", "--rho", "0.5,1.5"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_main_freezes_and_exits(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hodoflow", "classify", "--n", "2", "--ell", "4", "--rho", "0.5,1.5"])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                console_main()
+            assert exc.value.code == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().out.startswith("rho_bar,Delta,g,region\n")
+
+    def test_console_script_target(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
+        assert pyproject["project"]["scripts"] == {"hodoflow": "hodoflow.cli:console_main"}
 
 
 def test_map_fields_memory_stays_flat(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hodoflow.maxwell import (
 )
 from hodoflow.momentum import AngularFactor
 from hodoflow.specfun import gamma
+from oracles import polar_quad
 
 
 @pytest.fixture
@@ -175,9 +176,7 @@ class TestNormalization:
         from hodoflow.potentials import PsiModelParams, psi_density
 
         pm = PsiModelParams(n=4, ell=6, sigma_r=1.3, rho_t=2.0)
-        total = verify.quad2d_polar(
-            lambda r, phi: psi_density(pm, r), (0.0, math.inf), (0.0, 2.0 * math.pi), tol=1e-10
-        )
+        total = polar_quad(lambda r, phi: psi_density(pm, r), (0.0, math.inf), (0.0, 2.0 * math.pi), tol=1e-10)
         assert total == pytest.approx(1.0, rel=1e-8)
 
     def test_divergence_for_small_ell(self):
@@ -251,13 +250,13 @@ def _fold_split_reference(p, sol, fac, dom):
 
 
 def _quad_oracle(p, sol, fac, dom):
-    """1 / N from verify.quad2d_polar over the scalar forward map, tol = 1e-11."""
+    """1 / N from nested quadrature (:func:`oracles.polar_quad`) over the scalar forward map, tol = 1e-11."""
     from hodoflow.mapping import forward_map
 
     def integrand(rho, theta):
         return density_F(p, abs(p.alpha) * rho) * abs(forward_map(p, sol, fac, rho, theta).jac_inv)
 
-    return verify.quad2d_polar(integrand, (dom.rho_min, dom.rho_max), (dom.theta_min, dom.theta_max), tol=1e-11)
+    return polar_quad(integrand, (dom.rho_min, dom.rho_max), (dom.theta_min, dom.theta_max), tol=1e-11)
 
 
 #: name: (ell, lam, radial branch or "laguerre", c1, c2, rho in rho_T, theta in degrees), n = 2

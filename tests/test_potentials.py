@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from hodoflow import verify
 from hodoflow.errors import DivergenceError, DomainError, NodeError, ParameterError, RegionError
 from hodoflow.mapping import forward_map, invert_map
 from hodoflow.maxwell import ModelParams, density_F
@@ -30,7 +29,7 @@ from hodoflow.potentials import (
     sigma_r_from_moments,
 )
 
-from oracles import radial_flow_q
+from oracles import polar_quad, radial_flow_q
 
 
 def triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
@@ -217,7 +216,7 @@ class TestPsiModel:
     def test_density_at_origin_and_normalization(self):
         pm = PsiModelParams(n=4, ell=6, sigma_r=1.0, rho_t=2.0)
         assert psi_density(pm, 0.0) == 0.0
-        total = verify.quad2d_polar(lambda r, phi: psi_density(pm, r), (0.0, math.inf), (0.0, 2.0 * math.pi), tol=1e-10)
+        total = polar_quad(lambda r, phi: psi_density(pm, r), (0.0, math.inf), (0.0, 2.0 * math.pi), tol=1e-10)
         assert total == pytest.approx(1.0, rel=1e-8)
 
     def test_eval_bundle(self):
@@ -334,9 +333,7 @@ class TestMoments:
     def test_first_moment_quadrature_oracle(self):
         pm = PsiModelParams(n=4, ell=8, sigma_r=1.1, rho_t=2.0)
         closed = radial_moments(pm, 1)
-        quad = verify.quad2d_polar(
-            lambda r, phi: r * psi_density(pm, r), (0.0, math.inf), (0.0, 2.0 * math.pi), tol=1e-10
-        )
+        quad = polar_quad(lambda r, phi: r * psi_density(pm, r), (0.0, math.inf), (0.0, 2.0 * math.pi), tol=1e-10)
         assert closed == pytest.approx(quad, rel=1e-6)
 
     def test_divergence_guard(self):

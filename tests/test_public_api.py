@@ -29,7 +29,7 @@ PUBLIC_NAMES = (
     "map_differential", "mapping", "maxwell", "momentum", "mu_plus", "normalization_psi_model",
     "normalization_sector", "nu_roots", "omega_matched_c1", "omega_slope", "pde_residual_coordinate",
     "pde_residual_momentum", "potential_zeros", "potentials", "psi_classical_potential",
-    "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity", "quad2d_polar",
+    "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity",
     "quantum_potential", "radial_moments", "sample_fields",
     "schrodinger_residual", "schrodinger_residual_at",
     "sigma_r_closed_form", "sigma_r_from_moments", "slope_rho_theta", "specfun", "tricomi_psi",
@@ -45,7 +45,7 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 89
+    assert len(out) == 88
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

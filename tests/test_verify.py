@@ -14,7 +14,6 @@ from hodoflow.verify import (
     adaptive_quad,
     fd_derivative,
     pde_residual_momentum,
-    quad2d_polar,
     report_from_residuals,
 )
 
@@ -43,11 +42,6 @@ class TestQuadrature:
         p = ModelParams(n=2, ell=2)
         val = adaptive_quad(lambda z: density_F(p, z), 0.0, math.inf, tol=1e-12)
         assert val == pytest.approx(density_F_speed_integral(p), rel=1e-8)
-
-    def test_polar_area(self):
-        # area of annulus 1 <= r <= 2, quarter turn: (pi/4)(4-1) ... via f = 1
-        val = quad2d_polar(lambda r, p: 1.0, (1.0, 2.0), (0.0, math.pi / 2.0), tol=1e-12)
-        assert val == pytest.approx(3.0 * math.pi / 4.0, rel=1e-12)
 
 
 class TestReports:

@@ -30,7 +30,6 @@ from .maxwell import (
     classify,
     coeff_g,
     coeff_h,
-    coeff_h_bar,
     density_F,
     density_F_speed_integral,
     discriminant,
@@ -52,7 +51,6 @@ from .momentum import (
     kummer_ab,
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
-    mu_plus,
     nu_roots,
     omega_matched_c1,
     omega_slope,

@@ -157,15 +157,15 @@ def _fold_angles(w1, w2, g, fac: AngularFactor, lo: float, hi: float) -> np.ndar
     folds = (g < 0.0) & (w2 != 0.0) & (lam != 0.0 or c1 != 0.0)
     if not folds.any():
         return np.full((w1.size, 0), hi)
-    # math's functions row by row: NumPy's atan2 can differ from them in the last bit
-    rows = zip(folds.tolist(), w1.tolist(), w2.tolist(), g.tolist())
+    # rows without folds give NaN or inf here (the caller ignores those
+    # floating-point errors); the mask below drops them
+    root_g_w2 = np.sqrt(-g) * np.abs(w2)
     if lam == 0.0:
-        s0 = np.array([abs(c1 * v1) / (math.sqrt(-gk) * abs(v2)) if fold else 0.0 for fold, v1, v2, gk in rows])
+        s0 = np.abs(c1 * w1) / root_g_w2
         cands = np.stack([(-s0 - c2) / c1, (s0 - c2) / c1], axis=-1)
     else:
         phi0 = math.atan2(c1, c2)
-        y0 = np.array([[math.atan2(math.sqrt(-gk) * abs(v2), lam * abs(v1)) if fold else 0.0]
-                       for fold, v1, v2, gk in rows])
+        y0 = np.arctan2(root_g_w2, lam * np.abs(w1))[:, None]
         k = np.arange(math.floor((lam * lo - phi0) / math.pi) - 1, math.ceil((lam * hi - phi0) / math.pi) + 2)
         cands = np.concatenate([(phi0 - y0 + k * math.pi) / lam, (phi0 + y0 + k * math.pi) / lam], axis=-1)
     return np.sort(np.where(folds[:, None] & (lo < cands) & (cands < hi), cands, hi), axis=-1)

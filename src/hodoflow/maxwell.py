@@ -123,10 +123,10 @@ def _density(params: ModelParams, z, norm: float):
     return norm * specfun.checked_pow(c, params.ell / params.n) * specfun._power(w, params.ell) * decay
 
 
-def density_F_speed_integral(params: ModelParams, norm: float = 1.0) -> float:
-    """Closed form of the 1-D speed integral of F over [0, inf)."""
+def density_F_speed_integral(params: ModelParams) -> float:
+    """Closed form of the 1-D speed integral of F (N = 1) over [0, inf)."""
     return (
-        norm
+        1.0
         / params.n
         * specfun.gamma((params.ell + 1.0) / params.n)
         * params.sigma_nl
@@ -140,14 +140,6 @@ def coeff_h(params: ModelParams, z: float) -> float:
         raise DomainError(f"h requires z > 0, got {z}")
     s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
     return params.alpha ** 2 / z ** 2 * (params.ell - params.n * z ** params.n / s2n)
-
-
-def coeff_h_bar(params: ModelParams, rho: float) -> float:
-    """Same coefficient in momentum form, evaluated directly from its own formula."""
-    if rho <= 0.0:
-        raise DomainError(f"h_bar requires rho > 0, got {rho}")
-    s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
-    return params.ell / rho ** 2 - params.n * abs(params.alpha) ** params.n * rho ** (params.n - 2.0) / s2n
 
 
 def coeff_g(params: ModelParams, rho: float) -> float:

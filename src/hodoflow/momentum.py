@@ -536,12 +536,6 @@ def _require_hyperbolic(params: ModelParams, rho: float) -> None:
         raise RegionError(f"hyperbolic solution needs rho >= rho_T, got {rho}")
 
 
-def mu_plus(params: ModelParams, rho: float) -> float:
-    """Radial canonical coordinate of the hyperbolic region (zero on the sonic
-    circle): the radial part of the hyperbolic characteristic chi."""
-    return characteristic_chi(params, CharacteristicKind.HYPERBOLIC_PLUS, rho, 0.0)
-
-
 def hyperbolic_omega(params: ModelParams, rho: float) -> float:
     """Angularly symmetric exact solution in the hyperbolic region,
     ``Omega(rho) = (c1 sqrt(ell+1)/n) e^(-(ell+1)/n) [I(rho_bar^n) + c2]``
@@ -621,12 +615,13 @@ class AngularFactor:
             raise NodeError(f"Theta({theta}) = 0: logarithmic derivative pole")
         return self.deriv(theta) / self.value(theta)
 
-    def extremum_angle(self, k: int = 0) -> float:
-        """Angle theta_e with Theta'(theta_e) = 0 (lam > 0 only)."""
+    def extremum_angle(self) -> float:
+        """An angle theta_e = (pi/2 - atan2(c2, c1)) / lam with Theta'(theta_e) = 0
+        (lam > 0 only)."""
         if self.lam == 0.0:
             raise ParameterError("the linear angular factor has no extremum")
         theta0 = math.atan2(self.c2, self.c1)
-        return (math.pi / 2.0 + math.pi * k - theta0) / self.lam
+        return (math.pi / 2.0 - theta0) / self.lam
 
 
 # ---------------------------------------------------------------------------

@@ -96,9 +96,9 @@ def _mapped_q(params: ModelParams, lam: float, rho, u, args: QPotentialArgs):
     return params.alpha * rho ** 2 / (2.0 * params.beta * u ** 2) * core
 
 
-def stationary_u(params: ModelParams, rho, q, energy: float = 0.0):
-    """External potential from stationarity, U = alpha rho^2/(4 beta) - Q + E, given Q."""
-    return params.alpha * rho ** 2 / (4.0 * params.beta) - q + energy
+def stationary_u(params: ModelParams, rho, q):
+    """External potential from stationarity, U = alpha rho^2/(4 beta) - Q (E = 0 frame), given Q."""
+    return params.alpha * rho ** 2 / (4.0 * params.beta) - q
 
 
 def quantum_potential(
@@ -140,15 +140,14 @@ def classical_potential(
     fac: AngularFactor,
     rho: float,
     theta: float,
-    energy: float = 0.0,
 ) -> float:
-    """External potential recovered from stationarity: U = alpha rho^2/(4 beta) - Q + E.
+    """External potential recovered from stationarity: U = alpha rho^2/(4 beta) - Q.
 
     The kinetic term is (1/(4 alpha beta)) |v|^2 with |v| = |alpha| rho.  U is
     single-valued across quantum states: shifting the energy shifts Q by the
-    same constant and cancels here.
+    same constant and cancels here, so U is given in the E = 0 frame.
     """
-    return stationary_u(params, rho, quantum_potential(params, sol, fac, rho, theta), energy)
+    return stationary_u(params, rho, quantum_potential(params, sol, fac, rho, theta))
 
 
 def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
@@ -178,14 +177,13 @@ class PsiModelParams:
     ``ell > 2`` is required for a normalizable density.  The angular constant
     is ``c1 = -rho_t * sigma_r``; its magnitude against ell selects the
     far-field behavior of the potential (see :func:`potential_zeros`).
-    Energies use hbar = m = 1.
+    Energies use hbar = m = 1, in the E = 0 frame: the state is stationary.
     """
 
     n: float
     ell: float
     sigma_r: float = 1.0
     rho_t: float = 2.0
-    energy: float = 0.0
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -208,7 +206,7 @@ class PsiModelParams:
 
     @property
     def angular_number(self) -> float:
-        """Phase winding rate kappa: arg psi = kappa phi - E t / hbar."""
+        """Phase winding rate kappa: arg psi = kappa phi."""
         return self.rho_t * self.sigma_r / 2.0
 
     @functools.cached_property
@@ -277,7 +275,7 @@ def psi_classical_potential(pm: PsiModelParams, r: float) -> float:
         + 2.0 * (pm.ell + 1.0) * (pm.ell + pm.n) * s
         - (pm.ell + 1.0) ** 2 * s * s
     )
-    return -(HBAR ** 2) / (8.0 * MASS * r_2) * bracket + pm.energy
+    return -(HBAR ** 2) / (8.0 * MASS * r_2) * bracket
 
 
 def psi_velocity(pm: PsiModelParams, r: float) -> float:
@@ -287,11 +285,12 @@ def psi_velocity(pm: PsiModelParams, r: float) -> float:
     return pm.sigma_r * pm.sigma_v / r
 
 
-def psi_model_eval(pm: PsiModelParams, r: float, phi: float, t: float = 0.0) -> dict:
-    """Density, phase, potentials, and velocity of the vortex state at one point."""
+def psi_model_eval(pm: PsiModelParams, r: float, phi: float) -> dict:
+    """Density, phase, potentials, and velocity of the vortex state at one point
+    (the state is stationary: nothing depends on time)."""
     return {
         "density": psi_density(pm, r),
-        "phase": pm.angular_number * phi - pm.energy / HBAR * t,
+        "phase": pm.angular_number * phi,
         "Q": psi_quantum_potential(pm, r) if r > 0.0 else -math.inf,
         "U": psi_classical_potential(pm, r) if r > 0.0 else math.inf,
         "v_phi": psi_velocity(pm, r) if r > 0.0 else math.inf,
@@ -344,7 +343,7 @@ def schrodinger_residual_at(pm: PsiModelParams, r: float, use_fd: bool = False, 
         d2log = pm.ell / (2.0 * r ** 2) - 0.5 * c * pm.n * (pm.n + 1.0) * pm.sigma_r ** pm.n / r ** (pm.n + 2.0)
         lap = d2log + dlog ** 2 + dlog / r - kappa ** 2 / r ** 2
     u_val = psi_classical_potential(pm, r)
-    residual = pm.energy + HBAR ** 2 / (2.0 * MASS) * lap - u_val
+    residual = HBAR ** 2 / (2.0 * MASS) * lap - u_val
     scale = max(abs(u_val), abs(psi_quantum_potential(pm, r)), HBAR ** 2 * kappa ** 2 / (2.0 * MASS * r ** 2), 1e-30)
     return abs(residual) / scale
 
@@ -354,14 +353,13 @@ def schrodinger_residual(
     r_values,
     use_fd: bool = False,
     tol: float = 1e-8,
-    name: str = "schrodinger-residual",
 ):
     """Wave-equation residual report over a radial grid.
 
     Radii below ``R_FLOOR_REL * sigma_r`` are skipped (counted in the
     report); the azimuthal direction enters only through the exact phase
     winding, so a radial grid suffices.  Time never enters: the state is
-    stationary and the energy term is evaluated directly.
+    stationary, with E = 0.
     """
     from .verify import report_from_residuals
 
@@ -374,20 +372,20 @@ def schrodinger_residual(
             continue
         residuals.append(schrodinger_residual_at(pm, float(r), use_fd=use_fd))
     return report_from_residuals(
-        name, f"{len(residuals)} radii{' (FD)' if use_fd else ''}", residuals, tol,
+        "schrodinger-residual", f"{len(residuals)} radii{' (FD)' if use_fd else ''}", residuals, tol,
         skipped, len(residuals) + skipped,
     )
 
 
 def hamilton_jacobi_residual(pm: PsiModelParams, r: float) -> float:
-    """Residual of the stationary phase equation E = (m/2) v^2 + U + Q.
+    """Residual of the stationary phase equation 0 = (m/2) v^2 + U + Q (E = 0 frame).
 
     The kinetic coefficient is the one consistent with the wave equation and
     with the closed forms of U and Q (m/2, i.e. -1/(4 alpha beta) in the
     alpha-beta convention).
     """
     v = pm.sigma_r * pm.sigma_v / r
-    residual = pm.energy - (0.5 * MASS * v ** 2 + psi_classical_potential(pm, r) + psi_quantum_potential(pm, r))
+    residual = 0.5 * MASS * v ** 2 + psi_classical_potential(pm, r) + psi_quantum_potential(pm, r)
     scale = max(0.5 * MASS * v ** 2, abs(psi_quantum_potential(pm, r)), 1e-30)
     return abs(residual) / scale
 

@@ -55,11 +55,11 @@ SUITE_NAMES = ("specfun", "momentum", "map", "potentials", "psi", "all")
 TRIPLES = ((2, 0, 2.0, 1, 2.0), (2, 4, 3.0, 2, 7.0), (2, 2, 4.0, 5, 7.0))
 
 
-def _triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
+def _triple(n, ell, lam, k, abar):
     p = ModelParams(n=n, ell=ell)
     case = LaguerreCase(lam=lam, k=k, n=float(n), ell=float(ell), alpha_bar=abar)
     sol = RadialSolution.from_laguerre_case(p, case)
-    fac = AngularFactor(lam=lam, c1=c1, c2=c2)
+    fac = AngularFactor(lam=lam)
     return p, sol, fac
 
 
@@ -329,7 +329,7 @@ def suite_psi() -> list[VerificationReport]:
     pm = PsiModelParams(n=4, ell=6, sigma_r=1.3, rho_t=2.0)
     # the density does not depend on phi: the plane integral of r^p psi is 2 pi times one over r
     total, quad_m1, quad_m2 = [
-        verify.adaptive_quad(lambda r: 2.0 * math.pi * r ** (p + 1) * psi_density(pm, r), 0.0, math.inf, tol=1e-10)
+        verify.adaptive_quad(lambda r: 2.0 * math.pi * r ** (p + 1) * psi_density(pm, r), 0.0, tol=1e-10)
         for p in (0, 1, 2)
     ]
     reports.append(report_from_residuals("normalization-quadrature", "plane integral", [total - 1.0], 1e-6))

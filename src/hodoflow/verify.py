@@ -17,20 +17,15 @@ import numpy as np
 from scipy import integrate
 
 from . import mapping
-from .errors import DomainError, NodeError, NoConvergenceError, ParameterError
+from .errors import DomainError, NodeError, NoConvergenceError
 from .maxwell import ModelParams, coeff_h
 from .mapping import SectorDomain
 from .momentum import AngularFactor, RadialSolution
 
-_EPS = float(np.finfo(float).eps)
-
-#: Default steps from the truncation/roundoff balance, relative to the scale
-#: of the differentiated variable.
-FD_STEP_FIRST = math.sqrt(_EPS)
-FD_STEP_SECOND = _EPS ** (1.0 / 3.0)
-
-#: Stencil step of :func:`pde_residual_coordinate`, relative to the probe radius.
+#: Stencil step of :func:`pde_residual_coordinate`, relative to the probe
+#: radius, and the tolerance of its report.
 COORD_H_REL = 1e-3
+COORD_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,28 +87,20 @@ def report_from_residuals(
     )
 
 
-def fd_derivative(f: Callable[[float], float], x: float, order: int = 1, h: float | None = None) -> float:
-    """Central-difference derivative of a scalar function, O(h^2) truncation."""
-    if order == 1:
-        hh = h if h is not None else FD_STEP_FIRST * max(abs(x), 1.0)
-        return (f(x + hh) - f(x - hh)) / (2.0 * hh)
-    if order == 2:
-        hh = h if h is not None else FD_STEP_SECOND * max(abs(x), 1.0)
-        return (f(x + hh) - 2.0 * f(x) + f(x - hh)) / hh ** 2
-    raise ParameterError(f"order must be 1 or 2, got {order}")
+def fd_derivative(f: Callable[[float], float], x: float, h: float) -> float:
+    """Central first difference of a scalar function with step h, O(h^2) truncation."""
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive quadrature with an explicit 1/r tail substitution for b = inf."""
-    if math.isinf(b):
-        cut = max(2.0 * abs(a), a + 1.0, 1.0)
-        head, err1 = integrate.quad(f, a, cut, epsabs=tol, epsrel=tol, limit=300)
-        tail, err2 = integrate.quad(
-            lambda t: f(1.0 / t) / t ** 2, 0.0, 1.0 / cut, epsabs=tol, epsrel=tol, limit=300
-        )
-        value, err = head + tail, err1 + err2
-    else:
-        value, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=300)
+def adaptive_quad(f: Callable[[float], float], a: float, tol: float = 1e-10) -> float:
+    """Adaptive quadrature over [a, inf): quad on [a, cut] plus the tail
+    (cut, inf) through the substitution r = 1/t."""
+    cut = max(2.0 * abs(a), a + 1.0, 1.0)
+    head, err1 = integrate.quad(f, a, cut, epsabs=tol, epsrel=tol, limit=300)
+    tail, err2 = integrate.quad(
+        lambda t: f(1.0 / t) / t ** 2, 0.0, 1.0 / cut, epsabs=tol, epsrel=tol, limit=300
+    )
+    value, err = head + tail, err1 + err2
     if err > 50.0 * max(tol, tol * abs(value)) + 1e-300:
         raise NoConvergenceError(f"quadrature error estimate {err:.2e} too large for tol {tol:.2e}")
     return value
@@ -252,10 +239,10 @@ def pde_residual_coordinate(
     params: ModelParams,
     phi_at: Callable[[float, float], float],
     probes: Sequence[tuple[float, float]],
-    tol: float = 1e-3,
     name: str = "coordinate-pde",
 ) -> VerificationReport:
-    """Quasilinear-equation residual at coordinate probe points, with h-sweep.
+    """Quasilinear-equation residual at coordinate probe points, with h-sweep,
+    against the tolerance ``COORD_TOL``.
 
     The stencil step is ``COORD_H_REL`` times the probe's radius, then half
     of it.  ``probes`` are coordinate points strictly inside a univalent leaf
@@ -269,4 +256,4 @@ def pde_residual_coordinate(
     coarse, _ = sweep(1.0)
     fine, skipped = sweep(0.5)
     note = f"{len(probes)} probes h_rel={COORD_H_REL:.1e}"
-    return _h_sweep_report(name, note, coarse, fine, tol, skipped, len(probes))
+    return _h_sweep_report(name, note, coarse, fine, COORD_TOL, skipped, len(probes))

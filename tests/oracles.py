@@ -6,7 +6,7 @@ path, so the tests compare two derivations instead of one against itself.
 
 import math
 
-from scipy import integrate
+import pytest
 
 
 def frobenius_roots(ell: float, lam: float) -> tuple[float, float]:
@@ -45,6 +45,7 @@ def polar_quad(f, r_range: tuple[float, float], phi_range: tuple[float, float], 
     """Integral of f(r, phi) over the polar measure r dr dphi by nested
     ``scipy.integrate.quad``, with tol as both its absolute and its relative
     tolerance: phi inside, r outside (an infinite r bound is quad's own)."""
+    integrate = pytest.importorskip("scipy.integrate")
 
     def ring(r: float) -> float:
         return r * integrate.quad(lambda phi: f(r, phi), *phi_range, epsabs=tol, epsrel=tol, limit=200)[0]
@@ -71,3 +72,10 @@ def radial_flow_q(params, rho: float) -> float:
     w_prime = w * (ell + 1.0) * (rbn - 1.0) / rho + zb * (ell + 1.0) * ((n - 1.0) * rbn + 1.0) / rho ** 2
     lap_over = (p_prime * w - p * w_prime) / w ** 3 + (p / w) ** 2 + p / (w * zb)
     return params.alpha / params.beta * lap_over
+
+
+def coeff_h_bar(params, rho: float) -> float:
+    """The quasilinear coefficient h in momentum form, evaluated directly from
+    its own formula: ``ell / rho^2 - n |alpha|^n rho^(n-2) / (sigma_nl^n 2^(n/2))``."""
+    s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
+    return params.ell / rho ** 2 - params.n * abs(params.alpha) ** params.n * rho ** (params.n - 2.0) / s2n

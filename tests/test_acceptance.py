@@ -162,12 +162,12 @@ def test_criterion_5_coordinate_pde():
             mp = forward_map(p, sol, fac, rb * p.rho_t, th)
             probes.append((mp.x, mp.y))
         report = verify.pde_residual_coordinate(
-            p, verify.chart_phi_fn(p, sol, fac, (0.55 * p.rho_t, 0.8)), probes[:2], tol=1e-3,
+            p, verify.chart_phi_fn(p, sol, fac, (0.55 * p.rho_t, 0.8)), probes[:2],
             name="disk-a",
         )
         assert report.passed, report
         report = verify.pde_residual_coordinate(
-            p, verify.chart_phi_fn(p, sol, fac, (0.75 * p.rho_t, 1.9)), probes[2:], tol=1e-3,
+            p, verify.chart_phi_fn(p, sol, fac, (0.75 * p.rho_t, 1.9)), probes[2:],
             name="disk-b",
         )
         assert report.passed, report
@@ -190,7 +190,7 @@ def test_criterion_5_coordinate_pde():
                     probes.append((mp.x, mp.y))
             seed = (0.5 * (r1 + r2) * p.rho_t, 0.0)
             report = verify.pde_residual_coordinate(
-                p, verify.chart_phi_fn(p, sol, fac, seed), probes, tol=1e-3,
+                p, verify.chart_phi_fn(p, sol, fac, seed), probes,
                 name=f"sector-{n}-{ell}-{lam:g}",
             )
             assert report.passed, report
@@ -212,7 +212,7 @@ def test_criterion_5_coordinate_pde():
             zb = zeta_bar(p, rb * p.rho_t)
             report = verify.pde_residual_coordinate(
                 matched, verify.chart_phi_fn(matched, sol, fac, (rb * p.rho_t, th)),
-                [(zb * math.cos(th), zb * math.sin(th))], tol=1e-3, name="radial-flow",
+                [(zb * math.cos(th), zb * math.sin(th))], name="radial-flow",
             )
             assert report.passed, report
 

@@ -324,6 +324,7 @@ class TestLaguerreEnum:
         (("--n=2", "--ell-fixed=0", "--k-max=100000"), "LAGUERRE_MAX_ORDER"),
         (("--n=2", "--ell-fixed=-inf"), "ell must be finite"),
         (("--n=1e300", "--ell-fixed=2"), "beyond the float range"),
+        (("--n=2",), "either --lambda or --ell-fixed is required"),
     ])
     def test_bad_input_exits_one(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "laguerre-enum", *flags)
@@ -547,6 +548,15 @@ class TestMapFields:
         key, value = (part.strip() for part in line.split("="))
         assert code == 1 and out == ""
         assert err == f"error: {key} must be finite, got {value}\n"
+        assert not out_file.exists()
+
+    def test_config_line_without_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_rho 8\n")
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "map-fields", "--config", str(cfg), "--output", str(out_file))
+        assert code == 1 and out == ""
+        assert err == "error: bad config line (expected 'key = value'): 'n_rho 8'\n"
         assert not out_file.exists()
 
 

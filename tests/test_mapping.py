@@ -287,6 +287,12 @@ class TestSampleFields:
             ang = math.atan2(s.vy, s.vx)
             assert -math.radians(12) - 1e-12 <= ang <= math.radians(12) + 1e-12
 
+    def test_grid_below_two_by_two_rejected(self):
+        p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
+        dom = SectorDomain(0.3 * p.rho_t, 0.9 * p.rho_t, 0.1, 0.6)
+        with pytest.raises(DomainError, match="grid must be at least 2x2"):
+            sample_fields(p, sol, fac, dom, grid=(1, 5))
+
     def test_elliptic_disk_speed_bound(self):
         p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
         dom = SectorDomain(0.05 * p.rho_t, 0.98 * p.rho_t, 0.1, 2.0 * math.pi - 0.1)
@@ -671,8 +677,8 @@ class TestAbsJacInvArc:
         ],
     )
     def test_matches_fold_split_quadrature(self, ell, lam, branch, c1, c2, rho_bar, theta):
-        from scipy import integrate, optimize
-
+        integrate = pytest.importorskip("scipy.integrate")
+        optimize = pytest.importorskip("scipy.optimize")
         from hodoflow.mapping import _abs_jac_inv_arc
         from hodoflow.maxwell import coeff_g
         from hodoflow.momentum import radial_row
@@ -728,8 +734,8 @@ class TestAbsJacInvArcRows:
         ],
     )
     def test_rows_against_fold_split_quadrature(self, lam, c1, c2, arc, folds):
-        from scipy import integrate, optimize
-
+        integrate = pytest.importorskip("scipy.integrate")
+        optimize = pytest.importorskip("scipy.optimize")
         from hodoflow.mapping import _abs_jac_inv_arc
 
         fac = AngularFactor(lam=lam, c1=c1, c2=c2)
@@ -755,3 +761,30 @@ class TestAbsJacInvArcRows:
                                   epsabs=0.0, epsrel=1e-13, limit=400)[0] / rho ** 4
             assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0), (k, self.ROWS[k])
         assert seen == folds
+
+    @pytest.mark.parametrize("lam, c1, c2, arc", [
+        (2.5, 0.7, 1.3, (-1.2, 1.5)),
+        (3.0, 0.0, 1.0, (-0.9, 1.1)),
+        (0.0, 1.0, 0.5, (-1.5, 0.4)),
+    ])
+    def test_fold_angles_against_scalar_loop(self, lam, c1, c2, arc):
+        # the array pass against math's functions one row at a time; NumPy's
+        # arctan2 may differ from math.atan2 in the last bit
+        from hodoflow.mapping import _fold_angles
+
+        w1, w2, g = (np.array(col) for col in zip(*self.ROWS))
+        with np.errstate(all="ignore"):
+            got = _fold_angles(w1, w2, g, AngularFactor(lam=lam, c1=c1, c2=c2), *arc)
+        for k, (v1, v2, gk) in enumerate(self.ROWS):
+            want = []
+            if gk < 0.0 and v2 != 0.0:
+                if lam == 0.0:
+                    s0 = abs(c1 * v1) / (math.sqrt(-gk) * abs(v2))
+                    want = [(-s0 - c2) / c1, (s0 - c2) / c1]
+                else:
+                    y0 = math.atan2(math.sqrt(-gk) * abs(v2), lam * abs(v1))
+                    phi0 = math.atan2(c1, c2)
+                    want = [(phi0 + y * y0 + j * math.pi) / lam for y in (-1.0, 1.0) for j in range(-9, 10)]
+            want = sorted(t for t in want if arc[0] < t < arc[1])
+            assert got[k, :len(want)].tolist() == pytest.approx(want, rel=0.0, abs=8e-16), k
+            assert (got[k, len(want):] == arc[1]).all()

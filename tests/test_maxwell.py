@@ -14,7 +14,6 @@ from hodoflow.maxwell import (
     classify,
     coeff_g,
     coeff_h,
-    coeff_h_bar,
     density_F,
     density_F_speed_integral,
     discriminant,
@@ -22,7 +21,7 @@ from hodoflow.maxwell import (
 )
 from hodoflow.momentum import AngularFactor
 from hodoflow.specfun import gamma
-from oracles import polar_quad
+from oracles import coeff_h_bar, polar_quad
 
 
 @pytest.fixture
@@ -88,12 +87,16 @@ class TestDensity:
 
     def test_speed_integral_against_quadrature(self, maxwell22):
         closed = density_F_speed_integral(maxwell22)
-        quad = verify.adaptive_quad(lambda z: density_F(maxwell22, z), 0.0, math.inf, tol=1e-12)
+        quad = verify.adaptive_quad(lambda z: density_F(maxwell22, z), 0.0, tol=1e-12)
         assert closed == pytest.approx(quad, rel=1e-10)
         # and the closed form is (N/n) Gamma((ell+1)/n) sigma_nl sqrt(2)
         assert closed == pytest.approx(
             gamma(3.0 / 2.0) / 2.0 * maxwell22.sigma_nl * math.sqrt(2.0), rel=1e-14
         )
+
+    def test_negative_speed_rejected(self, maxwell22):
+        with pytest.raises(DomainError, match="speed must be non-negative"):
+            density_F(maxwell22, -0.1)
 
     def test_negative_ell_singularity(self):
         p = ModelParams(n=2, ell=-0.5)
@@ -110,6 +113,10 @@ class TestCoefficients:
         p = ModelParams(n=2, ell=0)
         for z in (0.2, 1.0, 4.0):
             assert coeff_h(p, z) < 0.0
+
+    def test_h_needs_positive_speed(self, maxwell22):
+        with pytest.raises(DomainError, match="h requires z > 0"):
+            coeff_h(maxwell22, 0.0)
 
     def test_h_forms_agree(self, maxwell22):
         # speed form at z = |alpha| rho vs direct momentum form
@@ -140,7 +147,7 @@ class TestCoefficients:
     def test_rho_gprime_identity(self, maxwell22):
         # rho g'(rho) = n (g - 1 - ell), by central differences
         for rho in (0.7, 1.9, 3.1):
-            fd = verify.fd_derivative(lambda r: coeff_g(maxwell22, r), rho, order=1, h=1e-6)
+            fd = verify.fd_derivative(lambda r: coeff_g(maxwell22, r), rho, h=1e-6)
             lhs = rho * fd
             rhs = maxwell22.n * (coeff_g(maxwell22, rho) - 1.0 - maxwell22.ell)
             assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -217,7 +224,8 @@ def _fold_split_reference(p, sol, fac, dom):
     ``|w1^2 Theta'^2 + g w2^2 Theta^2| / rho^4`` split at its sign changes and
     the rho integral at the sign changes of ``g, w1, w2`` and of that form on
     both edges, each located by a scan and brentq."""
-    from scipy import integrate, optimize
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
 
     from hodoflow.momentum import radial_row
 
@@ -317,7 +325,7 @@ class TestSectorNormalization:
     def test_omega_chart_against_radial_quadrature(self, n, ell, rho_min):
         # Theta = 1 and Omega' = zeta_bar make |J^-1| = (ell + 1)(rho_bar^n - 1)
         # zeta_bar^2 / rho^2 at every theta: a 1-D integral in rho
-        from scipy import integrate
+        integrate = pytest.importorskip("scipy.integrate")
 
         from hodoflow.mapping import SectorDomain
         from hodoflow.maxwell import normalization_sector

@@ -24,7 +24,6 @@ from hodoflow.momentum import (
     kummer_ab,
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
-    mu_plus,
     nu_roots,
     omega_matched_c1,
     omega_slope,
@@ -192,7 +191,7 @@ class TestHillSubstitution:
         [
             lambda p: zeta_bar(p, 1e-200),  # rho_bar^-(ell+1) overflows
             lambda p: zeta_bar(p, 1e200),  # rho_bar^n in tau overflows
-            lambda p: mu_plus(p, 1e200),
+            lambda p: characteristic_chi(p, CharacteristicKind.HYPERBOLIC_PLUS, 1e200, 0.0),
             lambda p: hill_coefficient_G(p, 2.0, 1e200),
             lambda p: zeta_bar(p, 100.0),  # exp(tau) overflows, tau = 3750
             lambda p: omega_slope(p, 100.0),
@@ -453,12 +452,15 @@ class TestHillIntegral:
 
 
 class TestMuPlus:
+    """mu_+, the radial canonical coordinate of the hyperbolic region: the
+    HYPERBOLIC_PLUS characteristic at theta = 0."""
+
     def test_zero_on_sonic_circle(self, m22):
-        assert mu_plus(m22, m22.rho_t) == 0.0
+        assert characteristic_chi(m22, CharacteristicKind.HYPERBOLIC_PLUS, m22.rho_t, 0.0) == 0.0
 
     def test_strictly_increasing(self, m22):
         rhos = np.linspace(m22.rho_t, 3.0 * m22.rho_t, 40)
-        vals = [mu_plus(m22, float(r)) for r in rhos]
+        vals = [characteristic_chi(m22, CharacteristicKind.HYPERBOLIC_PLUS, float(r), 0.0) for r in rhos]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_derivative_in_eps(self, m22):
@@ -468,7 +470,7 @@ class TestMuPlus:
 
         def mu_of_eps(e):
             rb = (e + 1.0) ** (1.0 / m22.n)
-            return mu_plus(m22, rb * m22.rho_t)
+            return characteristic_chi(m22, CharacteristicKind.HYPERBOLIC_PLUS, rb * m22.rho_t, 0.0)
 
         fd = fd_derivative(mu_of_eps, eps, h=1e-6)
         expected = math.sqrt(m22.ell + 1.0) / m22.n * math.sqrt(eps) / (1.0 + eps)
@@ -611,3 +613,42 @@ class TestFactorizedU:
         fac = AngularFactor(lam=3.0)
         with pytest.raises(ParameterError):
             factorized_u(m22, sol, fac, 1.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda p: characteristic_chi(p, CharacteristicKind.HYPERBOLIC_PLUS, 0.0, 0.0), DomainError,
+         "chi requires rho > 0"),
+        (lambda p: slope_rho_theta(p, -1.0), DomainError, "slope requires rho > 0"),
+        (lambda p: canonical_kappa(p, p.rho_t, "parabolic"), ParameterError, "branch must be"),
+        (lambda p: hill_substitution_zeta(p, 0.0), DomainError, "rho must be positive"),
+        (lambda p: zeta_bar(p, 0.0), DomainError, "rho must be positive"),
+        (lambda p: hill_coefficient_G(p, 2.0, 0.0), DomainError, "rho must be positive"),
+        (lambda p: hill_coefficient_G(p.with_(c0=0.0), 2.0, p.rho_t), ParameterError, "c0 must be nonzero"),
+        (lambda p: LaguerreCase(lam=0.5, k=0, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "lam >= 1"),
+        (lambda p: LaguerreCase(lam=2.0, k=-1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "k must be"),
+        (lambda p: LaguerreCase(lam=2.0, k=0, n=2.0, ell=-1.0, alpha_bar=1.0), ParameterError, "ell must exceed"),
+        (lambda p: LaguerreCase(lam=2.0, k=0, n=2.0, ell=0.0, alpha_bar=0.0), ParameterError, "alpha_bar = 0"),
+        (lambda p: LaguerreCase(lam=3.0, k=1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "degeneration"),
+        # lam = 1, k n = 2, ell = 0 meets the degeneration condition, but k n > lam sqrt(lam^2 - 1) = 0
+        (lambda p: LaguerreCase(lam=1.0, k=1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "k n exceeds"),
+        (lambda p: RadialSolution.from_laguerre_case(p, LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=7.0)),
+         ParameterError, "different"),
+        (lambda p: radial_row(p, RadialSolution.kummer(p, 2.0), 0.0), DomainError, "rho must be positive"),
+        # rho_bar^n underflows to 0, so tau = 0 is outside Psi's domain
+        (lambda p: radial_row(p, RadialSolution.kummer(p, 2.5, tricomi=True), 1e-200 * p.rho_t),
+         DomainError, "Tricomi Psi restricted to z > 0"),
+        (lambda p: AngularFactor(lam=-1.0), ParameterError, "lam must be non-negative"),
+        (lambda p: AngularFactor(lam=0.0).extremum_angle(), ParameterError, "no extremum"),
+    ],
+    ids=[
+        "chi-rho", "slope-rho", "kappa-branch", "zeta-rho", "zeta_bar-rho", "hill_G-rho", "hill_G-c0",
+        "laguerre-lam", "laguerre-k", "laguerre-ell", "laguerre-alpha_bar", "laguerre-residual",
+        "laguerre-kn", "laguerre-model", "radial_row-rho", "radial_row-tricomi-tau", "angular-lam",
+        "angular-extremum",
+    ],
+)
+def test_input_checks(m22, call, error, message):
+    with pytest.raises(error, match=message):
+        call(m22)

@@ -221,8 +221,8 @@ class TestPsiModel:
 
     def test_eval_bundle(self):
         pm = PsiModelParams(n=4, ell=6, sigma_r=1.0, rho_t=2.0)
-        out = psi_model_eval(pm, r=1.3, phi=0.7, t=2.0)
-        assert out["phase"] == pytest.approx(pm.angular_number * 0.7)  # E = 0: no t drift
+        out = psi_model_eval(pm, r=1.3, phi=0.7)
+        assert out["phase"] == pytest.approx(pm.angular_number * 0.7)
         assert out["v_phi"] == pytest.approx(pm.sigma_r * pm.sigma_v / 1.3, rel=1e-14)
         assert out["v_phi"] == psi_velocity(pm, 1.3)
         assert out["density"] == pytest.approx(psi_density(pm, 1.3), rel=1e-14)
@@ -252,14 +252,6 @@ class TestPsiModel:
         # the fixed-step FD oracle resolves the amplitude for r >~ 0.5 sigma
         fd_report = schrodinger_residual(pm, np.geomspace(0.5, 20.0, 20), use_fd=True, tol=1e-4)
         assert fd_report.passed
-
-    def test_time_independence(self):
-        # the stationary phase only rotates; residual has no t dependence
-        pm = PsiModelParams(n=4, ell=6, sigma_r=1.0, rho_t=2.0)
-        a = psi_model_eval(pm, 1.1, 0.3, t=0.0)
-        b = psi_model_eval(pm, 1.1, 0.3, t=5.0)
-        assert a["density"] == b["density"]
-        assert a["Q"] == b["Q"] and a["U"] == b["U"]
 
     def test_hamilton_jacobi_closure(self):
         for regime in ("two-zeros", "critical", "single-zero"):
@@ -342,3 +334,23 @@ class TestMoments:
             radial_moments(pm, 2)
         with pytest.raises(DivergenceError):
             sigma_r_closed_form(pm)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda pm: PsiModelParams.for_regime(4, 6, "three-zeros"), ParameterError, "unknown regime"),
+        (lambda pm: psi_classical_potential(pm, 0.0), DomainError, "radius must be positive"),
+        (lambda pm: psi_velocity(pm, -1.0), DomainError, "radius must be positive"),
+        (lambda pm: schrodinger_residual_at(pm, 0.0), DomainError, "radius must be positive"),
+        (lambda pm: bohr_sommerfeld(pm, np.array([[1.0, 0.0], [0.0, 1.0]])), DomainError, "N >= 3"),
+        (lambda pm: bohr_sommerfeld(pm, np.ones((4, 3))), DomainError, "N >= 3"),
+        (lambda pm: radial_moments(pm, 1.5), ParameterError, "non-negative integer"),
+        (lambda pm: radial_moments(pm, -1), ParameterError, "non-negative integer"),
+    ],
+    ids=["regime", "U-radius", "v_phi-radius", "schrodinger-radius", "contour-points", "contour-columns",
+         "moment-fraction", "moment-negative"],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call(PsiModelParams(n=4, ell=6))

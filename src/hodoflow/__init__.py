@@ -70,7 +70,6 @@ from .mapping import (
 )
 from .potentials import (
     PsiModelParams,
-    QPotentialArgs,
     bohr_sommerfeld,
     circulation_quantum,
     classical_potential,

@@ -100,10 +100,12 @@ class FieldSample(NamedTuple):
     CSV_COLUMNS = ("x", "y", "phi", "vx", "vy", "speed", "density", "q_pot", "u_pot", "jac_inv", "region")
 
 
-def _require_chart(sol: RadialSolution, fac: AngularFactor) -> None:
-    """Raise :class:`DegenerateMapError` where no coordinate chart exists: lam = 1,
-    or a constant u (R = 1, from the constant kind or nu = a = 0, where M and Psi
-    are 1; and Theta = c2), whose image collapses to the origin."""
+def _require_chart(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:
+    """:func:`momentum.require_matching`, then :class:`DegenerateMapError` where no
+    coordinate chart exists: lam = 1, or a constant u (R = 1, from the constant
+    kind or nu = a = 0, where M and Psi are 1; and Theta = c2), whose image
+    collapses to the origin."""
+    momentum.require_matching(params, sol, fac)
     if abs(sol.lam - 1.0) <= 1e-12:
         raise DegenerateMapError(
             "lam = 1: the map Jacobian vanishes identically and no coordinate chart exists"
@@ -226,12 +228,15 @@ def forward_map(
     solution is affine, so the tangent transform loses uniqueness), and a
     constant u maps every point to the origin; by default both raise
     :class:`DegenerateMapError`.  Pass ``allow_degenerate=True`` to evaluate
-    anyway, e.g. to inspect the vanishing Jacobian.  Raises
-    :class:`DomainError` where the radial factor cannot be evaluated or the
+    anyway, e.g. to inspect the vanishing Jacobian.  Raises :class:`ParameterError`
+    unless sol and fac are one solution of params (:func:`momentum.require_matching`),
+    and :class:`DomainError` where the radial factor cannot be evaluated or the
     inverse Jacobian is beyond the float range.
     """
-    if not allow_degenerate:
-        _require_chart(sol, fac)
+    if allow_degenerate:
+        momentum.require_matching(params, sol, fac)
+    else:
+        _require_chart(params, sol, fac)
     r, rp, _ = momentum.radial_row(params, sol, rho)
     try:
         x, y, phi, jac_inv = _image(
@@ -256,8 +261,9 @@ def map_differential(
     """Analytic 2x2 differential d(x, y)/d(rho, theta) of the forward map.
 
     Uses the radial and angular equations to eliminate second derivatives, so
-    it is exact for genuine separated solutions.
+    it is exact for genuine separated solutions (:func:`momentum.require_matching`).
     """
+    momentum.require_matching(params, sol, fac)
     r, rp, _ = momentum.radial_row(params, sol, rho)
     g = coeff_g(params, rho)
     w1, w2 = _weights(rho, r, rp, fac.lam)
@@ -354,8 +360,7 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
     ``code`` is the ``(n_rho, n_theta)`` flag code (an index into
     ``_FLAGS``); ``univalent`` says whether the inverse Jacobian keeps one
     sign on the grid."""
-    _require_chart(sol, fac)
-    momentum.require_matching_lam(sol, fac)
+    _require_chart(params, sol, fac)
     if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
         momentum._require_hyperbolic(params, domain.rho_min)
     rhos, thetas = _grid(domain, grid)
@@ -418,8 +423,9 @@ def sample_fields(
     A sign change of the inverse Jacobian across the grid only warns
     (:class:`UnivalenceWarning`), matching the policy that leaf selection is
     the caller's responsibility.  lam = 1 and a constant u raise
-    :class:`DegenerateMapError`; an Omega sector that reaches below rho_T,
-    where Omega does not exist, raises :class:`RegionError`.
+    :class:`DegenerateMapError`, a sol and fac that are not one solution of
+    params :class:`ParameterError`, and an Omega sector that reaches below
+    rho_T, where Omega does not exist, :class:`RegionError`.
     """
     block, speed, density, region, code, univalent = _field_block(params, sol, fac, domain, grid, norm)
     if not univalent:

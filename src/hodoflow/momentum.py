@@ -317,6 +317,9 @@ class LaguerreCase:
                 raise ParameterError(f"(k, ell, lam) violate the degeneration condition: residual {residual}")
             if self.k * self.n > math.sqrt(max(lam2 * (lam2 - 1.0), 0.0)) * (1.0 + 1e-9) + 1e-12:
                 raise ParameterError("k n exceeds lam sqrt(lam^2 - 1)")
+        expected = (2.0 * (lam2 - self.k * self.n) + self.ell) / self.n
+        if abs(self.alpha_bar - expected) > 1e-9 * abs(expected):
+            raise ParameterError(f"alpha_bar = {self.alpha_bar} is not (2 (lam^2 - k n) + ell) / n = {expected}")
 
     @property
     def nu_plus(self) -> float:
@@ -736,13 +739,19 @@ def factorized_u(
     """Separated solution u(rho, theta) = R(rho) Theta(theta).
 
     Laguerre-case radial factors already carry the alternating sign and the
-    polynomial normalization, so for those ``u = (-1)^k rho_bar^nu L_k(tau) Theta``.
+    polynomial normalization, so for those ``u = (-1)^k rho_bar^nu L_k(tau) Theta``
+    (R and Theta must be one solution of params: :func:`require_matching`).
     """
-    require_matching_lam(sol, fac)
+    require_matching(params, sol, fac)
     return radial_row(params, sol, rho)[0] * fac.value(theta)
 
 
-def require_matching_lam(sol: RadialSolution, fac: AngularFactor) -> None:
-    """Raise :class:`ParameterError` unless R and Theta carry the same separation constant."""
+def require_matching(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:
+    """Raise :class:`ParameterError` unless R and Theta are one solution of params:
+    one separation constant, and a Kummer-based R with the ``(a, b)`` of
+    :func:`kummer_ab` at params' (n, ell), as every factory computes them."""
     if abs(sol.lam - fac.lam) > 1e-12:
         raise ParameterError(f"radial lam = {sol.lam} and angular lam = {fac.lam} disagree")
+    if sol.kind.kummer_based and (sol.a, sol.b) != kummer_ab(params.n, params.ell, sol.nu, sol.lam):
+        raise ParameterError(f"the radial solution (a = {sol.a}, b = {sol.b}) belongs to "
+                             f"another (n, ell) than n = {params.n}, ell = {params.ell}")

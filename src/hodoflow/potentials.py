@@ -38,27 +38,6 @@ R_FLOOR_REL = 1e-6
 POLE_MIN_RADIUS = 1e-12
 
 
-@dataclass(frozen=True)
-class QPotentialArgs:
-    """Arguments of the closed-form quantum potential: floats, or arrays that
-    broadcast (z1, z2, z3 per rho row, z4 per theta column)."""
-
-    z1: float
-    z2: float
-    z3: float
-    z4: float
-
-    @functools.cached_property
-    def denominator(self):
-        """z1^2 z4^2 + z3 z2^2; the closed form is singular where it vanishes."""
-        return self.z1 ** 2 * self.z4 ** 2 + self.z3 * self.z2 ** 2
-
-    @staticmethod
-    def of(lam: float, rcal, g, ups) -> "QPotentialArgs":
-        """The arguments from Rcal, g and Upsilon."""
-        return QPotentialArgs(z1=rcal - 1.0, z2=rcal - lam ** 2, z3=g, z4=ups)
-
-
 def _a_coeffs(n: float, ell: float, lam: float, z1: float, z2: float, z3: float) -> tuple[float, float, float]:
     lam2 = lam * lam
     a0 = z2 ** 3 * (lam2 * z1 * (1.0 - z3) * z3 + z2 * ((1.0 - n) * z3 + n * (ell + 1.0)))
@@ -70,16 +49,16 @@ def _a_coeffs(n: float, ell: float, lam: float, z1: float, z2: float, z3: float)
     return a0, a1, a2
 
 
-def q_potential_core(n: float, ell: float, lam: float, args: QPotentialArgs):
-    """The bracket A + B of the closed form (everything except alpha rho^2 / (2 beta u^2)).
+def _mapped_q(params: ModelParams, lam: float, rho, u, z1, z2, z3, z4, denom):
+    """The closed form: alpha rho^2 / (2 beta u^2) times the bracket A + B.
 
-    Elementwise on floats or broadcast arrays; ``a0, a1, a2`` depend on
-    z1..z3 only, so over a grid they are computed once per rho row.  The
-    caller excludes points where ``args.denominator`` vanishes: a float
-    divides by zero there, an array holds inf or NaN.
+    Elementwise on floats or broadcast arrays (z1..z3 per rho row, z4 per
+    theta column); ``a0, a1, a2`` depend on z1..z3 only, so over a grid they
+    are computed once per rho row.  ``denom`` is ``z1^2 z4^2 + z3 z2^2``, and
+    the caller excludes points where it vanishes: a float divides by zero
+    there, an array holds inf or NaN.
     """
-    z1, z2, z3, z4 = args.z1, args.z2, args.z3, args.z4
-    denom = args.denominator
+    n, ell = params.n, params.ell
     a0, a1, a2 = _a_coeffs(n, ell, lam, z1, z2, z3)
     part_a = (z3 - 1.0) * (a0 + a1 * z4 ** 2 + a2 * z4 ** 4) / denom ** 3
     part_b = (
@@ -87,13 +66,7 @@ def q_potential_core(n: float, ell: float, lam: float, args: QPotentialArgs):
         / denom ** 2
         * (0.5 * (z3 - 1.0) ** 2 + (z3 - 1.0) * (n - 1.0) - n * ell)
     )
-    return part_a + part_b
-
-
-def _mapped_q(params: ModelParams, lam: float, rho, u, args: QPotentialArgs):
-    """alpha rho^2 / (2 beta u^2) times the bracket, on floats or broadcast arrays."""
-    core = q_potential_core(params.n, params.ell, lam, args)
-    return params.alpha * rho ** 2 / (2.0 * params.beta * u ** 2) * core
+    return params.alpha * rho ** 2 / (2.0 * params.beta * u ** 2) * (part_a + part_b)
 
 
 def stationary_u(params: ModelParams, rho, q):
@@ -112,14 +85,15 @@ def quantum_potential(
 
     Reported with its natural additive constant; comparisons against the
     finite-difference oracle are made on point differences, where the free
-    constant cancels.  Raises :class:`NodeError` on zeros of u, on the poles
-    of Rcal and Upsilon, and where the closed form's denominator vanishes;
-    :class:`DomainError` where the radial factor cannot be evaluated or u^2
-    is beyond the float range.
+    constant cancels.  Raises :class:`ParameterError` for lam = 1 and for a sol
+    and fac that are not one solution of params (:func:`momentum.require_matching`);
+    :class:`NodeError` on zeros of u, on the poles of Rcal and Upsilon, and where
+    the closed form's denominator vanishes; :class:`DomainError` where the radial
+    factor cannot be evaluated or u^2 is beyond the float range.
     """
     if abs(sol.lam - 1.0) <= 1e-12:
         raise ParameterError("lam = 1 admits no coordinate chart (degenerate map)")
-    momentum.require_matching_lam(sol, fac)
+    momentum.require_matching(params, sol, fac)
     r_val, _, rcal = momentum.radial_row(params, sol, rho)
     u = r_val * fac.value(theta)
     if math.isinf(u * u):
@@ -128,10 +102,11 @@ def quantum_potential(
         raise NodeError("u = 0: quantum potential singular on the nodal set")
     if math.isnan(rcal):
         raise NodeError(f"the radial factor vanishes at rho = {rho}: log-derivative pole")
-    args = QPotentialArgs.of(sol.lam, rcal, coeff_g(params, rho), fac.logderiv(theta))
-    if args.denominator == 0.0:
+    z1, z2, z3, z4 = rcal - 1.0, rcal - sol.lam ** 2, coeff_g(params, rho), fac.logderiv(theta)
+    denom = z1 ** 2 * z4 ** 2 + z3 * z2 ** 2
+    if denom == 0.0:
         raise NodeError("quantum-potential denominator vanishes (degenerate point)")
-    return _mapped_q(params, sol.lam, rho, u, args)
+    return _mapped_q(params, sol.lam, rho, u, z1, z2, z3, z4, denom)
 
 
 def classical_potential(
@@ -159,10 +134,11 @@ def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
     where :func:`quantum_potential` raises :class:`NodeError`, and Q and U
     are NaN there.
     """
-    args = QPotentialArgs.of(lam, rcal, g, ups)
+    z1, z2 = rcal - 1.0, rcal - lam ** 2
     with np.errstate(all="ignore"):
-        node = (u == 0.0) | np.isnan(rcal) | np.isnan(ups) | (args.denominator == 0.0)
-        q = np.where(node, math.nan, _mapped_q(params, lam, rho, u, args))
+        denom = z1 ** 2 * ups ** 2 + g * z2 ** 2
+        node = (u == 0.0) | np.isnan(rcal) | np.isnan(ups) | (denom == 0.0)
+        q = np.where(node, math.nan, _mapped_q(params, lam, rho, u, z1, z2, g, ups, denom))
         return q, stationary_u(params, rho, q), node
 
 
@@ -317,11 +293,12 @@ def potential_zeros(pm: PsiModelParams) -> list[float]:
     return sorted(roots)
 
 
-def schrodinger_residual_at(pm: PsiModelParams, r: float, use_fd: bool = False, h: float | None = None) -> float:
+def schrodinger_residual_at(pm: PsiModelParams, r: float, use_fd: bool = False) -> float:
     """Relative residual of the stationary wave equation at radius r.
 
     Analytic mode differentiates the amplitude exactly; FD mode replaces the
-    radial Laplacian by central differences of the amplitude (step ``h``).
+    radial Laplacian by central differences of the amplitude (step
+    ``1e-4 sigma_r``).
     """
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r}")
@@ -332,7 +309,7 @@ def schrodinger_residual_at(pm: PsiModelParams, r: float, use_fd: bool = False, 
         return rr ** (-pm.ell / 2.0) * math.exp(-0.5 * c * pm.sigma_r ** pm.n / rr ** pm.n)
 
     if use_fd:
-        hh = h if h is not None else 1e-4 * pm.sigma_r
+        hh = 1e-4 * pm.sigma_r
         a0 = amp(r)
         lap = (
             (amp(r + hh) - 2.0 * a0 + amp(r - hh)) / hh ** 2

@@ -323,7 +323,7 @@ def suite_psi() -> list[VerificationReport]:
     residuals = []
     pm = PsiModelParams.for_regime(4, 6, "two-zeros")
     for r in (0.8, 1.5, 3.0):
-        residuals.append(schrodinger_residual_at(pm, r, use_fd=True, h=1e-4 * pm.sigma_r))
+        residuals.append(schrodinger_residual_at(pm, r, use_fd=True))
     reports.append(report_from_residuals("schrodinger-fd", "3 radii, h=1e-4 sigma", residuals, 1e-4))
 
     pm = PsiModelParams(n=4, ell=6, sigma_r=1.3, rho_t=2.0)

@@ -10,6 +10,7 @@ with the numerical inverse map.  Reports are deterministic for fixed grids.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ from scipy import integrate
 
 from . import mapping
 from .errors import DomainError, NodeError, NoConvergenceError
-from .maxwell import ModelParams, coeff_h
+from .maxwell import ModelParams, coeff_g, coeff_h
 from .mapping import SectorDomain
 from .momentum import AngularFactor, RadialSolution
 
@@ -94,12 +95,18 @@ def fd_derivative(f: Callable[[float], float], x: float, h: float) -> float:
 
 def adaptive_quad(f: Callable[[float], float], a: float, tol: float = 1e-10) -> float:
     """Adaptive quadrature over [a, inf): quad on [a, cut] plus the tail
-    (cut, inf) through the substitution r = 1/t."""
+    (cut, inf) through the substitution r = 1/t.  :class:`NoConvergenceError`
+    where quad reports a failure on either piece (its message is issued first
+    as an ``IntegrationWarning``) or the summed error estimate is too large."""
     cut = max(2.0 * abs(a), a + 1.0, 1.0)
-    head, err1 = integrate.quad(f, a, cut, epsabs=tol, epsrel=tol, limit=300)
-    tail, err2 = integrate.quad(
-        lambda t: f(1.0 / t) / t ** 2, 0.0, 1.0 / cut, epsabs=tol, epsrel=tol, limit=300
+    head, err1, _, *failed = integrate.quad(f, a, cut, epsabs=tol, epsrel=tol, limit=300, full_output=1)
+    tail, err2, _, *tail_failed = integrate.quad(
+        lambda t: f(1.0 / t) / t ** 2, 0.0, 1.0 / cut, epsabs=tol, epsrel=tol, limit=300, full_output=1
     )
+    failed += tail_failed  # quad appends its message only where it reports a failure (ier > 0)
+    if failed:
+        warnings.warn(failed[0], integrate.IntegrationWarning, stacklevel=2)
+        raise NoConvergenceError(f"quadrature failed with error estimate {err1 + err2:.2e}: {failed[0]}")
     value, err = head + tail, err1 + err2
     if err > 50.0 * max(tol, tol * abs(value)) + 1e-300:
         raise NoConvergenceError(f"quadrature error estimate {err:.2e} too large for tol {tol:.2e}")
@@ -118,8 +125,6 @@ def _momentum_residual_at(
     h_rho: float,
     h_theta: float,
 ) -> float:
-    from .maxwell import coeff_g
-
     u_c = u_fn(rho, theta)
     u_up, u_down = u_fn(rho + h_rho, theta), u_fn(rho - h_rho, theta)
     u_rr = (u_up - 2.0 * u_c + u_down) / h_rho ** 2

@@ -12,6 +12,7 @@ from hodoflow.errors import (
     FoldError,
     NoConvergenceError,
     NodeError,
+    ParameterError,
     RegionError,
     UnivalenceWarning,
 )
@@ -23,11 +24,12 @@ from hodoflow.mapping import (
     map_differential,
     sample_fields,
 )
-from hodoflow.maxwell import ModelParams, RegionTag, density_F
+from hodoflow.maxwell import ModelParams, RegionTag, density_F, normalization_sector
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
     RadialSolution,
+    factorized_u,
     omega_matched_c1,
     radial_row,
     radial_rows,
@@ -788,3 +790,57 @@ class TestAbsJacInvArcRows:
             want = sorted(t for t in want if arc[0] < t < arc[1])
             assert got[k, :len(want)].tolist() == pytest.approx(want, rel=0.0, abs=8e-16), k
             assert (got[k, len(want):] == arc[1]).all()
+
+
+#: One hyperbolic point and sector (rho in rho_T), where every kind below has a chart.
+_RHO, _THETA = 1.4, 0.1
+
+#: Every entry point that takes a (params, sol, fac); ``xy`` is the target of
+#: ``invert_map``, which starts from (_RHO, _THETA), and the others ignore it.
+MODEL_CHECKED = {
+    "forward_map": lambda p, sol, fac, xy: forward_map(p, sol, fac, _RHO * p.rho_t, _THETA),
+    "forward_map-degenerate": lambda p, sol, fac, xy: forward_map(p, sol, fac, _RHO * p.rho_t, _THETA,
+                                                                   allow_degenerate=True),
+    "map_differential": lambda p, sol, fac, xy: map_differential(p, sol, fac, _RHO * p.rho_t, _THETA),
+    "invert_map": lambda p, sol, fac, xy: invert_map(p, sol, fac, xy, (_RHO * p.rho_t, _THETA)),
+    "quantum_potential": lambda p, sol, fac, xy: quantum_potential(p, sol, fac, _RHO * p.rho_t, _THETA),
+    "classical_potential": lambda p, sol, fac, xy: classical_potential(p, sol, fac, _RHO * p.rho_t, _THETA),
+    "factorized_u": lambda p, sol, fac, xy: factorized_u(p, sol, fac, _RHO * p.rho_t, _THETA),
+    "sample_fields": lambda p, sol, fac, xy: sample_fields(
+        p, sol, fac, SectorDomain(1.2 * p.rho_t, 1.6 * p.rho_t, -0.2, 0.2), (3, 3)),
+    "normalization_sector": lambda p, sol, fac, xy: normalization_sector(
+        p, sol, fac, SectorDomain(1.2 * p.rho_t, 1.6 * p.rho_t, -0.2, 0.2)),
+}
+
+
+class TestModelCheck:
+    """Every entry point rejects an R and a Theta that are not one solution of its params."""
+
+    @pytest.mark.parametrize("entry", MODEL_CHECKED)
+    def test_lam_mismatch_raises(self, entry):
+        p, sol, _ = triple(2, 4, 3.0, 2, 7.0)
+        with pytest.raises(ParameterError, match="disagree"):
+            MODEL_CHECKED[entry](p, sol, AngularFactor(lam=2.0, c1=0.0, c2=1.0), (1.0, 0.5))
+
+    @pytest.mark.parametrize("tricomi", [False, True])
+    @pytest.mark.parametrize("entry", MODEL_CHECKED)
+    def test_solution_of_other_ell_raises(self, entry, tricomi):
+        sol = RadialSolution.kummer(ModelParams(n=2, ell=4), 2.5, tricomi=tricomi)
+        with pytest.raises(ParameterError, match="another"):
+            MODEL_CHECKED[entry](ModelParams(n=2, ell=2), sol, AngularFactor(lam=2.5, c1=1.0, c2=0.0), (1.0, 0.5))
+
+    @pytest.mark.parametrize("kind", ["omega", "constant"])
+    @pytest.mark.parametrize("entry", MODEL_CHECKED)
+    def test_omega_and_constant_read_params(self, entry, kind):
+        # these kinds carry no (n, ell): one solution object serves every params
+        if kind == "omega":
+            sol, fac = RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+        else:
+            sol, fac = RadialSolution.constant(), AngularFactor(lam=0.0, c1=0.5, c2=1.0)
+        for p in (ModelParams(n=2, ell=4), ModelParams(n=2, ell=2)):
+            if kind == "omega":
+                p = p.with_(c1=omega_matched_c1(p))
+            xy = forward_map(p, sol, fac, _RHO * p.rho_t, _THETA).xy
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnivalenceWarning)
+                assert MODEL_CHECKED[entry](p, sol, fac, xy) is not None

@@ -633,6 +633,8 @@ class TestFactorizedU:
         (lambda p: LaguerreCase(lam=3.0, k=1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "degeneration"),
         # lam = 1, k n = 2, ell = 0 meets the degeneration condition, but k n > lam sqrt(lam^2 - 1) = 0
         (lambda p: LaguerreCase(lam=1.0, k=1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "k n exceeds"),
+        # the README triple with alpha_bar = 99 instead of (2 (9 - 4) + 4) / 2 = 7
+        (lambda p: LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=99.0), ParameterError, "alpha_bar = 99"),
         (lambda p: RadialSolution.from_laguerre_case(p, LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=7.0)),
          ParameterError, "different"),
         (lambda p: radial_row(p, RadialSolution.kummer(p, 2.0), 0.0), DomainError, "rho must be positive"),
@@ -645,7 +647,7 @@ class TestFactorizedU:
     ids=[
         "chi-rho", "slope-rho", "kappa-branch", "zeta-rho", "zeta_bar-rho", "hill_G-rho", "hill_G-c0",
         "laguerre-lam", "laguerre-k", "laguerre-ell", "laguerre-alpha_bar", "laguerre-residual",
-        "laguerre-kn", "laguerre-model", "radial_row-rho", "radial_row-tricomi-tau", "angular-lam",
+        "laguerre-kn", "laguerre-alpha_bar-value", "laguerre-model", "radial_row-rho", "radial_row-tricomi-tau", "angular-lam",
         "angular-extremum",
     ],
 )

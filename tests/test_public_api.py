@@ -20,7 +20,7 @@ PUBLIC_NAMES = (
     "AngularFactor", "CharacteristicKind", "CoordPoint", "DegenerateMapError", "DivergenceError",
     "DomainError", "FieldSample", "FoldError", "HodoflowError", "LaguerreCase", "MapPoint",
     "ModelParams", "MomentumPoint", "NoConvergenceError", "NodeError", "ParameterError", "PoleError",
-    "PsiModelParams", "QPotentialArgs", "RadialKind", "RadialSolution", "RegionError", "RegionTag",
+    "PsiModelParams", "RadialKind", "RadialSolution", "RegionError", "RegionTag",
     "SaturationWarning", "SectorDomain", "SeriesOverflowError", "UnivalenceWarning",
     "VerificationReport", "adaptive_quad", "bohr_sommerfeld", "canonical_kappa",
     "characteristic_chi", "circulation_quantum", "classical_potential",
@@ -48,7 +48,7 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 86
+    assert len(out) == 85
 
 
 def test_settings_count():
@@ -63,7 +63,7 @@ def test_settings_count():
             continue
         params = inspect.signature(obj).parameters.values()
         settings[name] = [p.name for p in params if p.default is not inspect.Parameter.empty]
-    assert sum(map(len, settings.values())) == 32, settings
+    assert sum(map(len, settings.values())) == 31, settings
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -40,6 +40,12 @@ class TestQuadrature:
         with pytest.warns(UserWarning), pytest.raises(NoConvergenceError, match="error estimate"):
             adaptive_quad(lambda r: 1.0 / (1.0 + r), 0.0)
 
+    def test_divergent_constant_raises(self):
+        # quad extrapolates the tail of 1 over (1, inf) to a finite value with a
+        # tiny error estimate; only its failure code says the integral diverges
+        with pytest.warns(UserWarning, match="divergent"), pytest.raises(NoConvergenceError, match="divergent"):
+            adaptive_quad(lambda r: 1.0, 0.0)
+
 
 class TestReports:
     def test_pass_rule(self):

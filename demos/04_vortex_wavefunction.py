@@ -21,7 +21,7 @@ from hodoflow import (
     psi_classical_potential,
     psi_model_eval,
     radial_moments,
-    schrodinger_residual,
+    schrodinger_residual_at,
     sigma_r_closed_form,
     sigma_r_from_moments,
 )
@@ -37,8 +37,8 @@ for regime in ("two-zeros", "critical", "single-zero"):
 print()
 print("=== the state solves its wave equation to working precision ===")
 pm = PsiModelParams.for_regime(4, 6, "two-zeros")
-report = schrodinger_residual(pm, np.geomspace(0.3, 30.0, 40) * pm.sigma_r)
-print(f"analytic-derivative residual over 40 radii: max {report.max_abs:.2e} (tol {report.tol:g})")
+worst = max(schrodinger_residual_at(pm, r) for r in np.geomspace(0.3, 30.0, 40).tolist())
+print(f"analytic-derivative residual over 40 radii: max {worst:.2e}")
 
 print()
 print("=== a profile slice ===")

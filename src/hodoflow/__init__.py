@@ -82,7 +82,6 @@ from .potentials import (
     psi_velocity,
     quantum_potential,
     radial_moments,
-    schrodinger_residual,
     schrodinger_residual_at,
     sigma_r_closed_form,
     sigma_r_from_moments,

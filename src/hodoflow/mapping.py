@@ -24,7 +24,6 @@ import numpy as np
 
 from . import maxwell, momentum, potentials, specfun
 from .errors import (
-    DegenerateMapError,
     DomainError,
     FoldError,
     NoConvergenceError,
@@ -34,6 +33,10 @@ from .errors import (
 )
 from .maxwell import ModelParams, RegionTag, classify, coeff_g
 from .momentum import AngularFactor, RadialKind, RadialSolution
+
+
+#: Newton steps :func:`invert_map` takes before it raises :class:`NoConvergenceError`.
+NEWTON_MAX_ITER = 50
 
 
 class MomentumPoint(NamedTuple):
@@ -73,6 +76,7 @@ class SectorDomain:
     theta_max: float
 
     def __post_init__(self) -> None:
+        maxwell.require_finite(self)
         if not self.rho_min < self.rho_max:
             raise DomainError(f"need rho_min < rho_max, got [{self.rho_min}, {self.rho_max}]")
         if not self.theta_min < self.theta_max:
@@ -98,23 +102,6 @@ class FieldSample(NamedTuple):
     flag: str = ""
 
     CSV_COLUMNS = ("x", "y", "phi", "vx", "vy", "speed", "density", "q_pot", "u_pot", "jac_inv", "region")
-
-
-def _require_chart(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:
-    """:func:`momentum.require_matching`, then :class:`DegenerateMapError` where no
-    coordinate chart exists: lam = 1, or a constant u (R = 1, from the constant
-    kind or nu = a = 0, where M and Psi are 1; and Theta = c2), whose image
-    collapses to the origin."""
-    momentum.require_matching(params, sol, fac)
-    if abs(sol.lam - 1.0) <= 1e-12:
-        raise DegenerateMapError(
-            "lam = 1: the map Jacobian vanishes identically and no coordinate chart exists"
-        )
-    unit_radial = sol.kind is RadialKind.CONSTANT or (sol.kind.kummer_based and sol.nu == 0.0 and sol.a == 0.0)
-    if unit_radial and fac.lam == 0.0 and fac.c1 == 0.0:
-        raise DegenerateMapError(
-            "u is constant (R = 1, Theta = c2): the map collapses to the origin and no coordinate chart exists"
-        )
 
 
 def _weights(rho, r, rp, lam):
@@ -236,7 +223,7 @@ def forward_map(
     if allow_degenerate:
         momentum.require_matching(params, sol, fac)
     else:
-        _require_chart(params, sol, fac)
+        momentum.require_chart(params, sol, fac)
     r, rp, _ = momentum.radial_row(params, sol, rho)
     try:
         x, y, phi, jac_inv = _image(
@@ -282,14 +269,13 @@ def invert_map(
     fac: AngularFactor,
     target: CoordPoint | tuple[float, float],
     seed: MomentumPoint | tuple[float, float],
-    max_iter: int = 50,
 ) -> MomentumPoint:
     """Numerical inverse of the forward map by damped Newton iteration.
 
     The seed must lie on the same univalent leaf as the target; a sign change
     of the inverse Jacobian along the path raises :class:`FoldError` (the
     transform is multivalent there), and failure to converge within
-    ``max_iter`` raises :class:`NoConvergenceError`.  Converged points satisfy
+    ``NEWTON_MAX_ITER`` steps raises :class:`NoConvergenceError`.  Converged points satisfy
     ``|forward(rho, theta) - target| <~ 1e-13 * scale``.
     """
     tx, ty = float(target[0]), float(target[1])
@@ -299,7 +285,7 @@ def invert_map(
     sign0 = math.copysign(1.0, point.jac_inv) if point.jac_inv != 0.0 else 0.0
     err = math.hypot(point.x - tx, point.y - ty)
     tol = 1e-13 * scale
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if err <= tol:
             return MomentumPoint(rho, theta)
         jac = map_differential(params, sol, fac, rho, theta)
@@ -334,7 +320,7 @@ def invert_map(
             raise NoConvergenceError("Newton backtracking could not reduce the residual")
     if err <= tol:
         return MomentumPoint(rho, theta)
-    raise NoConvergenceError(f"no convergence after {max_iter} iterations (residual {err:.3e})")
+    raise NoConvergenceError(f"no convergence after {NEWTON_MAX_ITER} iterations (residual {err:.3e})")
 
 
 def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +346,7 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
     ``code`` is the ``(n_rho, n_theta)`` flag code (an index into
     ``_FLAGS``); ``univalent`` says whether the inverse Jacobian keeps one
     sign on the grid."""
-    _require_chart(params, sol, fac)
+    momentum.require_chart(params, sol, fac)
     if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
         momentum._require_hyperbolic(params, domain.rho_min)
     rhos, thetas = _grid(domain, grid)

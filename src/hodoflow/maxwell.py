@@ -106,7 +106,7 @@ def density_F(params: ModelParams, z: float, norm: float = 1.0) -> float:
     Equivalent closed form used here: ``N ((ell+1)/n)^(ell/n) w^ell e^(-((ell+1)/n) w^n)``
     with ``w = z / sigma_v``.  For -1 < ell < 0 the density diverges at z = 0.
     """
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError(f"speed must be non-negative, got {z}")
     if z == 0.0 and params.ell < 0.0:
         raise DomainError("F has a power singularity at z = 0 for -1 < ell < 0")
@@ -136,7 +136,7 @@ def density_F_speed_integral(params: ModelParams) -> float:
 
 def coeff_h(params: ModelParams, z: float) -> float:
     """Quasilinear coefficient h(z) = alpha^2 F'(z) / (z F(z)) in speed form."""
-    if z <= 0.0:
+    if not z > 0.0:
         raise DomainError(f"h requires z > 0, got {z}")
     s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
     return params.alpha ** 2 / z ** 2 * (params.ell - params.n * z ** params.n / s2n)
@@ -144,7 +144,7 @@ def coeff_h(params: ModelParams, z: float) -> float:
 
 def coeff_g(params: ModelParams, rho: float) -> float:
     """g(rho) = 1 + rho^2 h_bar(rho) = (ell+1)(1 - (rho/rho_T)^n)."""
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"g requires rho > 0, got {rho}")
     return _g(params, rho)
 
@@ -165,7 +165,7 @@ def classify(params: ModelParams, rho: float) -> RegionTag:
     A relative band ``|rho - rho_T| <= EPS_PARABOLIC rho_T`` is tagged parabolic so
     that floating-point radii on the sonic circle select the right branch.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"classification requires rho > 0, got {rho}")
     rho_t = params.rho_t
     if abs(rho - rho_t) <= EPS_PARABOLIC * rho_t:
@@ -243,7 +243,7 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     """
     from . import mapping, momentum  # deferred: both import this module
 
-    mapping._require_chart(params, sol, fac)
+    momentum.require_chart(params, sol, fac)
     arc = (domain.theta_min, domain.theta_max)
     rho_t = params.rho_t
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import specfun
 from .errors import (
+    DegenerateMapError,
     DomainError,
     NodeError,
     ParameterError,
@@ -74,7 +75,7 @@ def characteristic_chi(params: ModelParams, kind: CharacteristicKind, rho: float
     ``sqrt(1 - rho_bar^n) - artanh(...)`` for 0 < rho <= rho_T.  Both radial
     parts vanish on the sonic circle, where chi = +/- theta.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"chi requires rho > 0, got {rho}")
     rho_t = params.rho_t
     pref = 2.0 / params.n * math.sqrt(params.ell + 1.0)
@@ -105,7 +106,7 @@ def slope_rho_theta(params: ModelParams, rho: float) -> float:
     Returns ``math.inf`` on the sonic circle, where characteristics cross the
     circle orthogonally.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"slope requires rho > 0, got {rho}")
     delta = discriminant(params, rho)
     if delta == 0.0:
@@ -148,7 +149,7 @@ def _integer_quotient(ell: float, n: float) -> int | None:
 
 
 def _check_rho_bar(params: ModelParams, rho: float) -> float:
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rb = params.rho_bar(rho)
     x = specfun.checked_pow(rb, params.n)
@@ -225,7 +226,7 @@ def hill_substitution_zeta(params: ModelParams, rho: float) -> float:
 
 def zeta_bar(params: ModelParams, rho: float) -> float:
     """d(zeta)/d(rho) = c0 (rho_T/rho)^(ell+1) exp(((ell+1)/n) rho_bar^n)."""
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rb = params.rho_bar(rho)
     return params.c0 * specfun.checked_pow(rb, -(params.ell + 1.0)) * specfun.checked_exp(params.tau(rho))
@@ -237,7 +238,7 @@ def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
     ``G = +theta^2`` for rho_bar >= 1 and ``-theta^2`` below, with
     ``theta = lam sqrt(ell+1)/(c0 rho_T) rho_bar^ell sqrt(|rho_bar^n - 1|) e^(-tau)``.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     if params.c0 == 0.0:
         raise ParameterError("c0 must be nonzero for the oscillator form")
@@ -292,7 +293,16 @@ class RadialKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LaguerreCase:
-    """One (lam, k) pair whose regular radial factor is a Laguerre polynomial."""
+    """One (lam, k) pair whose regular radial factor is a Laguerre polynomial.
+
+    The catalog rule, judged here only (the enumerators propose candidates):
+    lam >= 1, k >= 0, ell > -1, and for k >= 1 the degeneration condition
+    ``k n ell = (lam^2 - k n)^2 - lam^2`` to 1e-9 of ``max(1, lam^4)``, with
+    ``k n <= lam sqrt(lam^2 - 1)``; ``alpha_bar`` is nonzero and equals
+    ``(2 (lam^2 - k n) + ell) / n`` to 1e-9 relative.  :class:`ParameterError`
+    where a field is NaN or infinite or the rule fails, :class:`DomainError`
+    where lam^4 or ``(lam^2 - k n)^2`` is beyond the float range.
+    """
 
     lam: float
     k: int
@@ -301,6 +311,7 @@ class LaguerreCase:
     alpha_bar: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.lam < 1.0 - 1e-12:
             raise ParameterError(f"Laguerre cases require lam >= 1, got {self.lam}")
         if self.k < 0:
@@ -309,15 +320,20 @@ class LaguerreCase:
             raise ParameterError(f"ell must exceed -1, got {self.ell}")
         if self.alpha_bar == 0.0:
             raise ParameterError("alpha_bar = 0 is excluded")
-        lam2 = self.lam ** 2
-        if self.k >= 1:
-            residual = self.k * self.n * self.ell - ((lam2 - self.k * self.n) ** 2 - lam2)
+        kn = self.k * self.n
+        try:
+            lam2 = self.lam ** 2
             scale = max(1.0, lam2 ** 2)
+            residual = kn * self.ell - ((lam2 - kn) ** 2 - lam2)
+        except OverflowError:
+            raise DomainError(f"lam^4 or (lam^2 - k n)^2 at lam = {self.lam:g}, k n = {kn:g} "
+                              "is beyond the float range") from None
+        if self.k >= 1:
             if abs(residual) > 1e-9 * scale:
                 raise ParameterError(f"(k, ell, lam) violate the degeneration condition: residual {residual}")
-            if self.k * self.n > math.sqrt(max(lam2 * (lam2 - 1.0), 0.0)) * (1.0 + 1e-9) + 1e-12:
+            if kn > math.sqrt(max(lam2 * (lam2 - 1.0), 0.0)) * (1.0 + 1e-9) + 1e-12:
                 raise ParameterError("k n exceeds lam sqrt(lam^2 - 1)")
-        expected = (2.0 * (lam2 - self.k * self.n) + self.ell) / self.n
+        expected = (2.0 * (lam2 - kn) + self.ell) / self.n
         if abs(self.alpha_bar - expected) > 1e-9 * abs(expected):
             raise ParameterError(f"alpha_bar = {self.alpha_bar} is not (2 (lam^2 - k n) + ell) / n = {expected}")
 
@@ -351,6 +367,7 @@ class RadialSolution:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.lam < 0.0:
             raise ParameterError(f"lam must be non-negative, got {self.lam}")
         if self.kind.kummer_based:
@@ -428,7 +445,7 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
     a power of rho_bar or tau beyond the float range at small rho).  A plain tuple,
     since the scalar map calls this once per point.
     """
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     if sol.kind is RadialKind.CONSTANT:
         return 1.0, 0.0, 0.0
@@ -649,16 +666,15 @@ def _order_cap(n: float, lam: float) -> int:
     return int(math.floor(top))
 
 
-def _case_from_k(n: float, lam: float, k: int) -> LaguerreCase | None:
-    lam2 = lam * lam
-    ell = ((lam2 - k * n) ** 2 - lam2) / (k * n)
-    if ell <= -1.0:
+def _laguerre_case(n: float, ell: float, lam2: float, k: int) -> LaguerreCase | None:
+    """The candidate of order k at lam^2 = ``lam2``, with ``alpha_bar`` formed
+    from that lam2 (not from sqrt(lam2) squared), or None where
+    :class:`LaguerreCase` rejects it (a negative lam2 proposes lam = 0)."""
+    try:
+        return LaguerreCase(lam=math.sqrt(max(lam2, 0.0)), k=k, n=n, ell=ell,
+                            alpha_bar=(2.0 * (lam2 - k * n) + ell) / n)
+    except ParameterError:
         return None
-    nu = lam2 - k * n
-    alpha_bar = (2.0 * nu + ell) / n
-    if alpha_bar == 0.0:
-        return None
-    return LaguerreCase(lam=lam, k=k, n=n, ell=ell, alpha_bar=alpha_bar)
 
 
 def laguerre_enumerate(n: float, lambda_set: list[float], ell_max: float) -> list[LaguerreCase]:
@@ -668,18 +684,22 @@ def laguerre_enumerate(n: float, lambda_set: list[float], ell_max: float) -> lis
     k pins ell through the degeneration condition.  lam = 1 only admits the
     trivial k = 0 polynomial, which holds for every ell and so gives no row
     (:func:`laguerre_enumerate_for_ell` lists it).  Output is ordered by lam,
-    then k.  ``n`` must be finite and positive and each lam finite, with at
-    most ``LAGUERRE_MAX_ORDER`` orders, else :class:`ParameterError`.
+    then k.  ``n`` must be finite and positive, ``ell_max`` not NaN (inf
+    means no bound) and each lam finite, with at most ``LAGUERRE_MAX_ORDER``
+    orders, else :class:`ParameterError`.
     """
     _require_order_n(n)
+    if math.isnan(ell_max):
+        raise ParameterError("ell_max must not be NaN")
     rows: list[LaguerreCase] = []
     for lam in sorted(lambda_set):
         if not math.isfinite(lam):
             raise ParameterError(f"lam must be finite, got {lam}")
         if lam < 1.0 - 1e-12:
             continue
+        lam2 = lam * lam
         for k in range(1, _order_cap(n, lam) + 1):
-            case = _case_from_k(n, lam, k)
+            case = _laguerre_case(n, ((lam2 - k * n) ** 2 - lam2) / (k * n), lam2, k)
             if case is not None and case.ell <= ell_max:
                 rows.append(case)
     return rows
@@ -689,11 +709,12 @@ def laguerre_enumerate_for_ell(n: float, ell: float, k_max: int = 16) -> list[La
     """Polynomial cases with the distribution pair (n, ell) held fixed.
 
     For each order k >= 1 the degeneration condition is a quadratic in lam^2;
-    only the root compatible with ``k n <= lam sqrt(lam^2 - 1)`` (and lam >= 1)
-    survives.  k = 0 always contributes lam = 1.  Ordered by lam, then k.
+    both roots are proposed and :class:`LaguerreCase` keeps the one
+    compatible with ``k n <= lam sqrt(lam^2 - 1)`` (and lam >= 1).  k = 0
+    always contributes lam = 1.  Ordered by lam, then k.
     :class:`ParameterError` unless n is finite and positive, ell finite and
     above -1 and ``k_max <= LAGUERRE_MAX_ORDER``; :class:`DomainError` where
-    an order's lam^4 leaves the float range.
+    an order's discriminant or lam^4 leaves the float range.
     """
     _require_order_n(n)
     if not (math.isfinite(ell) and ell > -1.0):
@@ -706,25 +727,14 @@ def laguerre_enumerate_for_ell(n: float, ell: float, k_max: int = 16) -> list[La
     for k in range(1, k_max + 1):
         kn = k * n
         disc = 4.0 * kn * (ell + 1.0) + 1.0
+        if math.isinf(disc):
+            raise DomainError(f"the discriminant at order k = {k} (n = {n:g}, ell = {ell:g}) "
+                              "is beyond the float range")
         sq = math.sqrt(disc)
         for lam2 in ((2.0 * kn + 1.0 + sq) / 2.0, (2.0 * kn + 1.0 - sq) / 2.0):
-            if lam2 < 1.0 - 1e-12:
-                continue
-            lam = math.sqrt(lam2)
-            if kn > math.sqrt(max(lam2 * (lam2 - 1.0), 0.0)) * (1.0 + 1e-12) + 1e-12:
-                continue
-            nu = lam2 - kn
-            alpha_bar = (2.0 * nu + ell) / n
-            if alpha_bar == 0.0:
-                continue
-            try:
-                residual = kn * ell - ((lam2 - kn) ** 2 - lam2)
-                accepted = abs(residual) <= 1e-9 * max(1.0, lam2 ** 2)
-            except OverflowError:
-                raise DomainError(f"lam^4 at order k = {k} (n = {n:g}, ell = {ell:g}) "
-                                  "is beyond the float range") from None
-            if accepted:
-                rows.append(LaguerreCase(lam=lam, k=k, n=n, ell=ell, alpha_bar=alpha_bar))
+            case = _laguerre_case(n, ell, lam2, k)
+            if case is not None:
+                rows.append(case)
     rows.sort(key=lambda c: (c.lam, c.k))
     return rows
 
@@ -755,3 +765,20 @@ def require_matching(params: ModelParams, sol: RadialSolution, fac: AngularFacto
     if sol.kind.kummer_based and (sol.a, sol.b) != kummer_ab(params.n, params.ell, sol.nu, sol.lam):
         raise ParameterError(f"the radial solution (a = {sol.a}, b = {sol.b}) belongs to "
                              f"another (n, ell) than n = {params.n}, ell = {params.ell}")
+
+
+def require_chart(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:
+    """:func:`require_matching`, then :class:`DegenerateMapError` where no
+    coordinate chart exists: lam = 1, or a constant u (R = 1, from the constant
+    kind or nu = a = 0, where M and Psi are 1; and Theta = c2), whose image
+    collapses to the origin."""
+    require_matching(params, sol, fac)
+    if abs(sol.lam - 1.0) <= 1e-12:
+        raise DegenerateMapError(
+            "lam = 1: the map Jacobian vanishes identically and no coordinate chart exists"
+        )
+    unit_radial = sol.kind is RadialKind.CONSTANT or (sol.kind.kummer_based and sol.nu == 0.0 and sol.a == 0.0)
+    if unit_radial and fac.lam == 0.0 and fac.c1 == 0.0:
+        raise DegenerateMapError(
+            "u is constant (R = 1, Theta = c2): the map collapses to the origin and no coordinate chart exists"
+        )

@@ -29,10 +29,6 @@ from .momentum import AngularFactor, RadialSolution
 HBAR = 1.0
 MASS = 1.0
 
-#: Closed forms stay evaluable down to r = 0+, but FD oracles degrade in the
-#: essential-singularity zone; grid sweeps skip radii below this floor.
-R_FLOOR_REL = 1e-6
-
 #: :func:`bohr_sommerfeld` rejects contours that come closer to the velocity
 #: pole at the origin than this radius.
 POLE_MIN_RADIUS = 1e-12
@@ -85,15 +81,14 @@ def quantum_potential(
 
     Reported with its natural additive constant; comparisons against the
     finite-difference oracle are made on point differences, where the free
-    constant cancels.  Raises :class:`ParameterError` for lam = 1 and for a sol
-    and fac that are not one solution of params (:func:`momentum.require_matching`);
+    constant cancels.  Raises :class:`DegenerateMapError` for lam = 1 and a
+    constant u, where no coordinate chart exists, and :class:`ParameterError` for
+    a sol and fac that are not one solution of params (:func:`momentum.require_chart`);
     :class:`NodeError` on zeros of u, on the poles of Rcal and Upsilon, and where
     the closed form's denominator vanishes; :class:`DomainError` where the radial
     factor cannot be evaluated or u^2 is beyond the float range.
     """
-    if abs(sol.lam - 1.0) <= 1e-12:
-        raise ParameterError("lam = 1 admits no coordinate chart (degenerate map)")
-    momentum.require_matching(params, sol, fac)
+    momentum.require_chart(params, sol, fac)
     r_val, _, rcal = momentum.radial_row(params, sol, rho)
     u = r_val * fac.value(theta)
     if math.isinf(u * u):
@@ -221,7 +216,7 @@ def _psi_powers(pm: PsiModelParams, r: float) -> tuple[float, float, float]:
 def psi_density(pm: PsiModelParams, r: float) -> float:
     """Probability density; defined as 0 at r = 0 (the essential decay wins).
     Raises :class:`DomainError` where a power of r leaves the float range."""
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"radius must be non-negative, got {r}")
     if r == 0.0:
         return 0.0
@@ -232,7 +227,7 @@ def psi_density(pm: PsiModelParams, r: float) -> float:
 
 def psi_quantum_potential(pm: PsiModelParams, r: float) -> float:
     """Q(r) = -(1/(8 r^2)) [ell^2 - 2(ell+1)(ell+n) s^n/r^n + (ell+1)^2 s^2n/r^2n]."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
     sigma_n, r_n, r_2 = _psi_powers(pm, r)
     s = sigma_n / r_n
@@ -242,7 +237,7 @@ def psi_quantum_potential(pm: PsiModelParams, r: float) -> float:
 
 def psi_classical_potential(pm: PsiModelParams, r: float) -> float:
     """U(r) from stationarity; decays like +1/r^2, -1/r^(n+2) or -1/r^2 by regime."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
     sigma_n, r_n, r_2 = _psi_powers(pm, r)
     s = sigma_n / r_n
@@ -256,7 +251,7 @@ def psi_classical_potential(pm: PsiModelParams, r: float) -> float:
 
 def psi_velocity(pm: PsiModelParams, r: float) -> float:
     """Azimuthal flux speed v_phi = sigma_r sigma_v / r (the flux is along +e_phi)."""
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
     return pm.sigma_r * pm.sigma_v / r
 
@@ -300,7 +295,7 @@ def schrodinger_residual_at(pm: PsiModelParams, r: float, use_fd: bool = False) 
     radial Laplacian by central differences of the amplitude (step
     ``1e-4 sigma_r``).
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
     c = (pm.ell + 1.0) / pm.n
     kappa = pm.angular_number
@@ -323,35 +318,6 @@ def schrodinger_residual_at(pm: PsiModelParams, r: float, use_fd: bool = False) 
     residual = HBAR ** 2 / (2.0 * MASS) * lap - u_val
     scale = max(abs(u_val), abs(psi_quantum_potential(pm, r)), HBAR ** 2 * kappa ** 2 / (2.0 * MASS * r ** 2), 1e-30)
     return abs(residual) / scale
-
-
-def schrodinger_residual(
-    pm: PsiModelParams,
-    r_values,
-    use_fd: bool = False,
-    tol: float = 1e-8,
-):
-    """Wave-equation residual report over a radial grid.
-
-    Radii below ``R_FLOOR_REL * sigma_r`` are skipped (counted in the
-    report); the azimuthal direction enters only through the exact phase
-    winding, so a radial grid suffices.  Time never enters: the state is
-    stationary, with E = 0.
-    """
-    from .verify import report_from_residuals
-
-    floor = R_FLOOR_REL * pm.sigma_r
-    residuals = []
-    skipped = 0
-    for r in r_values:
-        if r < floor:
-            skipped += 1
-            continue
-        residuals.append(schrodinger_residual_at(pm, float(r), use_fd=use_fd))
-    return report_from_residuals(
-        "schrodinger-residual", f"{len(residuals)} radii{' (FD)' if use_fd else ''}", residuals, tol,
-        skipped, len(residuals) + skipped,
-    )
 
 
 def hamilton_jacobi_residual(pm: PsiModelParams, r: float) -> float:

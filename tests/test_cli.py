@@ -265,6 +265,11 @@ def test_every_setting_from_flag_and_file(command, key, tmp_path):
 
 
 class TestClassify:
+    def test_nan_radius_exits_one(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "--n", "2", "--ell", "4", "--rho", "nan,1.0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "rho > 0" in err
+
     def test_three_regions(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--n", "2", "--ell", "2", "--rho", "0.5,1.0,2.0")
         assert code == 0
@@ -325,6 +330,7 @@ class TestLaguerreEnum:
         (("--n=2", "--ell-fixed=-inf"), "ell must be finite"),
         (("--n=1e300", "--ell-fixed=2"), "beyond the float range"),
         (("--n=2",), "either --lambda or --ell-fixed is required"),
+        (("--n=2", "--lambda=3", "--ell-max=nan"), "ell_max must not be NaN"),
     ])
     def test_bad_input_exits_one(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "laguerre-enum", *flags)

@@ -256,7 +256,7 @@ class TestInvertMap:
         p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
         mp = forward_map(p, sol, fac, 0.5 * p.rho_t, 0.6)
         with pytest.raises((FoldError, NoConvergenceError)):
-            invert_map(p, sol, fac, (mp.x + 1e3, mp.y - 1e3), (0.5 * p.rho_t, 0.6), max_iter=25)
+            invert_map(p, sol, fac, (mp.x + 1e3, mp.y - 1e3), (0.5 * p.rho_t, 0.6))
 
     def test_trial_step_below_rho_t_backtracks(self):
         # on the Omega chart a full Newton step from this seed lands below
@@ -828,6 +828,19 @@ class TestModelCheck:
         sol = RadialSolution.kummer(ModelParams(n=2, ell=4), 2.5, tricomi=tricomi)
         with pytest.raises(ParameterError, match="another"):
             MODEL_CHECKED[entry](ModelParams(n=2, ell=2), sol, AngularFactor(lam=2.5, c1=1.0, c2=0.0), (1.0, 0.5))
+
+    @pytest.mark.parametrize("case", ["lam-one", "constant-u"])
+    @pytest.mark.parametrize("entry", sorted(set(MODEL_CHECKED) - {"forward_map-degenerate", "map_differential",
+                                                                    "factorized_u"}))
+    def test_no_chart_raises(self, entry, case):
+        # one chart check (momentum.require_chart) serves the map and the potentials
+        p = ModelParams(n=2, ell=4)
+        if case == "lam-one":
+            sol, fac = RadialSolution.kummer(p, 1.0), AngularFactor(lam=1.0, c1=0.0, c2=1.0)
+        else:
+            sol, fac = RadialSolution.constant(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+        with pytest.raises(DegenerateMapError):
+            MODEL_CHECKED[entry](p, sol, fac, (1.0, 0.5))
 
     @pytest.mark.parametrize("kind", ["omega", "constant"])
     @pytest.mark.parametrize("entry", MODEL_CHECKED)

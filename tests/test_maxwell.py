@@ -19,7 +19,8 @@ from hodoflow.maxwell import (
     discriminant,
     normalization_psi_model,
 )
-from hodoflow.momentum import AngularFactor
+from hodoflow.mapping import SectorDomain
+from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution
 from hodoflow.specfun import gamma
 from oracles import coeff_h_bar, polar_quad
 
@@ -64,6 +65,27 @@ class TestModelParams:
         base.update(kw)
         with pytest.raises(ParameterError):
             AngularFactor(**base)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaguerreCase(lam=math.nan, k=0, n=2.0, ell=0.0, alpha_bar=1.0),
+        lambda: LaguerreCase(lam=1.0, k=0, n=2.0, ell=math.nan, alpha_bar=1.0),
+        lambda: LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=math.inf),
+        lambda: RadialSolution.kummer(ModelParams(n=2, ell=0), math.nan),
+        lambda: RadialSolution.kummer(ModelParams(n=2, ell=0), math.inf),
+        lambda: SectorDomain(3.0, math.inf, -0.2, 0.2),
+        lambda: SectorDomain(1.0, 2.0, -math.inf, 0.2),
+        lambda: SectorDomain(math.nan, 2.0, -0.2, 0.2),
+    ],
+    ids=["laguerre-lam", "laguerre-ell", "laguerre-alpha_bar", "radial-nan", "radial-inf", "sector-rho_max",
+         "sector-theta_min", "sector-rho_min"],
+)
+def test_non_finite_model_objects_rejected(build):
+    # every model object checks its float fields when it is built
+    with pytest.raises(ParameterError, match="must be finite"):
+        build()
 
 
 class TestDensity:
@@ -164,6 +186,11 @@ class TestClassify:
         rt = maxwell22.rho_t
         assert classify(maxwell22, rt * (1.0 + 0.5 * EPS_PARABOLIC)) is RegionTag.PARABOLIC
         assert classify(maxwell22, rt * (1.0 + 10.0 * EPS_PARABOLIC)) is RegionTag.HYPERBOLIC
+
+    @pytest.mark.parametrize("call", [classify, coeff_g, discriminant, coeff_h, density_F])
+    def test_nan_radius_raises(self, maxwell22, call):
+        with pytest.raises(DomainError):
+            call(maxwell22, math.nan)
 
     def test_monotone_thresholds(self, maxwell22):
         # elliptic radii all below parabolic band, hyperbolic all above

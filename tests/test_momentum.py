@@ -1,6 +1,7 @@
 """Momentum-space solutions: characteristics, oscillator form, exact radial
 and angular factors, and the Laguerre-case catalogs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -572,6 +573,19 @@ class TestLaguerreEnumeration:
         with pytest.raises(ParameterError):
             LaguerreCase(lam=3.0, k=2, n=2.0, ell=5.0, alpha_bar=7.0)  # ell should be 4
 
+    def test_catalog_pinned(self):
+        # both enumerators over a grid of n, lam and ell, every field's bits
+        # by the rows' repr: 7,691 rows, the sha256 taken before LaguerreCase
+        # became the only judge of the catalog rule
+        reprs = []
+        for n in (0.5, 1.0, 1.5, 2.0, 3.0, 7.0):
+            reprs += [repr(laguerre_enumerate(n, [1.0 + 0.75 * i], math.inf)) for i in range(16)]
+            reprs += [repr(laguerre_enumerate_for_ell(n, ell, 60))
+                      for ell in (-0.999, -0.5, 0.0, 0.5, 2.0, 4.0, 7.5, 100.0, 1e6, 1e12)]
+        assert sum(r.count("LaguerreCase(") for r in reprs) == 7691
+        digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+        assert digest == "9e94f1c5039c6d9a771da58813d16199cfc34b85d34c47401419b6d0fecaee7d"
+
 
 class TestFactorizedU:
     def test_pde_residual_laguerre_case(self):
@@ -637,6 +651,16 @@ class TestFactorizedU:
         (lambda p: LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=99.0), ParameterError, "alpha_bar = 99"),
         (lambda p: RadialSolution.from_laguerre_case(p, LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=7.0)),
          ParameterError, "different"),
+        (lambda p: LaguerreCase(lam=1e160, k=1, n=2.0, ell=0.0, alpha_bar=1.0), DomainError, "float range"),
+        (lambda p: laguerre_enumerate_for_ell(2.0, 5e307, 3), DomainError, "discriminant at order k = 1"),
+        (lambda p: laguerre_enumerate(2.0, [3.0], math.nan), ParameterError, "ell_max must not be NaN"),
+        (lambda p: radial_row(p, RadialSolution.kummer(p, 2.0), math.nan), DomainError, "rho must be positive"),
+        (lambda p: characteristic_chi(p, CharacteristicKind.HYPERBOLIC_PLUS, math.nan, 0.0), DomainError,
+         "chi requires rho > 0"),
+        (lambda p: slope_rho_theta(p, math.nan), DomainError, "slope requires rho > 0"),
+        (lambda p: zeta_bar(p, math.nan), DomainError, "rho must be positive"),
+        (lambda p: hill_substitution_zeta(p, math.nan), DomainError, "rho must be positive"),
+        (lambda p: hill_coefficient_G(p, 2.0, math.nan), DomainError, "rho must be positive"),
         (lambda p: radial_row(p, RadialSolution.kummer(p, 2.0), 0.0), DomainError, "rho must be positive"),
         # rho_bar^n underflows to 0, so tau = 0 is outside Psi's domain
         (lambda p: radial_row(p, RadialSolution.kummer(p, 2.5, tricomi=True), 1e-200 * p.rho_t),
@@ -647,7 +671,9 @@ class TestFactorizedU:
     ids=[
         "chi-rho", "slope-rho", "kappa-branch", "zeta-rho", "zeta_bar-rho", "hill_G-rho", "hill_G-c0",
         "laguerre-lam", "laguerre-k", "laguerre-ell", "laguerre-alpha_bar", "laguerre-residual",
-        "laguerre-kn", "laguerre-alpha_bar-value", "laguerre-model", "radial_row-rho", "radial_row-tricomi-tau", "angular-lam",
+        "laguerre-kn", "laguerre-alpha_bar-value", "laguerre-model", "laguerre-lam4", "laguerre-discriminant",
+        "laguerre-ell_max", "radial_row-nan", "chi-nan", "slope-nan", "zeta_bar-nan", "zeta-nan", "hill_G-nan",
+        "radial_row-rho", "radial_row-tricomi-tau", "angular-lam",
         "angular-extremum",
     ],
 )

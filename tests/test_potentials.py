@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hodoflow.errors import DivergenceError, DomainError, NodeError, ParameterError, RegionError
+from hodoflow.errors import DegenerateMapError, DivergenceError, DomainError, NodeError, ParameterError, RegionError
 from hodoflow.mapping import forward_map, invert_map
 from hodoflow.maxwell import ModelParams, density_F
 from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution, omega_matched_c1
@@ -118,7 +118,7 @@ class TestQuantumPotentialMapped:
         p = ModelParams(n=2, ell=2)
         sol = RadialSolution.kummer(p, 1.0)
         fac = AngularFactor(lam=1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(DegenerateMapError):
             quantum_potential(p, sol, fac, 1.0, 0.2)
 
 
@@ -237,21 +237,6 @@ class TestPsiModel:
         for r in (0.8, 1.5, 3.0):
             assert schrodinger_residual_at(pm, r, use_fd=True) < 1e-4
 
-    def test_schrodinger_residual_report(self):
-        from hodoflow.potentials import schrodinger_residual
-
-        pm = PsiModelParams.for_regime(4, 6, "critical")
-        grid = [1e-9] + list(np.geomspace(0.3, 20.0, 30))
-        report = schrodinger_residual(pm, grid, tol=1e-8)
-        assert report.passed
-        assert report.skipped_points == 1  # the sub-floor radius, within budget
-        # one sub-floor point in a 16-point grid exceeds the 5% skip budget
-        small = schrodinger_residual(pm, [1e-9] + list(np.geomspace(0.3, 20.0, 15)), tol=1e-8)
-        assert not small.passed
-        # the fixed-step FD oracle resolves the amplitude for r >~ 0.5 sigma
-        fd_report = schrodinger_residual(pm, np.geomspace(0.5, 20.0, 20), use_fd=True, tol=1e-4)
-        assert fd_report.passed
-
     def test_hamilton_jacobi_closure(self):
         for regime in ("two-zeros", "critical", "single-zero"):
             pm = PsiModelParams.for_regime(4, 6, regime)
@@ -342,13 +327,19 @@ class TestMoments:
         (lambda pm: psi_classical_potential(pm, 0.0), DomainError, "radius must be positive"),
         (lambda pm: psi_velocity(pm, -1.0), DomainError, "radius must be positive"),
         (lambda pm: schrodinger_residual_at(pm, 0.0), DomainError, "radius must be positive"),
+        # NaN fails every ordered comparison, so each radius guard is written to reject it
+        (lambda pm: psi_density(pm, math.nan), DomainError, "radius must be non-negative"),
+        (lambda pm: psi_quantum_potential(pm, math.nan), DomainError, "radius must be positive"),
+        (lambda pm: psi_classical_potential(pm, math.nan), DomainError, "radius must be positive"),
+        (lambda pm: psi_velocity(pm, math.nan), DomainError, "radius must be positive"),
+        (lambda pm: schrodinger_residual_at(pm, math.nan), DomainError, "radius must be positive"),
         (lambda pm: bohr_sommerfeld(pm, np.array([[1.0, 0.0], [0.0, 1.0]])), DomainError, "N >= 3"),
         (lambda pm: bohr_sommerfeld(pm, np.ones((4, 3))), DomainError, "N >= 3"),
         (lambda pm: radial_moments(pm, 1.5), ParameterError, "non-negative integer"),
         (lambda pm: radial_moments(pm, -1), ParameterError, "non-negative integer"),
     ],
-    ids=["regime", "U-radius", "v_phi-radius", "schrodinger-radius", "contour-points", "contour-columns",
-         "moment-fraction", "moment-negative"],
+    ids=["regime", "U-radius", "v_phi-radius", "schrodinger-radius", "density-nan", "Q-nan", "U-nan",
+         "v_phi-nan", "schrodinger-nan", "contour-points", "contour-columns", "moment-fraction", "moment-negative"],
 )
 def test_input_checks(call, error, message):
     with pytest.raises(error, match=message):

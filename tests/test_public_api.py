@@ -34,7 +34,7 @@ PUBLIC_NAMES = (
     "pde_residual_momentum", "potential_zeros", "potentials", "psi_classical_potential",
     "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity",
     "quantum_potential", "radial_moments", "sample_fields",
-    "schrodinger_residual", "schrodinger_residual_at",
+    "schrodinger_residual_at",
     "sigma_r_closed_form", "sigma_r_from_moments", "slope_rho_theta", "specfun", "tricomi_psi",
     "verify", "zeta_bar",
 )
@@ -48,7 +48,28 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 85
+    assert len(out) == 84
+
+
+#: Every public function and class that has settings (parameters with
+#: defaults), and those settings by name.
+SETTINGS = {
+    "AngularFactor": ["c1", "c2"],
+    "FieldSample": ["flag"],
+    "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c1", "c2"],
+    "PsiModelParams": ["sigma_r", "rho_t"],
+    "RadialSolution": ["lam", "nu", "a", "b", "scale"],
+    "VerificationReport": ["skipped_points", "total_points"],
+    "adaptive_quad": ["tol"],
+    "density_F": ["norm"],
+    "forward_map": ["allow_degenerate"],
+    "laguerre_enumerate_for_ell": ["k_max"],
+    "normalization_sector": ["tol"],
+    "pde_residual_coordinate": ["name"],
+    "pde_residual_momentum": ["tol", "name"],
+    "sample_fields": ["norm"],
+    "schrodinger_residual_at": ["use_fd"],
+}
 
 
 def test_settings_count():
@@ -62,8 +83,11 @@ def test_settings_count():
                 isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum))):
             continue
         params = inspect.signature(obj).parameters.values()
-        settings[name] = [p.name for p in params if p.default is not inspect.Parameter.empty]
-    assert sum(map(len, settings.values())) == 31, settings
+        defaults = [p.name for p in params if p.default is not inspect.Parameter.empty]
+        if defaults:
+            settings[name] = defaults
+    assert settings == SETTINGS
+    assert sum(map(len, settings.values())) == 28
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -222,14 +222,12 @@ def cmd_characteristics(args) -> int:
     for rho_bar in _float_list(args.rho):
         rho = rho_bar * params.rho_t
         region = classify(params, rho)
-        if region is RegionTag.HYPERBOLIC:
-            kind, branch = CharacteristicKind.HYPERBOLIC_PLUS, "hyperbolic"
-        else:
-            kind, branch = CharacteristicKind.ELLIPTIC_PLUS, "elliptic"
+        hyperbolic = region is RegionTag.HYPERBOLIC
+        kind = CharacteristicKind.HYPERBOLIC_PLUS if hyperbolic else CharacteristicKind.ELLIPTIC_PLUS
         chi = characteristic_chi(params, kind, rho, math.radians(args.theta0))
         slope = slope_rho_theta(params, rho)
         try:
-            kappa = canonical_kappa(params, rho, branch)
+            kappa = canonical_kappa(params, rho)
         except HodoflowError:
             kappa = math.nan
         rows.append((rho_bar, region, chi, slope, kappa))

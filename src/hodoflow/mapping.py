@@ -99,7 +99,7 @@ class FieldSample(NamedTuple):
     u_pot: float
     jac_inv: float
     region: RegionTag
-    flag: str = ""
+    flag: str
 
     CSV_COLUMNS = ("x", "y", "phi", "vx", "vy", "speed", "density", "q_pot", "u_pot", "jac_inv", "region")
 
@@ -342,7 +342,7 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
     """The numbers of :func:`sample_fields`' records: ``(block, speed,
     density, region, code, univalent)``.  ``block`` is ``(8, n_rho, n_theta)``
     with the fields x, y, phi, vx, vy, q_pot, u_pot, jac_inv; ``speed`` and
-    ``density`` are arrays and ``region`` a list, one entry per rho row;
+    ``density`` (``norm`` times F) are arrays and ``region`` a list, one entry per rho row;
     ``code`` is the ``(n_rho, n_theta)`` flag code (an index into
     ``_FLAGS``); ``univalent`` says whether the inverse Jacobian keeps one
     sign on the grid."""
@@ -380,13 +380,12 @@ def sample_fields(
     fac: AngularFactor,
     domain: SectorDomain,
     grid: tuple[int, int],
-    norm: float = 1.0,
 ) -> list[FieldSample]:
     """Full field records on a (rho, theta) product grid, row-major in rho.
 
     The solution separates as ``u = R(rho) Theta(theta)``, so the radial
     factor is evaluated once per rho row, all rows as arrays
-    (:func:`momentum.radial_rows`, with g and the density F from the arrays
+    (:func:`momentum.radial_rows`, with g and the density F at N = 1 from the arrays
     that :func:`maxwell.normalization_sector` uses), and Theta once per theta
     column; the map, the inverse Jacobian and both potentials are then
     broadcast over the grid.  Each value equals the scalar path's (:func:`forward_map`,
@@ -413,7 +412,7 @@ def sample_fields(
     params :class:`ParameterError`, and an Omega sector that reaches below
     rho_T, where Omega does not exist, :class:`RegionError`.
     """
-    block, speed, density, region, code, univalent = _field_block(params, sol, fac, domain, grid, norm)
+    block, speed, density, region, code, univalent = _field_block(params, sol, fac, domain, grid, 1.0)
     if not univalent:
         warnings.warn(
             "inverse Jacobian changes sign over the grid: the image is not univalent",

@@ -100,23 +100,23 @@ class ModelParams:
         return replace(self, **kw)
 
 
-def density_F(params: ModelParams, z: float, norm: float = 1.0) -> float:
+def density_F(params: ModelParams, z: float) -> float:
     """Speed density F(z) = N (z/s)^ell 2^(-ell/2) exp(-(z/s)^n 2^(-n/2)), s = sigma_nl.
 
     Equivalent closed form used here: ``N ((ell+1)/n)^(ell/n) w^ell e^(-((ell+1)/n) w^n)``
-    with ``w = z / sigma_v``.  For -1 < ell < 0 the density diverges at z = 0.
+    with ``w = z / sigma_v`` and N = 1.  For -1 < ell < 0 the density diverges at z = 0.
     """
     if not z >= 0.0:
         raise DomainError(f"speed must be non-negative, got {z}")
     if z == 0.0 and params.ell < 0.0:
         raise DomainError("F has a power singularity at z = 0 for -1 < ell < 0")
-    return _density(params, z, norm)
+    return _density(params, z, 1.0)
 
 
 def _density(params: ModelParams, z, norm: float):
-    """F at a speed z >= 0, or at each speed of an array, NaN where F is
+    """N F at a speed z >= 0, or at each speed of an array, NaN where F is
     singular (z = 0 with ell < 0); the powers and the exponential are
-    Python's, so both give :func:`density_F`'s bits."""
+    Python's, so both give :func:`density_F`'s bits at N = 1."""
     w = z / params.sigma_v
     c = (params.ell + 1.0) / params.n
     decay = specfun._exp(-c * specfun._power(w, params.n))
@@ -196,8 +196,10 @@ def normalization_psi_model(n: float, ell: float, sigma_r: float) -> float:
     return norm
 
 
-#: Gauss-Legendre orders compared on every rho panel of :func:`normalization_sector`.
+#: Gauss-Legendre orders compared on every rho panel of :func:`normalization_sector`,
+#: and the relative difference of their sums over the panels it accepts.
 SECTOR_GL_ORDERS = (12, 24)
+SECTOR_TOL = 1e-9
 
 #: Intervals of the sign scan that locates the kink radii of the rho integrand.
 SECTOR_KINK_SCAN = 32
@@ -206,7 +208,7 @@ SECTOR_KINK_SCAN = 32
 SECTOR_MAX_PANELS = 200
 
 
-def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-9) -> float:
+def normalization_sector(params: ModelParams, sol, fac, domain) -> float:
     """Normalization constant over the coordinate image of a momentum sector.
 
     Computed without inverting the map: the area element of the image pulls
@@ -233,7 +235,7 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
     the scalar :func:`momentum.radial_row` and the same kink terms.
 
     Accuracy contract: N is the reciprocal of the higher-order sum, and the
-    two sums differ by at most ``tol`` relative; where that takes more than
+    two sums differ by at most ``SECTOR_TOL`` relative; where that takes more than
     ``SECTOR_MAX_PANELS`` panels, :class:`NoConvergenceError` is raised.
     lam = 1 and a constant u raise :class:`DegenerateMapError`, a ``sol`` and
     ``fac`` that are not one solution of ``params``
@@ -300,12 +302,12 @@ def normalization_sector(params: ModelParams, sol, fac, domain, tol: float = 1e-
         err = math.fsum(p[3] for p in panels)
         if not math.isfinite(total) or total <= 0.0:
             raise DivergenceError("sector normalization integral did not produce a positive finite value")
-        if err <= tol * total:
+        if err <= SECTOR_TOL * total:
             return 1.0 / total
         if len(panels) >= SECTOR_MAX_PANELS:
             raise NoConvergenceError(
                 f"Gauss-Legendre orders {SECTOR_GL_ORDERS} still differ by {err / total:.2e} relative"
-                f" over {len(panels)} panels, above tol = {tol:.1e}"
+                f" over {len(panels)} panels, above SECTOR_TOL = {SECTOR_TOL:.1e}"
             )
         i = max(range(len(panels)), key=lambda k: panels[k][3])
         lo, hi = panels[i][:2]

@@ -31,7 +31,7 @@ from .errors import (
     RegionError,
     SaturationWarning,
 )
-from .maxwell import EPS_PARABOLIC, ModelParams, discriminant, require_finite
+from .maxwell import EPS_PARABOLIC, ModelParams, RegionTag, classify, discriminant, require_finite
 from .specfun import SERIES_MAX_TERMS, SERIES_REL_TOL
 
 #: Elliptic characteristics contain artanh(sqrt(1 - rho_bar^n)), divergent as
@@ -73,10 +73,13 @@ def characteristic_chi(params: ModelParams, kind: CharacteristicKind, rho: float
     Hyperbolic kinds use ``sqrt(e) - arctan(sqrt(e))`` with ``e = rho_bar^n - 1``
     and are valid for rho >= rho_T; elliptic kinds use
     ``sqrt(1 - rho_bar^n) - artanh(...)`` for 0 < rho <= rho_T.  Both radial
-    parts vanish on the sonic circle, where chi = +/- theta.
+    parts vanish on the sonic circle, where chi = +/- theta.  :class:`DomainError`
+    where rho is not positive or theta is not finite.
     """
     if not rho > 0.0:
         raise DomainError(f"chi requires rho > 0, got {rho}")
+    if not math.isfinite(theta):
+        raise DomainError(f"chi requires a finite theta, got {theta}")
     rho_t = params.rho_t
     pref = 2.0 / params.n * math.sqrt(params.ell + 1.0)
     if kind.hyperbolic:
@@ -114,25 +117,24 @@ def slope_rho_theta(params: ModelParams, rho: float) -> float:
     return rho / math.sqrt(abs(delta))
 
 
-def canonical_kappa(params: ModelParams, rho: float, branch: str) -> float:
-    """First-order coefficient of the canonical form in each region.
+def canonical_kappa(params: ModelParams, rho: float) -> float:
+    """First-order coefficient of the canonical form in the region
+    :func:`classify` gives at rho:
 
-    ``branch`` is "elliptic" (Delta < 0) or "hyperbolic" (Delta > 0):
+        kappa_e = [n(ell+1) + (n-2) Delta + 2 Delta^2] / (4 (-Delta)^(3/2))   (elliptic)
+        kappa_h = [n(ell+1) + (n-2) Delta - 2 Delta^2] / (8 Delta^(3/2))      (hyperbolic)
 
-        kappa_e = [n(ell+1) + (n-2) Delta + 2 Delta^2] / (4 (-Delta)^(3/2))
-        kappa_h = [n(ell+1) + (n-2) Delta - 2 Delta^2] / (8 Delta^(3/2))
+    kappa is singular on the sonic circle: :class:`RegionError` in the
+    parabolic band and where Delta rounds to 0 (rho_bar^n = 1 in floats).
     """
+    region = classify(params, rho)
     delta = discriminant(params, rho)
+    if region is RegionTag.PARABOLIC or delta == 0.0:
+        raise RegionError(f"kappa is singular on the sonic circle: rho = {rho}, Delta = {delta}")
     core = params.n * (params.ell + 1.0) + (params.n - 2.0) * delta
-    if branch == "elliptic":
-        if delta >= 0.0:
-            raise RegionError(f"elliptic kappa needs Delta < 0, got Delta = {delta}")
+    if region is RegionTag.ELLIPTIC:
         return (core + 2.0 * specfun.checked_pow(delta, 2)) / (4.0 * (-delta) ** 1.5)
-    if branch == "hyperbolic":
-        if delta <= 0.0:
-            raise RegionError(f"hyperbolic kappa needs Delta > 0, got Delta = {delta}")
-        return (core - 2.0 * specfun.checked_pow(delta, 2)) / (8.0 * delta ** 1.5)
-    raise ParameterError(f"branch must be 'elliptic' or 'hyperbolic', got {branch!r}")
+    return (core - 2.0 * specfun.checked_pow(delta, 2)) / (8.0 * delta ** 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +298,13 @@ class LaguerreCase:
     """One (lam, k) pair whose regular radial factor is a Laguerre polynomial.
 
     The catalog rule, judged here only (the enumerators propose candidates):
-    lam >= 1, k >= 0, ell > -1, and for k >= 1 the degeneration condition
-    ``k n ell = (lam^2 - k n)^2 - lam^2`` to 1e-9 of ``max(1, lam^4)``, with
-    ``k n <= lam sqrt(lam^2 - 1)``; ``alpha_bar`` is nonzero and equals
-    ``(2 (lam^2 - k n) + ell) / n`` to 1e-9 relative.  :class:`ParameterError`
-    where a field is NaN or infinite or the rule fails, :class:`DomainError`
-    where lam^4 or ``(lam^2 - k n)^2`` is beyond the float range.
+    lam >= 1, k >= 0, ell > -1, and the degeneration condition
+    ``k n ell = (lam^2 - k n)^2 - lam^2`` to 1e-9 of ``max(1, lam^4)`` (at
+    k = 0 it holds only at lam = 1), with ``k n <= lam sqrt(lam^2 - 1)``;
+    ``alpha_bar`` is nonzero and equals ``(2 (lam^2 - k n) + ell) / n`` to
+    1e-9 relative.  :class:`ParameterError` where a field is NaN or infinite
+    or the rule fails, :class:`DomainError` where lam^4,
+    ``(lam^2 - k n)^2`` or that alpha_bar is beyond the float range.
     """
 
     lam: float
@@ -328,12 +331,13 @@ class LaguerreCase:
         except OverflowError:
             raise DomainError(f"lam^4 or (lam^2 - k n)^2 at lam = {self.lam:g}, k n = {kn:g} "
                               "is beyond the float range") from None
-        if self.k >= 1:
-            if abs(residual) > 1e-9 * scale:
-                raise ParameterError(f"(k, ell, lam) violate the degeneration condition: residual {residual}")
-            if kn > math.sqrt(max(lam2 * (lam2 - 1.0), 0.0)) * (1.0 + 1e-9) + 1e-12:
-                raise ParameterError("k n exceeds lam sqrt(lam^2 - 1)")
+        if abs(residual) > 1e-9 * scale:
+            raise ParameterError(f"(k, ell, lam) violate the degeneration condition: residual {residual}")
+        if kn > math.sqrt(max(lam2 * (lam2 - 1.0), 0.0)) * (1.0 + 1e-9) + 1e-12:
+            raise ParameterError("k n exceeds lam sqrt(lam^2 - 1)")
         expected = (2.0 * (lam2 - kn) + self.ell) / self.n
+        if not math.isfinite(expected):
+            raise DomainError(f"(2 (lam^2 - k n) + ell) / n at n = {self.n:g} is beyond the float range")
         if abs(self.alpha_bar - expected) > 1e-9 * abs(expected):
             raise ParameterError(f"alpha_bar = {self.alpha_bar} is not (2 (lam^2 - k n) + ell) / n = {expected}")
 

@@ -288,32 +288,22 @@ def potential_zeros(pm: PsiModelParams) -> list[float]:
     return sorted(roots)
 
 
-def schrodinger_residual_at(pm: PsiModelParams, r: float, use_fd: bool = False) -> float:
-    """Relative residual of the stationary wave equation at radius r.
-
-    Analytic mode differentiates the amplitude exactly; FD mode replaces the
-    radial Laplacian by central differences of the amplitude (step
-    ``1e-4 sigma_r``).
-    """
+def schrodinger_residual_at(pm: PsiModelParams, r: float) -> float:
+    """Relative residual of the stationary wave equation at radius r, with
+    the amplitude differentiated exactly."""
     if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
     c = (pm.ell + 1.0) / pm.n
+    dlog = -pm.ell / (2.0 * r) + 0.5 * c * pm.n * pm.sigma_r ** pm.n / r ** (pm.n + 1.0)
+    d2log = pm.ell / (2.0 * r ** 2) - 0.5 * c * pm.n * (pm.n + 1.0) * pm.sigma_r ** pm.n / r ** (pm.n + 2.0)
+    return _schrodinger_residual(pm, r, d2log + dlog ** 2 + dlog / r)
+
+
+def _schrodinger_residual(pm: PsiModelParams, r: float, radial_lap: float) -> float:
+    """The wave equation's residual at radius r over its scale, from the radial Laplacian of the
+    amplitude ``r^(-ell/2) exp(-(c/2) (sigma_r/r)^n)``, c = (ell+1)/n, over the amplitude."""
     kappa = pm.angular_number
-
-    def amp(rr: float) -> float:
-        return rr ** (-pm.ell / 2.0) * math.exp(-0.5 * c * pm.sigma_r ** pm.n / rr ** pm.n)
-
-    if use_fd:
-        hh = 1e-4 * pm.sigma_r
-        a0 = amp(r)
-        lap = (
-            (amp(r + hh) - 2.0 * a0 + amp(r - hh)) / hh ** 2
-            + (amp(r + hh) - amp(r - hh)) / (2.0 * hh * r)
-        ) / a0 - kappa ** 2 / r ** 2
-    else:
-        dlog = -pm.ell / (2.0 * r) + 0.5 * c * pm.n * pm.sigma_r ** pm.n / r ** (pm.n + 1.0)
-        d2log = pm.ell / (2.0 * r ** 2) - 0.5 * c * pm.n * (pm.n + 1.0) * pm.sigma_r ** pm.n / r ** (pm.n + 2.0)
-        lap = d2log + dlog ** 2 + dlog / r - kappa ** 2 / r ** 2
+    lap = radial_lap - kappa ** 2 / r ** 2
     u_val = psi_classical_potential(pm, r)
     residual = HBAR ** 2 / (2.0 * MASS) * lap - u_val
     scale = max(abs(u_val), abs(psi_quantum_potential(pm, r)), HBAR ** 2 * kappa ** 2 / (2.0 * MASS * r ** 2), 1e-30)

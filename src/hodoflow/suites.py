@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from . import momentum, specfun, verify
+from . import momentum, potentials, specfun, verify
 from .errors import ParameterError
 from .mapping import SectorDomain, forward_map, invert_map
 from .maxwell import ModelParams, density_F, discriminant
@@ -131,7 +131,6 @@ def suite_momentum() -> list[VerificationReport]:
                 lambda r, t: radial(r) * fac.value(t),
                 dom,
                 grid=(50, 50),
-                tol=1e-5,
                 name=f"momentum-pde-{n}-{ell}-{lam:g}",
             )
         )
@@ -175,7 +174,7 @@ def suite_momentum() -> list[VerificationReport]:
         dmu = math.sqrt(discriminant(p, rho)) / rho
         lam_prime = verify.fd_derivative(lam_fn, rho, h=1e-6 * p.rho_t) / dmu
         residuals.append(
-            (lam_prime + 4.0 * canonical_kappa(p, rho, "hyperbolic") * lam_fn(rho)) / abs(lam_prime)
+            (lam_prime + 4.0 * canonical_kappa(p, rho) * lam_fn(rho)) / abs(lam_prime)
         )
     reports.append(report_from_residuals("kappa-flow-identity", "3 hyperbolic radii", residuals, 1e-4))
 
@@ -320,16 +319,21 @@ def suite_psi() -> list[VerificationReport]:
             residuals.append(schrodinger_residual_at(pm, float(r) * pm.sigma_r))
     reports.append(report_from_residuals("schrodinger-analytic", "3 regimes x 20 radii", residuals, 1e-8))
 
+    # the radial Laplacian of the amplitude from central differences, step 1e-4 sigma_r
     residuals = []
     pm = PsiModelParams.for_regime(4, 6, "two-zeros")
+    c, h = (pm.ell + 1.0) / pm.n, 1e-4 * pm.sigma_r
+    amp = lambda r: r ** (-pm.ell / 2.0) * math.exp(-0.5 * c * pm.sigma_r ** pm.n / r ** pm.n)
     for r in (0.8, 1.5, 3.0):
-        residuals.append(schrodinger_residual_at(pm, r, use_fd=True))
+        up, a0, down = amp(r + h), amp(r), amp(r - h)
+        radial_lap = ((up - 2.0 * a0 + down) / h ** 2 + (up - down) / (2.0 * h * r)) / a0
+        residuals.append(potentials._schrodinger_residual(pm, r, radial_lap))
     reports.append(report_from_residuals("schrodinger-fd", "3 radii, h=1e-4 sigma", residuals, 1e-4))
 
     pm = PsiModelParams(n=4, ell=6, sigma_r=1.3, rho_t=2.0)
     # the density does not depend on phi: the plane integral of r^p psi is 2 pi times one over r
     total, quad_m1, quad_m2 = [
-        verify.adaptive_quad(lambda r: 2.0 * math.pi * r ** (p + 1) * psi_density(pm, r), 0.0, tol=1e-10)
+        verify.adaptive_quad(lambda r: 2.0 * math.pi * r ** (p + 1) * psi_density(pm, r), 0.0)
         for p in (0, 1, 2)
     ]
     reports.append(report_from_residuals("normalization-quadrature", "plane integral", [total - 1.0], 1e-6))

@@ -24,9 +24,12 @@ from .mapping import SectorDomain
 from .momentum import AngularFactor, RadialSolution
 
 #: Stencil step of :func:`pde_residual_coordinate`, relative to the probe
-#: radius, and the tolerance of its report.
+#: radius; the tolerances of its report, of :func:`pde_residual_momentum`'s
+#: report and (absolute and relative) of :func:`adaptive_quad`.
 COORD_H_REL = 1e-3
 COORD_TOL = 1e-3
+MOMENTUM_TOL = 1e-5
+QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -93,23 +96,22 @@ def fd_derivative(f: Callable[[float], float], x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def adaptive_quad(f: Callable[[float], float], a: float, tol: float = 1e-10) -> float:
-    """Adaptive quadrature over [a, inf): quad on [a, cut] plus the tail
-    (cut, inf) through the substitution r = 1/t.  :class:`NoConvergenceError`
+def adaptive_quad(f: Callable[[float], float], a: float) -> float:
+    """Adaptive quadrature over [a, inf) to ``QUAD_TOL``: quad on [a, cut]
+    plus the tail (cut, inf) through the substitution r = 1/t.  :class:`NoConvergenceError`
     where quad reports a failure on either piece (its message is issued first
     as an ``IntegrationWarning``) or the summed error estimate is too large."""
     cut = max(2.0 * abs(a), a + 1.0, 1.0)
-    head, err1, _, *failed = integrate.quad(f, a, cut, epsabs=tol, epsrel=tol, limit=300, full_output=1)
-    tail, err2, _, *tail_failed = integrate.quad(
-        lambda t: f(1.0 / t) / t ** 2, 0.0, 1.0 / cut, epsabs=tol, epsrel=tol, limit=300, full_output=1
-    )
+    opts = dict(epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=300, full_output=1)
+    head, err1, _, *failed = integrate.quad(f, a, cut, **opts)
+    tail, err2, _, *tail_failed = integrate.quad(lambda t: f(1.0 / t) / t ** 2, 0.0, 1.0 / cut, **opts)
     failed += tail_failed  # quad appends its message only where it reports a failure (ier > 0)
     if failed:
         warnings.warn(failed[0], integrate.IntegrationWarning, stacklevel=2)
         raise NoConvergenceError(f"quadrature failed with error estimate {err1 + err2:.2e}: {failed[0]}")
     value, err = head + tail, err1 + err2
-    if err > 50.0 * max(tol, tol * abs(value)) + 1e-300:
-        raise NoConvergenceError(f"quadrature error estimate {err:.2e} too large for tol {tol:.2e}")
+    if err > 50.0 * max(QUAD_TOL, QUAD_TOL * abs(value)) + 1e-300:
+        raise NoConvergenceError(f"quadrature error estimate {err:.2e} too large for tol {QUAD_TOL:.2e}")
     return value
 
 
@@ -169,10 +171,10 @@ def pde_residual_momentum(
     u_fn: Callable[[float, float], float],
     domain: SectorDomain,
     grid: tuple[int, int],
-    tol: float = 1e-5,
     name: str = "momentum-pde",
 ) -> VerificationReport:
-    """Finite-difference residual of the polar momentum-space equation.
+    """Finite-difference residual of the polar momentum-space equation,
+    against the tolerance ``MOMENTUM_TOL``.
 
     ``u_rr + g (u_r / rho + u_tt / rho^2)`` normalized per point by the
     largest term magnitude.  The steps, ``2e-4 rho_T`` and ``2e-4``, are
@@ -185,7 +187,7 @@ def pde_residual_momentum(
     residuals, skipped = _residuals(points, lambda rho, theta: _momentum_residual_at(
         params, u_fn, rho, theta, hr, ht))
     grid_note = f"{grid[0]}x{grid[1]} rho[{domain.rho_min:.4g},{domain.rho_max:.4g}] h={hr:.2e}"
-    return report_from_residuals(name, grid_note, residuals, tol, skipped, len(points))
+    return report_from_residuals(name, grid_note, residuals, MOMENTUM_TOL, skipped, len(points))
 
 
 def chart_phi_fn(
@@ -244,7 +246,6 @@ def pde_residual_coordinate(
     params: ModelParams,
     phi_at: Callable[[float, float], float],
     probes: Sequence[tuple[float, float]],
-    name: str = "coordinate-pde",
 ) -> VerificationReport:
     """Quasilinear-equation residual at coordinate probe points, with h-sweep,
     against the tolerance ``COORD_TOL``.
@@ -261,4 +262,4 @@ def pde_residual_coordinate(
     coarse, _ = sweep(1.0)
     fine, skipped = sweep(0.5)
     note = f"{len(probes)} probes h_rel={COORD_H_REL:.1e}"
-    return _h_sweep_report(name, note, coarse, fine, COORD_TOL, skipped, len(probes))
+    return _h_sweep_report("coordinate-pde", note, coarse, fine, COORD_TOL, skipped, len(probes))

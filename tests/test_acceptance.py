@@ -161,16 +161,10 @@ def test_criterion_5_coordinate_pde():
         for rb, th in [(0.35, 0.5), (0.55, 0.8), (0.75, 1.9), (0.6, 2.6)]:
             mp = forward_map(p, sol, fac, rb * p.rho_t, th)
             probes.append((mp.x, mp.y))
-        report = verify.pde_residual_coordinate(
-            p, verify.chart_phi_fn(p, sol, fac, (0.55 * p.rho_t, 0.8)), probes[:2],
-            name="disk-a",
-        )
-        assert report.passed, report
-        report = verify.pde_residual_coordinate(
-            p, verify.chart_phi_fn(p, sol, fac, (0.75 * p.rho_t, 1.9)), probes[2:],
-            name="disk-b",
-        )
-        assert report.passed, report
+        report = verify.pde_residual_coordinate(p, verify.chart_phi_fn(p, sol, fac, (0.55 * p.rho_t, 0.8)), probes[:2])
+        assert report.passed, ("disk-a", report)
+        report = verify.pde_residual_coordinate(p, verify.chart_phi_fn(p, sol, fac, (0.75 * p.rho_t, 1.9)), probes[2:])
+        assert report.passed, ("disk-b", report)
 
         # elliptic speed bound over the disk
         dom = SectorDomain(0.05 * p.rho_t, 0.98 * p.rho_t, 0.1, 2.0 * math.pi - 0.1)
@@ -189,11 +183,8 @@ def test_criterion_5_coordinate_pde():
                     mp = forward_map(p, sol, fac, rb * p.rho_t, th)
                     probes.append((mp.x, mp.y))
             seed = (0.5 * (r1 + r2) * p.rho_t, 0.0)
-            report = verify.pde_residual_coordinate(
-                p, verify.chart_phi_fn(p, sol, fac, seed), probes,
-                name=f"sector-{n}-{ell}-{lam:g}",
-            )
-            assert report.passed, report
+            report = verify.pde_residual_coordinate(p, verify.chart_phi_fn(p, sol, fac, seed), probes)
+            assert report.passed, (f"sector-{n}-{ell}-{lam:g}", report)
 
             # speed bounds across the full stated sector
             dom = SectorDomain(r1 * p.rho_t, r2 * p.rho_t, -math.radians(tmax), math.radians(tmax))
@@ -212,9 +203,9 @@ def test_criterion_5_coordinate_pde():
             zb = zeta_bar(p, rb * p.rho_t)
             report = verify.pde_residual_coordinate(
                 matched, verify.chart_phi_fn(matched, sol, fac, (rb * p.rho_t, th)),
-                [(zb * math.cos(th), zb * math.sin(th))], name="radial-flow",
+                [(zb * math.cos(th), zb * math.sin(th))],
             )
-            assert report.passed, report
+            assert report.passed, ("radial-flow", report)
 
 
 # ---------------------------------------------------------------------------

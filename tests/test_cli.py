@@ -142,6 +142,13 @@ class TestScriptExit:
         pyproject = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))
         assert pyproject["project"]["scripts"] == {"hodoflow": "hodoflow.cli:console_main"}
 
+    def test_mpmath_is_a_test_extra_only(self):
+        # the tests' high-precision oracles import mpmath; the library never does
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+        assert any(req.startswith("mpmath") for req in project["optional-dependencies"]["test"])
+        assert not any(req.startswith("mpmath") for req in project["dependencies"])
+
 
 def test_map_fields_memory_stays_flat(tmp_path, capsys):
     # map-fields writes its CSV one rho row at a time from the numeric block:
@@ -293,6 +300,23 @@ class TestCharacteristics:
         lines = out.strip().splitlines()
         assert lines[0].startswith("rho_bar,region,")
         assert "inf" in lines[2]  # orthogonal crossing at the sonic circle
+
+    def test_kappa_nan_in_the_parabolic_band(self, capsys):
+        # kappa is singular on the sonic circle, on both sides of rho_T inside the band
+        code, out, _ = run_cli(
+            capsys, "characteristics", "--n", "2", "--ell", "2", "--rho", "0.9999999999999,1.0000000000001"
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(row[1], row[4]) for row in rows] == [("parabolic", "nan")] * 2
+
+    @pytest.mark.parametrize("theta0", ["nan", "inf", "-inf"])
+    def test_non_finite_theta0_is_an_error(self, capsys, theta0):
+        code, out, err = run_cli(
+            capsys, "characteristics", "--n", "2", "--ell", "2", "--rho", "0.5", f"--theta0={theta0}"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: chi requires a finite theta")
 
 
 class TestLaguerreEnum:

@@ -92,7 +92,7 @@ class TestDensity:
     def test_gaussian_case(self):
         p = ModelParams(n=2, ell=0)
         # n=2, ell=0 is a Gaussian in the speed with F(0) = N
-        assert density_F(p, 0.0, norm=3.0) == pytest.approx(3.0)
+        assert density_F(p, 0.0) == 1.0
         zs = np.linspace(0.1, 3.0, 7)
         for z in zs:
             assert density_F(p, z) == pytest.approx(math.exp(-0.5 * (z / p.sigma_v) ** 2), rel=1e-13)
@@ -109,7 +109,7 @@ class TestDensity:
 
     def test_speed_integral_against_quadrature(self, maxwell22):
         closed = density_F_speed_integral(maxwell22)
-        quad = verify.adaptive_quad(lambda z: density_F(maxwell22, z), 0.0, tol=1e-12)
+        quad = verify.adaptive_quad(lambda z: density_F(maxwell22, z), 0.0)
         assert closed == pytest.approx(quad, rel=1e-10)
         # and the closed form is (N/n) Gamma((ell+1)/n) sigma_nl sqrt(2)
         assert closed == pytest.approx(
@@ -124,10 +124,6 @@ class TestDensity:
         p = ModelParams(n=2, ell=-0.5)
         with pytest.raises(DomainError):
             density_F(p, 0.0)
-
-    def test_norm_linearity(self, maxwell22):
-        z = 0.9
-        assert density_F(maxwell22, z, norm=2.0) == pytest.approx(2.0 * density_F(maxwell22, z), rel=1e-15)
 
 
 class TestCoefficients:
@@ -231,7 +227,7 @@ class TestNormalization:
         sol = RadialSolution.from_laguerre_case(p, case)
         fac = AngularFactor(lam=2.0, c1=0.0, c2=1.0)
         dom = SectorDomain(1.9 * p.rho_t, 2.3 * p.rho_t, -0.15, 0.15)
-        n_const = normalization_sector(p, sol, fac, dom, tol=1e-10)
+        n_const = normalization_sector(p, sol, fac, dom)
 
         m_r, m_t = 160, 80
         dr = (dom.rho_max - dom.rho_min) / m_r
@@ -239,7 +235,7 @@ class TestNormalization:
         total = 0.0
         for i in range(m_r):
             rho = dom.rho_min + (i + 0.5) * dr
-            f_val = density_F(p, abs(p.alpha) * rho, norm=n_const)
+            f_val = n_const * density_F(p, abs(p.alpha) * rho)
             for j in range(m_t):
                 theta = dom.theta_min + (j + 0.5) * dt
                 total += f_val * abs(forward_map(p, sol, fac, rho, theta).jac_inv) * rho * dr * dt
@@ -380,7 +376,8 @@ class TestSectorNormalization:
         monkeypatch.setattr(maxwell, "SECTOR_MAX_PANELS", 1)
         with pytest.raises(NoConvergenceError):
             maxwell.normalization_sector(*case)
-        assert maxwell.normalization_sector(*case, tol=1e-7) > 0.0
+        monkeypatch.setattr(maxwell, "SECTOR_TOL", 1e-7)
+        assert maxwell.normalization_sector(*case) > 0.0
 
     #: values recorded from the per-row implementation; the array passes keep them within 1e-13
     RECORDED = {

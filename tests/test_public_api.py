@@ -55,20 +55,13 @@ def test_public_names():
 #: defaults), and those settings by name.
 SETTINGS = {
     "AngularFactor": ["c1", "c2"],
-    "FieldSample": ["flag"],
     "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c1", "c2"],
     "PsiModelParams": ["sigma_r", "rho_t"],
     "RadialSolution": ["lam", "nu", "a", "b", "scale"],
     "VerificationReport": ["skipped_points", "total_points"],
-    "adaptive_quad": ["tol"],
-    "density_F": ["norm"],
     "forward_map": ["allow_degenerate"],
     "laguerre_enumerate_for_ell": ["k_max"],
-    "normalization_sector": ["tol"],
-    "pde_residual_coordinate": ["name"],
-    "pde_residual_momentum": ["tol", "name"],
-    "sample_fields": ["norm"],
-    "schrodinger_residual_at": ["use_fd"],
+    "pde_residual_momentum": ["name"],
 }
 
 
@@ -87,7 +80,7 @@ def test_settings_count():
         if defaults:
             settings[name] = defaults
     assert settings == SETTINGS
-    assert sum(map(len, settings.values())) == 28
+    assert sum(map(len, settings.values())) == 20
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

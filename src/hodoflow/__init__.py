@@ -95,9 +95,6 @@ from .specfun import (
 )
 from .verify import (
     VerificationReport,
-    adaptive_quad,
-    fd_derivative,
-    pde_residual_coordinate,
     pde_residual_momentum,
 )
 

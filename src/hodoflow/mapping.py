@@ -285,16 +285,18 @@ def invert_map(
     sign0 = math.copysign(1.0, point.jac_inv) if point.jac_inv != 0.0 else 0.0
     err = math.hypot(point.x - tx, point.y - ty)
     tol = 1e-13 * scale
-    for _ in range(NEWTON_MAX_ITER):
-        if err <= tol:
-            return MomentumPoint(rho, theta)
+    steps = 0
+    while not err <= tol:  # a NaN residual keeps iterating, and so fails
+        if steps == NEWTON_MAX_ITER:
+            raise NoConvergenceError(f"no convergence after {NEWTON_MAX_ITER} iterations (residual {err:.3e})")
+        steps += 1
         jac = map_differential(params, sol, fac, rho, theta)
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         if det == 0.0 or not math.isfinite(det):
             raise NoConvergenceError("singular differential on the Newton path")
         fx, fy = point.x - tx, point.y - ty
-        drho = -(jac[1, 1] * fx - jac[0, 1] * fy) / det
-        dtheta = -(-jac[1, 0] * fx + jac[0, 0] * fy) / det
+        drho = float(-(jac[1, 1] * fx - jac[0, 1] * fy) / det)
+        dtheta = float(-(-jac[1, 0] * fx + jac[0, 0] * fy) / det)
         # backtracking: keep rho positive and the residual decreasing
         lam_step = 1.0
         for _bt in range(30):
@@ -318,9 +320,7 @@ def invert_map(
             lam_step *= 0.5
         else:
             raise NoConvergenceError("Newton backtracking could not reduce the residual")
-    if err <= tol:
-        return MomentumPoint(rho, theta)
-    raise NoConvergenceError(f"no convergence after {NEWTON_MAX_ITER} iterations (residual {err:.3e})")
+    return MomentumPoint(rho, theta)
 
 
 def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -298,7 +298,7 @@ class LaguerreCase:
     """One (lam, k) pair whose regular radial factor is a Laguerre polynomial.
 
     The catalog rule, judged here only (the enumerators propose candidates):
-    lam >= 1, k >= 0, ell > -1, and the degeneration condition
+    lam >= 1, k >= 0, n > 0, ell > -1, and the degeneration condition
     ``k n ell = (lam^2 - k n)^2 - lam^2`` to 1e-9 of ``max(1, lam^4)`` (at
     k = 0 it holds only at lam = 1), with ``k n <= lam sqrt(lam^2 - 1)``;
     ``alpha_bar`` is nonzero and equals ``(2 (lam^2 - k n) + ell) / n`` to
@@ -319,6 +319,7 @@ class LaguerreCase:
             raise ParameterError(f"Laguerre cases require lam >= 1, got {self.lam}")
         if self.k < 0:
             raise ParameterError(f"k must be non-negative, got {self.k}")
+        _require_order_n(self.n)
         if self.ell <= -1.0:
             raise ParameterError(f"ell must exceed -1, got {self.ell}")
         if self.alpha_bar == 0.0:
@@ -709,7 +710,7 @@ def laguerre_enumerate(n: float, lambda_set: list[float], ell_max: float) -> lis
     return rows
 
 
-def laguerre_enumerate_for_ell(n: float, ell: float, k_max: int = 16) -> list[LaguerreCase]:
+def laguerre_enumerate_for_ell(n: float, ell: float, k_max: int) -> list[LaguerreCase]:
     """Polynomial cases with the distribution pair (n, ell) held fixed.
 
     For each order k >= 1 the degeneration condition is a quadratic in lam^2;

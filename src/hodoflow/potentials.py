@@ -290,12 +290,17 @@ def potential_zeros(pm: PsiModelParams) -> list[float]:
 
 def schrodinger_residual_at(pm: PsiModelParams, r: float) -> float:
     """Relative residual of the stationary wave equation at radius r, with
-    the amplitude differentiated exactly."""
+    the amplitude differentiated exactly.  :class:`DomainError` where a power
+    of r leaves the float range."""
     if not r > 0.0:
         raise DomainError(f"radius must be positive, got {r}")
+    sigma_n, _, r_2 = _psi_powers(pm, r)
+    r_n1, r_n2 = specfun.checked_pow(r, pm.n + 1.0), specfun.checked_pow(r, pm.n + 2.0)
+    if r_n2 == 0.0:  # below r = 1, r^(n+2) <= r^(n+1)
+        raise DomainError(f"r^(n+2) at r = {r:g}, n = {pm.n:g} is out of the float range")
     c = (pm.ell + 1.0) / pm.n
-    dlog = -pm.ell / (2.0 * r) + 0.5 * c * pm.n * pm.sigma_r ** pm.n / r ** (pm.n + 1.0)
-    d2log = pm.ell / (2.0 * r ** 2) - 0.5 * c * pm.n * (pm.n + 1.0) * pm.sigma_r ** pm.n / r ** (pm.n + 2.0)
+    dlog = -pm.ell / (2.0 * r) + 0.5 * c * pm.n * sigma_n / r_n1
+    d2log = pm.ell / (2.0 * r_2) - 0.5 * c * pm.n * (pm.n + 1.0) * sigma_n / r_n2
     return _schrodinger_residual(pm, r, d2log + dlog ** 2 + dlog / r)
 
 

@@ -49,8 +49,6 @@ from .potentials import (
 )
 from .verify import VerificationReport, report_from_residuals
 
-SUITE_NAMES = ("specfun", "momentum", "map", "potentials", "psi", "all")
-
 #: Catalog triples exercised by the mapped-field checks: (n, ell, lam, k, alpha_bar)
 TRIPLES = ((2, 0, 2.0, 1, 2.0), (2, 4, 3.0, 2, 7.0), (2, 2, 4.0, 5, 7.0))
 
@@ -385,6 +383,7 @@ def suite_psi() -> list[VerificationReport]:
     return reports
 
 
+#: Every suite, in the order `all` runs them.
 _SUITES = {
     "specfun": suite_specfun,
     "momentum": suite_momentum,
@@ -392,15 +391,13 @@ _SUITES = {
     "potentials": suite_potentials,
     "psi": suite_psi,
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str) -> list[VerificationReport]:
     """Run one named suite ('all' concatenates every suite in order)."""
     if name == "all":
-        out: list[VerificationReport] = []
-        for key in ("specfun", "momentum", "map", "potentials", "psi"):
-            out.extend(_SUITES[key]())
-        return out
+        return [report for suite in _SUITES.values() for report in suite()]
     if name not in _SUITES:
         raise ParameterError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     return _SUITES[name]()

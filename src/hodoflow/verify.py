@@ -39,7 +39,7 @@ class VerificationReport:
     ``max_abs`` and ``rms`` are already normalized when the check uses
     per-point scales; a report passes iff ``max_abs <= tol``.
     ``skipped_points`` counts flagged nodes and degenerate points, which must
-    stay below 5% of the grid.
+    stay within 5% of ``total_points``.
     """
 
     name: str
@@ -47,15 +47,12 @@ class VerificationReport:
     max_abs: float
     rms: float
     tol: float
-    skipped_points: int = 0
-    total_points: int = 0
+    skipped_points: int
+    total_points: int
 
     @property
     def passed(self) -> bool:
-        ok = self.max_abs <= self.tol
-        if self.total_points > 0:
-            ok = ok and self.skipped_points <= 0.05 * self.total_points
-        return ok
+        return self.max_abs <= self.tol and self.skipped_points <= 0.05 * self.total_points
 
     def to_dict(self) -> dict:
         return {

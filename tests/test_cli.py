@@ -715,7 +715,8 @@ class TestVerify:
         from hodoflow import cli
         from hodoflow.verify import VerificationReport
 
-        failing = VerificationReport("synthetic", "g", max_abs=1.0, rms=1.0, tol=1e-6)
+        failing = VerificationReport("synthetic", "g", max_abs=1.0, rms=1.0, tol=1e-6, skipped_points=0,
+                                     total_points=1)
         monkeypatch.setattr(cli.suites, "run_suite", lambda name: [failing])
         code, out, _ = run_cli(capsys, "verify", "specfun")
         assert code == 4

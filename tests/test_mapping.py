@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hodoflow import mapping
 from hodoflow.errors import (
     DegenerateMapError,
     DomainError,
@@ -250,6 +251,32 @@ class TestInvertMap:
             back = invert_map(p, sol, fac, mp.xy, (rho * 1.02, theta + 0.015))
             assert back.rho == pytest.approx(rho, rel=1e-10)
             assert back.theta == pytest.approx(theta, rel=1e-10, abs=1e-12)
+            assert type(back.rho) is float and type(back.theta) is float
+
+    @pytest.fixture
+    def roundtrip_probe(self):
+        # the map suite's inverse-roundtrip probe at (0.5 rho_T, 0.6)
+        p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
+        rho, theta = 0.5 * p.rho_t, 0.6
+        return p, sol, fac, forward_map(p, sol, fac, rho, theta).xy, (1.03 * rho, theta + 0.02)
+
+    def test_newton_exhaustion(self, roundtrip_probe, monkeypatch):
+        monkeypatch.setattr(mapping, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergenceError, match=r"no convergence after 1 iterations \(residual 1.071e-03\)"):
+            invert_map(*roundtrip_probe)
+
+    @pytest.mark.parametrize("target", [(math.nan, 0.0), (0.5, math.nan)])
+    def test_nan_target_fails(self, roundtrip_probe, target):
+        p, sol, fac, _, seed = roundtrip_probe
+        with pytest.raises(NoConvergenceError, match="backtracking"):
+            invert_map(p, sol, fac, target, seed)
+
+    def test_singular_differential(self):
+        # on the sonic circle g = 0, and Theta' = 0 at theta = 0 for Theta = cos(lam theta)
+        p, sol, _ = triple(2, 0, 2.0, 1, 2.0)
+        fac = AngularFactor(lam=2.0, c1=0.0, c2=1.0)
+        with pytest.raises(NoConvergenceError, match="singular differential"):
+            invert_map(p, sol, fac, (0.3, 0.2), (p.rho_t, 0.0))
 
     def test_target_off_leaf_never_silent(self):
         # a target far outside the seed's leaf must raise, not return junk

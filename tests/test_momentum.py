@@ -651,6 +651,8 @@ class TestFactorizedU:
         (lambda p: hill_coefficient_G(p.with_(c0=0.0), 2.0, p.rho_t), ParameterError, "c0 must be nonzero"),
         (lambda p: LaguerreCase(lam=0.5, k=0, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "lam >= 1"),
         (lambda p: LaguerreCase(lam=2.0, k=-1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "k must be"),
+        (lambda p: LaguerreCase(lam=1.0, k=0, n=0.0, ell=0.0, alpha_bar=1.0), ParameterError, "n must be finite"),
+        (lambda p: LaguerreCase(lam=1.0, k=0, n=-2.0, ell=0.0, alpha_bar=-1.0), ParameterError, "n must be finite"),
         (lambda p: LaguerreCase(lam=2.0, k=0, n=2.0, ell=-1.0, alpha_bar=1.0), ParameterError, "ell must exceed"),
         (lambda p: LaguerreCase(lam=2.0, k=0, n=2.0, ell=0.0, alpha_bar=0.0), ParameterError, "alpha_bar = 0"),
         (lambda p: LaguerreCase(lam=3.0, k=1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "degeneration"),
@@ -685,7 +687,8 @@ class TestFactorizedU:
     ],
     ids=[
         "chi-rho", "slope-rho", "zeta-rho", "zeta_bar-rho", "hill_G-rho", "hill_G-c0",
-        "laguerre-lam", "laguerre-k", "laguerre-ell", "laguerre-alpha_bar", "laguerre-residual",
+        "laguerre-lam", "laguerre-k", "laguerre-n-zero", "laguerre-n-negative", "laguerre-ell",
+        "laguerre-alpha_bar", "laguerre-residual",
         "laguerre-kn", "laguerre-alpha_bar-value", "laguerre-model", "laguerre-lam4", "laguerre-k0-residual",
         "laguerre-alpha_bar-overflow", "laguerre-discriminant",
         "laguerre-ell_max", "radial_row-nan", "chi-nan", "chi-theta-nan", "slope-nan", "zeta_bar-nan", "zeta-nan",

@@ -232,6 +232,16 @@ class TestPsiModel:
         for r in np.geomspace(0.3, 30.0, 25) * pm.sigma_r:
             assert schrodinger_residual_at(pm, float(r)) < 1e-10
 
+    @pytest.mark.parametrize("pm, r", [
+        (PsiModelParams.for_regime(4, 6, "two-zeros"), 1e100),
+        (PsiModelParams.for_regime(4, 6, "two-zeros"), 1e-100),
+        # r^n is subnormal and sigma_r^n / r^n finite, but r^(n+2) underflows to 0
+        (PsiModelParams(n=3.9, ell=3.0, sigma_r=1e-10), 1e-80),
+    ], ids=["large-r", "small-r", "r^(n+2)-underflow"])
+    def test_schrodinger_residual_out_of_range(self, pm, r):
+        with pytest.raises(DomainError, match="out of the float range"):
+            schrodinger_residual_at(pm, r)
+
     def test_schrodinger_residual_fd(self):
         # the finite-difference oracle of the wave equation is the psi suite's
         from hodoflow.suites import suite_psi

@@ -22,15 +22,15 @@ PUBLIC_NAMES = (
     "ModelParams", "MomentumPoint", "NoConvergenceError", "NodeError", "ParameterError", "PoleError",
     "PsiModelParams", "RadialKind", "RadialSolution", "RegionError", "RegionTag",
     "SaturationWarning", "SectorDomain", "SeriesOverflowError", "UnivalenceWarning",
-    "VerificationReport", "adaptive_quad", "bohr_sommerfeld", "canonical_kappa",
+    "VerificationReport", "bohr_sommerfeld", "canonical_kappa",
     "characteristic_chi", "circulation_quantum", "classical_potential",
     "classify", "coeff_g", "coeff_h", "density_F", "density_F_speed_integral",
-    "discriminant", "errors", "factorized_u", "fd_derivative", "forward_map",
+    "discriminant", "errors", "factorized_u", "forward_map",
     "gamma", "hamilton_jacobi_residual", "hill_coefficient_G",
     "hill_substitution_zeta", "hyperbolic_omega", "invert_map", "kummer_ab",
     "kummer_m", "kummer_m_deriv", "laguerre", "laguerre_enumerate", "laguerre_enumerate_for_ell",
     "map_differential", "mapping", "maxwell", "momentum", "normalization_psi_model",
-    "normalization_sector", "nu_roots", "omega_matched_c1", "omega_slope", "pde_residual_coordinate",
+    "normalization_sector", "nu_roots", "omega_matched_c1", "omega_slope",
     "pde_residual_momentum", "potential_zeros", "potentials", "psi_classical_potential",
     "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity",
     "quantum_potential", "radial_moments", "sample_fields",
@@ -48,7 +48,7 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 84
+    assert len(out) == 81
 
 
 #: Every public function and class that has settings (parameters with
@@ -58,9 +58,7 @@ SETTINGS = {
     "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c1", "c2"],
     "PsiModelParams": ["sigma_r", "rho_t"],
     "RadialSolution": ["lam", "nu", "a", "b", "scale"],
-    "VerificationReport": ["skipped_points", "total_points"],
     "forward_map": ["allow_degenerate"],
-    "laguerre_enumerate_for_ell": ["k_max"],
     "pde_residual_momentum": ["name"],
 }
 
@@ -80,7 +78,7 @@ def test_settings_count():
         if defaults:
             settings[name] = defaults
     assert settings == SETTINGS
-    assert sum(map(len, settings.values())) == 20
+    assert sum(map(len, settings.values())) == 17
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -49,9 +49,9 @@ class TestQuadrature:
 
 class TestReports:
     def test_pass_rule(self):
-        rep = VerificationReport("x", "g", max_abs=1e-6, rms=1e-7, tol=1e-5)
+        rep = VerificationReport("x", "g", max_abs=1e-6, rms=1e-7, tol=1e-5, skipped_points=0, total_points=1)
         assert rep.passed
-        rep2 = VerificationReport("x", "g", max_abs=2e-5, rms=1e-7, tol=1e-5)
+        rep2 = VerificationReport("x", "g", max_abs=2e-5, rms=1e-7, tol=1e-5, skipped_points=0, total_points=1)
         assert not rep2.passed
 
     def test_skip_budget(self):

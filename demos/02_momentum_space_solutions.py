@@ -19,12 +19,10 @@ from hodoflow import (
     hyperbolic_omega,
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
-    omega_matched_c1,
-    omega_slope,
     pde_residual_momentum,
     zeta_bar,
 )
-from hodoflow.momentum import LaguerreCase
+from hodoflow.momentum import LaguerreCase, radial_row
 
 print("=== polynomial radial factors for n = 2, integer lam ===")
 print(f"{'lam':>4} {'k':>3} {'ell':>10} {'alpha_bar':>10}")
@@ -61,9 +59,10 @@ for rho_bar in (0.5, 0.9, 1.0, 1.2, 1.8):
 print()
 print("=== angularly symmetric hyperbolic solution ===")
 p0 = ModelParams(n=2, ell=0)
-p0 = p0.with_(c1=omega_matched_c1(p0))
-print("with the matched constant, d Omega/d rho equals the map radius zeta_bar:")
+omega = RadialSolution.omega()
+print("Omega is zeta shifted by a constant, so d Omega/d rho is the map radius zeta_bar:")
 for rho_bar in (1.2, 1.6, 2.2):
     rho = rho_bar * p0.rho_t
+    slope = radial_row(p0, omega, rho)[1]
     print(f"  rho = {rho_bar} rho_T: Omega = {hyperbolic_omega(p0, rho):+.6f}, "
-          f"Omega' = {omega_slope(p0, rho):.6f}, zeta_bar = {zeta_bar(p0, rho):.6f}")
+          f"Omega' = {slope:.6f}, zeta_bar = {zeta_bar(p0, rho):.6f}")

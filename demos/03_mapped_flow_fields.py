@@ -21,7 +21,6 @@ from hodoflow import (
     UnivalenceWarning,
     forward_map,
     invert_map,
-    omega_matched_c1,
     sample_fields,
 )
 from hodoflow.momentum import LaguerreCase
@@ -61,10 +60,10 @@ print(f"forward(1.1 rho_T, 0.5) = ({mp.x:.6f}, {mp.y:.6f}); inverse recovers "
 
 print()
 print("=== radially symmetric hyperbolic flow: empty core of radius e^((ell+1)/n) ===")
-# Omega(rho) is the lam = 0 separated solution with Theta = 1; matching its
-# constant c1 makes Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
+# Omega(rho) is the lam = 0 separated solution with Theta = 1; Omega' =
+# zeta_bar, so rho maps to radius zeta_bar(rho)
 p0 = ModelParams(n=2, ell=0)
-omega_chart = (p0.with_(c1=omega_matched_c1(p0)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0))
+omega_chart = (p0, RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0))
 floor = math.exp((p0.ell + 1.0) / p0.n)
 print(f"image floor r_min = {floor:.6f}")
 for rho_bar in (1.05, 1.4, 2.0):

@@ -52,8 +52,6 @@ from .momentum import (
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
     nu_roots,
-    omega_matched_c1,
-    omega_slope,
     slope_rho_theta,
     zeta_bar,
 )

@@ -58,7 +58,7 @@ EXIT_DEGENERATE = 2
 EXIT_FOLD = 3
 EXIT_VERIFY = 4
 
-_MODEL = {"n": 2.0, "ell": 0.0, "sigma_v": 1.0, "alpha": -0.5, "beta": 1.0, "c0": 1.0, "c1": 1.0, "c2": 0.0,
+_MODEL = {"n": 2.0, "ell": 0.0, "sigma_v": 1.0, "alpha": -0.5, "beta": 1.0, "c0": 1.0, "c2": 0.0,
           "lam": 2.0, "radial": "kummer+"}
 
 #: Defaults of the commands that take ``--config``, by flag dest.  Each key is
@@ -150,18 +150,20 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args) -> dict:
     """The command's config: each key of its defaults table from the flag, else
-    from the ``--config`` file, else the default.  A file value must parse as
-    its default's type, every float must be finite and grid counts must be >= 2."""
+    from the ``--config`` file, else the default.  A file key must be one of
+    the table's, its value must parse as its default's type, every float must
+    be finite and grid counts must be >= 2."""
     defaults = _DEFAULTS[args.command]
     file_keys = _load_config_file(args.config) if args.config else {}
     config = {"command": args.command, **defaults}
     for key, value in file_keys.items():
-        if key in defaults:
-            cast = type(defaults[key])
-            try:
-                config[key] = cast(value)
-            except ValueError:
-                raise ParameterError(f"config value {key} = {value!r} is not a valid {cast.__name__}") from None
+        if key not in defaults:
+            raise ParameterError(f"unknown config key {key!r} for {args.command}")
+        cast = type(defaults[key])
+        try:
+            config[key] = cast(value)
+        except ValueError:
+            raise ParameterError(f"config value {key} = {value!r} is not a valid {cast.__name__}") from None
     config.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
     for key, value in config.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -174,23 +176,21 @@ def _resolve(args) -> dict:
 
 def _separated_model(config: dict):
     """``(params, sol, fac)`` of the separated solution in ``config``, which
-    is updated to the values evaluated: the matched c1 of Omega, the
-    solution's lam and fc1 with -0.0 collapsed."""
-    params = ModelParams(**{key: config[key] for key in ("n", "ell", "sigma_v", "alpha", "beta", "c0", "c1", "c2")})
+    is updated to the values evaluated: the solution's lam and fc1 with -0.0
+    collapsed."""
+    params = ModelParams(**{key: config[key] for key in ("n", "ell", "sigma_v", "alpha", "beta", "c0", "c2")})
     try:
         kind = RadialKind(config["radial"])
     except ValueError:
         raise ParameterError(f"unknown radial {config['radial']!r}") from None
     if kind is RadialKind.HYPERBOLIC_OMEGA:
         sol = RadialSolution.omega()
-        # matched c1: Omega' = zeta_bar, so rho maps to radius zeta_bar(rho)
-        params = params.with_(c1=momentum.omega_matched_c1(params))
     elif kind is RadialKind.CONSTANT:
         sol = RadialSolution.constant()
     else:
         sol = RadialSolution.kummer(params, config["lam"], branch=config["radial"][-1], tricomi=kind.tricomi)
     fac = AngularFactor(lam=sol.lam, c1=config["fc1"] + 0.0, c2=config["fc2"])
-    config.update(c1=params.c1, lam=sol.lam, fc1=fac.c1)
+    config.update(lam=sol.lam, fc1=fac.c1)
     return params, sol, fac
 
 

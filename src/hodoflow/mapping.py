@@ -207,23 +207,19 @@ def forward_map(
     fac: AngularFactor,
     rho: float,
     theta: float,
-    allow_degenerate: bool = False,
 ) -> MapPoint:
     """Image of (rho, theta) in coordinate space, with phase and inverse Jacobian.
 
     ``lam = 1`` makes the inverse Jacobian vanish identically (the momentum
     solution is affine, so the tangent transform loses uniqueness), and a
-    constant u maps every point to the origin; by default both raise
-    :class:`DegenerateMapError`.  Pass ``allow_degenerate=True`` to evaluate
-    anyway, e.g. to inspect the vanishing Jacobian.  Raises :class:`ParameterError`
-    unless sol and fac are one solution of params (:func:`momentum.require_matching`),
-    and :class:`DomainError` where the radial factor cannot be evaluated or the
-    inverse Jacobian is beyond the float range.
+    constant u maps every point to the origin; both raise
+    :class:`DegenerateMapError` (:func:`momentum.require_chart`).  Raises
+    :class:`ParameterError` unless sol and fac are one solution of params
+    (:func:`momentum.require_matching`), and :class:`DomainError` where the
+    radial factor cannot be evaluated or the inverse Jacobian is beyond the
+    float range.
     """
-    if allow_degenerate:
-        momentum.require_matching(params, sol, fac)
-    else:
-        momentum.require_chart(params, sol, fac)
+    momentum.require_chart(params, sol, fac)
     r, rp, _ = momentum.radial_row(params, sol, rho)
     try:
         x, y, phi, jac_inv = _image(

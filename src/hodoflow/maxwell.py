@@ -51,9 +51,9 @@ class ModelParams:
     """Parameters fixing one exact solution family.
 
     ``alpha = -1/2`` and ``beta = 1`` correspond to hbar = m = 1 units; all
-    shipped reference numbers assume them.  ``c0`` scales the radial
-    substitution zeta, ``c1``/``c2`` are the integration constants of the
-    angularly symmetric hyperbolic solution.
+    shipped reference numbers assume them.  ``c0`` (nonzero) scales the
+    radial substitution zeta and the angularly symmetric hyperbolic solution
+    Omega, one antiderivative; ``c2`` shifts Omega.
     """
 
     n: float
@@ -62,7 +62,6 @@ class ModelParams:
     alpha: float = -0.5
     beta: float = 1.0
     c0: float = 1.0
-    c1: float = 1.0
     c2: float = 0.0
 
     def __post_init__(self) -> None:
@@ -77,6 +76,8 @@ class ModelParams:
             raise ParameterError("alpha must be nonzero")
         if self.beta <= 0.0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
+        if self.c0 == 0.0:
+            raise ParameterError("c0 must be nonzero")
 
     @property
     def rho_t(self) -> float:

@@ -242,8 +242,6 @@ def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
     """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
-    if params.c0 == 0.0:
-        raise ParameterError("c0 must be nonzero for the oscillator form")
     rb = params.rho_bar(rho)
     vart = (
         lam
@@ -261,9 +259,17 @@ def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 def nu_roots(ell: float, lam: float) -> tuple[float, float]:
-    """Exponents nu(+-) = -ell/2 +- sqrt(ell^2/4 + lam^2 (ell+1)) of the radial factor."""
+    """Exponents nu(+-) = -ell/2 +- sqrt(ell^2/4 + lam^2 (ell+1)) of the radial
+    factor, the roots of the indicial equation ``nu^2 + ell nu = lam^2 (ell+1)``.
+    The root of larger magnitude is formed as written and the other from
+    ``nu+ nu- = -lam^2 (ell+1)``, so neither cancels."""
     disc = math.sqrt(ell * ell / 4.0 + lam * lam * (ell + 1.0))
-    return -ell / 2.0 + disc, -ell / 2.0 - disc
+    product = -lam * lam * (ell + 1.0)
+    if ell < 0.0:
+        nu_p = -ell / 2.0 + disc
+        return nu_p, product / nu_p
+    nu_m = -ell / 2.0 - disc
+    return (product / nu_m if nu_m != 0.0 else 0.0), nu_m
 
 
 def kummer_ab(n: float, ell: float, nu: float, lam: float) -> tuple[float, float]:
@@ -391,7 +397,6 @@ class RadialSolution:
             kind = RadialKind.TRICOMI_PLUS if branch == "+" else RadialKind.TRICOMI_MINUS
         else:
             kind = RadialKind.KUMMER_PLUS if branch == "+" else RadialKind.KUMMER_MINUS
-        _check_nu(params.ell, lam, nu)
         return RadialSolution(kind=kind, lam=lam, nu=nu, a=a, b=b)
 
     @staticmethod
@@ -411,27 +416,17 @@ class RadialSolution:
 
     @staticmethod
     def omega() -> "RadialSolution":
-        """The angularly symmetric hyperbolic solution Omega(rho), the lam = 0
-        separated solution with Theta = 1 (``AngularFactor(lam=0, c1=0, c2=1)``).
-
-        Omega reads its integration constants from ``ModelParams.c1`` and
-        ``c2``.  With ``c1 = omega_matched_c1(params)``, Omega' equals
+        """The angularly symmetric hyperbolic solution Omega(rho)
+        (:func:`hyperbolic_omega`), the lam = 0 separated solution with
+        Theta = 1 (``AngularFactor(lam=0, c1=0, c2=1)``).  Omega' equals
         zeta_bar, so the map sends (rho, theta) to radius zeta_bar(rho) at
-        polar angle theta, with phase ``rho zeta_bar - Omega``; pass
-        ``params.with_(c1=omega_matched_c1(params))`` to the map, field and
-        potential functions to get that chart.
+        polar angle theta, with phase ``rho zeta_bar - Omega``.
         """
         return RadialSolution(kind=RadialKind.HYPERBOLIC_OMEGA, lam=0.0)
 
     @staticmethod
     def constant() -> "RadialSolution":
         return RadialSolution(kind=RadialKind.CONSTANT, lam=0.0)
-
-
-def _check_nu(ell: float, lam: float, nu: float) -> None:
-    residual = nu * nu + ell * nu - lam * lam * (ell + 1.0)
-    if abs(residual) > 1e-12 * max(1.0, nu * nu, specfun.checked_pow(lam, 4)):
-        raise ParameterError(f"nu = {nu} does not solve the indicial equation (residual {residual})")
 
 
 def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[float, float, float]:
@@ -456,7 +451,7 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
         return 1.0, 0.0, 0.0
     if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
         value = hyperbolic_omega(params, rho)
-        slope = omega_slope(params, rho)
+        slope = zeta_bar(params, rho)
         return value, slope, rho * slope / value if abs(value) >= 1e-300 else math.nan
     rb = _check_rho_bar(params, rho)
     tau = params.tau(rho)
@@ -563,35 +558,13 @@ def _require_hyperbolic(params: ModelParams, rho: float) -> None:
 
 def hyperbolic_omega(params: ModelParams, rho: float) -> float:
     """Angularly symmetric exact solution in the hyperbolic region,
-    ``Omega(rho) = (c1 sqrt(ell+1)/n) e^(-(ell+1)/n) [I(rho_bar^n) + c2]``
-    with ``I`` the Hill integral (:func:`_hill_integral`) that zeta uses.
-    Depends on rho only; the angular average of any flow built on it is
-    trivially preserved.
+    ``Omega(rho) = c0 rho_T (I(rho_bar^n) + c2) / n`` with ``I`` the Hill
+    integral (:func:`_hill_integral`): zeta shifted by ``c0 rho_T c2 / n``,
+    so Omega' = :func:`zeta_bar`.  Depends on rho only; the angular average
+    of any flow built on it is trivially preserved.
     """
     _require_hyperbolic(params, rho)
-    n, ell = params.n, params.ell
-    pref = params.c1 * math.sqrt(ell + 1.0) / n * math.exp(-(ell + 1.0) / n)
-    return pref * (_hill_integral(params, rho) + params.c2)
-
-
-def omega_slope(params: ModelParams, rho: float) -> float:
-    """Exact d(Omega)/d(rho); matches zeta_bar when c1 = c0 rho_T e^((ell+1)/n)/sqrt(ell+1)."""
-    _require_hyperbolic(params, rho)
-    rb = params.rho_bar(rho)
-    ell = params.ell
-    return (
-        params.c1
-        * math.sqrt(ell + 1.0)
-        / params.rho_t
-        * math.exp(-(ell + 1.0) / params.n)
-        * specfun.checked_exp(params.tau(rho))
-        * specfun.checked_pow(rb, -(ell + 1.0))
-    )
-
-
-def omega_matched_c1(params: ModelParams) -> float:
-    """c1 that makes d(Omega)/d(rho) coincide with zeta_bar for the given c0."""
-    return params.c0 * params.rho_t * math.exp((params.ell + 1.0) / params.n) / math.sqrt(params.ell + 1.0)
+    return params.c0 * params.rho_t * (_hill_integral(params, rho) + params.c2) / params.n
 
 
 # ---------------------------------------------------------------------------
@@ -764,12 +737,21 @@ def factorized_u(
 def require_matching(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:
     """Raise :class:`ParameterError` unless R and Theta are one solution of params:
     one separation constant, and a Kummer-based R with the ``(a, b)`` of
-    :func:`kummer_ab` at params' (n, ell), as every factory computes them."""
+    :func:`kummer_ab` at params' (n, ell), as every factory computes them,
+    and a nu that solves the indicial equation ``nu^2 + ell nu - lam^2 (ell+1)
+    = 0`` to 1e-12 of ``nu^2 + |ell nu| + lam^2 (ell+1)``."""
     if abs(sol.lam - fac.lam) > 1e-12:
         raise ParameterError(f"radial lam = {sol.lam} and angular lam = {fac.lam} disagree")
-    if sol.kind.kummer_based and (sol.a, sol.b) != kummer_ab(params.n, params.ell, sol.nu, sol.lam):
+    if not sol.kind.kummer_based:
+        return
+    ell, nu, lam2 = params.ell, sol.nu, sol.lam * sol.lam
+    if (sol.a, sol.b) != kummer_ab(params.n, ell, nu, sol.lam):
         raise ParameterError(f"the radial solution (a = {sol.a}, b = {sol.b}) belongs to "
-                             f"another (n, ell) than n = {params.n}, ell = {params.ell}")
+                             f"another (n, ell) than n = {params.n}, ell = {ell}")
+    residual = nu * nu + ell * nu - lam2 * (ell + 1.0)
+    if not abs(residual) <= 1e-12 * (nu * nu + abs(ell * nu) + lam2 * (ell + 1.0)):
+        raise ParameterError(f"nu = {nu} does not solve the indicial equation at ell = {ell}, "
+                             f"lam = {sol.lam} (residual {residual:.3g})")
 
 
 def require_chart(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:

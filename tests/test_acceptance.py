@@ -34,7 +34,6 @@ from hodoflow.momentum import (
     RadialSolution,
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
-    omega_matched_c1,
     slope_rho_theta,
     zeta_bar,
 )
@@ -194,15 +193,14 @@ def test_criterion_5_coordinate_pde():
             lo, hi = r1 * p.rho_t * abs(p.alpha), r2 * p.rho_t * abs(p.alpha)
             assert all(lo - 1e-12 <= s.speed <= hi + 1e-12 for s in samples)
 
-        # angularly symmetric hyperbolic flow: the Omega chart (Theta = 1, matched c1),
+        # angularly symmetric hyperbolic flow: the Omega chart (Theta = 1),
         # one chart per probe, seeded at the probe itself (the probes are ~1 rad apart)
         p = ModelParams(n=2, ell=0)
-        matched = p.with_(c1=omega_matched_c1(p))
         sol, fac = RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
         for rb, th in [(1.3, 0.2), (1.8, 1.0), (2.3, 2.2)]:
             zb = zeta_bar(p, rb * p.rho_t)
             report = verify.pde_residual_coordinate(
-                matched, verify.chart_phi_fn(matched, sol, fac, (rb * p.rho_t, th)),
+                p, verify.chart_phi_fn(p, sol, fac, (rb * p.rho_t, th)),
                 [(zb * math.cos(th), zb * math.sin(th))],
             )
             assert report.passed, ("radial-flow", report)

@@ -6,9 +6,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,12 +22,12 @@ from hodoflow import (
     AngularFactor,
     FieldSample,
     ModelParams,
+    ParameterError,
     RadialSolution,
     RegionTag,
     SectorDomain,
     UnivalenceWarning,
     normalization_sector,
-    omega_matched_c1,
     sample_fields,
 )
 from hodoflow.cli import _DEFAULTS, _fmt, _resolve, _table, build_parser, console_main, main
@@ -47,6 +49,23 @@ def _readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in block.splitlines() if line.strip()]
 
 
+def _readme_python_blocks() -> list[str]:
+    """The fenced ``python`` blocks of README.md in order, dedented where a
+    list item indents them."""
+    blocks = re.findall(r"^( *)```python\n(.*?)^\1```$", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    return [textwrap.dedent(body) for _, body in blocks]
+
+
+def test_readme_python_blocks(tmp_path, monkeypatch):
+    # the README's Python blocks run in order in one namespace, as a reader pastes them
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_python_blocks()
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+
+
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
 def test_readme_command(argv, tmp_path, monkeypatch, capsys):
     # every README command runs; one that writes files writes the same bytes twice
@@ -62,8 +81,8 @@ def test_readme_command(argv, tmp_path, monkeypatch, capsys):
 
 #: sha256 of the README ``map-fields`` example's CSV and sidecar.
 MAP_FIELDS_DIGESTS = {
-    "fields.csv": "d058f9a512623773e15d3ade85ef34b6bb1c5be6e942e0ab171c3b1ff510531b",
-    "fields.csv.json": "673270c01e9b91cb9cf3a63ef604dcac8c1c64366f20c9719572f63082a1f233",
+    "fields.csv": "a521715f9770362a7ca8ae8af6363dfb3493a3186e4711a28ff13142021d2809",
+    "fields.csv.json": "6b349abb9f4e3c18a2b842d95877667493b027778708bb747d088086e557c343",
 }
 
 
@@ -81,8 +100,8 @@ def test_readme_map_fields_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, digests", [
     ("solve-momentum", {
-        "u.csv": "382294f1072ded7307e93339a88d98b0c1acce1e75a41bf53511f904ec695069",
-        "u.csv.json": "32a86037c1d46e584ed72cd6fd3dde4df3607786fad1977b8bc1ddf17e52b33e",
+        "u.csv": "3305398e67e8e5379df9f42ab3fc2f187d2c7e5b8717b84784e5431f8b5f1814",
+        "u.csv.json": "2c42df036550a57cefb0849a163588cbca1bc2b76592c0c1af67344566ef901b",
     }),
     ("psi-model", {
         "psi.csv": "560e92e88014379853c56f425b19594776138a1db9b3c79f45f2b20921c21ee5",
@@ -167,7 +186,7 @@ def test_map_fields_memory_stays_flat(tmp_path, capsys):
 
 
 def _omega_chart(p):
-    return p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+    return p, RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
 
 
 @pytest.mark.parametrize("flags, model, rho_t_units, theta_deg", [
@@ -236,6 +255,10 @@ def test_grid_counts_below_two_rejected(tmp_path, capsys, command, flag, count):
     assert not out_file.exists()
 
 
+#: Settings solve-momentum and map-fields no longer take: the flag is a usage
+#: error and a config-file key an error naming it.
+REMOVED_SETTINGS = ("c1",)
+
 #: A flag value and a config-file value for a setting of each type, both
 #: unlike every default; the strings are valid choices of radial and regime.
 _SETTING_VALUES = {float: ("3.5", "2.5"), int: ("7", "5")}
@@ -256,9 +279,19 @@ def test_one_flag_per_setting(command):
 
 
 @pytest.mark.parametrize("command, key", [(command, key) for command in sorted(_DEFAULTS)
-                                          for key in _DEFAULTS[command]])
-def test_every_setting_from_flag_and_file(command, key, tmp_path):
+                                          for key in _DEFAULTS[command]]
+                         + [(command, key) for command in ("map-fields", "solve-momentum") for key in REMOVED_SETTINGS])
+def test_every_setting_from_flag_and_file(command, key, tmp_path, capsys):
     # each setting reaches the config from its flag and from a config file; the flag wins
+    if key in REMOVED_SETTINGS:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2.5\n")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, f"--{key}", "3.5", "--output", str(tmp_path / "x.csv")])
+        assert exc.value.code == 1 and "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(ParameterError, match=f"unknown config key '{key}'"):
+            _resolve(build_parser().parse_args([command, "--config", str(cfg), "--output", str(tmp_path / "x.csv")]))
+        return
     flag = next(action.option_strings[0] for action in _config_actions(command) if action.dest == key)
     cast = type(_DEFAULTS[command][key])
     flag_value, file_value = _STRING_VALUES[key] if cast is str else _SETTING_VALUES[cast]
@@ -269,6 +302,18 @@ def test_every_setting_from_flag_and_file(command, key, tmp_path):
     from_flag = _resolve(build_parser().parse_args([command, flag, flag_value, *tail]))[key]
     assert (from_file, from_flag) == (cast(file_value), cast(flag_value))
     assert cast(file_value) != _DEFAULTS[command][key] != cast(flag_value)
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_unknown_config_key_rejected(command, tmp_path, capsys):
+    # a misspelt key would set nothing and leave its default: an error naming it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_rh0 = 50\nlamda = 7\n")
+    out_file = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--output", str(out_file))
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown config key 'n_rh0' for {command}\n"
+    assert not out_file.exists()
 
 
 class TestClassify:
@@ -417,6 +462,16 @@ class TestMapFields:
         assert code == 2
         assert "degenerate" in err.lower()
 
+    def test_zero_c0_exit_code(self, tmp_path, capsys):
+        # c0 = 0 makes u = 0 everywhere, a constant u: ModelParams refuses it
+        out_file = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "map-fields", "--n", "2", "--ell", "0", "--radial", "omega", "--c0", "0", "--rho-min", "1.2",
+            "--rho-max", "1.6", "--n-rho", "3", "--n-theta", "2", "--output", str(out_file),
+        )
+        assert (code, out, err) == (1, "", "error: c0 must be nonzero\n")
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("radial", [("--radial", "constant"), ("--radial", "kummer+", "--lambda", "0")])
     @pytest.mark.parametrize("normalize", ["0", "1"])
     def test_constant_u_exit_code(self, tmp_path, capsys, radial, normalize):
@@ -482,8 +537,7 @@ class TestMapFields:
             densities[normalize] = [float(line.split(",")[6]) for line in lines]
         p = ModelParams(n=2, ell=0)
         dom = SectorDomain(1.2 * p.rho_t, 2.2 * p.rho_t, 0.0, math.radians(40.0))
-        norm = normalization_sector(p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(),
-                                    AngularFactor(lam=0.0, c1=0.0, c2=1.0), dom)
+        norm = normalization_sector(*_omega_chart(p), dom)
         assert norm != pytest.approx(1.0, rel=1e-3)
         for d0, d1 in zip(densities["0"], densities["1"]):
             assert d1 == pytest.approx(d0 * norm, rel=1e-14)
@@ -626,7 +680,7 @@ class TestSolveMomentum:
         assert summary == {"rows": 256, "out_of_range_rows": len(nan_rows)} and len(nan_rows) > 0
 
     def test_omega_evaluates_the_mapped_flow(self, tmp_path, capsys):
-        # the matched-c1 Omega that map-fields maps; rows inside rho_T are nan, not an error
+        # the Omega that map-fields maps; rows inside rho_T are nan, not an error
         out_file = tmp_path / "u.csv"
         code, _, err = run_cli(
             capsys, "solve-momentum", "--n", "2", "--ell", "0", "--radial", "omega",
@@ -634,16 +688,15 @@ class TestSolveMomentum:
         )
         assert code == 0 and err == ""
         p = ModelParams(n=2, ell=0)
-        matched = p.with_(c1=omega_matched_c1(p))
         sidecar = json.loads((tmp_path / "u.csv.json").read_text())
-        assert sidecar["config"]["c1"] == matched.c1 and sidecar["config"]["lam"] == 0.0
+        assert "c1" not in sidecar["config"] and sidecar["config"]["lam"] == 0.0
         rows = [line.split(",") for line in out_file.read_text().splitlines() if not line.startswith("#")][1:]
         inside = [row for row in rows if float(row[0]) < 1.0]
         assert len(inside) == 8 and all(row[2] == row[3] == "nan" for row in inside)
         for row in rows:
             if float(row[0]) > 1.0:
                 rho = float(row[0]) * p.rho_t
-                assert float(row[3]) == pytest.approx(radial_row(matched, RadialSolution.omega(), rho)[0], rel=1e-13)
+                assert float(row[3]) == pytest.approx(radial_row(p, RadialSolution.omega(), rho)[0], rel=1e-13)
         assert sidecar["summary"] == {"rows": 18, "out_of_range_rows": 8}
 
 
@@ -731,8 +784,9 @@ class TestVerify:
 #: 3rd power of its reciprocal stays finite.
 GRID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e-9", "1e-50")
 
-_MODEL_FLAGS = ("--n", "--ell", "--sigma-v", "--alpha", "--beta", "--c0", "--c1", "--c2", "--lambda", "--fc1",
-                "--fc2", "--rho-min", "--rho-max", "--theta-min", "--theta-max", "--n-rho", "--n-theta")
+_MODEL_FLAGS = ("--n", "--ell", "--sigma-v", "--alpha", "--beta", "--c0", "--c2", "--lambda", "--fc1",
+                "--fc2", "--rho-min", "--rho-max", "--theta-min", "--theta-max", "--n-rho", "--n-theta",
+                *("--" + key for key in REMOVED_SETTINGS))
 
 #: Each subcommand's required arguments and the numeric flags varied on them,
 #: the others left at their defaults; laguerre-enum runs in both of its modes.
@@ -777,3 +831,5 @@ def test_numeric_flag_grid(base, flag, grid_output, capsys):
     except SystemExit as exc:
         code = exc.code
     assert code in DOCUMENTED_EXITS[base[0]]
+    if flag.split("=")[0][2:] in REMOVED_SETTINGS:
+        assert code == 1 and "unrecognized arguments" in capsys.readouterr().err

@@ -20,20 +20,23 @@ from hodoflow.errors import (
 from hodoflow.mapping import (
     FieldSample,
     SectorDomain,
+    _image,
     forward_map,
     invert_map,
     map_differential,
     sample_fields,
 )
-from hodoflow.maxwell import ModelParams, RegionTag, density_F, normalization_sector
+from hodoflow.maxwell import ModelParams, RegionTag, coeff_g, density_F, normalization_sector
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
+    RadialKind,
     RadialSolution,
     factorized_u,
-    omega_matched_c1,
+    kummer_ab,
     radial_row,
     radial_rows,
+    require_matching,
     zeta_bar,
 )
 from hodoflow.potentials import classical_potential, quantum_potential
@@ -49,8 +52,17 @@ def triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
 
 
 def omega_chart(p):
-    """The angularly symmetric flow: Omega with Theta = 1 and c1 matched so Omega' = zeta_bar."""
-    return p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+    """The angularly symmetric flow: Omega with Theta = 1, so that Omega' = zeta_bar."""
+    return p, RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+
+
+def unchecked_image(p, sol, fac, rho, theta):
+    """forward_map's ``(x, y, phi, J^-1)`` without its chart check, so also at
+    lam = 1 and for a constant u; R and Theta must still match params."""
+    require_matching(p, sol, fac)
+    r, rp, _ = radial_row(p, sol, rho)
+    return _image(rho, r, rp, coeff_g(p, rho), fac.lam, fac.value(theta), fac.deriv(theta),
+                  math.cos(theta), math.sin(theta))
 
 
 #: The three catalog triples used throughout: (n, ell, lam, k, alpha_bar)
@@ -89,7 +101,7 @@ class TestForwardMap:
             forward_map(p, sol, fac, 1.0, 0.3)
 
     def test_degenerate_lambda_zero_jacobian(self):
-        # with the guard lifted, |J^-1| vanishes identically for lam = 1
+        # without the chart check, |J^-1| vanishes identically for lam = 1
         p = ModelParams(n=2, ell=2)
         sol = RadialSolution.kummer(p, 1.0)
         fac = AngularFactor(lam=1.0, c1=0.7, c2=0.4)
@@ -97,8 +109,7 @@ class TestForwardMap:
         for _ in range(100):
             rho = rng.uniform(0.1, 2.5) * p.rho_t
             theta = rng.uniform(-math.pi, math.pi)
-            mp = forward_map(p, sol, fac, rho, theta, allow_degenerate=True)
-            assert abs(mp.jac_inv) < 1e-12
+            assert abs(unchecked_image(p, sol, fac, rho, theta)[3]) < 1e-12
 
     @pytest.mark.parametrize("radial", ["kummer+", "tricomi+", "constant"])
     def test_constant_u_rejected(self, radial):
@@ -115,9 +126,9 @@ class TestForwardMap:
             forward_map(p, sol, fac, 1.4 * p.rho_t, 0.1)
         with pytest.raises(DegenerateMapError):
             sample_fields(p, sol, fac, dom, grid=(4, 5))
-        # with the guard lifted, the collapsed image is still evaluated
-        mp = forward_map(p, sol, fac, 1.4 * p.rho_t, 0.1, allow_degenerate=True)
-        assert mp.x == mp.y == 0.0
+        # without the chart check, the collapsed image is still evaluated
+        x, y, _, _ = unchecked_image(p, sol, fac, 1.4 * p.rho_t, 0.1)
+        assert x == y == 0.0
 
     def test_lam_zero_with_varying_factor_accepted(self):
         p = ModelParams(n=2, ell=3)  # b = 1/2 on the minus branch
@@ -720,7 +731,7 @@ class TestAbsJacInvArc:
         got = _abs_jac_inv_arc(*(np.array([v]) for v in (rho, r, rp, coeff_g(p, rho))), fac, *theta)[0]
 
         def jac(t):
-            return forward_map(p, sol, fac, rho, t, allow_degenerate=True).jac_inv
+            return unchecked_image(p, sol, fac, rho, t)[3]
 
         grid = np.linspace(*theta, 257)
         vals = [jac(t) for t in grid]
@@ -822,12 +833,13 @@ class TestAbsJacInvArcRows:
 #: One hyperbolic point and sector (rho in rho_T), where every kind below has a chart.
 _RHO, _THETA = 1.4, 0.1
 
-#: Every entry point that takes a (params, sol, fac); ``xy`` is the target of
-#: ``invert_map``, which starts from (_RHO, _THETA), and the others ignore it.
+#: Every entry point that takes a (params, sol, fac), and forward_map's
+#: arithmetic without the chart check (:func:`unchecked_image`); ``xy`` is the
+#: target of ``invert_map``, which starts from (_RHO, _THETA), and the others
+#: ignore it.
 MODEL_CHECKED = {
     "forward_map": lambda p, sol, fac, xy: forward_map(p, sol, fac, _RHO * p.rho_t, _THETA),
-    "forward_map-degenerate": lambda p, sol, fac, xy: forward_map(p, sol, fac, _RHO * p.rho_t, _THETA,
-                                                                   allow_degenerate=True),
+    "forward_map-degenerate": lambda p, sol, fac, xy: unchecked_image(p, sol, fac, _RHO * p.rho_t, _THETA),
     "map_differential": lambda p, sol, fac, xy: map_differential(p, sol, fac, _RHO * p.rho_t, _THETA),
     "invert_map": lambda p, sol, fac, xy: invert_map(p, sol, fac, xy, (_RHO * p.rho_t, _THETA)),
     "quantum_potential": lambda p, sol, fac, xy: quantum_potential(p, sol, fac, _RHO * p.rho_t, _THETA),
@@ -856,6 +868,14 @@ class TestModelCheck:
         with pytest.raises(ParameterError, match="another"):
             MODEL_CHECKED[entry](ModelParams(n=2, ell=2), sol, AngularFactor(lam=2.5, c1=1.0, c2=0.0), (1.0, 0.5))
 
+    @pytest.mark.parametrize("entry", MODEL_CHECKED)
+    def test_nu_off_the_indicial_equation_raises(self, entry):
+        # (a, b) agree with nu = 7, but nu^2 + ell nu - lam^2 (ell+1) = 45.75: the roots are 3.937 and -5.937
+        a, b = kummer_ab(2.0, 4.0, 7.0, 2.5)
+        sol = RadialSolution(kind=RadialKind.KUMMER_PLUS, lam=2.5, nu=7.0, a=a, b=b)
+        with pytest.raises(ParameterError, match="indicial"):
+            MODEL_CHECKED[entry](ModelParams(n=2, ell=4), sol, AngularFactor(lam=2.5, c1=0.0, c2=1.0), (1.0, 0.5))
+
     @pytest.mark.parametrize("case", ["lam-one", "constant-u"])
     @pytest.mark.parametrize("entry", sorted(set(MODEL_CHECKED) - {"forward_map-degenerate", "map_differential",
                                                                     "factorized_u"}))
@@ -878,8 +898,6 @@ class TestModelCheck:
         else:
             sol, fac = RadialSolution.constant(), AngularFactor(lam=0.0, c1=0.5, c2=1.0)
         for p in (ModelParams(n=2, ell=4), ModelParams(n=2, ell=2)):
-            if kind == "omega":
-                p = p.with_(c1=omega_matched_c1(p))
             xy = forward_map(p, sol, fac, _RHO * p.rho_t, _THETA).xy
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnivalenceWarning)

@@ -39,7 +39,7 @@ class TestModelParams:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"n": 0.0}, {"n": -1.0}, {"ell": -1.0}, {"sigma_v": 0.0}, {"alpha": 0.0}, {"beta": -2.0}],
+        [{"n": 0.0}, {"n": -1.0}, {"ell": -1.0}, {"sigma_v": 0.0}, {"alpha": 0.0}, {"beta": -2.0}, {"c0": 0.0}],
     )
     def test_validation(self, kw):
         base = dict(n=2, ell=2)
@@ -47,7 +47,7 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(**base)
 
-    @pytest.mark.parametrize("field", ["n", "ell", "sigma_v", "alpha", "beta", "c0", "c1", "c2"])
+    @pytest.mark.parametrize("field", ["n", "ell", "sigma_v", "alpha", "beta", "c0", "c2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, bad):
         # NaN passes every ordered comparison of the range checks, so each
@@ -352,11 +352,11 @@ class TestSectorNormalization:
 
         from hodoflow.mapping import SectorDomain
         from hodoflow.maxwell import normalization_sector
-        from hodoflow.momentum import RadialSolution, omega_matched_c1
+        from hodoflow.momentum import RadialSolution
 
         p = ModelParams(n=n, ell=ell)
         dom = SectorDomain(rho_min * p.rho_t, 2.2 * p.rho_t, -0.4, 0.9)
-        chart = (p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0))
+        chart = (p, RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0))
 
         def ring(rho):
             zeta_bar = p.c0 * p.rho_bar(rho) ** -(ell + 1.0) * math.exp(p.tau(rho))

@@ -26,9 +26,8 @@ from hodoflow.momentum import (
     laguerre_enumerate,
     laguerre_enumerate_for_ell,
     nu_roots,
-    omega_matched_c1,
-    omega_slope,
     radial_row,
+    require_matching,
     slope_rho_theta,
     zeta_bar,
 )
@@ -144,11 +143,11 @@ class TestCanonicalKappa:
             canonical_kappa(p, 0.5 * p.rho_t)
 
     def test_flow_identity_along_mu(self, m22):
-        # Lambda = dOmega/dmu satisfies Lambda' + 4 kappa_h Lambda = 0 along mu
+        # Lambda = dOmega/dmu satisfies Lambda' + 4 kappa_h Lambda = 0 along mu; Omega' = zeta_bar
         p = m22
 
         def lam_of_rho(rho):
-            return omega_slope(p, rho) * rho / math.sqrt(discriminant(p, rho))
+            return zeta_bar(p, rho) * rho / math.sqrt(discriminant(p, rho))
 
         rho = 1.6 * p.rho_t
         dmu_drho = math.sqrt(discriminant(p, rho)) / rho
@@ -205,9 +204,8 @@ class TestHillSubstitution:
             lambda p: characteristic_chi(p, CharacteristicKind.HYPERBOLIC_PLUS, 1e200, 0.0),
             lambda p: hill_coefficient_G(p, 2.0, 1e200),
             lambda p: zeta_bar(p, 100.0),  # exp(tau) overflows, tau = 3750
-            lambda p: omega_slope(p, 100.0),
         ],
-        ids=["zeta_bar-tiny", "zeta_bar-huge", "mu_plus-huge", "hill_G-huge", "zeta_bar-exp", "omega_slope-exp"],
+        ids=["zeta_bar-tiny", "zeta_bar-huge", "mu_plus-huge", "hill_G-huge", "zeta_bar-exp"],
     )
     def test_powers_beyond_float_range_raise_domain_error(self, m22, evaluate):
         with pytest.raises(DomainError, match="out of the float range"):
@@ -340,24 +338,45 @@ class TestRadialSolutions:
             assert a1 == pytest.approx(b1, rel=1e-14, abs=1e-14)
             assert a2 == pytest.approx(b2, rel=1e-14, abs=1e-14)
 
+    @pytest.mark.parametrize("ell, lam", [(1000.0, 0.01), (1e8, 10.0)])
+    def test_roots_do_not_cancel(self, ell, lam):
+        # -ell/2 + sqrt(ell^2/4 + lam^2 (ell+1)) cancels here; the product of the roots does not
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(n=2, ell=ell)
+        with mpmath.workdps(50):
+            disc = mpmath.sqrt(mpmath.mpf(ell) ** 2 / 4 + mpmath.mpf(lam) ** 2 * (ell + 1))
+            want = (-mpmath.mpf(ell) / 2 + disc, -mpmath.mpf(ell) / 2 - disc)
+        for branch, got, exact in zip("+-", nu_roots(ell, lam), want):
+            assert abs(got - exact) <= 1e-15 * abs(exact)
+            sol = RadialSolution.kummer(p, lam, branch=branch)
+            require_matching(p, sol, AngularFactor(lam=lam))
+
+    def test_integer_roots_are_exact(self):
+        # the README triple and the CLI default: nu+ = 5 and 2, nu- = -9 and -2
+        assert nu_roots(4.0, 3.0) == (5.0, -9.0)
+        assert nu_roots(0.0, 2.0) == (2.0, -2.0)
+
 
 class TestHyperbolicOmega:
     def test_slope_matches_zeta_bar_when_matched(self, m22):
-        p = m22.with_(c1=omega_matched_c1(m22))
+        # Omega is zeta shifted by c0 rho_T c2 / n: its row's slope is zeta_bar
+        p = m22.with_(c0=1.3, c2=0.4)
         for rho in (1.2 * p.rho_t, 1.8 * p.rho_t, 2.6 * p.rho_t):
-            assert omega_slope(p, rho) == pytest.approx(zeta_bar(p, rho), rel=1e-10)
+            value, slope, _ = radial_row(p, RadialSolution.omega(), rho)
+            assert slope == zeta_bar(p, rho)
+            assert value == pytest.approx(hill_substitution_zeta(p, rho) + p.c0 * p.rho_t * p.c2 / p.n, rel=1e-15)
 
     def test_fd_slope(self):
-        p = ModelParams(n=2, ell=0, c1=1.7, c2=0.4)
+        p = ModelParams(n=2, ell=0, c0=1.7, c2=0.4)
         rho = 1.8 * p.rho_t
         fd = fd_derivative(lambda r: hyperbolic_omega(p, r), rho, h=1e-7 * p.rho_t)
-        assert fd == pytest.approx(omega_slope(p, rho), rel=1e-6)
+        assert fd == pytest.approx(zeta_bar(p, rho), rel=1e-6)
 
     def test_series_branch_fd_slope(self):
-        p = ModelParams(n=2, ell=1.3, c1=0.9)
+        p = ModelParams(n=2, ell=1.3, c0=0.9)
         rho = 1.5 * p.rho_t
         fd = fd_derivative(lambda r: hyperbolic_omega(p, r), rho, h=1e-7 * p.rho_t)
-        assert fd == pytest.approx(omega_slope(p, rho), rel=1e-6)
+        assert fd == pytest.approx(zeta_bar(p, rho), rel=1e-6)
 
     def test_region_error(self, m22):
         with pytest.raises(RegionError):
@@ -431,20 +450,19 @@ class TestHillIntegral:
                 assert abs(got - want) <= 1e-12 * abs(want), ("zeta", n, ell, x)
                 if x_target < 1.0:
                     continue
-                pref = p.c1 * mpmath.sqrt(ell + 1) / n * mpmath.exp(-(mpmath.mpf(ell) + 1) / n)
-                want = pref * (hill + p.c2)
+                want = p.c0 * p.rho_t * (hill + p.c2) / n
                 got = hyperbolic_omega(p, rho)
                 assert abs(got - want) <= 1e-12 * abs(want), ("omega", n, ell, x)
 
     @pytest.mark.parametrize("n, k, rho_bar", [(2.0, 3, 1.5), (1.0, 8, 30.0), (1.5, 5, 9.0), (4.0, 6, 2.6)])
     def test_fd_derivatives_high_k(self, n, k, rho_bar):
-        p = ModelParams(n=n, ell=n * k, c1=0.8, c2=0.3)
+        p = ModelParams(n=n, ell=n * k, c0=0.8, c2=0.3)
         rho = rho_bar * p.rho_t
         h = 1e-7 * p.rho_t
         fd = fd_derivative(lambda r: hill_substitution_zeta(p, r), rho, h=h)
         assert fd == pytest.approx(zeta_bar(p, rho), rel=1e-6)
         fd = fd_derivative(lambda r: hyperbolic_omega(p, r), rho, h=h)
-        assert fd == pytest.approx(omega_slope(p, rho), rel=1e-6)
+        assert fd == pytest.approx(zeta_bar(p, rho), rel=1e-6)
 
     def test_beyond_float_range_raises(self):
         # at x = 48, I is about e^911 for ell = 40.5; for ell = 400, x^-q

@@ -8,7 +8,7 @@ import pytest
 from hodoflow.errors import DegenerateMapError, DivergenceError, DomainError, NodeError, ParameterError, RegionError
 from hodoflow.mapping import forward_map, invert_map
 from hodoflow.maxwell import ModelParams, density_F
-from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution, omega_matched_c1
+from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution
 from hodoflow.potentials import (
     PsiModelParams,
     bohr_sommerfeld,
@@ -140,8 +140,8 @@ class TestClassicalPotential:
 
 
 def omega_chart(p):
-    """The angularly symmetric flow: Omega with Theta = 1 and c1 matched so Omega' = zeta_bar."""
-    return p.with_(c1=omega_matched_c1(p)), RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+    """The angularly symmetric flow: Omega with Theta = 1, so that Omega' = zeta_bar."""
+    return p, RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
 
 
 class TestRadialFlowPotential:

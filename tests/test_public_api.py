@@ -30,9 +30,8 @@ PUBLIC_NAMES = (
     "hill_substitution_zeta", "hyperbolic_omega", "invert_map", "kummer_ab",
     "kummer_m", "kummer_m_deriv", "laguerre", "laguerre_enumerate", "laguerre_enumerate_for_ell",
     "map_differential", "mapping", "maxwell", "momentum", "normalization_psi_model",
-    "normalization_sector", "nu_roots", "omega_matched_c1", "omega_slope",
-    "pde_residual_momentum", "potential_zeros", "potentials", "psi_classical_potential",
-    "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity",
+    "normalization_sector", "nu_roots", "pde_residual_momentum", "potential_zeros", "potentials",
+    "psi_classical_potential", "psi_density", "psi_model_eval", "psi_quantum_potential", "psi_velocity",
     "quantum_potential", "radial_moments", "sample_fields",
     "schrodinger_residual_at",
     "sigma_r_closed_form", "sigma_r_from_moments", "slope_rho_theta", "specfun", "tricomi_psi",
@@ -48,17 +47,16 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 81
+    assert len(out) == 79
 
 
 #: Every public function and class that has settings (parameters with
 #: defaults), and those settings by name.
 SETTINGS = {
     "AngularFactor": ["c1", "c2"],
-    "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c1", "c2"],
+    "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c2"],
     "PsiModelParams": ["sigma_r", "rho_t"],
     "RadialSolution": ["lam", "nu", "a", "b", "scale"],
-    "forward_map": ["allow_degenerate"],
     "pde_residual_momentum": ["name"],
 }
 
@@ -78,7 +76,7 @@ def test_settings_count():
         if defaults:
             settings[name] = defaults
     assert settings == SETTINGS
-    assert sum(map(len, settings.values())) == 17
+    assert sum(map(len, settings.values())) == 15
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

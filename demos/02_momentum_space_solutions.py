@@ -41,7 +41,7 @@ p = ModelParams(n=2, ell=4)
 case = LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=7.0)
 sol = RadialSolution.from_laguerre_case(p, case)
 fac = AngularFactor(lam=3.0, c1=1.0, c2=0.0)
-print(f"u(rho, theta) = (-1)^2 rho_bar^{sol.nu:g} L_2^(7)(tau) sin(3 theta)")
+print(f"u(rho, theta) = (-1)^2 rho_bar^{sol.exponents(p)[0]:g} L_2^(7)(tau) sin(3 theta)")
 for rho_bar, theta in [(0.5, 0.4), (1.0, 0.4), (1.7, 0.4)]:
     print(f"  u({rho_bar} rho_T, {theta}) = {factorized_u(p, sol, fac, rho_bar * p.rho_t, theta):+.6f}")
 report = pde_residual_momentum(

@@ -18,7 +18,7 @@ import enum
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -364,7 +364,9 @@ class LaguerreCase:
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Tagged choice of radial factor.
+    """Tagged choice of radial factor: a kind, its separation constant lam
+    and a scale.  A Kummer-based kind's nu, a and b follow from the model it
+    is evaluated in (:meth:`exponents`), as Omega reads its model.
 
     ``scale`` multiplies the raw power-times-Kummer form; Laguerre-case
     constructions set it so the radial factor is ``(-1)^k rho_bar^nu L_k(tau)``.
@@ -372,47 +374,49 @@ class RadialSolution:
 
     kind: RadialKind
     lam: float = 0.0
-    nu: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self) -> None:
         require_finite(self)
         if self.lam < 0.0:
             raise ParameterError(f"lam must be non-negative, got {self.lam}")
-        if self.kind.kummer_based:
-            if specfun.is_nonpositive_integer(self.b) and not self.kind.tricomi:
-                raise ParameterError(f"b = {self.b} is a non-positive integer; M branch undefined")
-            if self.kind.tricomi and abs(self.b - round(self.b)) <= 1e-9:
-                raise ParameterError(f"b = {self.b} integer; Tricomi branch not implemented")
+
+    def exponents(self, params: ModelParams) -> tuple[float, float, float]:
+        """``(nu, a, b)`` of a Kummer-based kind under params: nu the first
+        root of :func:`nu_roots` for the ``+`` kinds and the second for the
+        ``-`` kinds, and ``(a, b)`` from :func:`kummer_ab`.  Raises
+        :class:`ParameterError` for another kind, where nu, a or b is not
+        finite, and where b is a non-positive integer on the M branch or an
+        integer on the Tricomi branch."""
+        if not self.kind.kummer_based:
+            raise ParameterError(f"the {self.kind.value} kind has no Kummer exponents")
+        nu = nu_roots(params.ell, self.lam)[self.kind.value.endswith("-")]
+        a, b = kummer_ab(params.n, params.ell, nu, self.lam)
+        if not (math.isfinite(nu) and math.isfinite(a) and math.isfinite(b)):
+            raise ParameterError(f"nu = {nu}, a = {a}, b = {b} at lam = {self.lam} must be finite")
+        if self.kind.tricomi and abs(b - round(b)) <= 1e-9:
+            raise ParameterError(f"b = {b} integer; Tricomi branch not implemented")
+        if not self.kind.tricomi and specfun.is_nonpositive_integer(b):
+            raise ParameterError(f"b = {b} is a non-positive integer; M branch undefined")
+        return nu, a, b
 
     # -- factories ---------------------------------------------------------
     @staticmethod
     def kummer(params: ModelParams, lam: float, branch: str = "+", tricomi: bool = False) -> "RadialSolution":
-        nu_p, nu_m = nu_roots(params.ell, lam)
-        nu = nu_p if branch == "+" else nu_m
-        a, b = kummer_ab(params.n, params.ell, nu, lam)
-        if tricomi:
-            kind = RadialKind.TRICOMI_PLUS if branch == "+" else RadialKind.TRICOMI_MINUS
-        else:
-            kind = RadialKind.KUMMER_PLUS if branch == "+" else RadialKind.KUMMER_MINUS
-        return RadialSolution(kind=kind, lam=lam, nu=nu, a=a, b=b)
+        """The M (Psi where ``tricomi``) solution of ``branch``, ``"+"`` or ``"-"``;
+        :class:`ParameterError` for another branch and where :meth:`exponents` raises."""
+        if branch not in ("+", "-"):
+            raise ParameterError(f"branch must be '+' or '-', got {branch!r}")
+        sol = RadialSolution(kind=RadialKind(("tricomi" if tricomi else "kummer") + branch), lam=lam)
+        sol.exponents(params)
+        return sol
 
     @staticmethod
     def from_laguerre_case(params: ModelParams, case: LaguerreCase) -> "RadialSolution":
         if abs(case.n - params.n) > 1e-12 or abs(case.ell - params.ell) > 1e-9:
             raise ParameterError("Laguerre case belongs to different (n, ell)")
-        sol = RadialSolution.kummer(params, case.lam, branch="+")
         sign = -1.0 if case.k % 2 else 1.0
-        return RadialSolution(
-            kind=sol.kind,
-            lam=sol.lam,
-            nu=sol.nu,
-            a=sol.a,
-            b=sol.b,
-            scale=sign / case.bridge_constant,
-        )
+        return replace(RadialSolution.kummer(params, case.lam), scale=sign / case.bridge_constant)
 
     @staticmethod
     def omega() -> "RadialSolution":
@@ -442,8 +446,10 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
     bound of :func:`specfun.kummer_vanishes`, Psi = 0, or |Omega| < 1e-300.
     Raises :class:`DomainError` where the radial factor cannot be evaluated
     (rho_bar^n above ``RHO_BAR_N_CAP``, tau above ``specfun.KUMMER_Z_MAX``, or
-    a power of rho_bar or tau beyond the float range at small rho).  A plain tuple,
-    since the scalar map calls this once per point.
+    a power of rho_bar or tau beyond the float range at small rho), and
+    :class:`ParameterError` where params does not admit a Kummer-based
+    kind's b (:meth:`RadialSolution.exponents`).  A plain tuple, since the
+    scalar map calls this once per point.
     """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
@@ -453,13 +459,14 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
         value = hyperbolic_omega(params, rho)
         slope = zeta_bar(params, rho)
         return value, slope, rho * slope / value if abs(value) >= 1e-300 else math.nan
+    nu, a, b = sol.exponents(params)
     rb = _check_rho_bar(params, rho)
     tau = params.tau(rho)
-    psi = _tricomi_parts(sol)
+    psi = _tricomi_parts(sol, a, b)
     if psi is not None and tau <= 0.0:
         raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {tau}")
-    series = {pair: specfun._kummer_series(*pair, tau) for pair in _series_pairs(sol, psi)}
-    value, slope, rcal = _radial_values(params, sol, psi, rb, tau, series)
+    series = {pair: specfun._kummer_series(*pair, tau) for pair in _series_pairs(a, b, psi)}
+    value, slope, rcal = _radial_values(params, sol.scale, nu, a, b, psi, rb, tau, series)
     if math.isnan(value) or math.isnan(slope):
         raise DomainError(f"a power of rho_bar or tau at rho = {rho} is beyond the float range")
     return value, slope, rcal
@@ -486,60 +493,61 @@ def radial_rows(params: ModelParams, sol: RadialSolution, rhos) -> tuple[np.ndar
             except (DomainError, RegionError):
                 pass
         return tuple(np.array(rows).reshape(-1, 3).T)
-    psi = _tricomi_parts(sol)
+    nu, a, b = sol.exponents(params)
+    psi = _tricomi_parts(sol, a, b)
     rb = np.where(rhos > 0.0, rhos / params.rho_t, math.nan)
     x = specfun._power(rb, params.n)
     tau = (params.ell + 1.0) / params.n * x
     # the rows that radial_row admits: NaN fails every comparison
     valid = (x <= RHO_BAR_N_CAP) & (tau <= specfun.KUMMER_Z_MAX) & ((tau > 0.0) | (psi is None))
     rb, tau = rb[valid], tau[valid]
-    pairs = _series_pairs(sol, psi)
-    value, scale = specfun._kummer_block([a for a, _ in pairs], [b for _, b in pairs], tau)
+    pairs = _series_pairs(a, b, psi)
+    value, scale = specfun._kummer_block([pa for pa, _ in pairs], [pb for _, pb in pairs], tau)
     series = dict(zip(pairs, zip(value, scale)))
     with np.errstate(all="ignore"):
-        r, rp, rcal = _radial_values(params, sol, psi, rb, tau, series)
+        r, rp, rcal = _radial_values(params, sol.scale, nu, a, b, psi, rb, tau, series)
     rows = np.full((3, rhos.size), math.nan)
     rows[:, valid] = np.where(np.isnan(r) | np.isnan(rp), math.nan, (r, rp, rcal))
     return tuple(rows)
 
 
-def _tricomi_parts(sol: RadialSolution):
+def _tricomi_parts(sol: RadialSolution, a: float, b: float):
     """The connection terms (:func:`specfun._psi_parts`) of Psi(a, b) and of
     Psi(a+1, b+1), which gives Psi' = -a Psi(a+1, b+1) (none when a = 0,
     where Psi' = 0); None for the M branch."""
     if not sol.kind.tricomi:
         return None
-    return specfun._psi_parts(sol.a, sol.b), specfun._psi_parts(sol.a + 1.0, sol.b + 1.0) if sol.a != 0.0 else ()
+    return specfun._psi_parts(a, b), specfun._psi_parts(a + 1.0, b + 1.0) if a != 0.0 else ()
 
 
-def _series_pairs(sol: RadialSolution, psi) -> list[tuple[float, float]]:
+def _series_pairs(a: float, b: float, psi) -> list[tuple[float, float]]:
     """The (a, b) of the Kummer series a row needs: M(a, b) and M(a+1, b+1)
     for the M branch (only the first one's sum of |terms| is read), and the
     terms of Psi and Psi' that :func:`_tricomi_parts` keeps."""
     if psi is None:
-        return [(sol.a, sol.b), (sol.a + 1.0, sol.b + 1.0)]
-    return list(dict.fromkeys((a, b) for parts in psi for rgam, _, a, b in parts if rgam != 0.0))
+        return [(a, b), (a + 1.0, b + 1.0)]
+    return list(dict.fromkeys((pa, pb) for parts in psi for rgam, _, pa, pb in parts if rgam != 0.0))
 
 
-def _radial_values(params: ModelParams, sol: RadialSolution, psi, rb, tau, series):
-    """``(R, dR/drho, Rcal)`` of a Kummer-based solution from rho_bar, tau and
-    ``series[a, b]``, the ``(M, sum|terms|)`` pair of the Kummer series at
-    tau: floats for one row (:func:`radial_row`), or arrays with one element
-    per row (:func:`radial_rows`).  The powers are Python's
-    (:func:`specfun._power`) and the rest is ``+ - * /``, so both give the
-    same bits.  R or R' is NaN where a power leaves the float range."""
+def _radial_values(params: ModelParams, scale: float, nu: float, a: float, b: float, psi, rb, tau, series):
+    """``(R, dR/drho, Rcal)`` of a Kummer-based solution with exponents ``(nu,
+    a, b)`` and ``scale`` from rho_bar, tau and ``series[a, b]``, the ``(M,
+    sum|terms|)`` pair of the Kummer series at tau: floats for one row
+    (:func:`radial_row`), or arrays with one element per row (:func:`radial_rows`).
+    The powers are Python's (:func:`specfun._power`) and the rest is ``+ - * /``,
+    so both give the same bits.  R or R' is NaN where a power leaves the float range."""
     if psi is not None:
-        terms = (lambda a, b: series[a, b][0], lambda p: specfun._power(tau, p))
+        terms = (lambda pa, pb: series[pa, pb][0], lambda p: specfun._power(tau, p))
         t_val = specfun._psi_from(psi[0], *terms)
-        t_der = 0.0 if sol.a == 0.0 else -sol.a * specfun._psi_from(psi[1], *terms)
+        t_der = 0.0 if a == 0.0 else -a * specfun._psi_from(psi[1], *terms)
         node = t_val == 0.0
     else:
-        t_val, t_scale = series[sol.a, sol.b]
-        t_der = (sol.a / sol.b) * series[sol.a + 1.0, sol.b + 1.0][0]
+        t_val, t_scale = series[a, b]
+        t_der = (a / b) * series[a + 1.0, b + 1.0][0]
         node = specfun.kummer_vanishes(t_val, t_scale)
-    value = sol.scale * specfun._power(rb, sol.nu) * t_val
-    slope = sol.scale * specfun._power(rb, sol.nu - 1.0) * (sol.nu * t_val + params.n * tau * t_der) / params.rho_t
-    rcal = sol.nu + params.n * tau * (t_der / _nan_where(node, t_val))
+    value = scale * specfun._power(rb, nu) * t_val
+    slope = scale * specfun._power(rb, nu - 1.0) * (nu * t_val + params.n * tau * t_der) / params.rho_t
+    rcal = nu + params.n * tau * (t_der / _nan_where(node, t_val))
     return value, slope, rcal
 
 
@@ -735,36 +743,26 @@ def factorized_u(
 
 
 def require_matching(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:
-    """Raise :class:`ParameterError` unless R and Theta are one solution of params:
-    one separation constant, and a Kummer-based R with the ``(a, b)`` of
-    :func:`kummer_ab` at params' (n, ell), as every factory computes them,
-    and a nu that solves the indicial equation ``nu^2 + ell nu - lam^2 (ell+1)
-    = 0`` to 1e-12 of ``nu^2 + |ell nu| + lam^2 (ell+1)``."""
+    """Raise :class:`ParameterError` unless R and Theta share one separation
+    constant.  Every kind reads params where it is evaluated, so R solves
+    params' radial equation; a b that params does not admit raises where the
+    rows are evaluated (:meth:`RadialSolution.exponents`)."""
     if abs(sol.lam - fac.lam) > 1e-12:
         raise ParameterError(f"radial lam = {sol.lam} and angular lam = {fac.lam} disagree")
-    if not sol.kind.kummer_based:
-        return
-    ell, nu, lam2 = params.ell, sol.nu, sol.lam * sol.lam
-    if (sol.a, sol.b) != kummer_ab(params.n, ell, nu, sol.lam):
-        raise ParameterError(f"the radial solution (a = {sol.a}, b = {sol.b}) belongs to "
-                             f"another (n, ell) than n = {params.n}, ell = {ell}")
-    residual = nu * nu + ell * nu - lam2 * (ell + 1.0)
-    if not abs(residual) <= 1e-12 * (nu * nu + abs(ell * nu) + lam2 * (ell + 1.0)):
-        raise ParameterError(f"nu = {nu} does not solve the indicial equation at ell = {ell}, "
-                             f"lam = {sol.lam} (residual {residual:.3g})")
 
 
 def require_chart(params: ModelParams, sol: RadialSolution, fac: AngularFactor) -> None:
     """:func:`require_matching`, then :class:`DegenerateMapError` where no
     coordinate chart exists: lam = 1, or a constant u (R = 1, from the constant
-    kind or nu = a = 0, where M and Psi are 1; and Theta = c2), whose image
-    collapses to the origin."""
+    kind or nu = a = 0, which needs lam = 0, where M and Psi are 1; and Theta =
+    c2), whose image collapses to the origin."""
     require_matching(params, sol, fac)
     if abs(sol.lam - 1.0) <= 1e-12:
         raise DegenerateMapError(
             "lam = 1: the map Jacobian vanishes identically and no coordinate chart exists"
         )
-    unit_radial = sol.kind is RadialKind.CONSTANT or (sol.kind.kummer_based and sol.nu == 0.0 and sol.a == 0.0)
+    unit_radial = sol.kind is RadialKind.CONSTANT or (
+        sol.kind.kummer_based and sol.lam == 0.0 and sol.exponents(params)[:2] == (0.0, 0.0))
     if unit_radial and fac.lam == 0.0 and fac.c1 == 0.0:
         raise DegenerateMapError(
             "u is constant (R = 1, Theta = c2): the map collapses to the origin and no coordinate chart exists"

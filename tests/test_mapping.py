@@ -30,10 +30,8 @@ from hodoflow.maxwell import ModelParams, RegionTag, coeff_g, density_F, normali
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
-    RadialKind,
     RadialSolution,
     factorized_u,
-    kummer_ab,
     radial_row,
     radial_rows,
     require_matching,
@@ -80,7 +78,7 @@ class TestScriptR:
 
     def test_small_tau_limit(self):
         p, sol, _ = triple(2, 4, 3.0, 2, 7.0)
-        assert radial_row(p, sol, 1e-6 * p.rho_t)[2] == pytest.approx(sol.nu, rel=1e-9)
+        assert radial_row(p, sol, 1e-6 * p.rho_t)[2] == pytest.approx(sol.exponents(p)[0], rel=1e-9)
 
     def test_fd_oracle(self):
         # rho R'(rho)/R(rho) by central differences
@@ -861,21 +859,6 @@ class TestModelCheck:
         with pytest.raises(ParameterError, match="disagree"):
             MODEL_CHECKED[entry](p, sol, AngularFactor(lam=2.0, c1=0.0, c2=1.0), (1.0, 0.5))
 
-    @pytest.mark.parametrize("tricomi", [False, True])
-    @pytest.mark.parametrize("entry", MODEL_CHECKED)
-    def test_solution_of_other_ell_raises(self, entry, tricomi):
-        sol = RadialSolution.kummer(ModelParams(n=2, ell=4), 2.5, tricomi=tricomi)
-        with pytest.raises(ParameterError, match="another"):
-            MODEL_CHECKED[entry](ModelParams(n=2, ell=2), sol, AngularFactor(lam=2.5, c1=1.0, c2=0.0), (1.0, 0.5))
-
-    @pytest.mark.parametrize("entry", MODEL_CHECKED)
-    def test_nu_off_the_indicial_equation_raises(self, entry):
-        # (a, b) agree with nu = 7, but nu^2 + ell nu - lam^2 (ell+1) = 45.75: the roots are 3.937 and -5.937
-        a, b = kummer_ab(2.0, 4.0, 7.0, 2.5)
-        sol = RadialSolution(kind=RadialKind.KUMMER_PLUS, lam=2.5, nu=7.0, a=a, b=b)
-        with pytest.raises(ParameterError, match="indicial"):
-            MODEL_CHECKED[entry](ModelParams(n=2, ell=4), sol, AngularFactor(lam=2.5, c1=0.0, c2=1.0), (1.0, 0.5))
-
     @pytest.mark.parametrize("case", ["lam-one", "constant-u"])
     @pytest.mark.parametrize("entry", sorted(set(MODEL_CHECKED) - {"forward_map-degenerate", "map_differential",
                                                                     "factorized_u"}))
@@ -902,3 +885,32 @@ class TestModelCheck:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnivalenceWarning)
                 assert MODEL_CHECKED[entry](p, sol, fac, xy) is not None
+
+    @pytest.mark.parametrize("kind", ["kummer+", "kummer-", "tricomi+", "tricomi-"])
+    @pytest.mark.parametrize("entry", MODEL_CHECKED)
+    def test_kummer_kinds_read_params(self, entry, kind):
+        # a Kummer-based solution is its kind and lam: nu, a and b come from params
+        build = lambda p: RadialSolution.kummer(p, 2.5, branch=kind[-1], tricomi=kind.startswith("tricomi"))
+        sol, fac = build(ModelParams(n=2, ell=4)), AngularFactor(lam=2.5, c1=1.0, c2=0.0)
+        assert sol == build(ModelParams(n=2, ell=2))
+        for p in (ModelParams(n=2, ell=4), ModelParams(n=2, ell=2)):
+            xy = forward_map(p, sol, fac, _RHO * p.rho_t, _THETA).xy
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnivalenceWarning)
+                assert MODEL_CHECKED[entry](p, sol, fac, xy) is not None
+
+    @pytest.mark.parametrize("kind, lam, built, evaluated, match", [
+        # b = -1.3355 at ell = 4 and -1.1e-16 at ell = 1.2
+        ("kummer-", math.sqrt(0.64 / 2.2), 4.0, 1.2, "M branch undefined"),
+        # b = 4.442 at ell = 3 and 5.0 at ell = 4
+        ("tricomi+", math.sqrt(2.4), 3.0, 4.0, "Tricomi branch not implemented"),
+    ])
+    @pytest.mark.parametrize("entry", MODEL_CHECKED)
+    def test_b_judged_under_evaluating_params(self, entry, kind, lam, built, evaluated, match):
+        tricomi = kind.startswith("tricomi")
+        with pytest.raises(ParameterError, match=match):
+            RadialSolution.kummer(ModelParams(n=2, ell=evaluated), lam, branch=kind[-1], tricomi=tricomi)
+        sol = RadialSolution.kummer(ModelParams(n=2, ell=built), lam, branch=kind[-1], tricomi=tricomi)
+        with pytest.raises(ParameterError, match=match):
+            MODEL_CHECKED[entry](ModelParams(n=2, ell=evaluated), sol, AngularFactor(lam=lam, c1=1.0, c2=0.0),
+                                 (1.0, 0.5))

@@ -15,6 +15,7 @@ from hodoflow.momentum import (
     AngularFactor,
     CharacteristicKind,
     LaguerreCase,
+    RadialKind,
     RadialSolution,
     canonical_kappa,
     characteristic_chi,
@@ -244,15 +245,15 @@ def _radial_second_derivative(params, sol, rho):
     rb = params.rho_bar(rho)
     tau = params.tau(rho)
     n = params.n
+    nu, a, b = sol.exponents(params)
     if sol.kind.tricomi:
-        t0 = specfun.tricomi_psi(sol.a, sol.b, tau)
-        t1 = -sol.a * specfun.tricomi_psi(sol.a + 1.0, sol.b + 1.0, tau)  # Psi' = -a Psi(a+1, b+1)
-        t2 = sol.a * (sol.a + 1.0) * specfun.tricomi_psi(sol.a + 2.0, sol.b + 2.0, tau)
+        t0 = specfun.tricomi_psi(a, b, tau)
+        t1 = -a * specfun.tricomi_psi(a + 1.0, b + 1.0, tau)  # Psi' = -a Psi(a+1, b+1)
+        t2 = a * (a + 1.0) * specfun.tricomi_psi(a + 2.0, b + 2.0, tau)
     else:
-        t0 = kummer_m(sol.a, sol.b, tau)
-        t1 = specfun.kummer_m_deriv(sol.a, sol.b, tau)
-        t2 = sol.a * (sol.a + 1.0) / (sol.b * (sol.b + 1.0)) * kummer_m(sol.a + 2.0, sol.b + 2.0, tau)
-    nu = sol.nu
+        t0 = kummer_m(a, b, tau)
+        t1 = specfun.kummer_m_deriv(a, b, tau)
+        t2 = a * (a + 1.0) / (b * (b + 1.0)) * kummer_m(a + 2.0, b + 2.0, tau)
     d2 = sol.scale * rb ** (nu - 2.0) * (
         nu * (nu - 1.0) * t0 + n * tau * t1 * (2.0 * nu + n - 1.0) + n * n * tau * tau * t2
     )
@@ -298,8 +299,9 @@ class TestRadialSolutions:
     def test_lambda_one_is_linear(self, m22):
         # nu+ = 1 and a+ = 0, so R = rho_bar exactly
         sol = RadialSolution.kummer(m22, 1.0)
-        assert sol.nu == pytest.approx(1.0, abs=1e-14)
-        assert sol.a == pytest.approx(0.0, abs=1e-14)
+        nu, a, _ = sol.exponents(m22)
+        assert nu == pytest.approx(1.0, abs=1e-14)
+        assert a == pytest.approx(0.0, abs=1e-14)
         for rho in (0.3, 1.1, 2.7):
             assert radial_row(m22, sol, rho)[0] == pytest.approx(m22.rho_bar(rho), rel=1e-14)
 
@@ -317,6 +319,28 @@ class TestRadialSolutions:
         # Tricomi kinds refuse integer b outright (logarithmic case unbuilt)
         with pytest.raises(ParameterError):
             RadialSolution.kummer(ModelParams(n=2, ell=2), 1.0, tricomi=True)
+
+    @pytest.mark.parametrize("branch", ["plus", "minus", "", "+-"])
+    def test_unknown_branch_rejected(self, branch):
+        with pytest.raises(ParameterError, match="branch must be"):
+            RadialSolution.kummer(ModelParams(n=2, ell=4), 2.5, branch=branch)
+
+    def test_fields_are_kind_lam_scale(self):
+        # nu, a and b come from the model the solution is evaluated in
+        with pytest.raises(TypeError):
+            RadialSolution(kind=RadialKind.KUMMER_PLUS, lam=2.5, nu=7.0)
+        sol = RadialSolution.kummer(ModelParams(n=2, ell=4), 2.5, branch="-", tricomi=True)
+        assert sol == RadialSolution(kind=RadialKind.TRICOMI_MINUS, lam=2.5)
+
+    @pytest.mark.parametrize("sol", [RadialSolution.omega(), RadialSolution.constant()], ids=["omega", "constant"])
+    def test_exponents_only_for_kummer_kinds(self, sol, m22):
+        with pytest.raises(ParameterError, match="no Kummer exponents"):
+            sol.exponents(m22)
+
+    def test_non_finite_exponents_rejected(self):
+        # lam^2 overflows, so the roots are not finite
+        with pytest.raises(ParameterError, match="must be finite"):
+            RadialSolution.kummer(ModelParams(n=2, ell=4), 1e200)
 
     def test_series_caps(self):
         p = ModelParams(n=2, ell=2.5)  # series branches
@@ -593,6 +617,16 @@ class TestLaguerreEnumeration:
             a, b = kummer_ab(case.n, case.ell, nu_p, case.lam)
             assert a == pytest.approx(-case.k, abs=1e-9)
             assert b == pytest.approx(1.0 + case.alpha_bar, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [1.0, 2.0, 3.0])
+    def test_derived_nu_is_nu_plus(self, n):
+        # the catalog's nu+ = lam^2 - k n against the root RadialSolution derives
+        cases = laguerre_enumerate(n, [2.0, 2.5, 3.0, 3.5, 4.0], ell_max=100.0)
+        assert cases
+        for case in cases:
+            p = ModelParams(n=n, ell=case.ell)
+            nu = RadialSolution.from_laguerre_case(p, case).exponents(p)[0]
+            assert nu == pytest.approx(case.nu_plus, rel=1e-15, abs=0.0), case
 
     def test_empty_below_one(self):
         assert laguerre_enumerate(2.0, [0.5, 0.9], ell_max=100.0) == []

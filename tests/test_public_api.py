@@ -56,7 +56,7 @@ SETTINGS = {
     "AngularFactor": ["c1", "c2"],
     "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c2"],
     "PsiModelParams": ["sigma_r", "rho_t"],
-    "RadialSolution": ["lam", "nu", "a", "b", "scale"],
+    "RadialSolution": ["lam", "scale"],
     "pde_residual_momentum": ["name"],
 }
 
@@ -76,7 +76,7 @@ def test_settings_count():
         if defaults:
             settings[name] = defaults
     assert settings == SETTINGS
-    assert sum(map(len, settings.values())) == 15
+    assert sum(map(len, settings.values())) == 12
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

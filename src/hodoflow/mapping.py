@@ -121,13 +121,14 @@ def _image(rho, r, rp, g, lam, th, thp, cos_t, sin_t):
     x = rp * th * cos_t - r * thp * sin_t / rho
     y = rp * th * sin_t + r * thp * cos_t / rho
     phi = rho * rp * th - r * th
-    jac_inv = -_fold_form(w1, w2, g, th, thp) / rho ** 4
+    jac_inv = -_fold_form(w1, w2, g, th, thp) / specfun._power(rho, 4)
     return x, y, phi, jac_inv
 
 
 def _fold_form(w1, w2, g, th, thp):
     """P = w1^2 Theta'^2 + g w2^2 Theta^2 = -rho^4 J^-1; the fold is its zero set."""
-    return (w1 * thp) ** 2 + g * (w2 * th) ** 2
+    a, b = w1 * thp, w2 * th
+    return a * a + g * (b * b)
 
 
 def _fold_angles(w1, w2, g, fac: AngularFactor, lo: float, hi: float) -> np.ndarray:
@@ -226,9 +227,9 @@ def forward_map(
             rho, r, rp, coeff_g(params, rho), fac.lam,
             fac.value(theta), fac.deriv(theta), math.cos(theta), math.sin(theta),
         )
-    except (OverflowError, ZeroDivisionError):  # a square in J^-1 overflows, or rho^4 underflows
+    except ZeroDivisionError:  # rho^4 underflows
         jac_inv = math.inf
-    if math.isinf(jac_inv):
+    if not math.isfinite(jac_inv):  # a square in J^-1, or rho^4, overflows
         raise DomainError(f"the inverse Jacobian at rho = {rho} is beyond the float range")
     return MapPoint(rho=rho, theta=theta, x=x, y=y, phi_val=phi, jac_inv=jac_inv,
                     region=classify(params, rho))
@@ -357,7 +358,7 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
         u = r * th
         x[...], y[...], phi[...], jac_inv[...] = _image(rho, r, rp, g, fac.lam, th, thp, cos_t, sin_t)
         q_pot[...], u_pot[...], node = potentials.potentials_on_grid(params, sol.lam, rho, u, rcal, g, ups)
-        out_of_range = np.isnan(r[:, 0]) | np.isinf(jac_inv).any(axis=1) | np.isinf(u * u).any(axis=1)
+        out_of_range = np.isnan(r[:, 0]) | ~np.isfinite(jac_inv).all(axis=1) | np.isinf(u * u).any(axis=1)
     block[:, out_of_range] = math.nan
     univalent = not ((jac_inv > 0.0).any() and (jac_inv < 0.0).any())
     vx[...], vy[...] = -params.alpha * rho * cos_t, -params.alpha * rho * sin_t

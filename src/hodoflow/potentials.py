@@ -36,12 +36,13 @@ POLE_MIN_RADIUS = 1e-12
 
 def _a_coeffs(n: float, ell: float, lam: float, z1: float, z2: float, z3: float) -> tuple[float, float, float]:
     lam2 = lam * lam
-    a0 = z2 ** 3 * (lam2 * z1 * (1.0 - z3) * z3 + z2 * ((1.0 - n) * z3 + n * (ell + 1.0)))
+    z1_2, z2_2 = z1 * z1, z2 * z2
+    a0 = z2_2 * z2 * (lam2 * z1 * (1.0 - z3) * z3 + z2 * ((1.0 - n) * z3 + n * (ell + 1.0)))
     a1 = z1 * z2 * (
-        z1 * z2 * (2.0 * z3 ** 2 + (3.0 + n) * (1.0 - z3) + n * ell)
-        + 3.0 * (1.0 - z3) * (z2 ** 2 * z3 - lam2 * z1 ** 2)
+        z1 * z2 * (2.0 * (z3 * z3) + (3.0 + n) * (1.0 - z3) + n * ell)
+        + 3.0 * (1.0 - z3) * (z2_2 * z3 - lam2 * z1_2)
     )
-    a2 = z1 ** 3 * (z1 - z2 * (1.0 - z3))
+    a2 = z1_2 * z1 * (z1 - z2 * (1.0 - z3))
     return a0, a1, a2
 
 
@@ -56,18 +57,19 @@ def _mapped_q(params: ModelParams, lam: float, rho, u, z1, z2, z3, z4, denom):
     """
     n, ell = params.n, params.ell
     a0, a1, a2 = _a_coeffs(n, ell, lam, z1, z2, z3)
-    part_a = (z3 - 1.0) * (a0 + a1 * z4 ** 2 + a2 * z4 ** 4) / denom ** 3
+    z4_2, denom_2, z3_1 = z4 * z4, denom * denom, z3 - 1.0
+    part_a = z3_1 * (a0 + a1 * z4_2 + a2 * (z4_2 * z4_2)) / (denom_2 * denom)
     part_b = (
-        (z1 ** 2 * z4 ** 2 + z2 ** 2)
-        / denom ** 2
-        * (0.5 * (z3 - 1.0) ** 2 + (z3 - 1.0) * (n - 1.0) - n * ell)
+        (z1 * z1 * z4_2 + z2 * z2)
+        / denom_2
+        * (0.5 * (z3_1 * z3_1) + z3_1 * (n - 1.0) - n * ell)
     )
-    return params.alpha * rho ** 2 / (2.0 * params.beta * u ** 2) * (part_a + part_b)
+    return params.alpha * (rho * rho) / (2.0 * params.beta * (u * u)) * (part_a + part_b)
 
 
 def stationary_u(params: ModelParams, rho, q):
     """External potential from stationarity, U = alpha rho^2/(4 beta) - Q (E = 0 frame), given Q."""
-    return params.alpha * rho ** 2 / (4.0 * params.beta) - q
+    return params.alpha * (rho * rho) / (4.0 * params.beta) - q
 
 
 def quantum_potential(
@@ -98,7 +100,7 @@ def quantum_potential(
     if math.isnan(rcal):
         raise NodeError(f"the radial factor vanishes at rho = {rho}: log-derivative pole")
     z1, z2, z3, z4 = rcal - 1.0, rcal - sol.lam ** 2, coeff_g(params, rho), fac.logderiv(theta)
-    denom = z1 ** 2 * z4 ** 2 + z3 * z2 ** 2
+    denom = z1 * z1 * (z4 * z4) + z3 * (z2 * z2)
     if denom == 0.0:
         raise NodeError("quantum-potential denominator vanishes (degenerate point)")
     return _mapped_q(params, sol.lam, rho, u, z1, z2, z3, z4, denom)
@@ -131,7 +133,7 @@ def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
     """
     z1, z2 = rcal - 1.0, rcal - lam ** 2
     with np.errstate(all="ignore"):
-        denom = z1 ** 2 * ups ** 2 + g * z2 ** 2
+        denom = z1 * z1 * (ups * ups) + g * (z2 * z2)
         node = (u == 0.0) | np.isnan(rcal) | np.isnan(ups) | (denom == 0.0)
         q = np.where(node, math.nan, _mapped_q(params, lam, rho, u, z1, z2, g, ups, denom))
         return q, stationary_u(params, rho, q), node

@@ -66,11 +66,11 @@ def _power(x, p):
     ``**``: NumPy's power can differ from it in the last bit, and the sweeps
     promise the scalar path's bits.  NaN where x^p leaves the float range."""
     if isinstance(x, np.ndarray):
-        values = x.tolist()
+        values = x.ravel().tolist()
         try:
-            return np.array([v ** p for v in values])
+            return np.array([v ** p for v in values]).reshape(x.shape)
         except (OverflowError, ZeroDivisionError):
-            return np.array([_power(v, p) for v in values])
+            return np.array([_power(v, p) for v in values]).reshape(x.shape)
     try:
         return x ** p
     except (OverflowError, ZeroDivisionError):

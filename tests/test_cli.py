@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -81,7 +82,7 @@ def test_readme_command(argv, tmp_path, monkeypatch, capsys):
 
 #: sha256 of the README ``map-fields`` example's CSV and sidecar.
 MAP_FIELDS_DIGESTS = {
-    "fields.csv": "a521715f9770362a7ca8ae8af6363dfb3493a3186e4711a28ff13142021d2809",
+    "fields.csv": "8cf44e8d0d292bad4d98c6b67ddb300b6363757093588686dfd350e805877d8f",
     "fields.csv.json": "6b349abb9f4e3c18a2b842d95877667493b027778708bb747d088086e557c343",
 }
 
@@ -129,6 +130,22 @@ class TestScriptExit:
         result = _script(*argv, cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("wrote fields.csv")
+        assert _digests(tmp_path) == MAP_FIELDS_DIGESTS
+
+    def test_readme_map_fields_at_numpy_baseline(self, tmp_path, monkeypatch):
+        # the table's bits do not depend on the SIMD loops NumPy dispatches to at run time
+        umath = pytest.importorskip("numpy._core._multiarray_umath")
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("checked on x86-64")
+        if not any(umath.__cpu_features__.get(name) for name in umath.__cpu_dispatch__):
+            pytest.skip("NumPy dispatches nothing beyond its baseline on this CPU")
+        monkeypatch.setenv("NPY_ENABLE_CPU_FEATURES", ",".join(umath.__cpu_baseline__))
+        # the variable takes effect: a fresh interpreter runs no dispatched loop
+        probe = "import numpy._core._multiarray_umath as m; print(any(map(m.__cpu_features__.get, m.__cpu_dispatch__)))"
+        assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True).stdout == "False\n"
+        argv = next(argv for argv in _readme_commands() if argv[0] == "map-fields")
+        result = _script(*argv, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
         assert _digests(tmp_path) == MAP_FIELDS_DIGESTS
 
     def test_failing_command_as_in_process(self, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ and angular factors, and the Laguerre-case catalogs."""
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -627,6 +628,28 @@ class TestLaguerreEnumeration:
             p = ModelParams(n=n, ell=case.ell)
             nu = RadialSolution.from_laguerre_case(p, case).exponents(p)[0]
             assert nu == pytest.approx(case.nu_plus, rel=1e-15, abs=0.0), case
+
+    @pytest.mark.parametrize("n", [1.0, 2.0, 3.0])
+    def test_bridge_constant_is_exact(self, n):
+        # c0 = k! / ((alpha_bar + 1) ... (alpha_bar + k)) in rational arithmetic
+        cases = laguerre_enumerate(n, [2.0, 2.5, 3.0, 3.5, 4.0], ell_max=100.0)
+        assert cases
+        for case in cases:
+            exact = Fraction(math.factorial(case.k))
+            for j in range(1, case.k + 1):
+                exact /= Fraction(case.alpha_bar) + j
+            assert abs(Fraction(case.bridge_constant) - exact) <= Fraction(1, 10 ** 14) * exact, case
+
+    def test_bridge_constant_where_the_gammas_overflow(self):
+        # Gamma(1 + alpha_bar) = Gamma(240) is beyond the float range, c0 = 1/240 is not
+        case = LaguerreCase(lam=4.0, k=1, n=1.0, ell=209.0, alpha_bar=239.0)
+        assert case in laguerre_enumerate(1.0, [4.0], ell_max=math.inf)
+        sol = RadialSolution.from_laguerre_case(ModelParams(n=1.0, ell=209.0), case)
+        assert sol.scale == pytest.approx(-240.0, rel=1e-15)
+        # from k = 221 on the product itself underflows
+        case = laguerre_enumerate_for_ell(1.0, 1000.0, 300)[-1]
+        with pytest.raises(DomainError, match="bridge constant"):
+            RadialSolution.from_laguerre_case(ModelParams(n=1.0, ell=1000.0), case)
 
     def test_empty_below_one(self):
         assert laguerre_enumerate(2.0, [0.5, 0.9], ell_max=100.0) == []

@@ -386,7 +386,7 @@ def sample_fields(
     that :func:`maxwell.normalization_sector` uses), and Theta once per theta
     column; the map, the inverse Jacobian and both potentials are then
     broadcast over the grid.  Each value equals the scalar path's (:func:`forward_map`,
-    :func:`potentials.quantum_potential`, ...) to rounding.
+    :func:`potentials.quantum_potential`, ...) bit for bit: the shared formulas run no NumPy power.
 
     The sweep never aborts on a point; flagged points carry NaN:
 

@@ -354,13 +354,9 @@ class LaguerreCase:
 
     @property
     def bridge_constant(self) -> float:
-        """c0 in M(-k, 1+alpha_bar, z) = c0 L_k^(alpha_bar)(z).
-
-        Gamma(1+k) Gamma(1+alpha_bar) / Gamma(1+alpha_bar+k) as the finite
-        product of ``j / (alpha_bar + j)`` over j = 1..k, which stays in range
-        where the gammas do not (alpha_bar > 0 in every case).
-        :class:`DomainError` where c0 or 1/c0 leaves the float range.
-        """
+        """c0 in M(-k, 1+alpha_bar, z) = c0 L_k^(alpha_bar)(z): Gamma(1+k) Gamma(1+alpha_bar) /
+        Gamma(1+alpha_bar+k) as the product of j / (alpha_bar + j) over j = 1..k, which stays in
+        range where the gammas do not.  :class:`DomainError` where c0 or 1/c0 leaves the float range."""
         c0 = math.prod((j / (self.alpha_bar + j) for j in range(1, self.k + 1)), start=1.0)
         if c0 == 0.0 or math.isinf(1.0 / c0):
             raise DomainError(f"the Laguerre bridge constant at k = {self.k}, alpha_bar = {self.alpha_bar:g} "

@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
 )
 from .mapping import FieldSample, SectorDomain, _field_block
-from .maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant, normalization_sector
+from .maxwell import ModelParams, RegionTag, _regions, classify, coeff_g, discriminant, normalization_sector
 from .momentum import (
     AngularFactor,
     CharacteristicKind,
@@ -257,7 +257,7 @@ def cmd_solve_momentum(args) -> int:
     angular = np.array([fac.value(theta) for theta in thetas])
     # a row the radial factor cannot be evaluated at is nan, as map-fields flags it
     radial = momentum.radial_rows(params, sol, rhos)[0]
-    regions = [classify(params, rho) for rho in rhos]
+    regions = _regions(params, np.array(rhos))
     theta_cells, angular_cells = [theta + 0.0 for theta in thetas], (angular + 0.0).tolist()
     rows = (_row_lines((_fmt(rho / params.rho_t), None, None, _fmt(r_val), None, _fmt(region)),
                        (theta_cells, (r_val * angular + 0.0).tolist(), angular_cells))

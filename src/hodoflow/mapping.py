@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -367,7 +367,7 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
     density_singular = np.isnan(density)
     block[5:7, density_singular] = math.nan  # q_pot and u_pot
     code = np.maximum(node, np.maximum(2 * out_of_range, 3 * density_singular)[:, None])
-    region = [classify(params, v) for v in rhos.tolist()]
+    region = maxwell._regions(params, rhos)
     return block, speed, density, region, code, univalent
 
 
@@ -416,9 +416,10 @@ def sample_fields(
             UnivalenceWarning,
             stacklevel=2,
         )
-    # one tolist() makes every float of the block
-    per_row = np.array([speed, density, region], dtype=object)
-    speed, density, region = np.repeat(per_row, block.shape[2], axis=1).tolist()
+    # one tolist() makes every float of the block; a row's speed, density
+    # and region repeat its Python value
+    speed, density, region = (chain.from_iterable(map(repeat, col, repeat(block.shape[2])))
+                              for col in (speed.tolist(), density.tolist(), region))
     x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block.reshape(8, -1).tolist()
     flag = _FLAGS[code].ravel().tolist()
     del block, code  # the arrays go before the records come

@@ -160,6 +160,9 @@ def discriminant(params: ModelParams, rho: float) -> float:
     return -coeff_g(params, rho)
 
 
+_REGION_TAGS = (RegionTag.ELLIPTIC, RegionTag.PARABOLIC, RegionTag.HYPERBOLIC)
+
+
 def classify(params: ModelParams, rho: float) -> RegionTag:
     """Region of the linearized equation at radius rho.
 
@@ -168,10 +171,22 @@ def classify(params: ModelParams, rho: float) -> RegionTag:
     """
     if not rho > 0.0:
         raise DomainError(f"classification requires rho > 0, got {rho}")
-    rho_t = params.rho_t
-    if abs(rho - rho_t) <= EPS_PARABOLIC * rho_t:
-        return RegionTag.PARABOLIC
-    return RegionTag.ELLIPTIC if rho < rho_t else RegionTag.HYPERBOLIC
+    return _REGION_TAGS[_region_code(params, rho)]
+
+
+def _region_code(params: ModelParams, rho):
+    """The index into ``_REGION_TAGS`` of :func:`classify` at a rho, or at each
+    rho of an array: 1 plus the sign of ``rho - rho_T`` outside the band, in
+    comparisons floats and arrays share."""
+    offset, half_width = rho - params.rho_t, EPS_PARABOLIC * params.rho_t
+    return 1 + (offset > half_width) - (offset < -half_width)
+
+
+def _regions(params: ModelParams, rhos: np.ndarray) -> list[RegionTag]:
+    """:func:`classify` at each rho of an array, with its :class:`DomainError`."""
+    if not (rhos > 0.0).all():
+        raise DomainError(f"classification requires rho > 0, got {rhos[~(rhos > 0.0)][0]}")
+    return [_REGION_TAGS[code] for code in _region_code(params, rhos).tolist()]
 
 
 def normalization_psi_model(n: float, ell: float, sigma_r: float) -> float:

@@ -167,21 +167,26 @@ def _kummer_block(a, b, z) -> tuple[np.ndarray, np.ndarray]:
     A terminating series (a = -k) stops after its k terms, every other one at
     the third of three consecutive terms below ``SERIES_REL_TOL`` of the sum,
     and each takes the partial sums at its own stop.  The pass holds
-    ``max(k, 26 + 2.5 max(z))`` terms (just k where every series terminates),
-    enough for most series at the largest argument to stop; if one has not,
-    the block is summed again from the first term at twice the length, up to
-    ``SERIES_MAX_TERMS``, so such a series costs up to about three passes.
+    ``max(k, 26 + 2.5 max(z))`` terms, enough for most series at the largest
+    argument to stop; if one has not, the block is summed again from the
+    first term at twice the length, up to ``SERIES_MAX_TERMS``, so such a
+    series costs up to about three passes.  A block whose every series
+    terminates, as in each Laguerre case, holds just the largest k terms and
+    runs no convergence search and no overflow scan, as the scalar loop runs
+    neither for such a series.
     """
     a, b, z = (np.asarray(v, dtype=float).ravel() for v in (a, b, z))
     if not z.size:
         return np.ones((a.size, 0)), np.ones((a.size, 0))
+    z_range = float(z.min()), float(z.max())
     for b_s in b.tolist():
-        for z_n in (float(z.min()), float(z.max())):
+        for z_n in z_range:
             _check_kummer_args(b_s, z_n)
     degree = np.array([round(-a_s) if is_nonpositive_integer(a_s) else -1 for a_s in a.tolist()], dtype=int)
     poly = (degree >= 0)[:, None]
-    # fmin: a NaN argument runs to the cap; the stopping test needs 3 terms
-    size = max(degree.max(initial=0), 3 if poly.all() else 26 + int(2.5 * np.fmin(z.max(), KUMMER_Z_MAX)))
+    terminating = poly.all()
+    # fmin: a NaN argument runs to the cap
+    size = max(degree.max(initial=0), 0 if terminating else 26 + int(2.5 * np.fmin(z_range[1], KUMMER_Z_MAX)))
     with np.errstate(all="ignore"):  # terms past a series' stop may overflow
         while True:
             j = np.arange(size, dtype=float)[:, None, None]
@@ -190,14 +195,19 @@ def _kummer_block(a, b, z) -> tuple[np.ndarray, np.ndarray]:
             terms[1:] = (a[:, None] + j) * z / ((b[:, None] + j) * (j + 1.0))
             np.multiply.accumulate(terms, axis=0, out=terms)
             totals = np.add.accumulate(terms, axis=0)
+            if terminating:  # the scalar loop searches no stop and tests no overflow
+                stop = degree[:, None]
+                break
             mag, tot_mag = np.abs(terms[1:]), np.abs(totals[1:])
             small = mag < SERIES_REL_TOL * tot_mag
             three = small[2:] & small[1:-1] & small[:-2]  # row i: terms i+1..i+3 are small
             stop = np.where(three.any(axis=0), three.argmax(axis=0) + 3, size + 1)
             cap = min(size, SERIES_MAX_TERMS)
-            # the scalar loop tests for overflow up to its stop, or to its last term
-            over = np.fmax(mag, tot_mag) > _OVERFLOW_GUARD
-            if over.any():
+            # the scalar loop tests for overflow up to its stop, or to its last
+            # term; fmax.reduce passes over NaN, where max() would return it
+            if (np.fmax.reduce(mag, axis=None) > _OVERFLOW_GUARD
+                    or np.fmax.reduce(tot_mag, axis=None) > _OVERFLOW_GUARD):
+                over = np.fmax(mag, tot_mag) > _OVERFLOW_GUARD
                 over_at = np.where(over.any(axis=0), over.argmax(axis=0) + 1, size + 1)
                 failed = ~poly & (over_at <= np.minimum(stop, cap))
                 if failed.any():

@@ -8,6 +8,8 @@ import math
 
 import pytest
 
+from hodoflow.maxwell import EPS_PARABOLIC
+
 
 def frobenius_roots(ell: float, lam: float) -> tuple[float, float]:
     """Indicial roots of nu^2 + nu (g0 - 1) - lam^2 g0 = 0 with g0 = ell + 1.
@@ -79,3 +81,12 @@ def coeff_h_bar(params, rho: float) -> float:
     its own formula: ``ell / rho^2 - n |alpha|^n rho^(n-2) / (sigma_nl^n 2^(n/2))``."""
     s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
     return params.ell / rho ** 2 - params.n * abs(params.alpha) ** params.n * rho ** (params.n - 2.0) / s2n
+
+
+def band_edge_radii(params) -> list[float]:
+    """rho_T (1 -+ EPS_PARABOLIC), the edges of the parabolic band of
+    :func:`hodoflow.maxwell.classify`, and the radii one ulp to either side
+    of each, in ascending order: where a second implementation of the band
+    rule would first disagree with it."""
+    edges = (params.rho_t * (1.0 - EPS_PARABOLIC), params.rho_t * (1.0 + EPS_PARABOLIC))
+    return [r for edge in edges for r in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]

@@ -28,11 +28,13 @@ from hodoflow import (
     RegionTag,
     SectorDomain,
     UnivalenceWarning,
+    classify,
     normalization_sector,
     sample_fields,
 )
 from hodoflow.cli import _DEFAULTS, _fmt, _resolve, _table, build_parser, console_main, main
 from hodoflow.momentum import radial_row
+from oracles import band_edge_radii
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -676,6 +678,21 @@ class TestSolveMomentum:
         regions = {line.split(",")[-1] for line in lines[1:]}
         assert regions == {"elliptic", "hyperbolic"}
 
+
+    def test_regions_at_band_edges(self, tmp_path, capsys):
+        # each row's region is classify's at rho_T (1 +- EPS_PARABOLIC) and one
+        # ulp to either side; the first row of each grid is the given radius
+        params = ModelParams(n=2.0, ell=4.0)
+        out_file = tmp_path / "u.csv"
+        for rho in band_edge_radii(params):
+            code, _, _ = run_cli(capsys, "solve-momentum", "--n", "2", "--ell", "4", "--lambda", "3",
+                                 "--rho-min", repr(rho / params.rho_t), "--rho-max", "1.5",
+                                 "--n-rho", "3", "--n-theta", "2", "--output", str(out_file))
+            assert code == 0
+            rows = [line.split(",") for line in out_file.read_text().splitlines() if not line.startswith("#")][1:]
+            assert float(rows[0][0]) * params.rho_t == rho
+            for row in rows:
+                assert RegionTag(row[-1]) is classify(params, float(row[0]) * params.rho_t)
 
     def test_rows_beyond_z_max_written_as_nan(self, tmp_path, capsys):
         # tau > KUMMER_Z_MAX = 50 from rho = 3.7 rho_T on: those rows carry nan, the rest values

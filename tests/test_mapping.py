@@ -26,7 +26,7 @@ from hodoflow.mapping import (
     map_differential,
     sample_fields,
 )
-from hodoflow.maxwell import ModelParams, RegionTag, coeff_g, density_F, normalization_sector
+from hodoflow.maxwell import ModelParams, RegionTag, classify, coeff_g, density_F, normalization_sector
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
@@ -39,6 +39,7 @@ from hodoflow.momentum import (
 )
 from hodoflow.potentials import classical_potential, quantum_potential
 from hodoflow.verify import chart_phi_fn
+from oracles import band_edge_radii
 
 
 def triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
@@ -485,6 +486,17 @@ def _scalar_sample(p, sol, fac, rho, theta):
         "speed": speed, "density": density_F(p, speed),
     }
     return values, mp.region, flag
+
+
+class TestSweepRegions:
+    def test_rows_at_band_edges(self):
+        # each row's region is classify's, by identity, at rho_T (1 +- EPS_PARABOLIC)
+        # and one ulp to either side; a two-row grid holds its edges exactly
+        p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
+        radii = band_edge_radii(p)
+        for lo, hi in zip(radii, radii[1:]):
+            region = mapping._field_block(p, sol, fac, SectorDomain(lo, hi, 0.1, 0.6), (2, 2), 1.0)[3]
+            assert region[0] is classify(p, lo) and region[1] is classify(p, hi)
 
 
 class TestGridAgainstScalar:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hodoflow import verify
+from hodoflow import maxwell, verify
 from hodoflow.errors import DivergenceError, DomainError, ParameterError
 from hodoflow.maxwell import (
     EPS_PARABOLIC,
@@ -22,7 +22,7 @@ from hodoflow.maxwell import (
 from hodoflow.mapping import SectorDomain
 from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution
 from hodoflow.specfun import gamma
-from oracles import coeff_h_bar, polar_quad
+from oracles import band_edge_radii, coeff_h_bar, polar_quad
 
 
 @pytest.fixture
@@ -182,6 +182,20 @@ class TestClassify:
         rt = maxwell22.rho_t
         assert classify(maxwell22, rt * (1.0 + 0.5 * EPS_PARABOLIC)) is RegionTag.PARABOLIC
         assert classify(maxwell22, rt * (1.0 + 10.0 * EPS_PARABOLIC)) is RegionTag.HYPERBOLIC
+
+    def test_row_rule_at_band_edges(self, maxwell22):
+        # the rule the sweeps apply to a row of radii is classify's, by
+        # identity, at rho_T (1 +- EPS_PARABOLIC) and one ulp to either side
+        radii = band_edge_radii(maxwell22)
+        tags = [classify(maxwell22, rho) for rho in radii]
+        assert set(tags) == set(RegionTag)
+        got = maxwell._regions(maxwell22, np.array(radii))
+        assert len(got) == len(tags) and all(g is t for g, t in zip(got, tags))
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
+    def test_row_rule_keeps_domain_error(self, maxwell22, rho):
+        with pytest.raises(DomainError):
+            maxwell._regions(maxwell22, np.array([0.5, rho, 1.5]))
 
     @pytest.mark.parametrize("call", [classify, coeff_g, discriminant, coeff_h, density_F])
     def test_nan_radius_raises(self, maxwell22, call):

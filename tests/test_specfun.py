@@ -17,7 +17,10 @@ from hodoflow.errors import (
     PoleError,
     SeriesOverflowError,
 )
+from hodoflow.maxwell import ModelParams
+from hodoflow.momentum import RadialSolution, laguerre_enumerate
 from hodoflow.specfun import (
+    KUMMER_Z_MAX,
     SERIES_REL_TOL,
     _kummer_block,
     _kummer_series,
@@ -222,6 +225,46 @@ class TestKummerBlock:
         a, b, z = [800.0, 0.5], [0.75, 1.5], [0.5, 1.0]
         assert 56 < _terms_used(800.0, 0.75, 1.0) <= 112
         self._assert_block_equals_series(a, b, z)
+
+    @pytest.mark.parametrize("n", [1.0, 2.0, 3.0])
+    def test_laguerre_catalog_bit_for_bit(self, n):
+        # the pairs of the Laguerre cases' radial rows, M(a, b) and M(a + 1,
+        # b + 1) with a = -k and b = 1 + alpha_bar (from the model, which can
+        # differ from the case's alpha_bar in the last bit): a block whose
+        # every series terminates
+        cases = [c for c in laguerre_enumerate(n, [2.0, 2.5, 3.0, 3.5, 4.0], ell_max=100.0) if c.k <= 12]
+        assert {c.k for c in cases} == set(range(1, {1.0: 13, 2.0: 8, 3.0: 5}[n]))
+        z = np.concatenate([[0.0], np.linspace(0.3, 47.0, 9), [KUMMER_Z_MAX]])
+        for case in cases:
+            params = ModelParams(n=n, ell=case.ell)
+            _, a, b = RadialSolution.from_laguerre_case(params, case).exponents(params)
+            assert a == -case.k and b == pytest.approx(1.0 + case.alpha_bar, rel=1e-15)
+            self._assert_block_equals_series([a, a + 1.0], [b, b + 1.0], z)
+
+    def test_degree_zero_block(self):
+        # a = 0 within the 1e-12 integer band: each series is its first term
+        a, b, z = [0.0, 1e-13, -1e-13], [0.75, 2.5, 11.0], [0.0, 3.5, KUMMER_Z_MAX]
+        self._assert_block_equals_series(a, b, z)
+        assert np.array_equal(_kummer_block(a, b, z)[0], np.ones((3, 3)))
+
+    def test_terminating_next_to_converging(self):
+        # the converging series still takes its stop from the search, past
+        # the terminating series' degrees
+        a, b, z = [-3.0, -5.0, 0.5], [2.5, 3.5, 1.5], [0.0, 1.0, 7.5, KUMMER_Z_MAX]
+        assert _terms_used(0.5, 1.5, 7.5) > 5
+        self._assert_block_equals_series(a, b, z)
+
+    def test_overflow_next_to_nan_argument(self):
+        # the scalar loop overflows on the first term at z = 50; a NaN argument
+        # beside it must not hide that from the block's overflow scan (a
+        # maximum that returns NaN would, and the block would run on to
+        # NoConvergenceError at the NaN)
+        with pytest.raises(SeriesOverflowError):
+            _kummer_series(1e300, 1e-4, 50.0)
+        with pytest.raises(SeriesOverflowError):
+            _kummer_block([1e300], [1e-4], [math.nan, 50.0])
+        with pytest.raises(SeriesOverflowError):
+            _kummer_block([0.5, 1e300], [1.5, 1e-4], [50.0, math.nan])
 
     @staticmethod
     def _assert_block_equals_series(a, b, z):

@@ -678,7 +678,6 @@ class TestSolveMomentum:
         regions = {line.split(",")[-1] for line in lines[1:]}
         assert regions == {"elliptic", "hyperbolic"}
 
-
     def test_regions_at_band_edges(self, tmp_path, capsys):
         # each row's region is classify's at rho_T (1 +- EPS_PARABOLIC) and one
         # ulp to either side; the first row of each grid is the given radius
@@ -693,6 +692,7 @@ class TestSolveMomentum:
             assert float(rows[0][0]) * params.rho_t == rho
             for row in rows:
                 assert RegionTag(row[-1]) is classify(params, float(row[0]) * params.rho_t)
+
 
     def test_rows_beyond_z_max_written_as_nan(self, tmp_path, capsys):
         # tau > KUMMER_Z_MAX = 50 from rho = 3.7 rho_T on: those rows carry nan, the rest values

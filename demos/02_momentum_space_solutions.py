@@ -46,7 +46,7 @@ for rho_bar, theta in [(0.5, 0.4), (1.0, 0.4), (1.7, 0.4)]:
     print(f"  u({rho_bar} rho_T, {theta}) = {factorized_u(p, sol, fac, rho_bar * p.rho_t, theta):+.6f}")
 report = pde_residual_momentum(
     p, lambda r, t: factorized_u(p, sol, fac, r, t),
-    SectorDomain(0.4 * p.rho_t, 1.9 * p.rho_t, 0.15, 0.9), grid=(20, 20),
+    SectorDomain(0.4 * p.rho_t, 1.9 * p.rho_t, 0.15, 0.9), grid=(20, 20), name="momentum-pde-2-4-3",
 )
 print(f"  FD residual of the polar equation over a 20x20 grid: max {report.max_abs:.2e}")
 

@@ -54,7 +54,7 @@ p = ModelParams(n=2, ell=4)
 sol = RadialSolution.from_laguerre_case(p, LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=7.0))
 fac = AngularFactor(lam=3.0, c1=1.0, c2=0.0)
 mp = forward_map(p, sol, fac, 1.1 * p.rho_t, 0.5)
-back = invert_map(p, sol, fac, mp.xy, (1.2 * p.rho_t, 0.45))
+back = invert_map(p, sol, fac, (mp.x, mp.y), (1.2 * p.rho_t, 0.45))
 print(f"forward(1.1 rho_T, 0.5) = ({mp.x:.6f}, {mp.y:.6f}); inverse recovers "
       f"(rho, theta) = ({back.rho / p.rho_t:.12f} rho_T, {back.theta:.12f})")
 

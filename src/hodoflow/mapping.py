@@ -31,7 +31,7 @@ from .errors import (
     RegionError,
     UnivalenceWarning,
 )
-from .maxwell import ModelParams, RegionTag, classify, coeff_g
+from .maxwell import ModelParams, RegionTag, coeff_g
 from .momentum import AngularFactor, RadialKind, RadialSolution
 
 
@@ -49,21 +49,14 @@ class CoordPoint(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class MapPoint:
-    """Image of one momentum point under the inverse Legendre transform."""
+class MapPoint(NamedTuple):
+    """Image of one momentum point under the inverse Legendre transform: its
+    position, phase and inverse Jacobian (a named tuple: read-only)."""
 
-    rho: float
-    theta: float
     x: float
     y: float
-    phi_val: float
+    phi: float
     jac_inv: float
-    region: RegionTag
-
-    @property
-    def xy(self) -> CoordPoint:
-        return CoordPoint(self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,10 @@ def forward_map(
     rho: float,
     theta: float,
 ) -> MapPoint:
-    """Image of (rho, theta) in coordinate space, with phase and inverse Jacobian.
+    """Image of (rho, theta) in coordinate space: ``MapPoint(x, y, phi,
+    jac_inv)``, the position, the phase and the inverse Jacobian, each bit for
+    bit the value of :func:`sample_fields`' record there.  The point's region
+    is :func:`maxwell.classify`'s.
 
     ``lam = 1`` makes the inverse Jacobian vanish identically (the momentum
     solution is affine, so the tangent transform loses uniqueness), and a
@@ -231,8 +227,7 @@ def forward_map(
         jac_inv = math.inf
     if not math.isfinite(jac_inv):  # a square in J^-1, or rho^4, overflows
         raise DomainError(f"the inverse Jacobian at rho = {rho} is beyond the float range")
-    return MapPoint(rho=rho, theta=theta, x=x, y=y, phi_val=phi, jac_inv=jac_inv,
-                    region=classify(params, rho))
+    return MapPoint(x, y, phi, jac_inv)
 
 
 def map_differential(

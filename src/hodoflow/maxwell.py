@@ -14,7 +14,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class ModelParams:
         """Kummer argument tau = ((ell+1)/n) (rho/rho_T)^n; :class:`DomainError`
         where the power leaves the float range."""
         return (self.ell + 1.0) / self.n * specfun.checked_pow(self.rho_bar(rho), self.n)
-
-    def with_(self, **kw) -> "ModelParams":
-        return replace(self, **kw)
 
 
 def density_F(params: ModelParams, z: float) -> float:

@@ -26,12 +26,11 @@ from . import specfun
 from .errors import (
     DegenerateMapError,
     DomainError,
-    NodeError,
     ParameterError,
     RegionError,
     SaturationWarning,
 )
-from .maxwell import EPS_PARABOLIC, ModelParams, RegionTag, classify, discriminant, require_finite
+from .maxwell import ModelParams, RegionTag, classify, discriminant, require_finite
 from .specfun import SERIES_MAX_TERMS, SERIES_REL_TOL
 
 #: Elliptic characteristics contain artanh(sqrt(1 - rho_bar^n)), divergent as
@@ -71,26 +70,27 @@ def characteristic_chi(params: ModelParams, kind: CharacteristicKind, rho: float
     """Characteristic function chi(rho, theta) of the mixed-type equation.
 
     Hyperbolic kinds use ``sqrt(e) - arctan(sqrt(e))`` with ``e = rho_bar^n - 1``
-    and are valid for rho >= rho_T; elliptic kinds use
-    ``sqrt(1 - rho_bar^n) - artanh(...)`` for 0 < rho <= rho_T.  Both radial
-    parts vanish on the sonic circle, where chi = +/- theta.  :class:`DomainError`
-    where rho is not positive or theta is not finite.
+    and are valid where :func:`classify` does not call rho elliptic; elliptic
+    kinds use ``sqrt(1 - rho_bar^n) - artanh(...)`` where it does not call rho
+    hyperbolic (both in the parabolic band), else :class:`RegionError`.  Both
+    radial parts vanish on the sonic circle, where chi = +/- theta.
+    :class:`DomainError` where rho is not positive or theta is not finite.
     """
     if not rho > 0.0:
         raise DomainError(f"chi requires rho > 0, got {rho}")
     if not math.isfinite(theta):
         raise DomainError(f"chi requires a finite theta, got {theta}")
-    rho_t = params.rho_t
+    region = classify(params, rho)
     pref = 2.0 / params.n * math.sqrt(params.ell + 1.0)
     if kind.hyperbolic:
-        if rho < rho_t * (1.0 - EPS_PARABOLIC):
+        if region is RegionTag.ELLIPTIC:
             raise RegionError(f"hyperbolic characteristic needs rho >= rho_T, got rho = {rho}")
         t = math.sqrt(max(specfun.checked_pow(params.rho_bar(rho), params.n) - 1.0, 0.0))
         radial = pref * (t - math.atan(t))
     else:
-        if rho > rho_t * (1.0 + EPS_PARABOLIC):
+        if region is RegionTag.HYPERBOLIC:
             raise RegionError(f"elliptic characteristic needs rho <= rho_T, got rho = {rho}")
-        floor = RHO_FLOOR_REL * rho_t
+        floor = RHO_FLOOR_REL * params.rho_t
         if rho < floor:
             warnings.warn(
                 f"rho = {rho} below the elliptic floor {floor}; value saturated at the floor",
@@ -150,14 +150,14 @@ def _integer_quotient(ell: float, n: float) -> int | None:
     return None
 
 
-def _check_rho_bar(params: ModelParams, rho: float) -> float:
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
+def _check_rho_bar(params: ModelParams, rho: float) -> tuple[float, float]:
+    """``(rho_bar, rho_bar^n)`` at a rho > 0, with :class:`DomainError` where
+    the power leaves the float range or exceeds ``RHO_BAR_N_CAP``."""
     rb = params.rho_bar(rho)
     x = specfun.checked_pow(rb, params.n)
     if x > RHO_BAR_N_CAP:
         raise DomainError(f"rho_bar^n = {x:.3g} exceeds the series cap {RHO_BAR_N_CAP}")
-    return rb
+    return rb, x
 
 
 def _hill_sum(z: float, q: float, k: int | None, power: float) -> float:
@@ -199,9 +199,10 @@ def _hill_integral(params: ModelParams, rho: float) -> float:
     term instead.  Raises :class:`DomainError` above ``RHO_BAR_N_CAP`` and where
     I leaves the float range.
     """
-    rb = _check_rho_bar(params, rho)
+    if not rho > 0.0:
+        raise DomainError(f"rho must be positive, got {rho}")
+    rb, x = _check_rho_bar(params, rho)
     n, ell = params.n, params.ell
-    x = rb ** n
     if x == 0.0:
         raise DomainError(f"rho_bar^n underflows to 0 at rho = {rho}")
     z = (ell + 1.0) / n * x
@@ -349,10 +350,6 @@ class LaguerreCase:
             raise ParameterError(f"alpha_bar = {self.alpha_bar} is not (2 (lam^2 - k n) + ell) / n = {expected}")
 
     @property
-    def nu_plus(self) -> float:
-        return self.lam ** 2 - self.k * self.n
-
-    @property
     def bridge_constant(self) -> float:
         """c0 in M(-k, 1+alpha_bar, z) = c0 L_k^(alpha_bar)(z): Gamma(1+k) Gamma(1+alpha_bar) /
         Gamma(1+alpha_bar+k) as the product of j / (alpha_bar + j) over j = 1..k, which stays in
@@ -462,8 +459,8 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
         slope = zeta_bar(params, rho)
         return value, slope, rho * slope / value if abs(value) >= 1e-300 else math.nan
     nu, a, b = sol.exponents(params)
-    rb = _check_rho_bar(params, rho)
-    tau = params.tau(rho)
+    rb, x = _check_rho_bar(params, rho)
+    tau = (params.ell + 1.0) / params.n * x
     psi = _tricomi_parts(sol, a, b)
     if psi is not None and tau <= 0.0:
         raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {tau}")
@@ -562,7 +559,7 @@ def _nan_where(mask, x):
 
 
 def _require_hyperbolic(params: ModelParams, rho: float) -> None:
-    if rho < params.rho_t * (1.0 - EPS_PARABOLIC):
+    if classify(params, rho) is RegionTag.ELLIPTIC:
         raise RegionError(f"hyperbolic solution needs rho >= rho_T, got {rho}")
 
 
@@ -571,7 +568,9 @@ def hyperbolic_omega(params: ModelParams, rho: float) -> float:
     ``Omega(rho) = c0 rho_T (I(rho_bar^n) + c2) / n`` with ``I`` the Hill
     integral (:func:`_hill_integral`): zeta shifted by ``c0 rho_T c2 / n``,
     so Omega' = :func:`zeta_bar`.  Depends on rho only; the angular average
-    of any flow built on it is trivially preserved.
+    of any flow built on it is trivially preserved.  :class:`RegionError`
+    where :func:`classify` calls rho elliptic, and its :class:`DomainError`
+    where rho is not positive.
     """
     _require_hyperbolic(params, rho)
     return params.c0 * params.rho_t * (_hill_integral(params, rho) + params.c2) / params.n
@@ -616,20 +615,6 @@ class AngularFactor:
         (elementwise for an array)."""
         scale = abs(self.c1) + abs(self.c2) + (abs(self.c1 * theta) if self.lam == 0.0 else 0.0)
         return abs(self.value(theta)) < THETA_NODE_TOL * scale
-
-    def logderiv(self, theta: float) -> float:
-        """Upsilon(theta) = Theta'/Theta; NodeError on the zero set of Theta."""
-        if self.at_node(theta):
-            raise NodeError(f"Theta({theta}) = 0: logarithmic derivative pole")
-        return self.deriv(theta) / self.value(theta)
-
-    def extremum_angle(self) -> float:
-        """An angle theta_e = (pi/2 - atan2(c2, c1)) / lam with Theta'(theta_e) = 0
-        (lam > 0 only)."""
-        if self.lam == 0.0:
-            raise ParameterError("the linear angular factor has no extremum")
-        theta0 = math.atan2(self.c2, self.c1)
-        return (math.pi / 2.0 - theta0) / self.lam
 
 
 # ---------------------------------------------------------------------------

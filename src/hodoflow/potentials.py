@@ -83,27 +83,29 @@ def quantum_potential(
 
     Reported with its natural additive constant; comparisons against the
     finite-difference oracle are made on point differences, where the free
-    constant cancels.  Raises :class:`DegenerateMapError` for lam = 1 and a
-    constant u, where no coordinate chart exists, and :class:`ParameterError` for
-    a sol and fac that are not one solution of params (:func:`momentum.require_chart`);
-    :class:`NodeError` on zeros of u, on the poles of Rcal and Upsilon, and where
-    the closed form's denominator vanishes; :class:`DomainError` where the radial
-    factor cannot be evaluated or u^2 is beyond the float range.
+    constant cancels.  One point of :func:`potentials_on_grid`, on NumPy
+    floats, so the two share their node rule and their bits.  Raises
+    :class:`DegenerateMapError` for lam = 1 and a constant u, where no
+    coordinate chart exists, and :class:`ParameterError` for a sol and fac
+    that are not one solution of params (:func:`momentum.require_chart`);
+    :class:`DomainError` where the radial factor cannot be evaluated or u^2
+    is beyond the float range; :class:`NodeError` where
+    :func:`potentials_on_grid` flags a node: a zero of u, a pole of Rcal or
+    Upsilon, or a zero of the closed form's denominator.
     """
     momentum.require_chart(params, sol, fac)
     r_val, _, rcal = momentum.radial_row(params, sol, rho)
-    u = r_val * fac.value(theta)
-    if math.isinf(u * u):
-        raise DomainError(f"u^2 at rho = {rho} is beyond the float range")
-    if u == 0.0:
-        raise NodeError("u = 0: quantum potential singular on the nodal set")
-    if math.isnan(rcal):
-        raise NodeError(f"the radial factor vanishes at rho = {rho}: log-derivative pole")
-    z1, z2, z3, z4 = rcal - 1.0, rcal - sol.lam ** 2, coeff_g(params, rho), fac.logderiv(theta)
-    denom = z1 * z1 * (z4 * z4) + z3 * (z2 * z2)
-    if denom == 0.0:
-        raise NodeError("quantum-potential denominator vanishes (degenerate point)")
-    return _mapped_q(params, sol.lam, rho, u, z1, z2, z3, z4, denom)
+    th = fac.value(theta)
+    ups = math.nan if fac.at_node(theta) else fac.deriv(theta) / th
+    with np.errstate(all="ignore"):
+        u = np.float64(r_val) * th
+        q, _, node = potentials_on_grid(params, sol.lam, rho, u, np.float64(rcal), coeff_g(params, rho), ups)
+        if np.isinf(u * u):
+            raise DomainError(f"u^2 at rho = {rho} is beyond the float range")
+    if node:
+        raise NodeError(f"the quantum potential is singular at rho = {rho}, theta = {theta}: "
+                        "a node of u, R or Theta, or a zero of its denominator")
+    return float(q)
 
 
 def classical_potential(
@@ -275,13 +277,12 @@ def potential_zeros(pm: PsiModelParams) -> list[float]:
 
     Solving in x = (sigma_r / r)^n:
     (ell+1)^2 x^2 - 2 (ell+1)(ell+n) x - (rho_t^2 sigma_r^2 - ell^2) = 0,
-    x = [(ell+n) +- sqrt(D)] / (ell+1),   D = n^2 + 2 n ell + rho_t^2 sigma_r^2.
+    x = [(ell+n) +- sqrt(D)] / (ell+1),   D = n^2 + 2 n ell + rho_t^2 sigma_r^2 > 0
+    (n > 0 and ell > 2 in :class:`PsiModelParams`).
 
     Two zeros when |c1| < ell, one otherwise.
     """
     d = pm.n ** 2 + 2.0 * pm.n * pm.ell + (pm.rho_t * pm.sigma_r) ** 2
-    if d <= 0.0:
-        raise DomainError("zero discriminant is not positive")
     roots = []
     for x in ((pm.ell + pm.n) + math.sqrt(d), (pm.ell + pm.n) - math.sqrt(d)):
         x /= pm.ell + 1.0

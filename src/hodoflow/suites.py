@@ -240,7 +240,7 @@ def suite_map() -> list[VerificationReport]:
     residuals = []
     for rho, theta in [(0.5 * p.rho_t, 0.6), (1.9 * p.rho_t, 0.3)]:
         mp = forward_map(p, sol, fac, rho, theta)
-        back = invert_map(p, sol, fac, mp.xy, (rho * 1.03, theta + 0.02))
+        back = invert_map(p, sol, fac, (mp.x, mp.y), (rho * 1.03, theta + 0.02))
         residuals.append((back.rho - rho) / rho)
         residuals.append(back.theta - theta)
     reports.append(report_from_residuals("inverse-roundtrip", "2 probes", residuals, 1e-10))

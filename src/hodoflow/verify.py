@@ -168,14 +168,14 @@ def pde_residual_momentum(
     u_fn: Callable[[float, float], float],
     domain: SectorDomain,
     grid: tuple[int, int],
-    name: str = "momentum-pde",
+    name: str,
 ) -> VerificationReport:
     """Finite-difference residual of the polar momentum-space equation,
     against the tolerance ``MOMENTUM_TOL``.
 
     ``u_rr + g (u_r / rho + u_tt / rho^2)`` normalized per point by the
     largest term magnitude.  The steps, ``2e-4 rho_T`` and ``2e-4``, are
-    truncation-dominated.
+    truncation-dominated.  ``name`` labels the report.
     """
     hr, ht = 2e-4 * params.rho_t, 2e-4
     points = [(float(rho), float(theta))
@@ -203,7 +203,7 @@ def chart_phi_fn(
     def phi_at(x: float, y: float) -> float:
         mp = mapping.invert_map(params, sol, fac, (x, y), state["seed"])
         state["seed"] = mp
-        return mapping.forward_map(params, sol, fac, mp.rho, mp.theta).phi_val
+        return mapping.forward_map(params, sol, fac, mp.rho, mp.theta).phi
 
     return phi_at
 

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from hodoflow.errors import ParameterError
 from hodoflow.maxwell import EPS_PARABOLIC
 
 
@@ -90,3 +91,17 @@ def band_edge_radii(params) -> list[float]:
     rule would first disagree with it."""
     edges = (params.rho_t * (1.0 - EPS_PARABOLIC), params.rho_t * (1.0 + EPS_PARABOLIC))
     return [r for edge in edges for r in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+
+
+def nu_plus(case) -> float:
+    """The exponent nu+ = lam^2 - k n of a Laguerre catalog case, from the
+    degeneration condition a+ = -k rather than from the indicial roots."""
+    return case.lam ** 2 - case.k * case.n
+
+
+def extremum_angle(fac) -> float:
+    """An angle theta_e = (pi/2 - atan2(c2, c1)) / lam with Theta'(theta_e) = 0
+    (lam > 0 only)."""
+    if fac.lam == 0.0:
+        raise ParameterError("the linear angular factor has no extremum")
+    return (math.pi / 2.0 - math.atan2(fac.c2, fac.c1)) / fac.lam

@@ -39,7 +39,7 @@ from hodoflow.momentum import (
 )
 from hodoflow.potentials import classical_potential, quantum_potential
 from hodoflow.verify import chart_phi_fn
-from oracles import band_edge_radii
+from oracles import band_edge_radii, extremum_angle
 
 
 def triple(n, ell, lam, k, abar, c1=1.0, c2=0.0):
@@ -144,7 +144,7 @@ class TestForwardMap:
     def test_jacobian_zero_at_sonic_extremum(self):
         for n, ell, lam, k, abar in TRIPLES:
             p, sol, fac = triple(n, ell, lam, k, abar, c1=0.8, c2=0.45)
-            theta_e = fac.extremum_angle()
+            theta_e = extremum_angle(fac)
             mp = forward_map(p, sol, fac, p.rho_t, theta_e)
             assert abs(mp.jac_inv) < 1e-10
 
@@ -159,7 +159,7 @@ class TestForwardMap:
 
             def phi_at(x, y):
                 r, t = invert_map(p, sol, fac, (x, y), seed)
-                return forward_map(p, sol, fac, r, t).phi_val
+                return forward_map(p, sol, fac, r, t).phi
 
             gx = (phi_at(mp.x + h, mp.y) - phi_at(mp.x - h, mp.y)) / (2.0 * h)
             gy = (phi_at(mp.x, mp.y + h) - phi_at(mp.x, mp.y - h)) / (2.0 * h)
@@ -258,7 +258,7 @@ class TestInvertMap:
         p, sol, fac = triple(n, ell, lam, k, abar)
         for rho, theta in [(0.5 * p.rho_t, 0.6), (1.8 * p.rho_t, 0.25)]:
             mp = forward_map(p, sol, fac, rho, theta)
-            back = invert_map(p, sol, fac, mp.xy, (rho * 1.02, theta + 0.015))
+            back = invert_map(p, sol, fac, (mp.x, mp.y), (rho * 1.02, theta + 0.015))
             assert back.rho == pytest.approx(rho, rel=1e-10)
             assert back.theta == pytest.approx(theta, rel=1e-10, abs=1e-12)
             assert type(back.rho) is float and type(back.theta) is float
@@ -268,7 +268,7 @@ class TestInvertMap:
         # the map suite's inverse-roundtrip probe at (0.5 rho_T, 0.6)
         p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
         rho, theta = 0.5 * p.rho_t, 0.6
-        return p, sol, fac, forward_map(p, sol, fac, rho, theta).xy, (1.03 * rho, theta + 0.02)
+        return p, sol, fac, forward_map(p, sol, fac, rho, theta)[:2], (1.03 * rho, theta + 0.02)
 
     def test_newton_exhaustion(self, roundtrip_probe, monkeypatch):
         monkeypatch.setattr(mapping, "NEWTON_MAX_ITER", 1)
@@ -301,7 +301,7 @@ class TestInvertMap:
         # call ends in one of the documented errors
         p = ModelParams(n=2, ell=0)
         chart = omega_chart(p)
-        target = forward_map(*chart, 2.3 * p.rho_t, 2.2).xy
+        target = forward_map(*chart, 2.3 * p.rho_t, 2.2)[:2]
         with pytest.raises((FoldError, NoConvergenceError)):
             invert_map(*chart, target, (1.3 * p.rho_t, 0.2))
 
@@ -340,7 +340,7 @@ class TestSampleFields:
 
     def test_degenerate_corner_flagged(self):
         p, sol, fac = triple(2, 0, 2.0, 1, 2.0, c1=1.0, c2=0.0)
-        theta_e = fac.extremum_angle()  # pi/4 for sin(2 theta)
+        theta_e = extremum_angle(fac)  # pi/4 for sin(2 theta)
         dom = SectorDomain(0.9 * p.rho_t, p.rho_t, theta_e - 0.01, theta_e + 0.01)
         samples = sample_fields(p, sol, fac, dom, grid=(3, 3))
         corner = min(samples, key=lambda s: abs(s.jac_inv))
@@ -481,11 +481,11 @@ def _scalar_sample(p, sol, fac, rho, theta):
         flag = "node"
     speed = abs(p.alpha) * rho
     values = {
-        "x": mp.x, "y": mp.y, "phi": mp.phi_val, "jac_inv": mp.jac_inv, "q_pot": q, "u_pot": u,
+        "x": mp.x, "y": mp.y, "phi": mp.phi, "jac_inv": mp.jac_inv, "q_pot": q, "u_pot": u,
         "vx": -p.alpha * rho * math.cos(theta), "vy": -p.alpha * rho * math.sin(theta),
         "speed": speed, "density": density_F(p, speed),
     }
-    return values, mp.region, flag
+    return values, classify(p, rho), flag
 
 
 class TestSweepRegions:
@@ -634,7 +634,7 @@ class TestSweepNeverAborts:
             else:
                 mp = forward_map(*omega_chart(p), rhos[k // 3] * p.rho_t, [0.0, 0.5, 1.0][k % 3])
                 assert s.flag == "" and s.x == pytest.approx(mp.x, rel=1e-14)
-                assert s.phi == pytest.approx(mp.phi_val, rel=1e-14)
+                assert s.phi == pytest.approx(mp.phi, rel=1e-14)
             assert math.isfinite(s.speed) and math.isfinite(s.density)
 
     @pytest.mark.parametrize("radial", ["kummer-", "tricomi-", "tricomi+"])
@@ -890,7 +890,7 @@ class TestModelCheck:
         else:
             sol, fac = RadialSolution.constant(), AngularFactor(lam=0.0, c1=0.5, c2=1.0)
         for p in (ModelParams(n=2, ell=4), ModelParams(n=2, ell=2)):
-            xy = forward_map(p, sol, fac, _RHO * p.rho_t, _THETA).xy
+            xy = forward_map(p, sol, fac, _RHO * p.rho_t, _THETA)[:2]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnivalenceWarning)
                 assert MODEL_CHECKED[entry](p, sol, fac, xy) is not None
@@ -903,7 +903,7 @@ class TestModelCheck:
         sol, fac = build(ModelParams(n=2, ell=4)), AngularFactor(lam=2.5, c1=1.0, c2=0.0)
         assert sol == build(ModelParams(n=2, ell=2))
         for p in (ModelParams(n=2, ell=4), ModelParams(n=2, ell=2)):
-            xy = forward_map(p, sol, fac, _RHO * p.rho_t, _THETA).xy
+            xy = forward_map(p, sol, fac, _RHO * p.rho_t, _THETA)[:2]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnivalenceWarning)
                 assert MODEL_CHECKED[entry](p, sol, fac, xy) is not None

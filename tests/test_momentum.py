@@ -3,14 +3,16 @@ and angular factors, and the Laguerre-case catalogs."""
 
 import hashlib
 import math
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hodoflow import verify
-from hodoflow.errors import DomainError, NodeError, ParameterError, RegionError, SaturationWarning
-from hodoflow.mapping import SectorDomain
+from hodoflow.errors import DomainError, NodeError, ParameterError, RegionError, SaturationWarning, UnivalenceWarning
+from hodoflow.mapping import SectorDomain, sample_fields
 from hodoflow.maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant
 from hodoflow.momentum import (
     AngularFactor,
@@ -33,9 +35,10 @@ from hodoflow.momentum import (
     slope_rho_theta,
     zeta_bar,
 )
+from hodoflow.potentials import quantum_potential
 from hodoflow.specfun import kummer_m, laguerre
 from hodoflow.verify import fd_derivative
-from oracles import brute_force_orders, frobenius_roots
+from oracles import band_edge_radii, brute_force_orders, extremum_angle, frobenius_roots, nu_plus
 
 
 @pytest.fixture
@@ -77,6 +80,31 @@ class TestCharacteristics:
             characteristic_chi(m22, CharacteristicKind.HYPERBOLIC_PLUS, 0.5 * m22.rho_t, 0.0)
         with pytest.raises(RegionError):
             characteristic_chi(m22, CharacteristicKind.ELLIPTIC_PLUS, 2.0 * m22.rho_t, 0.0)
+
+    @pytest.mark.parametrize("sigma_v", [0.1, 1.1, 3.0])
+    def test_band_guards_are_classify(self, sigma_v):
+        # the band rule has one judge: at the parabolic band's edges and one ulp
+        # to either side, each region guard raises RegionError exactly where
+        # classify names the other region; a second rule written as the
+        # products rho_T (1 +- EPS_PARABOLIC) disagrees with it there
+        p = ModelParams(n=2, ell=4, sigma_v=sigma_v)
+        omega, fac = RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
+        for rho in band_edge_radii(p):
+            # each guard, and whether it needs the hyperbolic side
+            guards = [(lambda k=kind: characteristic_chi(p, k, rho, 0.3), kind.hyperbolic) for kind in ALL_KINDS]
+            guards += [
+                (lambda: hyperbolic_omega(p, rho), True),
+                (lambda: sample_fields(p, omega, fac, SectorDomain(rho, 1.5 * rho, 0.0, 1.0), (2, 2)), True),
+            ]
+            region = classify(p, rho)
+            for i, (call, hyperbolic) in enumerate(guards):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UnivalenceWarning)
+                    if region is (RegionTag.ELLIPTIC if hyperbolic else RegionTag.HYPERBOLIC):
+                        with pytest.raises(RegionError):
+                            call()
+                    else:
+                        assert call() is not None, (i, rho)
 
     def test_saturation_near_origin(self, m22):
         with pytest.warns(SaturationWarning):
@@ -385,7 +413,7 @@ class TestRadialSolutions:
 class TestHyperbolicOmega:
     def test_slope_matches_zeta_bar_when_matched(self, m22):
         # Omega is zeta shifted by c0 rho_T c2 / n: its row's slope is zeta_bar
-        p = m22.with_(c0=1.3, c2=0.4)
+        p = replace(m22, c0=1.3, c2=0.4)
         for rho in (1.2 * p.rho_t, 1.8 * p.rho_t, 2.6 * p.rho_t):
             value, slope, _ = radial_row(p, RadialSolution.omega(), rho)
             assert slope == zeta_bar(p, rho)
@@ -535,27 +563,32 @@ class TestAngularFactor:
     def test_sine_case_frozen(self):
         fac = AngularFactor(lam=3.0, c1=1.0, c2=0.0)
         assert fac.value(math.pi / 12.0) == pytest.approx(math.sin(math.pi / 4.0), rel=1e-15)
-        assert fac.logderiv(math.pi / 12.0) == pytest.approx(3.0, rel=1e-13)
+        assert fac.deriv(math.pi / 12.0) / fac.value(math.pi / 12.0) == pytest.approx(3.0, rel=1e-13)
 
     def test_extremum_angle(self):
         for c1, c2, lam in [(1.0, 0.0, 3.0), (0.7, -0.4, 2.0), (1.3, 2.2, 4.0)]:
             fac = AngularFactor(lam=lam, c1=c1, c2=c2)
-            th_e = fac.extremum_angle()
+            th_e = extremum_angle(fac)
             assert fac.deriv(th_e) == pytest.approx(0.0, abs=1e-12 * (abs(c1) + abs(c2)) * lam)
 
     def test_logderiv_fd(self):
         fac = AngularFactor(lam=2.0, c1=0.8, c2=0.5)
         for theta in (0.3, 1.2):
             fd = fd_derivative(lambda t: math.log(abs(fac.value(t))), theta, h=1e-6)
-            assert fac.logderiv(theta) == pytest.approx(fd, rel=1e-6)
+            assert fac.deriv(theta) / fac.value(theta) == pytest.approx(fd, rel=1e-6)
         lin = AngularFactor(lam=0.0, c1=1.5, c2=0.3)
         fd = fd_derivative(lambda t: math.log(abs(lin.value(t))), 0.9, h=1e-7)
-        assert lin.logderiv(0.9) == pytest.approx(fd, rel=1e-6)
+        assert lin.deriv(0.9) / lin.value(0.9) == pytest.approx(fd, rel=1e-6)
 
     def test_node_error(self):
+        # Theta = sin(3 theta) vanishes at pi/3 at working precision: Upsilon
+        # has its pole there, and the quantum potential raises NodeError
         fac = AngularFactor(lam=3.0, c1=1.0, c2=0.0)
+        assert fac.at_node(math.pi / 3.0) and not fac.at_node(math.pi / 4.0)
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.from_laguerre_case(p, LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=7.0))
         with pytest.raises(NodeError):
-            fac.logderiv(math.pi / 3.0)
+            quantum_potential(p, sol, fac, 0.5 * p.rho_t, math.pi / 3.0)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -627,7 +660,7 @@ class TestLaguerreEnumeration:
         for case in cases:
             p = ModelParams(n=n, ell=case.ell)
             nu = RadialSolution.from_laguerre_case(p, case).exponents(p)[0]
-            assert nu == pytest.approx(case.nu_plus, rel=1e-15, abs=0.0), case
+            assert nu == pytest.approx(nu_plus(case), rel=1e-15, abs=0.0), case
 
     @pytest.mark.parametrize("n", [1.0, 2.0, 3.0])
     def test_bridge_constant_is_exact(self, n):
@@ -680,7 +713,7 @@ class TestFactorizedU:
         fac = AngularFactor(lam=3.0, c1=1.0, c2=0.0)
         domain = SectorDomain(0.4 * p.rho_t, 1.9 * p.rho_t, 0.15, 0.9)
         report = verify.pde_residual_momentum(
-            p, lambda r, t: factorized_u(p, sol, fac, r, t), domain, grid=(12, 12)
+            p, lambda r, t: factorized_u(p, sol, fac, r, t), domain, grid=(12, 12), name="momentum-pde-2-4-3"
         )
         assert report.passed, report
 
@@ -692,7 +725,7 @@ class TestFactorizedU:
         fac = AngularFactor(lam=3.0, c1=1.0, c2=0.0)
         for rho, theta in [(0.8, 0.3), (2.3, 0.5), (3.9, 1.2)]:
             expected = (
-                p.rho_bar(rho) ** case.nu_plus
+                p.rho_bar(rho) ** nu_plus(case)
                 * laguerre(case.k, case.alpha_bar, p.tau(rho))
                 * math.sin(3.0 * theta)
             )
@@ -723,7 +756,7 @@ class TestFactorizedU:
         (lambda p: hill_substitution_zeta(p, 0.0), DomainError, "rho must be positive"),
         (lambda p: zeta_bar(p, 0.0), DomainError, "rho must be positive"),
         (lambda p: hill_coefficient_G(p, 2.0, 0.0), DomainError, "rho must be positive"),
-        (lambda p: hill_coefficient_G(p.with_(c0=0.0), 2.0, p.rho_t), ParameterError, "c0 must be nonzero"),
+        (lambda p: hill_coefficient_G(replace(p, c0=0.0), 2.0, p.rho_t), ParameterError, "c0 must be nonzero"),
         (lambda p: LaguerreCase(lam=0.5, k=0, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "lam >= 1"),
         (lambda p: LaguerreCase(lam=2.0, k=-1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "k must be"),
         (lambda p: LaguerreCase(lam=1.0, k=0, n=0.0, ell=0.0, alpha_bar=1.0), ParameterError, "n must be finite"),
@@ -758,7 +791,9 @@ class TestFactorizedU:
         (lambda p: radial_row(p, RadialSolution.kummer(p, 2.5, tricomi=True), 1e-200 * p.rho_t),
          DomainError, "Tricomi Psi restricted to z > 0"),
         (lambda p: AngularFactor(lam=-1.0), ParameterError, "lam must be non-negative"),
-        (lambda p: AngularFactor(lam=0.0).extremum_angle(), ParameterError, "no extremum"),
+        (lambda p: extremum_angle(AngularFactor(lam=0.0)), ParameterError, "no extremum"),
+        # Omega's region guard is classify, with its DomainError at rho <= 0
+        (lambda p: hyperbolic_omega(p, 0.0), DomainError, "classification requires rho > 0"),
     ],
     ids=[
         "chi-rho", "slope-rho", "zeta-rho", "zeta_bar-rho", "hill_G-rho", "hill_G-c0",
@@ -769,7 +804,7 @@ class TestFactorizedU:
         "laguerre-ell_max", "radial_row-nan", "chi-nan", "chi-theta-nan", "slope-nan", "zeta_bar-nan", "zeta-nan",
         "hill_G-nan",
         "radial_row-rho", "radial_row-tricomi-tau", "angular-lam",
-        "angular-extremum",
+        "angular-extremum", "omega-rho",
     ],
 )
 def test_input_checks(m22, call, error, message):

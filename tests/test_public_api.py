@@ -57,7 +57,6 @@ SETTINGS = {
     "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c2"],
     "PsiModelParams": ["sigma_r", "rho_t"],
     "RadialSolution": ["lam", "scale"],
-    "pde_residual_momentum": ["name"],
 }
 
 
@@ -76,7 +75,7 @@ def test_settings_count():
         if defaults:
             settings[name] = defaults
     assert settings == SETTINGS
-    assert sum(map(len, settings.values())) == 12
+    assert sum(map(len, settings.values())) == 11
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -89,8 +89,8 @@ class TestReports:
         fac = AngularFactor(lam=2.0, c1=0.4, c2=0.8)
         dom = SectorDomain(0.4 * p.rho_t, 0.9 * p.rho_t, 0.1, 0.6)
         u = lambda r, t: factorized_u(p, sol, fac, r, t)
-        r1 = pde_residual_momentum(p, u, dom, grid=(6, 6))
-        r2 = pde_residual_momentum(p, u, dom, grid=(6, 6))
+        r1 = pde_residual_momentum(p, u, dom, grid=(6, 6), name="momentum-pde")
+        r2 = pde_residual_momentum(p, u, dom, grid=(6, 6), name="momentum-pde")
         assert r1 == r2
 
 
@@ -98,7 +98,7 @@ class TestMomentumResidualHarness:
     def test_constant_solution(self):
         p = ModelParams(n=2, ell=2)
         dom = SectorDomain(0.3 * p.rho_t, 1.8 * p.rho_t, 0.0, 1.0)
-        rep = pde_residual_momentum(p, lambda r, t: 3.7, dom, grid=(5, 5))
+        rep = pde_residual_momentum(p, lambda r, t: 3.7, dom, grid=(5, 5), name="momentum-pde")
         assert rep.passed and rep.max_abs < 1e-12
 
     def test_node_points_skipped(self):
@@ -110,7 +110,7 @@ class TestMomentumResidualHarness:
 
         p = ModelParams(n=2, ell=2)
         dom = SectorDomain(0.3 * p.rho_t, 1.8 * p.rho_t, 0.0, 1.0)
-        rep = pde_residual_momentum(p, u_fn, dom, grid=(5, 5))
+        rep = pde_residual_momentum(p, u_fn, dom, grid=(5, 5), name="momentum-pde")
         assert (rep.skipped_points, rep.total_points) == (5, 25)
         assert rep.max_abs < 1e-12 and not rep.passed
 
@@ -119,7 +119,7 @@ class TestMomentumResidualHarness:
         p = ModelParams(n=2, ell=2)
         dom = SectorDomain(0.3 * p.rho_t, 1.8 * p.rho_t, 0.2, 1.2)
         # exact solution: residual sits at the FD rounding floor (~eps u / h^2)
-        rep = pde_residual_momentum(p, lambda r, t: 1.4 * t + 0.3, dom, grid=(5, 5))
+        rep = pde_residual_momentum(p, lambda r, t: 1.4 * t + 0.3, dom, grid=(5, 5), name="momentum-pde")
         assert rep.passed and rep.max_abs < 1e-7
 
     def test_h_sweep_flags_wrong_solution(self):

@@ -716,16 +716,20 @@ def factorized_u(
     params: ModelParams,
     sol: RadialSolution,
     fac: AngularFactor,
-    rho: float,
-    theta: float,
-) -> float:
-    """Separated solution u(rho, theta) = R(rho) Theta(theta).
+    rho,
+    theta,
+):
+    """Separated solution u(rho, theta) = R(rho) Theta(theta) at a point, or over
+    a rho array and a theta array broadcast together, R then from :func:`radial_rows`
+    (NaN where :func:`radial_row` raises :class:`DomainError` or :class:`RegionError`).
 
     Laguerre-case radial factors already carry the alternating sign and the
     polynomial normalization, so for those ``u = (-1)^k rho_bar^nu L_k(tau) Theta``
     (R and Theta must be one solution of params: :func:`require_matching`).
     """
     require_matching(params, sol, fac)
+    if isinstance(rho, np.ndarray):
+        return radial_rows(params, sol, rho)[0].reshape(rho.shape) * fac.value(theta)
     return radial_row(params, sol, rho)[0] * fac.value(theta)
 
 

@@ -852,6 +852,8 @@ MODEL_CHECKED = {
     "quantum_potential": lambda p, sol, fac, xy: quantum_potential(p, sol, fac, _RHO * p.rho_t, _THETA),
     "classical_potential": lambda p, sol, fac, xy: classical_potential(p, sol, fac, _RHO * p.rho_t, _THETA),
     "factorized_u": lambda p, sol, fac, xy: factorized_u(p, sol, fac, _RHO * p.rho_t, _THETA),
+    "factorized_u-grid": lambda p, sol, fac, xy: factorized_u(
+        p, sol, fac, np.array([[_RHO * p.rho_t]]), np.array([_THETA])),
     "sample_fields": lambda p, sol, fac, xy: sample_fields(
         p, sol, fac, SectorDomain(1.2 * p.rho_t, 1.6 * p.rho_t, -0.2, 0.2), (3, 3)),
     "normalization_sector": lambda p, sol, fac, xy: normalization_sector(
@@ -870,7 +872,7 @@ class TestModelCheck:
 
     @pytest.mark.parametrize("case", ["lam-one", "constant-u"])
     @pytest.mark.parametrize("entry", sorted(set(MODEL_CHECKED) - {"forward_map-degenerate", "map_differential",
-                                                                    "factorized_u"}))
+                                                                    "factorized_u", "factorized_u-grid"}))
     def test_no_chart_raises(self, entry, case):
         # one chart check (momentum.require_chart) serves the map and the potentials
         p = ModelParams(n=2, ell=4)

@@ -532,6 +532,13 @@ class TestHillIntegral:
             with pytest.raises(DomainError):
                 hill_substitution_zeta(ModelParams(n=2, ell=ell), 1e-200)
 
+    def test_series_that_does_not_converge_raises(self):
+        # q = ell / n = 4000: the stopping rule j > max(z, q) cannot hold
+        # within SERIES_MAX_TERMS, so the sum returns NaN
+        p = ModelParams(n=1, ell=4000)
+        with pytest.raises(DomainError, match="did not converge"):
+            hill_substitution_zeta(p, 0.001 * p.rho_t)
+
 
 class TestMuPlus:
     """mu_+, the radial canonical coordinate of the hyperbolic region: the
@@ -745,6 +752,45 @@ class TestFactorizedU:
         fac = AngularFactor(lam=3.0)
         with pytest.raises(ParameterError):
             factorized_u(m22, sol, fac, 1.0, 0.5)
+
+    @pytest.mark.parametrize("case, rho_bars, has_nan", [
+        # terminating M (a Laguerre polynomial)
+        ("laguerre", (0.3, 2.5), False),
+        # non-terminating M, whose tau = 1.5 rho_bar^2 passes KUMMER_Z_MAX beyond rho_bar 5.77
+        ("kummer", (0.4, 7.0), True),
+        ("tricomi", (0.4, 7.0), True),
+        # Omega is hyperbolic only: RegionError below rho_T
+        ("omega", (0.5, 1.8), True),
+        ("constant", (0.5, 1.8), False),
+    ])
+    def test_grid_matches_scalar(self, case, rho_bars, has_nan):
+        # over a rho column and a theta row: the scalar's bits, NaN exactly where the scalar raises
+        p = ModelParams(n=2, ell=4) if case == "laguerre" else ModelParams(n=2, ell=2)
+        sol = {
+            "laguerre": lambda: RadialSolution.from_laguerre_case(
+                p, LaguerreCase(lam=3.0, k=2, n=2.0, ell=4.0, alpha_bar=7.0)),
+            "kummer": lambda: RadialSolution.kummer(p, 2.5),
+            "tricomi": lambda: RadialSolution.kummer(p, 2.5, tricomi=True),
+            "omega": RadialSolution.omega,
+            "constant": RadialSolution.constant,
+        }[case]()
+        fac = AngularFactor(lam=sol.lam, c1=0.6, c2=0.2)
+        rho = np.linspace(*rho_bars, 23)[:, None] * p.rho_t
+        theta = np.linspace(-0.4, 1.1, 7)
+
+        def scalar(r, t):
+            try:
+                return factorized_u(p, sol, fac, r, t)
+            except (DomainError, RegionError):
+                return math.nan
+
+        want = np.array([[scalar(r, t) for t in theta.tolist()] for r in rho.ravel().tolist()])
+        got = factorized_u(p, sol, fac, rho, theta)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert nan.any() == has_nan
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 @pytest.mark.parametrize(

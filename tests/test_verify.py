@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from hodoflow.errors import NoConvergenceError, NodeError, ParameterError
+from hodoflow.errors import DomainError, NoConvergenceError, NodeError, ParameterError
 from hodoflow.mapping import SectorDomain
 from hodoflow.maxwell import ModelParams
 from hodoflow.momentum import AngularFactor, RadialSolution, factorized_u
@@ -13,6 +14,7 @@ from hodoflow.verify import (
     _h_sweep_report,
     adaptive_quad,
     fd_derivative,
+    pde_residual_coordinate,
     pde_residual_momentum,
     report_from_residuals,
 )
@@ -101,18 +103,37 @@ class TestMomentumResidualHarness:
         rep = pde_residual_momentum(p, lambda r, t: 3.7, dom, grid=(5, 5), name="momentum-pde")
         assert rep.passed and rep.max_abs < 1e-12
 
-    def test_node_points_skipped(self):
-        # points where u raises NodeError count as skipped: 5 of 25 exceeds the 5% budget
+    def test_u_fn_called_five_times(self):
+        # one call per stencil offset, each over the whole grid
+        calls = []
+
         def u_fn(rho, theta):
-            if theta > 0.9:
-                raise NodeError("on a node")
-            return 3.7
+            calls.append((np.shape(rho), np.shape(theta)))
+            return 3.7 + 0.0 * rho * theta
 
         p = ModelParams(n=2, ell=2)
         dom = SectorDomain(0.3 * p.rho_t, 1.8 * p.rho_t, 0.0, 1.0)
+        rep = pde_residual_momentum(p, u_fn, dom, grid=(6, 4), name="momentum-pde")
+        assert calls == [((6, 1), (4,))] * 5
+        assert rep.passed and rep.total_points == 24
+
+    def test_node_points_skipped(self):
+        # points where a stencil value of u is NaN count as skipped: 5 of 25 exceeds the 5% budget
+        p = ModelParams(n=2, ell=2)
+        dom = SectorDomain(0.3 * p.rho_t, 1.8 * p.rho_t, 0.0, 1.0)
+        u_fn = lambda rho, theta: np.where(theta > 0.9, math.nan, 3.7 + 0.0 * rho)
         rep = pde_residual_momentum(p, u_fn, dom, grid=(5, 5), name="momentum-pde")
         assert (rep.skipped_points, rep.total_points) == (5, 25)
         assert rep.max_abs < 1e-12 and not rep.passed
+
+    def test_overflowing_residual_fails_unskipped(self):
+        # u is finite at every stencil point, but 2 u overflows: the residual
+        # is not finite, which fails the report and is not a skipped point
+        p = ModelParams(n=2, ell=2)
+        dom = SectorDomain(0.3 * p.rho_t, 1.8 * p.rho_t, 0.0, 1.0)
+        rep = pde_residual_momentum(p, lambda r, t: 1e308 * (1.0 + 0.1 * t), dom, grid=(5, 5), name="momentum-pde")
+        assert (rep.skipped_points, rep.total_points) == (0, 25)
+        assert math.isnan(rep.max_abs) and not rep.passed
 
     def test_linear_angular_solution(self):
         # u = c1 theta + c2 solves the equation for lam = 0 exactly
@@ -121,6 +142,18 @@ class TestMomentumResidualHarness:
         # exact solution: residual sits at the FD rounding floor (~eps u / h^2)
         rep = pde_residual_momentum(p, lambda r, t: 1.4 * t + 0.3, dom, grid=(5, 5), name="momentum-pde")
         assert rep.passed and rep.max_abs < 1e-7
+
+    @pytest.mark.parametrize("error", [NodeError, DomainError])
+    def test_coordinate_probes_that_raise_are_skipped(self, error):
+        # the coordinate oracle evaluates Phi point by point: a probe whose
+        # stencil raises NodeError or DomainError counts as skipped
+        def phi_at(x, y):
+            if x > 2.0:
+                raise error("off the leaf")
+            return 0.3 * x - 0.2 * y
+
+        rep = pde_residual_coordinate(ModelParams(n=2, ell=2), phi_at, [(1.0, 0.5), (1.5, -0.2), (2.5, 0.1)])
+        assert (rep.skipped_points, rep.total_points) == (1, 3)
 
     def test_h_sweep_flags_wrong_solution(self):
         # residuals of a function that does NOT solve the equation do not

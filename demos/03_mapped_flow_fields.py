@@ -23,6 +23,7 @@ from hodoflow import (
     invert_map,
     sample_fields,
 )
+from hodoflow.maxwell import ALPHA
 from hodoflow.momentum import LaguerreCase
 
 SECTORS = [
@@ -69,7 +70,7 @@ print(f"image floor r_min = {floor:.6f}")
 for rho_bar in (1.05, 1.4, 2.0):
     mp = forward_map(*omega_chart, rho_bar * p0.rho_t, 0.0)
     print(f"  rho = {rho_bar} rho_T maps to r = {math.hypot(mp.x, mp.y):.6f}, "
-          f"speed = {abs(p0.alpha) * rho_bar * p0.rho_t:.3f}")
+          f"speed = {abs(ALPHA) * rho_bar * p0.rho_t:.3f}")
 
 dom = SectorDomain(1.2 * p0.rho_t, 2.2 * p0.rho_t, 0.0, 2.0 * math.pi - 1e-9)
 rows = sample_fields(*omega_chart, dom, grid=(8, 12))

@@ -56,7 +56,6 @@ from .momentum import (
     zeta_bar,
 )
 from .mapping import (
-    CoordPoint,
     FieldSample,
     MapPoint,
     MomentumPoint,

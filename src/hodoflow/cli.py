@@ -58,8 +58,7 @@ EXIT_DEGENERATE = 2
 EXIT_FOLD = 3
 EXIT_VERIFY = 4
 
-_MODEL = {"n": 2.0, "ell": 0.0, "sigma_v": 1.0, "alpha": -0.5, "beta": 1.0, "c0": 1.0, "c2": 0.0,
-          "lam": 2.0, "radial": "kummer+"}
+_MODEL = {"n": 2.0, "ell": 0.0, "sigma_v": 1.0, "c0": 1.0, "c2": 0.0, "lam": 2.0, "radial": "kummer+"}
 
 #: Defaults of the commands that take ``--config``, by flag dest.  Each key is
 #: one flag of its command, of its default's type; a config file value is cast
@@ -178,7 +177,7 @@ def _separated_model(config: dict):
     """``(params, sol, fac)`` of the separated solution in ``config``, which
     is updated to the values evaluated: the solution's lam and fc1 with -0.0
     collapsed."""
-    params = ModelParams(**{key: config[key] for key in ("n", "ell", "sigma_v", "alpha", "beta", "c0", "c2")})
+    params = ModelParams(**{key: config[key] for key in ("n", "ell", "sigma_v", "c0", "c2")})
     try:
         kind = RadialKind(config["radial"])
     except ValueError:

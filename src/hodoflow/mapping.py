@@ -31,7 +31,7 @@ from .errors import (
     RegionError,
     UnivalenceWarning,
 )
-from .maxwell import ModelParams, RegionTag, coeff_g
+from .maxwell import ALPHA, ModelParams, RegionTag, coeff_g
 from .momentum import AngularFactor, RadialKind, RadialSolution
 
 
@@ -42,11 +42,6 @@ NEWTON_MAX_ITER = 50
 class MomentumPoint(NamedTuple):
     rho: float
     theta: float
-
-
-class CoordPoint(NamedTuple):
-    x: float
-    y: float
 
 
 class MapPoint(NamedTuple):
@@ -259,7 +254,7 @@ def invert_map(
     params: ModelParams,
     sol: RadialSolution,
     fac: AngularFactor,
-    target: CoordPoint | tuple[float, float],
+    target: tuple[float, float],
     seed: MomentumPoint | tuple[float, float],
 ) -> MomentumPoint:
     """Numerical inverse of the forward map by damped Newton iteration.
@@ -356,8 +351,8 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
         out_of_range = np.isnan(r[:, 0]) | ~np.isfinite(jac_inv).all(axis=1) | np.isinf(u * u).any(axis=1)
     block[:, out_of_range] = math.nan
     univalent = not ((jac_inv > 0.0).any() and (jac_inv < 0.0).any())
-    vx[...], vy[...] = -params.alpha * rho * cos_t, -params.alpha * rho * sin_t
-    speed = abs(params.alpha) * rhos
+    vx[...], vy[...] = -ALPHA * rho * cos_t, -ALPHA * rho * sin_t
+    speed = abs(ALPHA) * rhos
     density = maxwell._density(params, speed, norm)
     density_singular = np.isnan(density)
     block[5:7, density_singular] = math.nan  # q_pot and u_pot

@@ -3,7 +3,7 @@
 The distribution family is ``F(z) ~ z^ell exp(-const z^n)`` over the speed
 ``z``; ``n = ell = 2`` is the classical Maxwell case, ``n = 2, ell = 0`` a
 Gaussian.  The characteristic scale is always tied to ``sigma_v`` so that the
-sonic radius ``rho_T = sigma_v / |alpha|`` is parameter free: speeds below
+sonic radius ``rho_T = sigma_v / |ALPHA|`` is parameter free: speeds below
 ``sigma_v`` fall in the elliptic region of the linearized momentum-space
 equation, speeds above in the hyperbolic one.
 """
@@ -41,6 +41,13 @@ def require_finite(obj) -> None:
             raise ParameterError(f"{type(obj).__name__}.{f.name} must be finite, got {value}")
 
 
+#: The flows' two constants, in hbar = m = 1 units as in :mod:`potentials`:
+#: ``ALPHA = -hbar / (2 m)`` sets the velocity ``v = -ALPHA p`` and the sonic
+#: radius ``rho_T = sigma_v / |ALPHA|``, ``BETA = 1 / hbar`` the quantum
+#: potential ``Q = (ALPHA / BETA) Lap sqrt(F) / sqrt(F)``.
+ALPHA = -0.5
+BETA = 1.0
+
 #: Relative half-width of the parabolic band used by :func:`classify`.  The
 #: parabolic set has measure zero; the band only steers branch selection.
 EPS_PARABOLIC = 1e-12
@@ -48,10 +55,8 @@ EPS_PARABOLIC = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters fixing one exact solution family.
-
-    ``alpha = -1/2`` and ``beta = 1`` correspond to hbar = m = 1 units; all
-    shipped reference numbers assume them.  ``c0`` (nonzero) scales the
+    """Parameters fixing one exact solution family, in the units of
+    :data:`ALPHA` and :data:`BETA` (hbar = m = 1).  ``c0`` (nonzero) scales the
     radial substitution zeta and the angularly symmetric hyperbolic solution
     Omega, one antiderivative; ``c2`` shifts Omega.
     """
@@ -59,8 +64,6 @@ class ModelParams:
     n: float
     ell: float
     sigma_v: float = 1.0
-    alpha: float = -0.5
-    beta: float = 1.0
     c0: float = 1.0
     c2: float = 0.0
 
@@ -72,17 +75,13 @@ class ModelParams:
             raise ParameterError(f"ell must exceed -1, got {self.ell}")
         if self.sigma_v <= 0.0:
             raise ParameterError(f"sigma_v must be positive, got {self.sigma_v}")
-        if self.alpha == 0.0:
-            raise ParameterError("alpha must be nonzero")
-        if self.beta <= 0.0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
         if self.c0 == 0.0:
             raise ParameterError("c0 must be nonzero")
 
     @property
     def rho_t(self) -> float:
         """Sonic momentum radius separating the elliptic and hyperbolic regions."""
-        return self.sigma_v / abs(self.alpha)
+        return self.sigma_v / abs(ALPHA)
 
     @property
     def sigma_nl(self) -> float:
@@ -133,11 +132,11 @@ def density_F_speed_integral(params: ModelParams) -> float:
 
 
 def coeff_h(params: ModelParams, z: float) -> float:
-    """Quasilinear coefficient h(z) = alpha^2 F'(z) / (z F(z)) in speed form."""
+    """Quasilinear coefficient h(z) = ALPHA^2 F'(z) / (z F(z)) in speed form."""
     if not z > 0.0:
         raise DomainError(f"h requires z > 0, got {z}")
     s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
-    return params.alpha ** 2 / z ** 2 * (params.ell - params.n * z ** params.n / s2n)
+    return ALPHA ** 2 / z ** 2 * (params.ell - params.n * z ** params.n / s2n)
 
 
 def coeff_g(params: ModelParams, rho: float) -> float:
@@ -214,9 +213,6 @@ def normalization_psi_model(n: float, ell: float, sigma_r: float) -> float:
 SECTOR_GL_ORDERS = (12, 24)
 SECTOR_TOL = 1e-9
 
-#: Intervals of the sign scan that locates the kink radii of the rho integrand.
-SECTOR_KINK_SCAN = 32
-
 #: Panels :func:`normalization_sector` may bisect its rho range into before it gives up.
 SECTOR_MAX_PANELS = 200
 
@@ -225,27 +221,27 @@ def normalization_sector(params: ModelParams, sol, fac, domain) -> float:
     """Normalization constant over the coordinate image of a momentum sector.
 
     Computed without inverting the map: the area element of the image pulls
-    back to ``|J^-1| rho drho dtheta``, so ``N^-1 = integral F(|alpha| rho) |J^-1| rho``.
+    back to ``|J^-1| rho drho dtheta``, so ``N^-1 = integral F(|ALPHA| rho) |J^-1| rho``.
 
     The solution separates, so the rho integrand needs the radial factor once
     per rho, and the theta integral of ``|J^-1|`` is taken in closed form,
     split at the fold angles (:func:`mapping._abs_jac_inv_arc`).  The rho
     integrand is then analytic except at the radii where a fold meets a
-    sector edge or two folds merge (w1 or w2 vanishes): a sign scan over
-    ``SECTOR_KINK_SCAN`` intervals and bisection find them, and the rho range
-    is cut there and at rho_T, where
-    the folds are born with a width growing like ``sqrt(rho - rho_T)``.  A
-    panel starting at rho_T is integrated in ``s = sqrt(rho - rho_T)``, which
-    makes that growth smooth.  Every panel gets Gauss-Legendre rules of both
+    sector edge or two folds merge (w1 or w2 vanishes): a sign scan over the
+    sector's two edges and the Gauss-Legendre nodes of the panels between
+    them, and bisection, find them, and the rho range is cut there and at
+    rho_T, where the folds are born with a width growing like
+    ``sqrt(rho - rho_T)``.  A panel starting at rho_T is integrated in
+    ``s = sqrt(rho - rho_T)``, which makes that growth smooth.  Every panel gets Gauss-Legendre rules of both
     orders in ``SECTOR_GL_ORDERS``; the panel where they differ most is
     bisected until they agree (this also covers a kink the scan missed).
 
     Every set of radii goes through one array pass: the radial rows
     (:func:`momentum.radial_rows`), g, F, the kink terms or the arc integral,
-    and the Gauss-Legendre sums, for all rows at once.  The scan's radii
-    share their pass with the nodes of the panels that stand if the scan
-    finds no kink; only the bisection evaluates one rho at a time, through
-    the scalar :func:`momentum.radial_row` and the same kink terms.
+    and the Gauss-Legendre sums, for all rows at once.  The scan reads the
+    rows of the first panels' nodes, and a panel the cuts leave standing
+    keeps them; only the bisection evaluates one rho at a time, through the
+    scalar :func:`momentum.radial_row` and the same kink terms.
 
     Accuracy contract: N is the reciprocal of the higher-order sum, and the
     two sums differ by at most ``SECTOR_TOL`` relative; where that takes more than
@@ -287,29 +283,28 @@ def normalization_sector(params: ModelParams, sol, fac, domain) -> float:
         a, b, s, rhos = nodes(lo, hi)
         rhos, r, rp, g = swept or rows(rhos)
         arc_integral = mapping._abs_jac_inv_arc(rhos, r, rp, g, fac, *arc)
-        values = _density(params, abs(params.alpha) * rhos, 1.0) * rhos * arc_integral
+        values = _density(params, abs(ALPHA) * rhos, 1.0) * rhos * arc_integral
         if lo == rho_t:
             values = 2.0 * s * values
         sums = _legendre_sums(values, a, b, SECTOR_GL_ORDERS)
         return [lo, hi, sums[-1], abs(sums[-1] - sums[0])]
 
-    # The scan's radii and the nodes of the panels that stand if it finds no
-    # kink (from edge to edge, cut at rho_T) go through one sweep; a kink
-    # discards those panels' rows.
+    # The two edges and the nodes of the first panels (from edge to edge, cut
+    # at rho_T) go through one sweep; in order of rho, they are the radii of
+    # the kink scan, and a first panel that no kink cuts keeps its rows.
     lo, hi = domain.rho_min, domain.rho_max
     edges = [lo, *([rho_t] if lo < rho_t < hi else []), hi]
-    grid = [lo + (hi - lo) * i / SECTOR_KINK_SCAN for i in range(SECTOR_KINK_SCAN)] + [hi]
-    spans = [grid, *(nodes(a, b)[3] for a, b in zip(edges[:-1], edges[1:]))]
-    swept = rows(np.concatenate(spans))
-    ends = list(itertools.accumulate(map(len, spans)))
-    scanned, *ahead = [tuple(col[i:j] for col in swept) for i, j in zip([0, *ends], ends)]
-    cuts = _sign_change_radii(negative, grid, np.array(mapping._arc_kink_terms(*scanned, fac, *arc)) < 0.0)
+    spans = list(zip(edges[:-1], edges[1:]))
+    radii = [np.array([lo, hi]), *(nodes(a, b)[3] for a, b in spans)]
+    swept = rows(np.concatenate(radii))
+    order = np.argsort(swept[0])
+    flags = np.array(mapping._arc_kink_terms(*swept, fac, *arc)) < 0.0
+    cuts = _sign_change_radii(negative, swept[0][order].tolist(), flags[:, order])
     if lo < rho_t < hi:
         cuts = sorted({*cuts, rho_t})
-    if cuts == edges:
-        panels = [panel(a, b, rows_ab) for a, b, rows_ab in zip(edges[:-1], edges[1:], ahead)]
-    else:
-        panels = [panel(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    ends = list(itertools.accumulate(map(len, radii)))
+    first = {span: tuple(col[i:j] for col in swept) for span, i, j in zip(spans, ends, ends[1:])}
+    panels = [panel(a, b, first.get((a, b))) for a, b in zip(cuts[:-1], cuts[1:])]
     while True:
         total = math.fsum(p[2] for p in panels)
         err = math.fsum(p[3] for p in panels)

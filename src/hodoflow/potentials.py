@@ -23,7 +23,7 @@ import numpy as np
 
 from . import momentum, specfun
 from .errors import DivergenceError, DomainError, NodeError, ParameterError
-from .maxwell import ModelParams, coeff_g, normalization_psi_model, require_finite
+from .maxwell import ALPHA, BETA, ModelParams, coeff_g, normalization_psi_model, require_finite
 from .momentum import AngularFactor, RadialSolution
 
 HBAR = 1.0
@@ -47,7 +47,7 @@ def _a_coeffs(n: float, ell: float, lam: float, z1: float, z2: float, z3: float)
 
 
 def _mapped_q(params: ModelParams, lam: float, rho, u, z1, z2, z3, z4, denom):
-    """The closed form: alpha rho^2 / (2 beta u^2) times the bracket A + B.
+    """The closed form: ALPHA rho^2 / (2 BETA u^2) times the bracket A + B.
 
     Elementwise on floats or broadcast arrays (z1..z3 per rho row, z4 per
     theta column); ``a0, a1, a2`` depend on z1..z3 only, so over a grid they
@@ -64,12 +64,12 @@ def _mapped_q(params: ModelParams, lam: float, rho, u, z1, z2, z3, z4, denom):
         / denom_2
         * (0.5 * (z3_1 * z3_1) + z3_1 * (n - 1.0) - n * ell)
     )
-    return params.alpha * (rho * rho) / (2.0 * params.beta * (u * u)) * (part_a + part_b)
+    return ALPHA * (rho * rho) / (2.0 * BETA * (u * u)) * (part_a + part_b)
 
 
-def stationary_u(params: ModelParams, rho, q):
-    """External potential from stationarity, U = alpha rho^2/(4 beta) - Q (E = 0 frame), given Q."""
-    return params.alpha * (rho * rho) / (4.0 * params.beta) - q
+def stationary_u(rho, q):
+    """External potential from stationarity, U = ALPHA rho^2/(4 BETA) - Q (E = 0 frame), given Q."""
+    return ALPHA * (rho * rho) / (4.0 * BETA) - q
 
 
 def quantum_potential(
@@ -121,7 +121,7 @@ def classical_potential(
     single-valued across quantum states: shifting the energy shifts Q by the
     same constant and cancels here, so U is given in the E = 0 frame.
     """
-    return stationary_u(params, rho, quantum_potential(params, sol, fac, rho, theta))
+    return stationary_u(rho, quantum_potential(params, sol, fac, rho, theta))
 
 
 def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
@@ -138,7 +138,7 @@ def potentials_on_grid(params: ModelParams, lam: float, rho, u, rcal, g, ups):
         denom = z1 * z1 * (ups * ups) + g * (z2 * z2)
         node = (u == 0.0) | np.isnan(rcal) | np.isnan(ups) | (denom == 0.0)
         q = np.where(node, math.nan, _mapped_q(params, lam, rho, u, z1, z2, g, ups, denom))
-        return q, stationary_u(params, rho, q), node
+        return q, stationary_u(rho, q), node
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,8 @@ class PsiModelParams:
 
     @property
     def sigma_v(self) -> float:
-        """Characteristic speed; |alpha| rho_t with alpha = -hbar/(2m)."""
-        return HBAR / (2.0 * MASS) * self.rho_t
+        """Characteristic speed |ALPHA| rho_t, in the map's units (ALPHA = -hbar/(2m))."""
+        return abs(ALPHA) * self.rho_t
 
     @property
     def angular_number(self) -> float:

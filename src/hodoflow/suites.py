@@ -18,7 +18,7 @@ import numpy as np
 from . import potentials, specfun, verify
 from .errors import ParameterError
 from .mapping import SectorDomain, _image, forward_map, invert_map
-from .maxwell import ModelParams, coeff_g, density_F, discriminant
+from .maxwell import ALPHA, BETA, ModelParams, coeff_g, density_F, discriminant
 from .momentum import (
     AngularFactor,
     CharacteristicKind,
@@ -263,7 +263,7 @@ def suite_potentials() -> list[VerificationReport]:
             def sqrt_f(x, y):
                 back = invert_map(p, sol, fac, (x, y), seed["pt"])
                 seed["pt"] = back
-                return math.sqrt(density_F(p, abs(p.alpha) * back.rho))
+                return math.sqrt(density_F(p, abs(ALPHA) * back.rho))
 
             h = 5e-4 * max(math.hypot(mp.x, mp.y), 1e-3)
             c0 = sqrt_f(mp.x, mp.y)
@@ -271,7 +271,7 @@ def suite_potentials() -> list[VerificationReport]:
                 sqrt_f(mp.x + h, mp.y) + sqrt_f(mp.x - h, mp.y)
                 + sqrt_f(mp.x, mp.y + h) + sqrt_f(mp.x, mp.y - h) - 4.0 * c0
             ) / h ** 2
-            oracle.append(p.alpha / p.beta * lap / c0)
+            oracle.append(ALPHA / BETA * lap / c0)
         scale = max(abs(closed[1] - closed[0]), abs(closed[2] - closed[0]))
         residuals = [
             ((closed[i] - closed[0]) - (oracle[i] - oracle[0])) / scale for i in (1, 2)
@@ -287,8 +287,8 @@ def suite_potentials() -> list[VerificationReport]:
         ell = rng.uniform(2.1, 9.0)
         sigma_r = rng.uniform(0.4, 2.5)
         r = rng.uniform(0.3, 4.0) * sigma_r
-        pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=2.0)
         params = ModelParams(n=n, ell=ell, sigma_v=1.0)
+        pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=params.rho_t)
         fac0 = AngularFactor(lam=0.0, c1=pm.c1, c2=0.3)
         q_gen = quantum_potential(params, RadialSolution.constant(), fac0, abs(pm.c1) / r, rng.uniform(-1, 1))
         q_ref = psi_quantum_potential(pm, r)

@@ -19,7 +19,7 @@ from scipy import integrate
 
 from . import mapping, specfun
 from .errors import DomainError, NodeError, NoConvergenceError
-from .maxwell import ModelParams, _g, coeff_h
+from .maxwell import ALPHA, ModelParams, _g, coeff_h
 from .mapping import SectorDomain
 from .momentum import AngularFactor, RadialSolution
 
@@ -214,7 +214,7 @@ def coordinate_pde_residual_at(
 
     All five second-order stencil combinations are taken from a 3x3 patch of
     Phi values; the coefficient h_{n,ell} is evaluated at the local speed
-    |alpha grad Phi|.
+    |ALPHA grad Phi|.
     """
     patch = {}
     for i in (-1, 0, 1):
@@ -225,7 +225,7 @@ def coordinate_pde_residual_at(
     phi_xx = (patch[(1, 0)] - 2.0 * patch[(0, 0)] + patch[(-1, 0)]) / h ** 2
     phi_yy = (patch[(0, 1)] - 2.0 * patch[(0, 0)] + patch[(0, -1)]) / h ** 2
     phi_xy = (patch[(1, 1)] - patch[(1, -1)] - patch[(-1, 1)] + patch[(-1, -1)]) / (4.0 * h ** 2)
-    speed = abs(params.alpha) * math.hypot(phi_x, phi_y)
+    speed = abs(ALPHA) * math.hypot(phi_x, phi_y)
     h_coef = coeff_h(params, speed)
     t1 = (1.0 + phi_x ** 2 * h_coef) * phi_xx
     t2 = 2.0 * h_coef * phi_x * phi_y * phi_xy

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from hodoflow.errors import ParameterError
-from hodoflow.maxwell import EPS_PARABOLIC
+from hodoflow.maxwell import ALPHA, BETA, EPS_PARABOLIC
 
 
 def frobenius_roots(ell: float, lam: float) -> tuple[float, float]:
@@ -74,14 +74,14 @@ def radial_flow_q(params, rho: float) -> float:
     w = zb * (ell + 1.0) * (rbn - 1.0) / rho
     w_prime = w * (ell + 1.0) * (rbn - 1.0) / rho + zb * (ell + 1.0) * ((n - 1.0) * rbn + 1.0) / rho ** 2
     lap_over = (p_prime * w - p * w_prime) / w ** 3 + (p / w) ** 2 + p / (w * zb)
-    return params.alpha / params.beta * lap_over
+    return ALPHA / BETA * lap_over
 
 
 def coeff_h_bar(params, rho: float) -> float:
     """The quasilinear coefficient h in momentum form, evaluated directly from
     its own formula: ``ell / rho^2 - n |alpha|^n rho^(n-2) / (sigma_nl^n 2^(n/2))``."""
     s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
-    return params.ell / rho ** 2 - params.n * abs(params.alpha) ** params.n * rho ** (params.n - 2.0) / s2n
+    return params.ell / rho ** 2 - params.n * abs(ALPHA) ** params.n * rho ** (params.n - 2.0) / s2n
 
 
 def band_edge_radii(params) -> list[float]:

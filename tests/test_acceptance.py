@@ -27,7 +27,7 @@ from hodoflow import verify
 from hodoflow.cli import main as cli_main
 from hodoflow.errors import UnivalenceWarning
 from hodoflow.mapping import SectorDomain, forward_map, sample_fields
-from hodoflow.maxwell import ModelParams
+from hodoflow.maxwell import ALPHA, ModelParams
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
@@ -190,7 +190,7 @@ def test_criterion_5_coordinate_pde():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnivalenceWarning)
                 samples = sample_fields(p, sol, fac, dom, grid=(10, 9))
-            lo, hi = r1 * p.rho_t * abs(p.alpha), r2 * p.rho_t * abs(p.alpha)
+            lo, hi = r1 * p.rho_t * abs(ALPHA), r2 * p.rho_t * abs(ALPHA)
             assert all(lo - 1e-12 <= s.speed <= hi + 1e-12 for s in samples)
 
         # angularly symmetric hyperbolic flow: the Omega chart (Theta = 1),

@@ -84,8 +84,8 @@ def test_readme_command(argv, tmp_path, monkeypatch, capsys):
 
 #: sha256 of the README ``map-fields`` example's CSV and sidecar.
 MAP_FIELDS_DIGESTS = {
-    "fields.csv": "8cf44e8d0d292bad4d98c6b67ddb300b6363757093588686dfd350e805877d8f",
-    "fields.csv.json": "6b349abb9f4e3c18a2b842d95877667493b027778708bb747d088086e557c343",
+    "fields.csv": "c6237537d6e462c766e674b68fb92162bcad974b0537a98a157dc6d162fa5dbb",
+    "fields.csv.json": "f3a9a189e4ce5425b01ff98bad78530023ab9d7f8b08abbaae234ba6effa7eaa",
 }
 
 
@@ -103,8 +103,8 @@ def test_readme_map_fields_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, digests", [
     ("solve-momentum", {
-        "u.csv": "3305398e67e8e5379df9f42ab3fc2f187d2c7e5b8717b84784e5431f8b5f1814",
-        "u.csv.json": "2c42df036550a57cefb0849a163588cbca1bc2b76592c0c1af67344566ef901b",
+        "u.csv": "83c8c421bfbc246c8d3f5b1fb3f9a61ce192318caab4f0b4c38385274d189a9f",
+        "u.csv.json": "263f6a84f817b8d07ecec01b6ef2c0b5bcfc5577a1ffc028631fd8fdd512d67a",
     }),
     ("psi-model", {
         "psi.csv": "560e92e88014379853c56f425b19594776138a1db9b3c79f45f2b20921c21ee5",
@@ -276,7 +276,7 @@ def test_grid_counts_below_two_rejected(tmp_path, capsys, command, flag, count):
 
 #: Settings solve-momentum and map-fields no longer take: the flag is a usage
 #: error and a config-file key an error naming it.
-REMOVED_SETTINGS = ("c1",)
+REMOVED_SETTINGS = ("c1", "alpha", "beta")
 
 #: A flag value and a config-file value for a setting of each type, both
 #: unlike every default; the strings are valid choices of radial and regime.
@@ -818,7 +818,7 @@ class TestVerify:
 #: 3rd power of its reciprocal stays finite.
 GRID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e-9", "1e-50")
 
-_MODEL_FLAGS = ("--n", "--ell", "--sigma-v", "--alpha", "--beta", "--c0", "--c2", "--lambda", "--fc1",
+_MODEL_FLAGS = ("--n", "--ell", "--sigma-v", "--c0", "--c2", "--lambda", "--fc1",
                 "--fc2", "--rho-min", "--rho-max", "--theta-min", "--theta-max", "--n-rho", "--n-theta",
                 *("--" + key for key in REMOVED_SETTINGS))
 

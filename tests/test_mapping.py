@@ -26,7 +26,7 @@ from hodoflow.mapping import (
     map_differential,
     sample_fields,
 )
-from hodoflow.maxwell import ModelParams, RegionTag, classify, coeff_g, density_F, normalization_sector
+from hodoflow.maxwell import ALPHA, ModelParams, RegionTag, classify, coeff_g, density_F, normalization_sector
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
@@ -216,7 +216,7 @@ class TestRadialMap:
         mp = forward_map(*omega_chart(p), rho, 1.1)
         assert math.hypot(mp.x, mp.y) == pytest.approx(zeta_bar(p, rho), rel=1e-12)
         back = invert_map(*omega_chart(p), (mp.x, mp.y), (1.5 * p.rho_t, 0.8))
-        assert abs(p.alpha) * back.rho == pytest.approx(abs(p.alpha) * rho, rel=1e-12)
+        assert abs(ALPHA) * back.rho == pytest.approx(abs(ALPHA) * rho, rel=1e-12)
 
     def test_gradient_consistency(self):
         p = ModelParams(n=2, ell=0)
@@ -368,10 +368,10 @@ class TestSampleFields:
 
                 back = invert_map(p, sol, fac, (x, y), seed["pt"])
                 seed["pt"] = back
-                f_val = density_F(p, abs(p.alpha) * back.rho)
+                f_val = density_F(p, abs(ALPHA) * back.rho)
                 return (
-                    -p.alpha * back.rho * math.cos(back.theta) * f_val,
-                    -p.alpha * back.rho * math.sin(back.theta) * f_val,
+                    -ALPHA * back.rho * math.cos(back.theta) * f_val,
+                    -ALPHA * back.rho * math.sin(back.theta) * f_val,
                 )
 
             r_loc = math.hypot(mp.x, mp.y)
@@ -479,10 +479,10 @@ def _scalar_sample(p, sol, fac, rho, theta):
     except NodeError:
         q = u = math.nan
         flag = "node"
-    speed = abs(p.alpha) * rho
+    speed = abs(ALPHA) * rho
     values = {
         "x": mp.x, "y": mp.y, "phi": mp.phi, "jac_inv": mp.jac_inv, "q_pot": q, "u_pot": u,
-        "vx": -p.alpha * rho * math.cos(theta), "vy": -p.alpha * rho * math.sin(theta),
+        "vx": -ALPHA * rho * math.cos(theta), "vy": -ALPHA * rho * math.sin(theta),
         "speed": speed, "density": density_F(p, speed),
     }
     return values, classify(p, rho), flag
@@ -614,10 +614,10 @@ class TestSweepNeverAborts:
             else:
                 assert s.flag == ""
                 assert math.isfinite(s.x) and math.isfinite(s.q_pot)
-            assert s.speed == pytest.approx(abs(p.alpha) * rho, rel=1e-15)
-            assert s.density == pytest.approx(density_F(p, abs(p.alpha) * rho), rel=1e-15)
-            assert s.vx == pytest.approx(-p.alpha * rho * math.cos(theta), rel=1e-15)
-            assert s.vy == pytest.approx(-p.alpha * rho * math.sin(theta), rel=1e-15, abs=1e-300)
+            assert s.speed == pytest.approx(abs(ALPHA) * rho, rel=1e-15)
+            assert s.density == pytest.approx(density_F(p, abs(ALPHA) * rho), rel=1e-15)
+            assert s.vx == pytest.approx(-ALPHA * rho * math.cos(theta), rel=1e-15)
+            assert s.vy == pytest.approx(-ALPHA * rho * math.sin(theta), rel=1e-15, abs=1e-300)
         assert [round(p.tau(r), 1) for r in rhos[3:]] == [52.9, 57.6, 62.5]
         assert sum(s.flag == "out-of-range" for s in samples) == 18
 

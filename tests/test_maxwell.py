@@ -8,6 +8,7 @@ import pytest
 from hodoflow import maxwell, verify
 from hodoflow.errors import DivergenceError, DomainError, ParameterError
 from hodoflow.maxwell import (
+    ALPHA,
     EPS_PARABOLIC,
     ModelParams,
     RegionTag,
@@ -35,11 +36,12 @@ class TestModelParams:
         assert maxwell22.rho_t == pytest.approx(2.0)
         assert maxwell22.sigma_nl > 0.0
         # the velocity at the sonic circle equals sigma_v exactly
-        assert abs(maxwell22.alpha) * maxwell22.rho_t == pytest.approx(maxwell22.sigma_v, rel=1e-15)
+        assert abs(ALPHA) * maxwell22.rho_t == pytest.approx(maxwell22.sigma_v, rel=1e-15)
 
     @pytest.mark.parametrize(
         "kw",
-        [{"n": 0.0}, {"n": -1.0}, {"ell": -1.0}, {"sigma_v": 0.0}, {"alpha": 0.0}, {"beta": -2.0}, {"c0": 0.0}],
+        # ell and sigma_v are also checked past their boundaries (kw4, kw5)
+        [{"n": 0.0}, {"n": -1.0}, {"ell": -1.0}, {"sigma_v": 0.0}, {"ell": -1.5}, {"sigma_v": -1.0}, {"c0": 0.0}],
     )
     def test_validation(self, kw):
         base = dict(n=2, ell=2)
@@ -47,7 +49,13 @@ class TestModelParams:
         with pytest.raises(ParameterError):
             ModelParams(**base)
 
-    @pytest.mark.parametrize("field", ["n", "ell", "sigma_v", "alpha", "beta", "c0", "c2"])
+    def test_units_are_not_fields(self):
+        # alpha and beta are the constants maxwell.ALPHA and BETA, not settings
+        for kw in ({"alpha": -0.5}, {"beta": 1.0}):
+            with pytest.raises(TypeError):
+                ModelParams(n=2, ell=0, **kw)
+
+    @pytest.mark.parametrize("field", ["n", "ell", "sigma_v", "c0", "c2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, bad):
         # NaN passes every ordered comparison of the range checks, so each
@@ -139,7 +147,7 @@ class TestCoefficients:
     def test_h_forms_agree(self, maxwell22):
         # speed form at z = |alpha| rho vs direct momentum form
         for rho in (0.3, 1.0, 1.3 * maxwell22.rho_t, 2.9):
-            z = abs(maxwell22.alpha) * rho
+            z = abs(ALPHA) * rho
             assert coeff_h(maxwell22, z) == pytest.approx(coeff_h_bar(maxwell22, rho), rel=1e-12)
 
     def test_g_zero_on_sonic_circle(self, maxwell22):
@@ -249,7 +257,7 @@ class TestNormalization:
         total = 0.0
         for i in range(m_r):
             rho = dom.rho_min + (i + 0.5) * dr
-            f_val = n_const * density_F(p, abs(p.alpha) * rho)
+            f_val = n_const * density_F(p, abs(ALPHA) * rho)
             for j in range(m_t):
                 theta = dom.theta_min + (j + 0.5) * dt
                 total += f_val * abs(forward_map(p, sol, fac, rho, theta).jac_inv) * rho * dr * dt
@@ -282,7 +290,7 @@ def _fold_split_reference(p, sol, fac, dom):
         folds = roots(form, dom.theta_min, dom.theta_max, 64)
         inner = integrate.quad(lambda t: abs(form(t)), dom.theta_min, dom.theta_max, points=folds or None,
                                epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        return density_F(p, abs(p.alpha) * rho) * inner / rho ** 3
+        return density_F(p, abs(ALPHA) * rho) * inner / rho ** 3
 
     def kink_terms(rho):
         w1, w2, g, form = parts(rho)
@@ -299,7 +307,7 @@ def _quad_oracle(p, sol, fac, dom):
     from hodoflow.mapping import forward_map
 
     def integrand(rho, theta):
-        return density_F(p, abs(p.alpha) * rho) * abs(forward_map(p, sol, fac, rho, theta).jac_inv)
+        return density_F(p, abs(ALPHA) * rho) * abs(forward_map(p, sol, fac, rho, theta).jac_inv)
 
     return polar_quad(integrand, (dom.rho_min, dom.rho_max), (dom.theta_min, dom.theta_max), tol=1e-11)
 
@@ -375,7 +383,7 @@ class TestSectorNormalization:
         def ring(rho):
             zeta_bar = p.c0 * p.rho_bar(rho) ** -(ell + 1.0) * math.exp(p.tau(rho))
             jac_inv = (ell + 1.0) * (p.rho_bar(rho) ** n - 1.0) * zeta_bar ** 2 / rho ** 2
-            return density_F(p, abs(p.alpha) * rho) * jac_inv * rho
+            return density_F(p, abs(ALPHA) * rho) * jac_inv * rho
 
         arc = dom.theta_max - dom.theta_min
         inv = arc * integrate.quad(ring, dom.rho_min, dom.rho_max, epsabs=0.0, epsrel=1e-13, limit=200)[0]

@@ -7,7 +7,7 @@ import pytest
 
 from hodoflow.errors import DegenerateMapError, DivergenceError, DomainError, NodeError, ParameterError, RegionError
 from hodoflow.mapping import forward_map, invert_map
-from hodoflow.maxwell import ModelParams, density_F
+from hodoflow.maxwell import ALPHA, BETA, ModelParams, density_F
 from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution
 from hodoflow.potentials import (
     PsiModelParams,
@@ -26,6 +26,7 @@ from hodoflow.potentials import (
     schrodinger_residual_at,
     sigma_r_closed_form,
     sigma_r_from_moments,
+    stationary_u,
 )
 
 from oracles import polar_quad, radial_flow_q
@@ -50,7 +51,7 @@ def fd_quantum_potential(p, sol, fac, rho, theta, h_rel=5e-4):
     def sqrt_f(x, y):
         back = invert_map(p, sol, fac, (x, y), seed["pt"])
         seed["pt"] = back
-        return math.sqrt(density_F(p, abs(p.alpha) * back.rho))
+        return math.sqrt(density_F(p, abs(ALPHA) * back.rho))
 
     h = h_rel * max(math.hypot(mp.x, mp.y), 1e-3)
     center = sqrt_f(mp.x, mp.y)
@@ -59,7 +60,7 @@ def fd_quantum_potential(p, sol, fac, rho, theta, h_rel=5e-4):
         + sqrt_f(mp.x, mp.y + h) + sqrt_f(mp.x, mp.y - h)
         - 4.0 * center
     ) / h ** 2
-    return p.alpha / p.beta * lap / center
+    return ALPHA / BETA * lap / center
 
 
 class TestQuantumPotentialMapped:
@@ -82,8 +83,8 @@ class TestQuantumPotentialMapped:
             ell = rng.uniform(2.1, 9.0)
             sigma_r = rng.uniform(0.4, 2.5)
             r = rng.uniform(0.3, 4.0) * sigma_r
-            pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=2.0)
-            params = ModelParams(n=n, ell=ell, sigma_v=1.0)  # alpha=-1/2 -> rho_t = 2
+            params = ModelParams(n=n, ell=ell, sigma_v=1.0)
+            pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=params.rho_t)  # pm.sigma_v == 1.0 too
             rho = abs(pm.c1) / r
             theta = rng.uniform(-1.0, 1.0)
             fac = AngularFactor(lam=0.0, c1=pm.c1, c2=0.3)
@@ -124,16 +125,15 @@ class TestQuantumPotentialMapped:
 
 class TestClassicalPotential:
     def test_kinetic_term_sign(self):
-        # alpha rho^2 / (4 beta) at alpha = -1/2, beta = 1, rho = 2 is -0.5
-        p = ModelParams(n=2, ell=2)
-        assert p.alpha * 2.0 ** 2 / (4.0 * p.beta) == pytest.approx(-0.5)
+        # U = alpha rho^2 / (4 beta) - Q at alpha = -1/2, beta = 1, rho = 2 and Q = 0 is -0.5
+        assert stationary_u(2.0, 0.0) == -0.5
 
     def test_single_valued_across_states(self):
         # shifting the state energy shifts Q by the same constant; U is fixed
         p, sol, fac = triple(2, 4, 3.0, 2, 7.0)
         rho, theta = 0.6 * p.rho_t, 0.5
         q = quantum_potential(p, sol, fac, rho, theta)
-        kinetic = p.alpha * rho ** 2 / (4.0 * p.beta)
+        kinetic = ALPHA * rho ** 2 / (4.0 * BETA)
         for shift in (0.0, 1.7, -4.2):
             u_val = kinetic - (q + shift) + shift
             assert u_val == pytest.approx(classical_potential(p, sol, fac, rho, theta), rel=1e-14)
@@ -155,14 +155,14 @@ class TestRadialFlowPotential:
             r0 = math.hypot(mp.x, mp.y)
 
             def sqrt_f(r):
-                return math.sqrt(density_F(p, abs(p.alpha) * invert_map(*chart, (r, 0.0), (rho, 0.0)).rho))
+                return math.sqrt(density_F(p, abs(ALPHA) * invert_map(*chart, (r, 0.0), (rho, 0.0)).rho))
 
             h = 1e-4 * r0
             lap = (
                 (sqrt_f(r0 + h) - 2.0 * sqrt_f(r0) + sqrt_f(r0 - h)) / h ** 2
                 + (sqrt_f(r0 + h) - sqrt_f(r0 - h)) / (2.0 * h * r0)
             ) / sqrt_f(r0)
-            assert quantum_potential(*chart, rho, 0.0) == pytest.approx(p.alpha / p.beta * lap, rel=1e-5)
+            assert quantum_potential(*chart, rho, 0.0) == pytest.approx(ALPHA / BETA * lap, rel=1e-5)
 
     @pytest.mark.parametrize("n, ell", [(2, 0), (2, 4), (1, 5), (3, 2.5)])
     def test_against_chain_rule_oracle(self, n, ell):
@@ -178,7 +178,7 @@ class TestRadialFlowPotential:
         p = ModelParams(n=2, ell=0)
         chart = omega_chart(p)
         rho = 1.7 * p.rho_t
-        expected = p.alpha * rho ** 2 / (4.0 * p.beta) - quantum_potential(*chart, rho, 0.3)
+        expected = ALPHA * rho ** 2 / (4.0 * BETA) - quantum_potential(*chart, rho, 0.3)
         assert classical_potential(*chart, rho, 0.3) == pytest.approx(expected, rel=1e-14)
 
     def test_region_guard(self):

@@ -17,7 +17,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 #: Every public name ``import hodoflow`` binds, the seven submodules included.
 PUBLIC_NAMES = (
-    "AngularFactor", "CharacteristicKind", "CoordPoint", "DegenerateMapError", "DivergenceError",
+    "AngularFactor", "CharacteristicKind", "DegenerateMapError", "DivergenceError",
     "DomainError", "FieldSample", "FoldError", "HodoflowError", "LaguerreCase", "MapPoint",
     "ModelParams", "MomentumPoint", "NoConvergenceError", "NodeError", "ParameterError", "PoleError",
     "PsiModelParams", "RadialKind", "RadialSolution", "RegionError", "RegionTag",
@@ -47,14 +47,14 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 79
+    assert len(out) == 78
 
 
 #: Every public function and class that has settings (parameters with
 #: defaults), and those settings by name.
 SETTINGS = {
     "AngularFactor": ["c1", "c2"],
-    "ModelParams": ["sigma_v", "alpha", "beta", "c0", "c2"],
+    "ModelParams": ["sigma_v", "c0", "c2"],
     "PsiModelParams": ["sigma_r", "rho_t"],
     "RadialSolution": ["lam", "scale"],
 }
@@ -75,7 +75,7 @@ def test_settings_count():
         if defaults:
             settings[name] = defaults
     assert settings == SETTINGS
-    assert sum(map(len, settings.values())) == 11
+    assert sum(map(len, settings.values())) == 9
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

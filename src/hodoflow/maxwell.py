@@ -41,12 +41,13 @@ def require_finite(obj) -> None:
             raise ParameterError(f"{type(obj).__name__}.{f.name} must be finite, got {value}")
 
 
-#: The flows' two constants, in hbar = m = 1 units as in :mod:`potentials`:
-#: ``ALPHA = -hbar / (2 m)`` sets the velocity ``v = -ALPHA p`` and the sonic
-#: radius ``rho_T = sigma_v / |ALPHA|``, ``BETA = 1 / hbar`` the quantum
+#: The units, hbar = m = 1, shared with the vortex model of :mod:`potentials`,
+#: and the flows' two constants: ``ALPHA`` sets the velocity ``v = -ALPHA p``
+#: and the sonic radius ``rho_T = sigma_v / |ALPHA|``, ``BETA`` the quantum
 #: potential ``Q = (ALPHA / BETA) Lap sqrt(F) / sqrt(F)``.
-ALPHA = -0.5
-BETA = 1.0
+HBAR = MASS = 1.0
+ALPHA = -HBAR / (2.0 * MASS)
+BETA = 1.0 / HBAR
 
 #: Relative half-width of the parabolic band used by :func:`classify`.  The
 #: parabolic set has measure zero; the band only steers branch selection.

@@ -6,10 +6,12 @@ generalized Laguerre polynomial.
 Radial solutions separate as ``u(rho, theta) = R(rho) Theta(theta)``.  In the
 variable ``tau = ((ell+1)/n) (rho/rho_T)^n`` the radial equation is confluent
 hypergeometric, so R is a power times a Kummer M (regular branch) or Tricomi
-Psi (singular branch).  An angularly symmetric exact solution Omega exists in
-the hyperbolic region.  Omega and the oscillator-form substitution zeta are
-one antiderivative, summed as one power series in rho_bar^n; when ell = n k
-its k-th term carries the logarithm of the exponential integral.
+Psi (singular branch); :func:`specfun._confluent` evaluates either, with its
+derivative and nodes, and this module assembles R from it.  An angularly
+symmetric exact solution Omega exists in the hyperbolic region.  Omega and
+the oscillator-form substitution zeta are one antiderivative, summed as one
+power series in rho_bar^n; when ell = n k its k-th term carries the
+logarithm of the exponential integral.
 """
 
 from __future__ import annotations
@@ -393,7 +395,7 @@ class RadialSolution:
         a, b = kummer_ab(params.n, params.ell, nu, self.lam)
         if not (math.isfinite(nu) and math.isfinite(a) and math.isfinite(b)):
             raise ParameterError(f"nu = {nu}, a = {a}, b = {b} at lam = {self.lam} must be finite")
-        if self.kind.tricomi and abs(b - round(b)) <= 1e-9:
+        if self.kind.tricomi and specfun._integer_b(b):
             raise ParameterError(f"b = {b} integer; Tricomi branch not implemented")
         if not self.kind.tricomi and specfun.is_nonpositive_integer(b):
             raise ParameterError(f"b = {b} is a non-positive integer; M branch undefined")
@@ -434,15 +436,15 @@ class RadialSolution:
 
 def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[float, float, float]:
     """``(R, dR/drho, Rcal)`` at one rho: the radial quantities that every
-    point of a rho row shares.  Sweeps over many rows use :func:`radial_rows`,
-    which sums the same series for all rows at once and runs the same
-    arithmetic (:func:`_radial_values`) over arrays.
+    point of a rho row shares; a Kummer-based kind's ``R = scale rho_bar^nu
+    T(tau)`` takes T, T' and the node mask from :func:`specfun._confluent`.
+    :func:`radial_rows` makes the same two calls on the array of all rows' tau.
 
     Rcal = rho R'/R is evaluated as ``nu + n tau T'/T``.  The derivative uses
     the exact contiguity relations of M / Psi, not finite differences, so it
     is as accurate as the values themselves.  Rcal is NaN where T vanishes at
-    working precision, the log-derivative pole on a nodal line: M below the
-    bound of :func:`specfun.kummer_vanishes`, Psi = 0, or |Omega| < 1e-300.
+    working precision, the log-derivative pole on a nodal line (the node mask
+    of :func:`specfun._confluent`), or where |Omega| < 1e-300.
     Raises :class:`DomainError` where the radial factor cannot be evaluated
     (rho_bar^n above ``RHO_BAR_N_CAP``, tau above ``specfun.KUMMER_Z_MAX``, or
     a power of rho_bar or tau beyond the float range at small rho), and
@@ -461,11 +463,7 @@ def radial_row(params: ModelParams, sol: RadialSolution, rho: float) -> tuple[fl
     nu, a, b = sol.exponents(params)
     rb, x = _check_rho_bar(params, rho)
     tau = (params.ell + 1.0) / params.n * x
-    psi = _tricomi_parts(sol, a, b)
-    if psi is not None and tau <= 0.0:
-        raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {tau}")
-    series = {pair: specfun._kummer_series(*pair, tau) for pair in _series_pairs(a, b, psi)}
-    value, slope, rcal = _radial_values(params, sol.scale, nu, a, b, psi, rb, tau, series)
+    value, slope, rcal = _radial_values(params, sol.scale, nu, rb, tau, specfun._confluent(a, b, sol.kind.tricomi, tau))
     if math.isnan(value) or math.isnan(slope):
         raise DomainError(f"a power of rho_bar or tau at rho = {rho} is beyond the float range")
     return value, slope, rcal
@@ -476,12 +474,9 @@ def radial_rows(params: ModelParams, sol: RadialSolution, rhos) -> tuple[np.ndar
     Rcal``, equal bit for bit to the scalar rows, with NaN in all three where
     :func:`radial_row` raises :class:`DomainError` or :class:`RegionError`.
 
-    For the Kummer-based kinds every series of every row is summed in one
-    :func:`specfun._kummer_block` call: M(a, b) and M(a+1, b+1) for the M
-    branch, the four M of Psi and Psi' for the Tricomi branch, whose gamma
-    factors are computed once.  :func:`_radial_values` then combines them for
-    all rows at once, the Tricomi connection included.  The Omega kind goes
-    row by row through :func:`radial_row`.
+    The Kummer-based kinds make one :func:`specfun._confluent` call, one
+    block of series, at the admitted rows' tau; the Omega kind goes row by
+    row through :func:`radial_row`.
     """
     rhos = np.asarray(rhos, dtype=float).ravel()
     if not sol.kind.kummer_based:
@@ -493,57 +488,26 @@ def radial_rows(params: ModelParams, sol: RadialSolution, rhos) -> tuple[np.ndar
                 pass
         return tuple(np.array(rows).reshape(-1, 3).T)
     nu, a, b = sol.exponents(params)
-    psi = _tricomi_parts(sol, a, b)
     rb = np.where(rhos > 0.0, rhos / params.rho_t, math.nan)
     x = specfun._power(rb, params.n)
     tau = (params.ell + 1.0) / params.n * x
     # the rows that radial_row admits: NaN fails every comparison
-    valid = (x <= RHO_BAR_N_CAP) & (tau <= specfun.KUMMER_Z_MAX) & ((tau > 0.0) | (psi is None))
+    valid = (x <= RHO_BAR_N_CAP) & (tau <= specfun.KUMMER_Z_MAX) & ((tau > 0.0) | (not sol.kind.tricomi))
     rb, tau = rb[valid], tau[valid]
-    pairs = _series_pairs(a, b, psi)
-    value, scale = specfun._kummer_block([pa for pa, _ in pairs], [pb for _, pb in pairs], tau)
-    series = dict(zip(pairs, zip(value, scale)))
     with np.errstate(all="ignore"):
-        r, rp, rcal = _radial_values(params, sol.scale, nu, a, b, psi, rb, tau, series)
+        r, rp, rcal = _radial_values(params, sol.scale, nu, rb, tau, specfun._confluent(a, b, sol.kind.tricomi, tau))
     rows = np.full((3, rhos.size), math.nan)
     rows[:, valid] = np.where(np.isnan(r) | np.isnan(rp), math.nan, (r, rp, rcal))
     return tuple(rows)
 
 
-def _tricomi_parts(sol: RadialSolution, a: float, b: float):
-    """The connection terms (:func:`specfun._psi_parts`) of Psi(a, b) and of
-    Psi(a+1, b+1), which gives Psi' = -a Psi(a+1, b+1) (none when a = 0,
-    where Psi' = 0); None for the M branch."""
-    if not sol.kind.tricomi:
-        return None
-    return specfun._psi_parts(a, b), specfun._psi_parts(a + 1.0, b + 1.0) if a != 0.0 else ()
-
-
-def _series_pairs(a: float, b: float, psi) -> list[tuple[float, float]]:
-    """The (a, b) of the Kummer series a row needs: M(a, b) and M(a+1, b+1)
-    for the M branch (only the first one's sum of |terms| is read), and the
-    terms of Psi and Psi' that :func:`_tricomi_parts` keeps."""
-    if psi is None:
-        return [(a, b), (a + 1.0, b + 1.0)]
-    return list(dict.fromkeys((pa, pb) for parts in psi for rgam, _, pa, pb in parts if rgam != 0.0))
-
-
-def _radial_values(params: ModelParams, scale: float, nu: float, a: float, b: float, psi, rb, tau, series):
-    """``(R, dR/drho, Rcal)`` of a Kummer-based solution with exponents ``(nu,
-    a, b)`` and ``scale`` from rho_bar, tau and ``series[a, b]``, the ``(M,
-    sum|terms|)`` pair of the Kummer series at tau: floats for one row
-    (:func:`radial_row`), or arrays with one element per row (:func:`radial_rows`).
-    The powers are Python's (:func:`specfun._power`) and the rest is ``+ - * /``,
-    so both give the same bits.  R or R' is NaN where a power leaves the float range."""
-    if psi is not None:
-        terms = (lambda pa, pb: series[pa, pb][0], lambda p: specfun._power(tau, p))
-        t_val = specfun._psi_from(psi[0], *terms)
-        t_der = 0.0 if a == 0.0 else -a * specfun._psi_from(psi[1], *terms)
-        node = t_val == 0.0
-    else:
-        t_val, t_scale = series[a, b]
-        t_der = (a / b) * series[a + 1.0, b + 1.0][0]
-        node = specfun.kummer_vanishes(t_val, t_scale)
+def _radial_values(params: ModelParams, scale: float, nu: float, rb, tau, confluent):
+    """``(R, dR/drho, Rcal)`` of exponent nu and ``scale`` from rho_bar, tau and
+    ``confluent``, the ``(T, dT/dtau, node)`` of :func:`specfun._confluent` at
+    tau, for one row or for arrays of rows: Python's powers (:func:`specfun._power`)
+    and ``+ - * /``, so both give the same bits.  R or R' is NaN where a power
+    leaves the float range."""
+    t_val, t_der, node = confluent
     value = scale * specfun._power(rb, nu) * t_val
     slope = scale * specfun._power(rb, nu - 1.0) * (nu * t_val + params.n * tau * t_der) / params.rho_t
     rcal = nu + params.n * tau * (t_der / _nan_where(node, t_val))

@@ -23,11 +23,8 @@ import numpy as np
 
 from . import momentum, specfun
 from .errors import DivergenceError, DomainError, NodeError, ParameterError
-from .maxwell import ALPHA, BETA, ModelParams, coeff_g, normalization_psi_model, require_finite
+from .maxwell import ALPHA, BETA, HBAR, MASS, ModelParams, coeff_g, normalization_psi_model, require_finite
 from .momentum import AngularFactor, RadialSolution
-
-HBAR = 1.0
-MASS = 1.0
 
 #: :func:`bohr_sommerfeld` rejects contours that come closer to the velocity
 #: pole at the origin than this radius.

@@ -6,8 +6,10 @@ Tricomi function Psi and generalized Laguerre polynomials, with the
 derivative of M and the test for a zero of M at working precision.
 
 All functions are pure and none hold state.  The public ones accept and
-return Python floats; ``_kummer_block`` sums the Kummer series of a whole
-sweep as one NumPy block.
+return Python floats.  ``_confluent`` is the radial factor's confluent
+function, M or Psi with its derivative and node mask, at one argument or at
+the arrays of a sweep, whose Kummer series it sums as one NumPy block; the
+radial rows of :mod:`momentum` read the series only through it.
 """
 
 from __future__ import annotations
@@ -256,21 +258,27 @@ def tricomi_psi(a: float, b: float, z: float) -> float:
 
         Psi = [G(1-b)/G(a+1-b)] M(a, b, z) + [G(b-1)/G(a)] z^(1-b) M(a+1-b, 2-b, z).
 
-    The logarithmic limit for integer b is deliberately not implemented: the
-    mapped solutions use the M branch only, and an integer b raises
-    :class:`ParameterError`.  When a (or a+1-b) is a non-positive integer the
-    corresponding 1/Gamma factor vanishes and that term is dropped.
+    An integer b (:func:`_integer_b`) raises :class:`ParameterError`: the
+    logarithmic limit is not implemented.  When a (or a+1-b) is a
+    non-positive integer its 1/Gamma factor vanishes and the term is dropped.
+    The ``tricomi`` radial kinds take Psi from :func:`_confluent`; this
+    separate two-series path is their oracle.
     """
     if z <= 0.0:
         raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {z}")
     return _psi_from(_psi_parts(a, b), lambda a_, b_: _kummer_series(a_, b_, z)[0], lambda p: checked_pow(z, p))
 
 
+def _integer_b(b: float) -> bool:
+    """Whether b is within 1e-9 of an integer, where :func:`tricomi_psi` has no value."""
+    return abs(b - round(b)) <= 1e-9
+
+
 def _psi_parts(a: float, b: float) -> tuple[tuple[float, float, float, float], ...]:
     """The two terms of :func:`tricomi_psi`'s connection formula as
     ``(1/G, G, a, b)`` of their Kummer series; the gamma factors depend on
-    (a, b) alone, so a sweep computes them once.  ``1/G = 0`` drops a term."""
-    if abs(b - round(b)) <= 1e-9:
+    (a, b) alone, so :func:`_confluent` computes them once per call.  ``1/G = 0`` drops a term."""
+    if _integer_b(b):
         raise ParameterError(f"integer b = {b}: logarithmic Tricomi limit not implemented")
     first, second = reciprocal_gamma(a + 1.0 - b), reciprocal_gamma(a)
     return ((first, gamma(1.0 - b) if first != 0.0 else 0.0, a, b),
@@ -278,9 +286,8 @@ def _psi_parts(a: float, b: float) -> tuple[tuple[float, float, float, float], .
 
 
 def _psi_from(parts, series, power):
-    """Psi from :func:`_psi_parts`, ``series(a, b)``, the Kummer M at the
-    argument z, and ``power(p)``, z^p.  Plain arithmetic: floats give Psi at
-    one z, arrays (one element per z) give it at each."""
+    """Psi from :func:`_psi_parts`, ``series(a, b)`` (M at z) and ``power(p)``
+    (z^p), in plain arithmetic: at a float z, or at an array one element per z."""
     (rgam1, gam1, a1, b1), (rgam2, gam2, a2, b2) = parts
     first = rgam1
     if first != 0.0:
@@ -289,6 +296,37 @@ def _psi_from(parts, series, power):
     if second != 0.0:
         second *= gam2 * power(1.0 - b1) * series(a2, b2)
     return first + second
+
+
+def _confluent(a: float, b: float, tricomi: bool, z):
+    """``(T, dT/dz, node)`` of the radial factor's confluent function at z:
+    ``M(a, b, z)``, ``(a/b) M(a+1, b+1, z)`` and :func:`kummer_vanishes`, or
+    where ``tricomi`` ``Psi(a, b, z)``, ``-a Psi(a+1, b+1, z)`` (0 at a = 0)
+    and ``Psi == 0`` (DLMF 13.2.42, §13.3).
+
+    At a float z the series are :func:`_kummer_series`, and Psi raises
+    :class:`DomainError` unless z > 0.  At an array one :func:`_kummer_block`
+    sums every series, equal to the float path bit for bit (the powers are
+    :func:`_power`, the rest ``+ - * /``).  The gamma factors are computed
+    once, and a term whose 1/G is 0 sums no series."""
+    if tricomi:
+        parts = _psi_parts(a, b), _psi_parts(a + 1.0, b + 1.0) if a != 0.0 else ()
+        pairs = list(dict.fromkeys((pa, pb) for terms in parts for rgam, _, pa, pb in terms if rgam != 0.0))
+    else:
+        pairs = [(a, b), (a + 1.0, b + 1.0)]
+    if isinstance(z, np.ndarray):
+        value, scale = _kummer_block([pa for pa, _ in pairs], [pb for _, pb in pairs], z)
+        series = dict(zip(pairs, zip(value, scale)))
+    elif tricomi and z <= 0.0:
+        raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {z}")
+    else:
+        series = {pair: _kummer_series(*pair, z) for pair in pairs}
+    if tricomi:
+        terms = (lambda pa, pb: series[pa, pb][0], lambda p: _power(z, p))
+        t_val = _psi_from(parts[0], *terms)
+        return t_val, 0.0 if a == 0.0 else -a * _psi_from(parts[1], *terms), t_val == 0.0
+    t_val, t_scale = series[a, b]
+    return t_val, (a / b) * series[a + 1.0, b + 1.0][0], kummer_vanishes(t_val, t_scale)
 
 
 def laguerre(k: int, alpha: float, z: float) -> float:

@@ -55,6 +55,16 @@ class TestModelParams:
             with pytest.raises(TypeError):
                 ModelParams(n=2, ell=0, **kw)
 
+    def test_one_home_for_the_units(self):
+        # the mapped flows and the vortex model read the same hbar and m
+        from hodoflow import potentials
+
+        assert (maxwell.HBAR, maxwell.MASS) == (potentials.HBAR, potentials.MASS) == (1.0, 1.0)
+        assert maxwell.ALPHA == -maxwell.HBAR / (2.0 * maxwell.MASS) == -0.5
+        assert maxwell.BETA == 1.0 / maxwell.HBAR == 1.0
+        for rho_t in (0.5, 2.0, 3.7):
+            assert potentials.PsiModelParams(n=2.0, ell=4.0, rho_t=rho_t).sigma_v == abs(maxwell.ALPHA) * rho_t
+
     @pytest.mark.parametrize("field", ["n", "ell", "sigma_v", "c0", "c2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, bad):

@@ -6,10 +6,12 @@ polynomials.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hodoflow import specfun
 from hodoflow.errors import (
     DomainError,
     NoConvergenceError,
@@ -22,6 +24,7 @@ from hodoflow.momentum import RadialSolution, laguerre_enumerate
 from hodoflow.specfun import (
     KUMMER_Z_MAX,
     SERIES_REL_TOL,
+    _confluent,
     _kummer_block,
     _kummer_series,
     checked_pow,
@@ -278,6 +281,30 @@ class TestKummerBlock:
         value, scale = _kummer_block([0.5, -2.0], [1.5, 3.0], [])
         assert value.shape == scale.shape == (2, 0)
 
+    @pytest.mark.parametrize("a, b, tricomi", [
+        (0.0, 3.5, True),  # T' = 0
+        (-2.0, 5.5, True),  # 1/Gamma(a) = 0 drops the second term
+        (1.5, 4.5, True),  # a + 1 - b = -2 drops the first term
+        (-1.156, 6.937, True),
+        (0.37, 2.5, True),
+        (-2.0, 8.0, False),  # M = 1 - z/4 + z^2/72, zero at z = 6 and 12
+        (0.37, 2.5, False),
+    ])
+    def test_confluent_block_equals_float(self, a, b, tricomi):
+        # the radial rows' T, T' and node mask: one block against each float z
+        z = np.array([1e-3, 0.25, 1.0, 6.0, 7.5, 12.0, 23.0, KUMMER_Z_MAX])
+        value, deriv, node = _confluent(a, b, tricomi, z)
+        deriv = np.broadcast_to(deriv, z.shape)
+        for j, z_j in enumerate(z.tolist()):
+            assert (value[j], deriv[j], node[j]) == _confluent(a, b, tricomi, z_j), z_j
+        assert node.tolist() == [(a, b) == (-2.0, 8.0) and z_j in (6.0, 12.0) for z_j in z.tolist()]
+        assert _confluent(a, b, tricomi, np.array([]))[0].shape == (0,)
+
+    def test_confluent_tricomi_needs_positive_z(self):
+        with pytest.raises(DomainError):
+            _confluent(0.37, 2.5, True, 0.0)
+        assert _confluent(0.37, 2.5, False, 0.0) == (1.0, 0.37 / 2.5, False)
+
     @pytest.mark.parametrize("a, b, z, error", [
         (1.0, 0.0, 1.0, ParameterError),
         (1.0, -3.0, 1.0, ParameterError),
@@ -295,6 +322,15 @@ class TestKummerBlock:
         # one failing element fails the block
         with pytest.raises(error):
             _kummer_block([0.5, a], [2.5, b], [1.0, z])
+
+
+def test_only_specfun_names_its_series_internals():
+    # the Kummer series, the Tricomi connection formula and the node rule stay
+    # behind specfun._confluent: no other module of the package names them
+    names = ("_psi_parts", "_psi_from", "_kummer_series", "_kummer_block", "kummer_vanishes")
+    for path in sorted(Path(specfun.__file__).parent.glob("*.py")):
+        if path.name != "specfun.py":
+            assert [n for n in names if n in path.read_text()] == [], path.name
 
 
 def _psi_ode_residual(a, b, z, h=None):

@@ -13,6 +13,8 @@ Run:  python3 demos/03_mapped_flow_fields.py
 import math
 import warnings
 
+import numpy as np
+
 from hodoflow import (
     AngularFactor,
     ModelParams,
@@ -42,11 +44,9 @@ for n, ell, lam, k, abar, r1, r2, tmax in SECTORS:
     dom = SectorDomain(r1 * p.rho_t, r2 * p.rho_t, -math.radians(tmax), math.radians(tmax))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnivalenceWarning)
-        samples = sample_fields(p, sol, fac, dom, grid=(10, 9))
-    speeds = sorted(s.speed for s in samples)
-    dens = sorted(s.density for s in samples)
-    print(f"(n, ell, lam) = ({n}, {ell}, {lam:g}): speeds in [{speeds[0]:.3f}, {speeds[-1]:.3f}] "
-          f"(window [{r1}, {r2}] sigma_v), density in [{dens[0]:.4f}, {dens[-1]:.4f}]"
+        fields = sample_fields(p, sol, fac, dom, grid=(10, 9))
+    print(f"(n, ell, lam) = ({n}, {ell}, {lam:g}): speeds in [{fields.speed.min():.3f}, {fields.speed.max():.3f}] "
+          f"(window [{r1}, {r2}] sigma_v), density in [{fields.density.min():.4f}, {fields.density.max():.4f}]"
           " - slowest points are densest on the distribution tail")
 
 print()
@@ -73,9 +73,9 @@ for rho_bar in (1.05, 1.4, 2.0):
           f"speed = {abs(ALPHA) * rho_bar * p0.rho_t:.3f}")
 
 dom = SectorDomain(1.2 * p0.rho_t, 2.2 * p0.rho_t, 0.0, 2.0 * math.pi - 1e-9)
-rows = sample_fields(*omega_chart, dom, grid=(8, 12))
-print(f"sampled {len(rows)} radial-flow records; min radius in the image: "
-      f"{min(math.hypot(s.x, s.y) for s in rows):.6f}")
+fields = sample_fields(*omega_chart, dom, grid=(8, 12))
+print(f"sampled {len(fields)} radial-flow records; min radius in the image: "
+      f"{np.hypot(fields.x, fields.y).min():.6f}")
 print()
 print("The same exports are available from the command line, e.g.")
 print("  hodoflow map-fields --n 2 --ell 4 --lambda 3 --rho-min 1.5 --rho-max 1.89 \\")

@@ -56,6 +56,7 @@ from .momentum import (
     zeta_bar,
 )
 from .mapping import (
+    FieldGrid,
     FieldSample,
     MapPoint,
     MomentumPoint,

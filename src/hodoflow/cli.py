@@ -267,13 +267,16 @@ def cmd_solve_momentum(args) -> int:
     return EXIT_OK
 
 
-def _field_rows(block, speed, density, region):
+def _field_rows(fields):
     """The map-fields CSV, one rho row of lines at a time: the row's speed,
-    density and region formatted once, its points from the block's row."""
-    for fields, *shared in zip(block.transpose(1, 0, 2), speed.tolist(), density.tolist(), region):
-        text = dict(zip(("speed", "density", "region"), map(_fmt, shared)))
+    density and region formatted once, its points from the grid's arrays."""
+    shared = ("speed", "density", "region")
+    arrays = [getattr(fields, name) for name in FieldSample.CSV_COLUMNS if name not in shared]
+    for *rows, speed, density, region in zip(*arrays, fields.speed.tolist(), fields.density.tolist(),
+                                             fields.region):
+        text = dict(zip(shared, map(_fmt, (speed, density, region))))
         cells = [text.get(name) for name in FieldSample.CSV_COLUMNS]
-        yield _row_lines(cells, (fields + 0.0).tolist())
+        yield _row_lines(cells, [(row + 0.0).tolist() for row in rows])
 
 
 def cmd_map_fields(args) -> int:
@@ -284,9 +287,8 @@ def cmd_map_fields(args) -> int:
     domain = SectorDomain(config["rho_min"] * params.rho_t, config["rho_max"] * params.rho_t,
                           math.radians(config["theta_min_deg"]), math.radians(config["theta_max_deg"]))
     norm = normalization_sector(params, sol, fac, domain) if config["normalize"] else 1.0
-    block, speed, density, region, code, univalent = _field_block(
-        params, sol, fac, domain, (config["n_rho"], config["n_theta"]), norm)
-    if not univalent:
+    fields = _field_block(params, sol, fac, domain, (config["n_rho"], config["n_theta"]), norm)
+    if not fields.univalent:
         message = (
             "the grid spans a fold of the transform (inverse Jacobian changes sign); "
             "the image is not a single leaf"
@@ -294,20 +296,19 @@ def cmd_map_fields(args) -> int:
         if args.require_univalent:
             raise FoldError(message)
         print(f"warning: {message}", file=sys.stderr)
-    rows = code.size
+    rows = len(fields)
     # the speed and density columns repeat each row's value: the rows give their extremes
-    finite = [d for d in density.tolist() if math.isfinite(d)]
+    finite = [d for d in fields.density.tolist() if math.isfinite(d)]
     summary = {
         "rows": rows,
-        "speed_min": min(speed.tolist()),
-        "speed_max": max(speed.tolist()),
+        "speed_min": min(fields.speed.tolist()),
+        "speed_max": max(fields.speed.tolist()),
         "density_min": min(finite, default=math.nan),
         "density_max": max(finite, default=math.nan),
-        "flagged": int(np.count_nonzero(code)),
-        "univalent": univalent,
+        "flagged": int(np.count_nonzero(fields.code)),
+        "univalent": fields.univalent,
     }
-    out = _write_table(args.output, config, FieldSample.CSV_COLUMNS, _field_rows(block, speed, density, region),
-                       summary)
+    out = _write_table(args.output, config, FieldSample.CSV_COLUMNS, _field_rows(fields), summary)
     print(f"wrote {out} ({rows} rows)")
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
@@ -320,19 +321,71 @@ def _grid(domain: SectorDomain, shape: tuple[int, int]) -> tuple[np.ndarray, np.
     )
 
 
-#: The flag of each code of :func:`_field_block`; a higher code takes precedence.
+#: The flag of each code of :attr:`FieldGrid.code`; a higher code takes precedence.
 _FLAGS = np.array(["", "node", "out-of-range", "density-singular"], dtype=object)
 
 
+@dataclass(frozen=True, eq=False)
+class FieldGrid:
+    """The mapped flow on a (rho, theta) product grid, as read-only arrays.
+
+    ``rho`` and ``theta`` are the grid's axes.  ``x, y, phi, vx, vy, q_pot,
+    u_pot, jac_inv`` are ``(n_rho, n_theta)`` arrays; ``speed``, ``density``
+    and ``region`` hold one entry per rho row.  ``code`` is the
+    ``(n_rho, n_theta)`` flag code: 0 no flag, then ``node``,
+    ``out-of-range`` and ``density-singular`` (their names are ``_FLAGS``).
+    ``univalent`` says whether the inverse Jacobian keeps one sign on the
+    grid.
+
+    ``len`` counts the points.  Iterating yields one :class:`FieldSample` per
+    point, row-major in rho, built as it is read: the records cost their
+    Python objects only to a caller that iterates them.  There is no integer
+    indexing: the arrays are the indexed view, and ``list(grid)`` gives
+    positions.
+    """
+
+    rho: np.ndarray
+    theta: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    phi: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    q_pot: np.ndarray
+    u_pot: np.ndarray
+    jac_inv: np.ndarray
+    speed: np.ndarray
+    density: np.ndarray
+    region: tuple[RegionTag, ...]
+    code: np.ndarray
+    univalent: bool
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.code.size
+
+    def __iter__(self) -> Iterator[FieldSample]:
+        # one tolist() a column makes its floats; a row's speed, density and
+        # region repeat its Python value, and no list holds every record
+        speed, density, region = (chain.from_iterable(map(repeat, col, repeat(self.theta.size)))
+                                  for col in (self.speed.tolist(), self.density.tolist(), self.region))
+        x, y, phi, vx, vy, q_pot, u_pot, jac_inv = (
+            field.ravel().tolist()
+            for field in (self.x, self.y, self.phi, self.vx, self.vy, self.q_pot, self.u_pot, self.jac_inv)
+        )
+        flag = _FLAGS[self.code].ravel().tolist()
+        columns = x, y, phi, vx, vy, speed, density, q_pot, u_pot, jac_inv, region, flag
+        return map(tuple.__new__, repeat(FieldSample), zip(*columns))
+
+
 def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, domain: SectorDomain,
-                 grid: tuple[int, int], norm: float) -> tuple:
-    """The numbers of :func:`sample_fields`' records: ``(block, speed,
-    density, region, code, univalent)``.  ``block`` is ``(8, n_rho, n_theta)``
-    with the fields x, y, phi, vx, vy, q_pot, u_pot, jac_inv; ``speed`` and
-    ``density`` (``norm`` times F) are arrays and ``region`` a list, one entry per rho row;
-    ``code`` is the ``(n_rho, n_theta)`` flag code (an index into
-    ``_FLAGS``); ``univalent`` says whether the inverse Jacobian keeps one
-    sign on the grid."""
+                 grid: tuple[int, int], norm: float) -> FieldGrid:
+    """The fields of :func:`sample_fields` and ``map-fields`` on the grid,
+    with ``density`` ``norm`` times F; no warning."""
     momentum.require_chart(params, sol, fac)
     if sol.kind is RadialKind.HYPERBOLIC_OMEGA:
         momentum._require_hyperbolic(params, domain.rho_min)
@@ -357,8 +410,8 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
     density_singular = np.isnan(density)
     block[5:7, density_singular] = math.nan  # q_pot and u_pot
     code = np.maximum(node, np.maximum(2 * out_of_range, 3 * density_singular)[:, None])
-    region = maxwell._regions(params, rhos)
-    return block, speed, density, region, code, univalent
+    region = tuple(maxwell._regions(params, rhos))
+    return FieldGrid(rhos, thetas, *block, speed, density, region, code, univalent)
 
 
 def sample_fields(
@@ -367,8 +420,10 @@ def sample_fields(
     fac: AngularFactor,
     domain: SectorDomain,
     grid: tuple[int, int],
-) -> list[FieldSample]:
-    """Full field records on a (rho, theta) product grid, row-major in rho.
+) -> FieldGrid:
+    """The fields on a (rho, theta) product grid, as a :class:`FieldGrid`:
+    its arrays, and its :class:`FieldSample` records row-major in rho, which
+    are built only as the result is iterated.
 
     The solution separates as ``u = R(rho) Theta(theta)``, so the radial
     factor is evaluated once per rho row, all rows as arrays
@@ -399,19 +454,11 @@ def sample_fields(
     params :class:`ParameterError`, and an Omega sector that reaches below
     rho_T, where Omega does not exist, :class:`RegionError`.
     """
-    block, speed, density, region, code, univalent = _field_block(params, sol, fac, domain, grid, 1.0)
-    if not univalent:
+    fields = _field_block(params, sol, fac, domain, grid, 1.0)
+    if not fields.univalent:
         warnings.warn(
             "inverse Jacobian changes sign over the grid: the image is not univalent",
             UnivalenceWarning,
             stacklevel=2,
         )
-    # one tolist() makes every float of the block; a row's speed, density
-    # and region repeat its Python value
-    speed, density, region = (chain.from_iterable(map(repeat, col, repeat(block.shape[2])))
-                              for col in (speed.tolist(), density.tolist(), region))
-    x, y, phi, vx, vy, q_pot, u_pot, jac_inv = block.reshape(8, -1).tolist()
-    flag = _FLAGS[code].ravel().tolist()
-    del block, code  # the arrays go before the records come
-    columns = x, y, phi, vx, vy, speed, density, q_pot, u_pot, jac_inv, region, flag
-    return list(map(tuple.__new__, repeat(FieldSample), zip(*columns)))
+    return fields

@@ -1,6 +1,8 @@
 """Inverse Legendre transform: map consistency, Jacobian, inversion, fields."""
 
 import math
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from hodoflow.errors import (
     UnivalenceWarning,
 )
 from hodoflow.mapping import (
+    FieldGrid,
     FieldSample,
     SectorDomain,
     _image,
@@ -245,7 +248,7 @@ class TestRadialMap:
     def test_row_at_rho_t_is_a_node(self):
         # g = 0 at rho_T: J^-1 vanishes and so does the denominator of Q
         p = ModelParams(n=2, ell=0)
-        samples = sample_fields(*omega_chart(p), SectorDomain(p.rho_t, 1.5 * p.rho_t, 0.0, 1.0), grid=(3, 3))
+        samples = list(sample_fields(*omega_chart(p), SectorDomain(p.rho_t, 1.5 * p.rho_t, 0.0, 1.0), grid=(3, 3)))
         assert [s.flag for s in samples] == ["node"] * 3 + [""] * 6
         for s in samples[:3]:
             assert s.jac_inv == 0.0 and math.isnan(s.q_pot) and math.isnan(s.u_pot)
@@ -383,29 +386,78 @@ class TestSampleFields:
             assert abs(div) * r_loc / norm < 1e-4
 
     def test_record_contract(self):
-        # an eager list of immutable records whose numeric fields are Python
-        # floats: no lazy or array-backed view that defers work to the reader
+        # a FieldGrid of read-only arrays, whose iteration yields immutable
+        # records with Python floats, each its arrays' entries bit for bit
         p, sol, fac = triple(2, 4, 3.0, 2, 7.0, c1=0.0, c2=1.0)
         dom = SectorDomain(1.5 * p.rho_t, 1.89 * p.rho_t, -0.26, 0.26)
         radial_dom = SectorDomain(1.5 * p.rho_t, 2.5 * p.rho_t, 0.0, 1.0)
+        # rows beyond the Kummer series' z_max: NaN fields and flags
+        p_far = ModelParams(n=2, ell=4)
+        far = (p_far, RadialSolution.kummer(p_far, 2.5, branch="+"), AngularFactor(lam=2.5, c1=0.0, c2=1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnivalenceWarning)
             results = [
                 sample_fields(p, sol, fac, dom, grid=(4, 5)),
                 sample_fields(*omega_chart(ModelParams(n=2, ell=0)), radial_dom, grid=(4, 5)),
+                sample_fields(*far, SectorDomain(4.0 * p_far.rho_t, 5.0 * p_far.rho_t, 0.0, 0.3), grid=(4, 5)),
             ]
+        assert results[2].code.any()
         fields = FieldSample.CSV_COLUMNS[:-1] + ("region", "flag")
-        for samples in results:
-            assert type(samples) is list and len(samples) == 20
-            for s in samples:
+        numeric = [name for name in fields[:10] if name not in ("speed", "density")]
+
+        def bits(record):
+            return [struct.pack("<d", v) for v in record[:10]] + list(record[10:])
+
+        for grid in results:
+            assert type(grid) is FieldGrid and len(grid) == 20
+            assert grid.rho.shape == grid.speed.shape == grid.density.shape == (4,) and len(grid.region) == 4
+            assert grid.theta.shape == (5,)
+            for name in numeric + ["code"]:
+                assert getattr(grid, name).shape == (4, 5), name
+            for name in numeric + ["code", "rho", "theta", "speed", "density"]:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(grid, name)[0] = 0
+            with pytest.raises(AttributeError):
+                grid.x = grid.y
+            with pytest.raises(TypeError):
+                grid[0]
+            assert list(map(bits, grid)) == list(map(bits, grid))
+            for k, s in enumerate(grid):
+                i, j = divmod(k, 5)
                 assert type(s) is FieldSample
                 assert s._fields == fields
                 assert all(type(v) is float for v in s[:10])
                 assert isinstance(s.region, RegionTag) and type(s.flag) is str
+                want = [getattr(grid, name)[i] if name in ("speed", "density") else getattr(grid, name)[i, j]
+                        for name in fields[:10]]
+                assert bits(s) == bits(want + [grid.region[i], mapping._FLAGS[grid.code[i, j]]])
                 with pytest.raises(AttributeError):
                     s.x = 0.0
                 with pytest.raises(AttributeError):
                     s.flag = "node"
+
+    def test_sweep_memory_stays_flat(self):
+        # the records are built as the grid is iterated, never all at once:
+        # 160 x 160 points on the README sector peak well below the 10.7 MB a
+        # list of the records takes, and a full iteration holds its columns'
+        # floats (8.8 MB) but no list of every record (12.5 MB)
+        p = ModelParams(n=2, ell=4)
+        chart = p, RadialSolution.kummer(p, 3.0, branch="+"), AngularFactor(lam=3.0, c1=0.0, c2=1.0)
+        dom = SectorDomain(1.5 * p.rho_t, 1.89 * p.rho_t, -math.radians(15), math.radians(15))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnivalenceWarning)
+            tracemalloc.start()
+            try:
+                grid = sample_fields(*chart, dom, (160, 160))
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                count = sum(1 for _ in grid)
+                iter_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert count == len(grid) == 25600
+        assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+        assert iter_peak < 10.5e6, f"iteration peak {iter_peak / 1e6:.1f} MB"
 
     def test_radial_fields(self):
         p = ModelParams(n=2, ell=0)
@@ -495,7 +547,7 @@ class TestSweepRegions:
         p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
         radii = band_edge_radii(p)
         for lo, hi in zip(radii, radii[1:]):
-            region = mapping._field_block(p, sol, fac, SectorDomain(lo, hi, 0.1, 0.6), (2, 2), 1.0)[3]
+            region = mapping._field_block(p, sol, fac, SectorDomain(lo, hi, 0.1, 0.6), (2, 2), 1.0).region
             assert region[0] is classify(p, lo) and region[1] is classify(p, hi)
 
 
@@ -505,7 +557,7 @@ class TestGridAgainstScalar:
         p, sol, fac, dom, grid = GRID_CASES[name]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            samples = sample_fields(p, sol, fac, dom, grid)
+            samples = list(sample_fields(p, sol, fac, dom, grid))
         assert len(samples) == grid[0] * grid[1]
         rhos = np.linspace(dom.rho_min, dom.rho_max, grid[0])
         thetas = np.linspace(dom.theta_min, dom.theta_max, grid[1])
@@ -645,7 +697,7 @@ class TestSweepNeverAborts:
         sol = RadialSolution.kummer(p, 2.5, branch=radial[-1], tricomi=radial.startswith("tricomi"))
         fac = AngularFactor(lam=2.5, c1=1.0, c2=0.0)
         dom = SectorDomain(1e-40 * p.rho_t, 0.9 * p.rho_t, -0.25, 0.25)
-        samples = sample_fields(p, sol, fac, dom, grid=(4, 4))
+        samples = list(sample_fields(p, sol, fac, dom, grid=(4, 4)))
         assert [s.flag for s in samples[:4]] == ["out-of-range"] * 4
         assert all(math.isnan(s.x) and math.isnan(s.q_pot) for s in samples[:4])
         assert all(s.flag != "out-of-range" and math.isfinite(s.x) for s in samples[4:])
@@ -661,7 +713,7 @@ class TestSweepNeverAborts:
         fac = AngularFactor(lam=2.5, c1=1.0, c2=0.0)
         dom = SectorDomain(1e-30 * p.rho_t, 0.9 * p.rho_t, -0.25, 0.25)
         assert math.isfinite(radial_row(p, sol, 1e-30 * p.rho_t)[0])
-        samples = sample_fields(p, sol, fac, dom, grid=(4, 4))
+        samples = list(sample_fields(p, sol, fac, dom, grid=(4, 4)))
         assert [s.flag for s in samples[:4]] == ["out-of-range"] * 4
         for s in samples[:4]:
             for key in ("x", "y", "phi", "jac_inv", "q_pot", "u_pot"):
@@ -682,7 +734,7 @@ class TestSweepNeverAborts:
         p = ModelParams(n=2, ell=-0.5)
         fac = AngularFactor(lam=0.0, c1=1.0, c2=0.0)
         dom = SectorDomain(5e-324, 0.5, -0.1, 0.1)
-        samples = sample_fields(p, RadialSolution.constant(), fac, dom, grid=(3, 3))
+        samples = list(sample_fields(p, RadialSolution.constant(), fac, dom, grid=(3, 3)))
         assert samples[0].speed == 0.0
         for s in samples[:3]:
             assert s.flag == "density-singular"

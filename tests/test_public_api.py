@@ -18,7 +18,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 #: Every public name ``import hodoflow`` binds, the seven submodules included.
 PUBLIC_NAMES = (
     "AngularFactor", "CharacteristicKind", "DegenerateMapError", "DivergenceError",
-    "DomainError", "FieldSample", "FoldError", "HodoflowError", "LaguerreCase", "MapPoint",
+    "DomainError", "FieldGrid", "FieldSample", "FoldError", "HodoflowError", "LaguerreCase", "MapPoint",
     "ModelParams", "MomentumPoint", "NoConvergenceError", "NodeError", "ParameterError", "PoleError",
     "PsiModelParams", "RadialKind", "RadialSolution", "RegionError", "RegionTag",
     "SaturationWarning", "SectorDomain", "SeriesOverflowError", "UnivalenceWarning",
@@ -47,7 +47,7 @@ def test_public_names():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out == sorted(PUBLIC_NAMES)
-    assert len(out) == 78
+    assert len(out) == 79
 
 
 #: Every public function and class that has settings (parameters with

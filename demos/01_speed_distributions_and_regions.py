@@ -2,8 +2,9 @@
 
 The model starts from a density that depends on position only through the
 flow speed z: F(z) ~ z^ell exp(-const z^n).  Tying the distribution scale to
-sigma_v makes every member of the family share the same sonic speed: below
-it the linearized momentum-space equation is elliptic, above it hyperbolic.
+the unit of speed SIGMA_V makes every member of the family share the same
+sonic speed: below it the linearized momentum-space equation is elliptic,
+above it hyperbolic.
 
 Run:  python3 demos/01_speed_distributions_and_regions.py
 """
@@ -21,12 +22,13 @@ from hodoflow import (
     discriminant,
     slope_rho_theta,
 )
+from hodoflow.maxwell import SIGMA_V
 
 print("=== the generalized Maxwell family ===")
 for n, ell, label in [(2, 0, "Gaussian"), (2, 2, "classical Maxwell"), (4, 6, "flat-top")]:
     p = ModelParams(n=n, ell=ell)
-    zs = np.linspace(0.05, 3.0, 8) * p.sigma_v
-    mode = p.sigma_v * (ell / (ell + 1.0)) ** (1.0 / n) if ell > 0 else 0.0
+    zs = np.linspace(0.05, 3.0, 8) * SIGMA_V
+    mode = SIGMA_V * (ell / (ell + 1.0)) ** (1.0 / n) if ell > 0 else 0.0
     print(f"n={n} ell={ell} ({label}): mode at z = {mode:.4f}, "
           f"speed integral = {density_F_speed_integral(p):.6f}")
     print("   F(z):", " ".join(f"{density_F(p, float(z)):.4f}" for z in zs))

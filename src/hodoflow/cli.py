@@ -58,7 +58,7 @@ EXIT_DEGENERATE = 2
 EXIT_FOLD = 3
 EXIT_VERIFY = 4
 
-_MODEL = {"n": 2.0, "ell": 0.0, "sigma_v": 1.0, "c0": 1.0, "c2": 0.0, "lam": 2.0, "radial": "kummer+"}
+_MODEL = {"n": 2.0, "ell": 0.0, "c2": 0.0, "lam": 2.0, "radial": "kummer+"}
 
 #: Defaults of the commands that take ``--config``, by flag dest.  Each key is
 #: one flag of its command, of its default's type; a config file value is cast
@@ -177,7 +177,7 @@ def _separated_model(config: dict):
     """``(params, sol, fac)`` of the separated solution in ``config``, which
     is updated to the values evaluated: the solution's lam and fc1 with -0.0
     collapsed."""
-    params = ModelParams(**{key: config[key] for key in ("n", "ell", "sigma_v", "c0", "c2")})
+    params = ModelParams(n=config["n"], ell=config["ell"], c2=config["c2"])
     try:
         kind = RadialKind(config["radial"])
     except ValueError:
@@ -206,7 +206,7 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    params = ModelParams(n=args.n, ell=args.ell, sigma_v=args.sigma_v)
+    params = ModelParams(n=args.n, ell=args.ell)
     rows = []
     for rho_bar in _float_list(args.rho):
         rho = rho_bar * params.rho_t
@@ -216,7 +216,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_characteristics(args) -> int:
-    params = ModelParams(n=args.n, ell=args.ell, sigma_v=args.sigma_v)
+    params = ModelParams(n=args.n, ell=args.ell)
     rows = []
     for rho_bar in _float_list(args.rho):
         rho = rho_bar * params.rho_t
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_point_flags(q):
         q.add_argument("--n", type=float, required=True)
         q.add_argument("--ell", type=float, required=True)
-        q.add_argument("--sigma-v", type=float, default=1.0, dest="sigma_v")
         q.add_argument("--rho", type=str, required=True, help="comma list of rho / rho_T")
 
     p = sub.add_parser("classify", help="region classification table (rho in rho_T units)")

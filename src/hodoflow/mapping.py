@@ -28,7 +28,6 @@ from .errors import (
     DomainError,
     FoldError,
     NoConvergenceError,
-    NodeError,
     RegionError,
     UnivalenceWarning,
 )
@@ -293,7 +292,7 @@ def invert_map(
             if cand_rho > 0.0:
                 try:
                     cand = forward_map(params, sol, fac, cand_rho, cand_theta)
-                except (DomainError, NodeError, RegionError):
+                except (DomainError, RegionError):
                     cand = None
                 if cand is not None:
                     cand_err = math.hypot(cand.x - tx, cand.y - ty)
@@ -402,11 +401,11 @@ def _field_block(params: ModelParams, sol: RadialSolution, fac: AngularFactor, d
         x[...], y[...], phi[...], jac_inv[...] = _image(rho, r, rp, g, fac.lam, th, thp, cos_t, sin_t)
         q_pot[...], u_pot[...], node = potentials.potentials_on_grid(params, sol.lam, rho, u, rcal, g, ups)
         out_of_range = np.isnan(r[:, 0]) | ~np.isfinite(jac_inv).all(axis=1) | np.isinf(u * u).any(axis=1)
+        speed = abs(ALPHA) * rhos
+        density = maxwell._density(params, speed, norm)
     block[:, out_of_range] = math.nan
     univalent = not ((jac_inv > 0.0).any() and (jac_inv < 0.0).any())
     vx[...], vy[...] = -ALPHA * rho * cos_t, -ALPHA * rho * sin_t
-    speed = abs(ALPHA) * rhos
-    density = maxwell._density(params, speed, norm)
     density_singular = np.isnan(density)
     block[5:7, density_singular] = math.nan  # q_pot and u_pot
     code = np.maximum(node, np.maximum(2 * out_of_range, 3 * density_singular)[:, None])

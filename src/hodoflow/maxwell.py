@@ -2,10 +2,10 @@
 
 The distribution family is ``F(z) ~ z^ell exp(-const z^n)`` over the speed
 ``z``; ``n = ell = 2`` is the classical Maxwell case, ``n = 2, ell = 0`` a
-Gaussian.  The characteristic scale is always tied to ``sigma_v`` so that the
-sonic radius ``rho_T = sigma_v / |ALPHA|`` is parameter free: speeds below
-``sigma_v`` fall in the elliptic region of the linearized momentum-space
-equation, speeds above in the hyperbolic one.
+Gaussian.  The characteristic scale is always tied to the unit of speed
+``SIGMA_V`` so that the sonic radius ``rho_T = SIGMA_V / |ALPHA|`` is parameter
+free: speeds below ``SIGMA_V`` fall in the elliptic region of the linearized
+momentum-space equation, speeds above in the hyperbolic one.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ def require_finite(obj) -> None:
 
 
 #: The units, hbar = m = 1, shared with the vortex model of :mod:`potentials`,
-#: and the flows' two constants: ``ALPHA`` sets the velocity ``v = -ALPHA p``
-#: and the sonic radius ``rho_T = sigma_v / |ALPHA|``, ``BETA`` the quantum
+#: the unit of speed ``SIGMA_V``, the sonic speed of every distribution, and
+#: the flows' two constants: ``ALPHA`` sets the velocity ``v = -ALPHA p`` and
+#: the sonic radius ``rho_T = SIGMA_V / |ALPHA|``, ``BETA`` the quantum
 #: potential ``Q = (ALPHA / BETA) Lap sqrt(F) / sqrt(F)``.
-HBAR = MASS = 1.0
+HBAR = MASS = SIGMA_V = 1.0
 ALPHA = -HBAR / (2.0 * MASS)
 BETA = 1.0 / HBAR
 
@@ -57,15 +58,13 @@ EPS_PARABOLIC = 1e-12
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters fixing one exact solution family, in the units of
-    :data:`ALPHA` and :data:`BETA` (hbar = m = 1).  ``c0`` (nonzero) scales the
-    radial substitution zeta and the angularly symmetric hyperbolic solution
-    Omega, one antiderivative; ``c2`` shifts Omega.
+    :data:`ALPHA`, :data:`BETA` and :data:`SIGMA_V` (hbar = m = 1).  ``c2``
+    shifts the angularly symmetric hyperbolic solution Omega; its amplitude
+    is the angular factor's.
     """
 
     n: float
     ell: float
-    sigma_v: float = 1.0
-    c0: float = 1.0
     c2: float = 0.0
 
     def __post_init__(self) -> None:
@@ -74,20 +73,16 @@ class ModelParams:
             raise ParameterError(f"n must be positive, got {self.n}")
         if self.ell <= -1.0:
             raise ParameterError(f"ell must exceed -1, got {self.ell}")
-        if self.sigma_v <= 0.0:
-            raise ParameterError(f"sigma_v must be positive, got {self.sigma_v}")
-        if self.c0 == 0.0:
-            raise ParameterError("c0 must be nonzero")
 
     @property
     def rho_t(self) -> float:
         """Sonic momentum radius separating the elliptic and hyperbolic regions."""
-        return self.sigma_v / abs(ALPHA)
+        return SIGMA_V / abs(ALPHA)
 
     @property
     def sigma_nl(self) -> float:
-        """Distribution scale sigma_{<v>,n,ell} tied to sigma_v (never free)."""
-        return self.sigma_v / math.sqrt(2.0) * (self.n / (self.ell + 1.0)) ** (1.0 / self.n)
+        """Distribution scale sigma_{<v>,n,ell} tied to SIGMA_V (never free)."""
+        return SIGMA_V / math.sqrt(2.0) * (self.n / (self.ell + 1.0)) ** (1.0 / self.n)
 
     def rho_bar(self, rho: float) -> float:
         return rho / self.rho_t
@@ -102,7 +97,8 @@ def density_F(params: ModelParams, z: float) -> float:
     """Speed density F(z) = N (z/s)^ell 2^(-ell/2) exp(-(z/s)^n 2^(-n/2)), s = sigma_nl.
 
     Equivalent closed form used here: ``N ((ell+1)/n)^(ell/n) w^ell e^(-((ell+1)/n) w^n)``
-    with ``w = z / sigma_v`` and N = 1.  For -1 < ell < 0 the density diverges at z = 0.
+    with ``w = z / SIGMA_V`` and N = 1.  For -1 < ell < 0 the density diverges at z = 0;
+    where the decay underflows, F is 0.
     """
     if not z >= 0.0:
         raise DomainError(f"speed must be non-negative, got {z}")
@@ -112,13 +108,17 @@ def density_F(params: ModelParams, z: float) -> float:
 
 
 def _density(params: ModelParams, z, norm: float):
-    """N F at a speed z >= 0, or at each speed of an array, NaN where F is
-    singular (z = 0 with ell < 0); the powers and the exponential are
-    Python's, so both give :func:`density_F`'s bits at N = 1."""
-    w = z / params.sigma_v
+    """N F at a speed z >= 0, or at each speed of an array: NaN where F is
+    singular (z = 0 with ell < 0), 0 where its decay underflows (an array's
+    caller ignores the overflows past it); the powers and the exponential
+    are Python's, so both give :func:`density_F`'s bits at N = 1."""
+    w = z / SIGMA_V
     c = (params.ell + 1.0) / params.n
     decay = specfun._exp(-c * specfun._power(w, params.n))
-    return norm * specfun.checked_pow(c, params.ell / params.n) * specfun._power(w, params.ell) * decay
+    value = norm * specfun.checked_pow(c, params.ell / params.n) * specfun._power(w, params.ell) * decay
+    if isinstance(value, np.ndarray):
+        return np.where(decay > 0.0, value, 0.0)
+    return value if decay > 0.0 else 0.0
 
 
 def density_F_speed_integral(params: ModelParams) -> float:
@@ -284,7 +284,8 @@ def normalization_sector(params: ModelParams, sol, fac, domain) -> float:
         a, b, s, rhos = nodes(lo, hi)
         rhos, r, rp, g = swept or rows(rhos)
         arc_integral = mapping._abs_jac_inv_arc(rhos, r, rp, g, fac, *arc)
-        values = _density(params, abs(ALPHA) * rhos, 1.0) * rhos * arc_integral
+        with np.errstate(all="ignore"):  # a sum that is not finite raises DivergenceError below
+            values = _density(params, abs(ALPHA) * rhos, 1.0) * rhos * arc_integral
         if lo == rho_t:
             values = 2.0 * s * values
         sums = _legendre_sums(values, a, b, SECTOR_GL_ORDERS)
@@ -299,7 +300,8 @@ def normalization_sector(params: ModelParams, sol, fac, domain) -> float:
     radii = [np.array([lo, hi]), *(nodes(a, b)[3] for a, b in spans)]
     swept = rows(np.concatenate(radii))
     order = np.argsort(swept[0])
-    flags = np.array(mapping._arc_kink_terms(*swept, fac, *arc)) < 0.0
+    with np.errstate(all="ignore"):
+        flags = np.array(mapping._arc_kink_terms(*swept, fac, *arc)) < 0.0
     cuts = _sign_change_radii(negative, swept[0][order].tolist(), flags[:, order])
     if lo < rho_t < hi:
         cuts = sorted({*cuts, rho_t})

@@ -224,24 +224,24 @@ def _hill_integral(params: ModelParams, rho: float) -> float:
 
 def hill_substitution_zeta(params: ModelParams, rho: float) -> float:
     """Radial substitution zeta(rho) that removes the first-derivative term:
-    ``c0 rho_T I / n``, I the Hill integral (:func:`_hill_integral`), so
+    ``rho_T I / n``, I the Hill integral (:func:`_hill_integral`), so
     that zeta' = :func:`zeta_bar`."""
-    return params.c0 * params.rho_t * (_hill_integral(params, rho) / params.n)
+    return params.rho_t * (_hill_integral(params, rho) / params.n)
 
 
 def zeta_bar(params: ModelParams, rho: float) -> float:
-    """d(zeta)/d(rho) = c0 (rho_T/rho)^(ell+1) exp(((ell+1)/n) rho_bar^n)."""
+    """d(zeta)/d(rho) = (rho_T/rho)^(ell+1) exp(((ell+1)/n) rho_bar^n)."""
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rb = params.rho_bar(rho)
-    return params.c0 * specfun.checked_pow(rb, -(params.ell + 1.0)) * specfun.checked_exp(params.tau(rho))
+    return specfun.checked_pow(rb, -(params.ell + 1.0)) * specfun.checked_exp(params.tau(rho))
 
 
 def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
     """Squared variable frequency G of the oscillator form, signed by region.
 
     ``G = +theta^2`` for rho_bar >= 1 and ``-theta^2`` below, with
-    ``theta = lam sqrt(ell+1)/(c0 rho_T) rho_bar^ell sqrt(|rho_bar^n - 1|) e^(-tau)``.
+    ``theta = lam sqrt(ell+1)/rho_T rho_bar^ell sqrt(|rho_bar^n - 1|) e^(-tau)``.
     """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
@@ -249,7 +249,7 @@ def hill_coefficient_G(params: ModelParams, lam: float, rho: float) -> float:
     vart = (
         lam
         * math.sqrt(params.ell + 1.0)
-        / (params.c0 * params.rho_t)
+        / params.rho_t
         * specfun.checked_pow(rb, params.ell)
         * math.sqrt(abs(specfun.checked_pow(rb, params.n) - 1.0))
         * math.exp(-params.tau(rho))
@@ -529,15 +529,16 @@ def _require_hyperbolic(params: ModelParams, rho: float) -> None:
 
 def hyperbolic_omega(params: ModelParams, rho: float) -> float:
     """Angularly symmetric exact solution in the hyperbolic region,
-    ``Omega(rho) = c0 rho_T (I(rho_bar^n) + c2) / n`` with ``I`` the Hill
-    integral (:func:`_hill_integral`): zeta shifted by ``c0 rho_T c2 / n``,
-    so Omega' = :func:`zeta_bar`.  Depends on rho only; the angular average
-    of any flow built on it is trivially preserved.  :class:`RegionError`
-    where :func:`classify` calls rho elliptic, and its :class:`DomainError`
-    where rho is not positive.
+    ``Omega(rho) = rho_T (I(rho_bar^n) + c2) / n`` with ``I`` the Hill
+    integral (:func:`_hill_integral`): zeta shifted by ``rho_T c2 / n``,
+    so Omega' = :func:`zeta_bar`; the amplitude of ``u = Omega Theta`` is
+    Theta's.  Depends on rho only; the angular average of any flow built on
+    it is trivially preserved.  :class:`RegionError` where :func:`classify`
+    calls rho elliptic, and its :class:`DomainError` where rho is not
+    positive.
     """
     _require_hyperbolic(params, rho)
-    return params.c0 * params.rho_t * (_hill_integral(params, rho) + params.c2) / params.n
+    return params.rho_t * (_hill_integral(params, rho) + params.c2) / params.n
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,7 @@ def suite_potentials() -> list[VerificationReport]:
         ell = rng.uniform(2.1, 9.0)
         sigma_r = rng.uniform(0.4, 2.5)
         r = rng.uniform(0.3, 4.0) * sigma_r
-        params = ModelParams(n=n, ell=ell, sigma_v=1.0)
+        params = ModelParams(n=n, ell=ell)
         pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=params.rho_t)
         fac0 = AngularFactor(lam=0.0, c1=pm.c1, c2=0.3)
         q_gen = quantum_potential(params, RadialSolution.constant(), fac0, abs(pm.c1) / r, rng.uniform(-1, 1))

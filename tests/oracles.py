@@ -67,7 +67,7 @@ def radial_flow_q(params, rho: float) -> float:
     n, ell = params.n, params.ell
     tau = params.tau(rho)
     rbn = params.rho_bar(rho) ** n
-    zb = params.c0 * params.rho_bar(rho) ** (-(ell + 1.0)) * math.exp(tau)
+    zb = params.rho_bar(rho) ** (-(ell + 1.0)) * math.exp(tau)
     # p = d ln sqrt(f) / drho;  w = dr/drho
     p = (ell - n * tau) / (2.0 * rho)
     p_prime = -(n * n * tau + ell - n * tau) / (2.0 * rho ** 2)

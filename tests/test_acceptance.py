@@ -27,7 +27,7 @@ from hodoflow import verify
 from hodoflow.cli import main as cli_main
 from hodoflow.errors import UnivalenceWarning
 from hodoflow.mapping import SectorDomain, forward_map, sample_fields
-from hodoflow.maxwell import ALPHA, ModelParams
+from hodoflow.maxwell import ALPHA, SIGMA_V, ModelParams
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
@@ -170,7 +170,7 @@ def test_criterion_5_coordinate_pde():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnivalenceWarning)
             samples = sample_fields(p, sol, fac, dom, grid=(6, 24))
-        assert all(s.speed < p.sigma_v for s in samples)
+        assert all(s.speed < SIGMA_V for s in samples)
 
         # the three hyperbolic sectors: probes on the central (univalent) leaf
         for (n, ell, lam), (r1, r2, tmax) in SECTORS.items():

@@ -84,8 +84,8 @@ def test_readme_command(argv, tmp_path, monkeypatch, capsys):
 
 #: sha256 of the README ``map-fields`` example's CSV and sidecar.
 MAP_FIELDS_DIGESTS = {
-    "fields.csv": "c6237537d6e462c766e674b68fb92162bcad974b0537a98a157dc6d162fa5dbb",
-    "fields.csv.json": "f3a9a189e4ce5425b01ff98bad78530023ab9d7f8b08abbaae234ba6effa7eaa",
+    "fields.csv": "ea6cdd457a9a92210e39ad069ac05eaf84aec37f01361561e6200b14a32bda09",
+    "fields.csv.json": "99d599fdc64065295c75c3f9dbd3f5002b14364138cf39644ae6308bca4a32b6",
 }
 
 
@@ -103,8 +103,8 @@ def test_readme_map_fields_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, digests", [
     ("solve-momentum", {
-        "u.csv": "83c8c421bfbc246c8d3f5b1fb3f9a61ce192318caab4f0b4c38385274d189a9f",
-        "u.csv.json": "263f6a84f817b8d07ecec01b6ef2c0b5bcfc5577a1ffc028631fd8fdd512d67a",
+        "u.csv": "2ca65b38aa83e7c23806a66e0756f5d65619bd2f7c219ff23e4477050092c1da",
+        "u.csv.json": "a67de54c50a1779b15221706c50e0b19c67702666c0c1afb5ec977267f30fefb",
     }),
     ("psi-model", {
         "psi.csv": "560e92e88014379853c56f425b19594776138a1db9b3c79f45f2b20921c21ee5",
@@ -274,9 +274,16 @@ def test_grid_counts_below_two_rejected(tmp_path, capsys, command, flag, count):
     assert not out_file.exists()
 
 
-#: Settings solve-momentum and map-fields no longer take: the flag is a usage
-#: error and a config-file key an error naming it.
-REMOVED_SETTINGS = ("c1", "alpha", "beta")
+#: Settings solve-momentum and map-fields no longer take (``sigma_v`` was also
+#: a flag of classify and characteristics): the flag is a usage error and a
+#: config-file key an error naming it.
+REMOVED_SETTINGS = ("c1", "alpha", "beta", "sigma_v", "c0")
+
+
+def _flag(key: str) -> str:
+    """The flag a setting named ``key`` has, or had."""
+    return "--" + key.replace("_", "-")
+
 
 #: A flag value and a config-file value for a setting of each type, both
 #: unlike every default; the strings are valid choices of radial and regime.
@@ -284,10 +291,14 @@ _SETTING_VALUES = {float: ("3.5", "2.5"), int: ("7", "5")}
 _STRING_VALUES = {"radial": ("tricomi+", "kummer-"), "regime": ("critical", "single-zero")}
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _config_actions(command) -> list[argparse.Action]:
     """The actions of a config command's parser, help excepted."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [action for action in sub.choices[command]._actions if action.dest != "help"]
+    return [action for action in _subparsers()[command]._actions if action.dest != "help"]
 
 
 @pytest.mark.parametrize("command", sorted(_DEFAULTS))
@@ -306,7 +317,7 @@ def test_every_setting_from_flag_and_file(command, key, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = 2.5\n")
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, f"--{key}", "3.5", "--output", str(tmp_path / "x.csv")])
+            build_parser().parse_args([command, _flag(key), "3.5", "--output", str(tmp_path / "x.csv")])
         assert exc.value.code == 1 and "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(ParameterError, match=f"unknown config key '{key}'"):
             _resolve(build_parser().parse_args([command, "--config", str(cfg), "--output", str(tmp_path / "x.csv")]))
@@ -449,6 +460,20 @@ class TestMapFields:
         first = [line for line in out_file.read_text().splitlines() if not line.startswith("#")][1]
         assert first.startswith("nan,nan,nan,")
 
+    def test_normalize_overflow_prints_only_the_error(self, tmp_path, capsys):
+        # at rho ~ 1e-20 rho_T the sector integral overflows: its documented
+        # error is the one line on stderr, with no NumPy warning before it
+        out_file = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "map-fields", "--n", "2", "--ell", "4", "--lambda", "2.5", "--radial", "kummer-",
+                "--rho-min", "1e-20", "--rho-max", "2e-20", "--normalize", "1", "--output", str(out_file),
+            )
+        assert (code, out) == (1, "")
+        assert err == "error: sector normalization integral did not produce a positive finite value\n"
+        assert not out_file.exists()
+
     def test_solve_momentum_below_float_range_writes_nan_rows(self, tmp_path, capsys):
         # as map-fields flags the row, solve-momentum writes it with nan in u and radial
         out_file = tmp_path / "u.csv"
@@ -480,16 +505,6 @@ class TestMapFields:
         )
         assert code == 2
         assert "degenerate" in err.lower()
-
-    def test_zero_c0_exit_code(self, tmp_path, capsys):
-        # c0 = 0 makes u = 0 everywhere, a constant u: ModelParams refuses it
-        out_file = tmp_path / "x.csv"
-        code, out, err = run_cli(
-            capsys, "map-fields", "--n", "2", "--ell", "0", "--radial", "omega", "--c0", "0", "--rho-min", "1.2",
-            "--rho-max", "1.6", "--n-rho", "3", "--n-theta", "2", "--output", str(out_file),
-        )
-        assert (code, out, err) == (1, "", "error: c0 must be nonzero\n")
-        assert not out_file.exists()
 
     @pytest.mark.parametrize("radial", [("--radial", "constant"), ("--radial", "kummer+", "--lambda", "0")])
     @pytest.mark.parametrize("normalize", ["0", "1"])
@@ -528,12 +543,12 @@ class TestMapFields:
     def test_omega_minimum_radius(self, tmp_path, capsys):
         out_file = tmp_path / "omega.csv"
         code, _, _ = run_cli(
-            capsys, "map-fields", "--n", "2", "--ell", "0", "--radial", "omega", "--c0", "1",
+            capsys, "map-fields", "--n", "2", "--ell", "0", "--radial", "omega",
             "--rho-min", "1.2", "--rho-max", "2.2", "--theta-min", "0", "--theta-max", "40",
             "--n-rho", "5", "--n-theta", "4", "--output", str(out_file),
         )
         assert code == 0
-        floor = math.exp(0.5)  # e^((ell+1)/n) for c0 = 1
+        floor = math.exp(0.5)  # e^((ell+1)/n)
         for line in out_file.read_text().splitlines():
             if line.startswith(("#", "x,")):
                 continue
@@ -818,13 +833,13 @@ class TestVerify:
 #: 3rd power of its reciprocal stays finite.
 GRID_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e-9", "1e-50")
 
-_MODEL_FLAGS = ("--n", "--ell", "--sigma-v", "--c0", "--c2", "--lambda", "--fc1",
-                "--fc2", "--rho-min", "--rho-max", "--theta-min", "--theta-max", "--n-rho", "--n-theta",
-                *("--" + key for key in REMOVED_SETTINGS))
+_MODEL_FLAGS = ("--n", "--ell", "--c2", "--lambda", "--fc1", "--fc2", "--rho-min", "--rho-max", "--theta-min",
+                "--theta-max", "--n-rho", "--n-theta", *map(_flag, REMOVED_SETTINGS))
 
 #: Each subcommand's required arguments and the numeric flags varied on them,
 #: the others left at their defaults; laguerre-enum runs in both of its modes.
 GRID_BASES = {
+    # --sigma-v is a removed setting: a usage error at every value
     "classify": (("classify", "--n", "2", "--ell", "0", "--rho", "0.5,1.0,2.0"),
                  ("--n", "--ell", "--sigma-v", "--rho")),
     "characteristics": (("characteristics", "--n", "2", "--ell", "0", "--rho", "0.5,1.0,2.0"),
@@ -865,5 +880,14 @@ def test_numeric_flag_grid(base, flag, grid_output, capsys):
     except SystemExit as exc:
         code = exc.code
     assert code in DOCUMENTED_EXITS[base[0]]
-    if flag.split("=")[0][2:] in REMOVED_SETTINGS:
+    if flag.split("=")[0] in map(_flag, REMOVED_SETTINGS):
         assert code == 1 and "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_grid_covers_every_numeric_flag(command):
+    # a float or int flag added to a subcommand is varied by the grid above
+    numeric = {action.option_strings[0] for action in _subparsers()[command]._actions
+               if action.type in (float, int)}
+    covered = {flag for base, flags in GRID_BASES.values() if base[0] == command for flag in flags}
+    assert numeric <= covered

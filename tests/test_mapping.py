@@ -29,7 +29,16 @@ from hodoflow.mapping import (
     map_differential,
     sample_fields,
 )
-from hodoflow.maxwell import ALPHA, ModelParams, RegionTag, classify, coeff_g, density_F, normalization_sector
+from hodoflow.maxwell import (
+    ALPHA,
+    SIGMA_V,
+    ModelParams,
+    RegionTag,
+    classify,
+    coeff_g,
+    density_F,
+    normalization_sector,
+)
 from hodoflow.momentum import (
     AngularFactor,
     LaguerreCase,
@@ -205,8 +214,8 @@ class TestForwardMap:
 
 class TestRadialMap:
     def test_minimum_radius(self):
-        # image floor r_min = zeta_bar(rho_T) = e^((ell+1)/n) for c0 = 1
-        p = ModelParams(n=2, ell=0, c0=1.0)
+        # image floor r_min = zeta_bar(rho_T) = e^((ell+1)/n)
+        p = ModelParams(n=2, ell=0)
         expected = math.exp((p.ell + 1.0) / p.n)
         assert zeta_bar(p, p.rho_t) == pytest.approx(expected, rel=1e-14)
         mp = forward_map(*omega_chart(p), 1.0001 * p.rho_t, 0.3)
@@ -317,8 +326,8 @@ class TestSampleFields:
         dom = SectorDomain(1.8 * p.rho_t, 2.4 * p.rho_t, -math.radians(12), math.radians(12))
         samples = sample_fields(p, sol, fac, dom, grid=(8, 7))
         speeds = [s.speed for s in samples]
-        assert min(speeds) >= 1.8 * p.sigma_v * (1.0 - 1e-12)
-        assert max(speeds) <= 2.4 * p.sigma_v * (1.0 + 1e-12)
+        assert min(speeds) >= 1.8 * SIGMA_V * (1.0 - 1e-12)
+        assert max(speeds) <= 2.4 * SIGMA_V * (1.0 + 1e-12)
         # hyperbolic tail: density strictly decreasing with speed
         by_speed = sorted({(s.speed, s.density) for s in samples})
         dens = [d for _, d in by_speed]
@@ -339,7 +348,7 @@ class TestSampleFields:
         p, sol, fac = triple(2, 0, 2.0, 1, 2.0)
         dom = SectorDomain(0.05 * p.rho_t, 0.98 * p.rho_t, 0.1, 2.0 * math.pi - 0.1)
         samples = sample_fields(p, sol, fac, dom, grid=(6, 24))
-        assert all(s.speed < p.sigma_v for s in samples)
+        assert all(s.speed < SIGMA_V for s in samples)
 
     def test_degenerate_corner_flagged(self):
         p, sol, fac = triple(2, 0, 2.0, 1, 2.0, c1=1.0, c2=0.0)
@@ -742,6 +751,17 @@ class TestSweepNeverAborts:
         # theta = 0 is a node of Theta = theta; the other rows keep their density
         assert [s.flag for s in samples[3:]] == ["", "node", ""] * 2
         assert all(math.isfinite(s.density) for s in samples[3:])
+
+    def test_underflowing_density_is_zero_not_singular(self):
+        # F's decay underflows long before w^4 overflows at rho = 1e80: F is 0
+        # there, and the rows are out of range, not density-singular
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.kummer(p, 2.5, branch="+")
+        fac = AngularFactor(lam=2.5, c1=0.0, c2=1.0)
+        grid = sample_fields(p, sol, fac, SectorDomain(1e80 * p.rho_t, 2e80 * p.rho_t, -0.2, 0.2), (3, 2))
+        assert grid.density.tolist() == [0.0] * 3
+        assert grid.code.tolist() == [[2, 2]] * 3
+        assert {s.flag for s in grid} == {"out-of-range"}
 
     def test_scalar_path_still_raises(self):
         # the flag belongs to the sweep; a single evaluation keeps its error

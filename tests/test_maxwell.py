@@ -1,6 +1,7 @@
 """Distribution family, induced coefficients, and region classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,13 +36,14 @@ class TestModelParams:
     def test_defaults_give_order_one_scales(self, maxwell22):
         assert maxwell22.rho_t == pytest.approx(2.0)
         assert maxwell22.sigma_nl > 0.0
-        # the velocity at the sonic circle equals sigma_v exactly
-        assert abs(ALPHA) * maxwell22.rho_t == pytest.approx(maxwell22.sigma_v, rel=1e-15)
+        # the velocity at the sonic circle is the unit of speed, exactly
+        assert abs(ALPHA) * maxwell22.rho_t == maxwell.SIGMA_V == 1.0
 
     @pytest.mark.parametrize(
         "kw",
-        # ell and sigma_v are also checked past their boundaries (kw4, kw5)
-        [{"n": 0.0}, {"n": -1.0}, {"ell": -1.0}, {"sigma_v": 0.0}, {"ell": -1.5}, {"sigma_v": -1.0}, {"c0": 0.0}],
+        # n and ell are also checked past their boundaries (kw1, kw4);
+        # a negative zero is not a positive n (kw3)
+        [{"n": 0.0}, {"n": -1.0}, {"ell": -1.0}, {"n": -0.0}, {"ell": -1.5}],
     )
     def test_validation(self, kw):
         base = dict(n=2, ell=2)
@@ -50,8 +52,9 @@ class TestModelParams:
             ModelParams(**base)
 
     def test_units_are_not_fields(self):
-        # alpha and beta are the constants maxwell.ALPHA and BETA, not settings
-        for kw in ({"alpha": -0.5}, {"beta": 1.0}):
+        # alpha, beta and sigma_v are the constants maxwell.ALPHA, BETA and
+        # SIGMA_V, not settings; Omega's amplitude c0 is the angular factor's
+        for kw in ({"alpha": -0.5}, {"beta": 1.0}, {"sigma_v": 1.0}, {"c0": 1.0}):
             with pytest.raises(TypeError):
                 ModelParams(n=2, ell=0, **kw)
 
@@ -65,7 +68,7 @@ class TestModelParams:
         for rho_t in (0.5, 2.0, 3.7):
             assert potentials.PsiModelParams(n=2.0, ell=4.0, rho_t=rho_t).sigma_v == abs(maxwell.ALPHA) * rho_t
 
-    @pytest.mark.parametrize("field", ["n", "ell", "sigma_v", "c0", "c2"])
+    @pytest.mark.parametrize("field", ["n", "ell", "c2"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, bad):
         # NaN passes every ordered comparison of the range checks, so each
@@ -113,12 +116,29 @@ class TestDensity:
         assert density_F(p, 0.0) == 1.0
         zs = np.linspace(0.1, 3.0, 7)
         for z in zs:
-            assert density_F(p, z) == pytest.approx(math.exp(-0.5 * (z / p.sigma_v) ** 2), rel=1e-13)
+            assert density_F(p, z) == pytest.approx(math.exp(-0.5 * z ** 2), rel=1e-13)
+
+    @pytest.mark.parametrize("z", [1e80, 1e200, math.inf])
+    def test_zero_where_the_decay_underflows(self, z):
+        # e^(-(5/2) w^2) is 0 while w^4 overflows (1e80), or w^2 itself
+        # overflows (1e200, inf): F is 0, not NaN
+        assert density_F(ModelParams(n=2, ell=4), z) == 0.0
+
+    def test_array_path_keeps_the_scalar_bits(self):
+        # one array pass gives density_F's bits on both sides of the underflow;
+        # its callers ignore the overflow of the product past it
+        p = ModelParams(n=2, ell=4)
+        zs = np.geomspace(1e-3, 1e200, 400)
+        want = np.array([density_F(p, z) for z in zs.tolist()])
+        with np.errstate(all="ignore"):
+            got = maxwell._density(p, zs, 1.0)
+        assert 0.0 < want[0] and want[-1] == 0.0 and not np.isnan(want).any()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_mode_location_fd_oracle(self, maxwell22):
         # F'(z*) = 0 where ell = n z*^n / (sigma_nl^n 2^(n/2))
         p = maxwell22
-        zstar = p.sigma_v * (p.ell / (p.ell + 1.0)) ** (1.0 / p.n)
+        zstar = maxwell.SIGMA_V * (p.ell / (p.ell + 1.0)) ** (1.0 / p.n)
         s2n = p.sigma_nl ** p.n * 2.0 ** (p.n / 2.0)
         assert p.n * zstar ** p.n / s2n == pytest.approx(p.ell, rel=1e-13)
         h = 1e-7
@@ -391,7 +411,7 @@ class TestSectorNormalization:
         chart = (p, RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0))
 
         def ring(rho):
-            zeta_bar = p.c0 * p.rho_bar(rho) ** -(ell + 1.0) * math.exp(p.tau(rho))
+            zeta_bar = p.rho_bar(rho) ** -(ell + 1.0) * math.exp(p.tau(rho))
             jac_inv = (ell + 1.0) * (p.rho_bar(rho) ** n - 1.0) * zeta_bar ** 2 / rho ** 2
             return density_F(p, abs(ALPHA) * rho) * jac_inv * rho
 
@@ -497,3 +517,14 @@ class TestSectorNormalization:
         dom = SectorDomain(4.0 * p.rho_t, 5.0 * p.rho_t, -0.1, 0.1)
         with pytest.raises(DomainError):
             normalization_sector(p, RadialSolution.kummer(p, 2.5), AngularFactor(lam=2.5, c1=0.0, c2=1.0), dom)
+
+    def test_overflowing_integrand_raises_divergence_without_warning(self):
+        # at rho ~ 1e-20 rho_T, R ~ rho_bar^nu- overflows the fold form and the
+        # integrand: the sum is not finite, and that is the documented error
+        p = ModelParams(n=2, ell=4)
+        sol = RadialSolution.kummer(p, 2.5, branch="-")
+        dom = SectorDomain(1e-20 * p.rho_t, 2e-20 * p.rho_t, -0.2, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="positive finite value"):
+                maxwell.normalization_sector(p, sol, AngularFactor(lam=2.5, c1=0.0, c2=1.0), dom)

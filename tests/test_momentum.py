@@ -81,13 +81,13 @@ class TestCharacteristics:
         with pytest.raises(RegionError):
             characteristic_chi(m22, CharacteristicKind.ELLIPTIC_PLUS, 2.0 * m22.rho_t, 0.0)
 
-    @pytest.mark.parametrize("sigma_v", [0.1, 1.1, 3.0])
-    def test_band_guards_are_classify(self, sigma_v):
+    @pytest.mark.parametrize("n, ell", [(2.0, 4.0), (1.0, 0.5), (3.0, 1.3)])
+    def test_band_guards_are_classify(self, n, ell):
         # the band rule has one judge: at the parabolic band's edges and one ulp
         # to either side, each region guard raises RegionError exactly where
         # classify names the other region; a second rule written as the
         # products rho_T (1 +- EPS_PARABOLIC) disagrees with it there
-        p = ModelParams(n=2, ell=4, sigma_v=sigma_v)
+        p = ModelParams(n=n, ell=ell)
         omega, fac = RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.0, c2=1.0)
         for rho in band_edge_radii(p):
             # each guard, and whether it needs the hyperbolic side
@@ -212,13 +212,13 @@ class TestHillSubstitution:
 
     def test_recurrence_derivative_is_integrand(self, m22):
         # d J_{n,k}/dx = exp(beta_k x^n) / x^(kn+1) for the k = ell/n branch;
-        # checked through zeta: dzeta/drho = c0 rho_T J'(rho_bar) / rho_T
+        # checked through zeta: dzeta/drho = rho_T J'(rho_bar) / rho_T
         rho = 1.1 * m22.rho_t
         x = m22.rho_bar(rho)
         beta = 1 + 1.0 / m22.n
         integrand = math.exp(beta * x ** m22.n) / x ** (m22.ell + 1.0)
         fd = fd_derivative(lambda r: hill_substitution_zeta(m22, r), rho, h=1e-7 * m22.rho_t)
-        assert fd == pytest.approx(m22.c0 * integrand, rel=1e-6)
+        assert fd == pytest.approx(integrand, rel=1e-6)
 
     def test_oscillator_coefficient_signs(self, m22):
         assert hill_coefficient_G(m22, 2.0, m22.rho_t) == pytest.approx(0.0, abs=1e-20)
@@ -412,21 +412,21 @@ class TestRadialSolutions:
 
 class TestHyperbolicOmega:
     def test_slope_matches_zeta_bar_when_matched(self, m22):
-        # Omega is zeta shifted by c0 rho_T c2 / n: its row's slope is zeta_bar
-        p = replace(m22, c0=1.3, c2=0.4)
+        # Omega is zeta shifted by rho_T c2 / n: its row's slope is zeta_bar
+        p = replace(m22, c2=0.4)
         for rho in (1.2 * p.rho_t, 1.8 * p.rho_t, 2.6 * p.rho_t):
             value, slope, _ = radial_row(p, RadialSolution.omega(), rho)
             assert slope == zeta_bar(p, rho)
-            assert value == pytest.approx(hill_substitution_zeta(p, rho) + p.c0 * p.rho_t * p.c2 / p.n, rel=1e-15)
+            assert value == pytest.approx(hill_substitution_zeta(p, rho) + p.rho_t * p.c2 / p.n, rel=1e-15)
 
     def test_fd_slope(self):
-        p = ModelParams(n=2, ell=0, c0=1.7, c2=0.4)
+        p = ModelParams(n=2, ell=0, c2=0.4)
         rho = 1.8 * p.rho_t
         fd = fd_derivative(lambda r: hyperbolic_omega(p, r), rho, h=1e-7 * p.rho_t)
         assert fd == pytest.approx(zeta_bar(p, rho), rel=1e-6)
 
     def test_series_branch_fd_slope(self):
-        p = ModelParams(n=2, ell=1.3, c0=0.9)
+        p = ModelParams(n=2, ell=1.3)
         rho = 1.5 * p.rho_t
         fd = fd_derivative(lambda r: hyperbolic_omega(p, r), rho, h=1e-7 * p.rho_t)
         assert fd == pytest.approx(zeta_bar(p, rho), rel=1e-6)
@@ -498,18 +498,18 @@ class TestHillIntegral:
                 rho = x_target ** (1.0 / n) * p.rho_t
                 x = p.rho_bar(rho) ** n
                 hill = _mp_hill_integral(mpmath, n, ell, x)
-                want = p.c0 * p.rho_t * hill / n
+                want = p.rho_t * hill / n
                 got = hill_substitution_zeta(p, rho)
                 assert abs(got - want) <= 1e-12 * abs(want), ("zeta", n, ell, x)
                 if x_target < 1.0:
                     continue
-                want = p.c0 * p.rho_t * (hill + p.c2) / n
+                want = p.rho_t * (hill + p.c2) / n
                 got = hyperbolic_omega(p, rho)
                 assert abs(got - want) <= 1e-12 * abs(want), ("omega", n, ell, x)
 
     @pytest.mark.parametrize("n, k, rho_bar", [(2.0, 3, 1.5), (1.0, 8, 30.0), (1.5, 5, 9.0), (4.0, 6, 2.6)])
     def test_fd_derivatives_high_k(self, n, k, rho_bar):
-        p = ModelParams(n=n, ell=n * k, c0=0.8, c2=0.3)
+        p = ModelParams(n=n, ell=n * k, c2=0.3)
         rho = rho_bar * p.rho_t
         h = 1e-7 * p.rho_t
         fd = fd_derivative(lambda r: hill_substitution_zeta(p, r), rho, h=h)
@@ -802,7 +802,6 @@ class TestFactorizedU:
         (lambda p: hill_substitution_zeta(p, 0.0), DomainError, "rho must be positive"),
         (lambda p: zeta_bar(p, 0.0), DomainError, "rho must be positive"),
         (lambda p: hill_coefficient_G(p, 2.0, 0.0), DomainError, "rho must be positive"),
-        (lambda p: hill_coefficient_G(replace(p, c0=0.0), 2.0, p.rho_t), ParameterError, "c0 must be nonzero"),
         (lambda p: LaguerreCase(lam=0.5, k=0, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "lam >= 1"),
         (lambda p: LaguerreCase(lam=2.0, k=-1, n=2.0, ell=0.0, alpha_bar=1.0), ParameterError, "k must be"),
         (lambda p: LaguerreCase(lam=1.0, k=0, n=0.0, ell=0.0, alpha_bar=1.0), ParameterError, "n must be finite"),
@@ -842,7 +841,7 @@ class TestFactorizedU:
         (lambda p: hyperbolic_omega(p, 0.0), DomainError, "classification requires rho > 0"),
     ],
     ids=[
-        "chi-rho", "slope-rho", "zeta-rho", "zeta_bar-rho", "hill_G-rho", "hill_G-c0",
+        "chi-rho", "slope-rho", "zeta-rho", "zeta_bar-rho", "hill_G-rho",
         "laguerre-lam", "laguerre-k", "laguerre-n-zero", "laguerre-n-negative", "laguerre-ell",
         "laguerre-alpha_bar", "laguerre-residual",
         "laguerre-kn", "laguerre-alpha_bar-value", "laguerre-model", "laguerre-lam4", "laguerre-k0-residual",

@@ -83,8 +83,8 @@ class TestQuantumPotentialMapped:
             ell = rng.uniform(2.1, 9.0)
             sigma_r = rng.uniform(0.4, 2.5)
             r = rng.uniform(0.3, 4.0) * sigma_r
-            params = ModelParams(n=n, ell=ell, sigma_v=1.0)
-            pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=params.rho_t)  # pm.sigma_v == 1.0 too
+            params = ModelParams(n=n, ell=ell)
+            pm = PsiModelParams(n=n, ell=ell, sigma_r=sigma_r, rho_t=params.rho_t)  # pm.sigma_v == SIGMA_V
             rho = abs(pm.c1) / r
             theta = rng.uniform(-1.0, 1.0)
             fac = AngularFactor(lam=0.0, c1=pm.c1, c2=0.3)

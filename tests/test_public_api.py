@@ -54,7 +54,7 @@ def test_public_names():
 #: defaults), and those settings by name.
 SETTINGS = {
     "AngularFactor": ["c1", "c2"],
-    "ModelParams": ["sigma_v", "c0", "c2"],
+    "ModelParams": ["c2"],
     "PsiModelParams": ["sigma_r", "rho_t"],
     "RadialSolution": ["lam", "scale"],
 }
@@ -75,7 +75,7 @@ def test_settings_count():
         if defaults:
             settings[name] = defaults
     assert settings == SETTINGS
-    assert sum(map(len, settings.values())) == 9
+    assert sum(map(len, settings.values())) == 7
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -7,6 +7,7 @@ The same campaigns back `hodoflow verify <suite>` on the command line.
 Run:  python3 demos/05_verification_suites.py
 """
 
+import sys
 import time
 
 from hodoflow.suites import SUITE_NAMES, run_suite
@@ -23,6 +24,7 @@ for rep in reports:
     print(f"{rep.name:<36} {rep.max_abs:>14.3e} {rep.tol:>11.0e} {verdict:>8}")
 print("-" * 74)
 failures = sum(1 for r in reports if not r.passed)
-print(f"{len(reports)} checks in {elapsed:.2f} s, failures: {failures}")
+print(f"{len(reports)} checks, failures: {failures}")
+print(f"ran in {elapsed:.2f} s", file=sys.stderr)
 print()
 print("Machine-readable output:  hodoflow verify all --output report.json")

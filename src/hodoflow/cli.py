@@ -76,7 +76,8 @@ _DEFAULTS = {
 #: The flags whose name is not ``--`` plus the dest with '_' turned into '-'.
 _FLAGS = {"lam": "--lambda", "theta_min_deg": "--theta-min", "theta_max_deg": "--theta-max"}
 _CHOICES = {"radial": [kind.value for kind in RadialKind], "regime": ("two-zeros", "critical", "single-zero")}
-_HELP = {"config": "flat key = value config file", "fc1": "angular-factor c1", "fc2": "angular-factor c2",
+_HELP = {"config": "flat key = value config file", "c2": "n Omega(rho_T) / rho_T of the omega kind",
+         "fc1": "angular-factor c1", "fc2": "angular-factor c2",
          "rho_min": "in rho_T units", "rho_max": "in rho_T units", "theta_min_deg": "degrees",
          "theta_max_deg": "degrees", "normalize": "1: normalize density over the sector image",
          "r_min": "in sigma_r units", "r_max": "in sigma_r units"}

@@ -59,8 +59,9 @@ EPS_PARABOLIC = 1e-12
 class ModelParams:
     """Parameters fixing one exact solution family, in the units of
     :data:`ALPHA`, :data:`BETA` and :data:`SIGMA_V` (hbar = m = 1).  ``c2``
-    shifts the angularly symmetric hyperbolic solution Omega; its amplitude
-    is the angular factor's.
+    sets the angularly symmetric hyperbolic solution Omega on the sonic
+    circle, ``Omega(rho_T) = rho_T c2 / n``; its amplitude is the angular
+    factor's.
     """
 
     n: float
@@ -133,18 +134,27 @@ def density_F_speed_integral(params: ModelParams) -> float:
 
 
 def coeff_h(params: ModelParams, z: float) -> float:
-    """Quasilinear coefficient h(z) = ALPHA^2 F'(z) / (z F(z)) in speed form."""
+    """Quasilinear coefficient h(z) = ALPHA^2 F'(z) / (z F(z)) in speed form,
+    with :class:`DomainError` where a power of z or h leaves the float range."""
     if not z > 0.0:
         raise DomainError(f"h requires z > 0, got {z}")
     s2n = params.sigma_nl ** params.n * 2.0 ** (params.n / 2.0)
-    return ALPHA ** 2 / z ** 2 * (params.ell - params.n * z ** params.n / s2n)
+    z2 = specfun.checked_pow(z, 2)
+    h = ALPHA ** 2 / z2 * (params.ell - params.n * specfun.checked_pow(z, params.n) / s2n) if z2 else math.inf
+    if not math.isfinite(h):
+        raise DomainError(f"h at z = {z:g} is beyond the float range")
+    return h
 
 
 def coeff_g(params: ModelParams, rho: float) -> float:
-    """g(rho) = 1 + rho^2 h_bar(rho) = (ell+1)(1 - (rho/rho_T)^n)."""
+    """g(rho) = 1 + rho^2 h_bar(rho) = (ell+1)(1 - (rho/rho_T)^n), with
+    :class:`DomainError` where (rho/rho_T)^n leaves the float range."""
     if not rho > 0.0:
         raise DomainError(f"g requires rho > 0, got {rho}")
-    return _g(params, rho)
+    g = _g(params, rho)
+    if math.isnan(g):
+        raise DomainError(f"(rho/rho_T)^n at rho = {rho:g} is out of the float range")
+    return g
 
 
 def _g(params: ModelParams, rho):

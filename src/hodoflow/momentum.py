@@ -9,9 +9,8 @@ hypergeometric, so R is a power times a Kummer M (regular branch) or Tricomi
 Psi (singular branch); :func:`specfun._confluent` evaluates either, with its
 derivative and nodes, and this module assembles R from it.  An angularly
 symmetric exact solution Omega exists in the hyperbolic region.  Omega and
-the oscillator-form substitution zeta are one antiderivative, summed as one
-power series in rho_bar^n; when ell = n k its k-th term carries the
-logarithm of the exponential integral.
+the oscillator-form substitution zeta are one antiderivative, taken from the
+sonic circle and summed as one series in rho_bar^n.
 """
 
 from __future__ import annotations
@@ -143,15 +142,6 @@ def canonical_kappa(params: ModelParams, rho: float) -> float:
 # Oscillator-form (Hill) substitution
 # ---------------------------------------------------------------------------
 
-def _integer_quotient(ell: float, n: float) -> int | None:
-    """k >= 0 with ell = n k, if one exists within 1e-9."""
-    q = ell / n
-    k = round(q)
-    if k >= 0 and abs(q - k) <= 1e-9:
-        return int(k)
-    return None
-
-
 def _check_rho_bar(params: ModelParams, rho: float) -> tuple[float, float]:
     """``(rho_bar, rho_bar^n)`` at a rho > 0, with :class:`DomainError` where
     the power leaves the float range or exceeds ``RHO_BAR_N_CAP``."""
@@ -162,70 +152,58 @@ def _check_rho_bar(params: ModelParams, rho: float) -> tuple[float, float]:
     return rb, x
 
 
-def _hill_sum(z: float, q: float, k: int | None, power: float) -> float:
-    """``power sum_j z^j / (j! (j - q))``, the j = k term as :func:`_hill_integral`
-    takes it; inf where a term leaves the float range, NaN where the series
-    does not converge."""
-    total = 0.0
-    small = 0
-    for j in range(SERIES_MAX_TERMS):
-        if j == k:
-            term = power * (math.log(z) + specfun.EULER_GAMMA - sum(1.0 / i for i in range(1, k + 1)))
-        else:
-            term = power / (j - q)
-        total += term
-        if abs(term) < SERIES_REL_TOL * abs(total):
-            small += 1
-            if small >= 3 and j > max(z, q):  # past the series hump and the pole
-                return total
-        elif math.isinf(term):
-            return math.inf
-        else:
-            small = 0
-        power *= z / (j + 1)
-    return math.nan
-
-
 def _hill_integral(params: ModelParams, rho: float) -> float:
-    """The antiderivative I(x) of ``x^-(q+1) e^(coef x)`` at ``x = rho_bar^n``
-    (``coef = (ell+1)/n``, ``q = ell/n``) that zeta and Omega share:
-    ``I = x^-q sum_j (coef x)^j / (j! (j - q))``.
+    """The antiderivative of ``t^-(q+1) e^(coef t)`` (``coef = (ell+1)/n``,
+    ``q = ell/n``) that zeta and Omega share, taken from the sonic circle:
+    ``I(x) = int_1^x ... dt = sum_j coef^j/j! (x^(j-q) - 1)/(j - q)`` at
+    ``x = rho_bar^n``, the j = q term ``ln x``.  Every term has the sign of
+    ``ln x``, so the sum does not cancel, and it is continuous in ell.
 
-    When ell = n k the j = k term is ``(coef x)^k / k! (ln(coef x) +
-    euler_gamma - H_k)`` instead, H_k the k-th harmonic number: the constant
-    of the closed form through the exponential integral (``Ei(coef x)`` for
-    k = 0, integration by parts for each higher k).  That constant diverges
-    as ell -> n k, so only differences (or the derivative) are continuous in
-    ell there.  The sum is scaled by ``x^-q`` after it is taken; where the
-    sum alone leaves the float range, a normal ``x^-q`` scales its first
-    term instead.  Raises :class:`DomainError` above ``RHO_BAR_N_CAP`` and where
-    I leaves the float range.
+    A term is ``coef^j/j! expm1((j-q) ln x)/(j-q)`` where ``|(j-q) ln x| <
+    1``, else the difference of the running products ``x^-q (coef x)^j/j!``
+    and ``coef^j/j!``, which differ there by at least a factor e; ``ln x`` is
+    ``n ln rho_bar``.  Raises :class:`DomainError` above ``RHO_BAR_N_CAP``,
+    where rho_bar^n underflows to 0, where ``x^-q`` leaves the normal float
+    range (where it underflows, I overflows) and where I does.
     """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     rb, x = _check_rho_bar(params, rho)
-    n, ell = params.n, params.ell
     if x == 0.0:
         raise DomainError(f"rho_bar^n underflows to 0 at rho = {rho}")
-    z = (ell + 1.0) / n * x
-    k = _integer_quotient(ell, n)
-    q = ell / n if k is None else k
-    total = _hill_sum(z, q, k, 1.0)
-    if math.isnan(total):
-        raise DomainError(f"the Hill integral series did not converge at rho_bar = {rb}")
-    scale = specfun.checked_pow(x, -q)
-    value = total * scale
-    if math.isinf(total) and scale >= sys.float_info.min:
-        value = _hill_sum(z, q, k, scale)
-    if not math.isfinite(value):
-        raise DomainError(f"the Hill integral at rho_bar = {rb} is beyond the float range")
-    return value
+    log_x = params.n * math.log(rb)
+    if log_x == 0.0:
+        return 0.0
+    q, coef = params.ell / params.n, (params.ell + 1.0) / params.n
+    at_x, at_1 = specfun.checked_pow(x, -q), 1.0
+    if at_x < sys.float_info.min:
+        raise DomainError(f"rho_bar^-ell = {at_x:.3g} at rho_bar = {rb} is below the float range")
+    total = 0.0
+    small = 0
+    for j in range(SERIES_MAX_TERMS):
+        p = j - q
+        if abs(p * log_x) < 1.0:
+            term = at_1 * (math.expm1(p * log_x) / p if p else log_x)
+        else:
+            term = (at_x - at_1) / p
+        total += term
+        if not math.isfinite(total):
+            raise DomainError(f"the Hill integral at rho_bar = {rb} is beyond the float range")
+        if abs(term) < SERIES_REL_TOL * abs(total):
+            small += 1
+            if small >= 3 and j > coef * max(x, 1.0):  # past both products' humps
+                return total
+        else:
+            small = 0
+        at_x *= coef * x / (j + 1)
+        at_1 *= coef / (j + 1)
+    raise DomainError(f"the Hill integral series did not converge at rho_bar = {rb}")
 
 
 def hill_substitution_zeta(params: ModelParams, rho: float) -> float:
     """Radial substitution zeta(rho) that removes the first-derivative term:
     ``rho_T I / n``, I the Hill integral (:func:`_hill_integral`), so
-    that zeta' = :func:`zeta_bar`."""
+    that zeta' = :func:`zeta_bar` and zeta(rho_T) = 0."""
     return params.rho_t * (_hill_integral(params, rho) / params.n)
 
 
@@ -423,9 +401,10 @@ class RadialSolution:
     def omega() -> "RadialSolution":
         """The angularly symmetric hyperbolic solution Omega(rho)
         (:func:`hyperbolic_omega`), the lam = 0 separated solution with
-        Theta = 1 (``AngularFactor(lam=0, c1=0, c2=1)``).  Omega' equals
-        zeta_bar, so the map sends (rho, theta) to radius zeta_bar(rho) at
-        polar angle theta, with phase ``rho zeta_bar - Omega``.
+        Theta = 1 (``AngularFactor(lam=0, c1=0, c2=1)``), ``rho_T c2 / n``
+        on the sonic circle.  Omega' equals zeta_bar, so the map sends (rho,
+        theta) to radius zeta_bar(rho) at polar angle theta, with phase ``rho
+        zeta_bar - Omega``.
         """
         return RadialSolution(kind=RadialKind.HYPERBOLIC_OMEGA, lam=0.0)
 
@@ -531,8 +510,8 @@ def hyperbolic_omega(params: ModelParams, rho: float) -> float:
     """Angularly symmetric exact solution in the hyperbolic region,
     ``Omega(rho) = rho_T (I(rho_bar^n) + c2) / n`` with ``I`` the Hill
     integral (:func:`_hill_integral`): zeta shifted by ``rho_T c2 / n``,
-    so Omega' = :func:`zeta_bar`; the amplitude of ``u = Omega Theta`` is
-    Theta's.  Depends on rho only; the angular average of any flow built on
+    so Omega' = :func:`zeta_bar` and Omega(rho_T) = ``rho_T c2 / n``; the
+    amplitude of ``u = Omega Theta`` is Theta's.  Depends on rho only; the angular average of any flow built on
     it is trivially preserved.  :class:`RegionError` where :func:`classify`
     calls rho elliptic, and its :class:`DomainError` where rho is not
     positive.

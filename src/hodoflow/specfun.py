@@ -27,7 +27,6 @@ from .errors import (
     NoConvergenceError,
 )
 
-EULER_GAMMA = 0.5772156649015328606
 _OVERFLOW_GUARD = 1e305
 _INT_TOL = 1e-12
 
@@ -261,8 +260,10 @@ def tricomi_psi(a: float, b: float, z: float) -> float:
     An integer b (:func:`_integer_b`) raises :class:`ParameterError`: the
     logarithmic limit is not implemented.  When a (or a+1-b) is a
     non-positive integer its 1/Gamma factor vanishes and the term is dropped.
-    The ``tricomi`` radial kinds take Psi from :func:`_confluent`; this
-    separate two-series path is their oracle.
+    The ``tricomi`` radial kinds take Psi from :func:`_confluent`, which at
+    a float runs the same :func:`_psi_parts`, :func:`_psi_from` and
+    :func:`_kummer_series`; this function is their public face, not an
+    independent check of them.
     """
     if z <= 0.0:
         raise DomainError(f"Tricomi Psi restricted to z > 0, got z = {z}")

@@ -127,7 +127,7 @@ def suite_momentum() -> list[VerificationReport]:
             )
         )
 
-    # oscillator (Hill) form for a non-catalog lam, closed-form and series branches
+    # oscillator (Hill) form for a non-catalog lam, at ell = n k and off it
     residuals = []
     for p in (ModelParams(n=2, ell=2), ModelParams(n=2, ell=2.5)):
         sol = RadialSolution.kummer(p, 1.0)

@@ -119,6 +119,17 @@ def test_readme_table_bytes(command, digests, tmp_path, monkeypatch):
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
 
 
+#: sha256 of ``verify all --output``'s JSON, a fact of this platform (glibc
+#: libm, x86-64) as the README pins above are.
+VERIFY_ALL_SHA256 = "99822f0f74004bdf47fedbd10c3384a4ba55976fd083adc515498178dc028eec"
+
+
+def test_verify_all_json_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+
+
 def _script(*argv, cwd):
     """``python -m hodoflow.cli ARGV`` in a fresh interpreter on this checkout."""
     src = str(Path(hodoflow.__file__).resolve().parents[1])
@@ -351,6 +362,12 @@ class TestClassify:
         code, out, err = run_cli(capsys, "classify", "--n", "2", "--ell", "4", "--rho", "nan,1.0")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "rho > 0" in err
+
+    def test_overflowing_radius_exits_one(self, capsys):
+        # (rho/rho_T)^n overflows at the second radius, where Delta and g were nan
+        code, out, err = run_cli(capsys, "classify", "--n", "2", "--ell", "4", "--rho", "0.5,1e200")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "out of the float range" in err
 
     def test_three_regions(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "--n", "2", "--ell", "2", "--rho", "0.5,1.0,2.0")

@@ -22,7 +22,7 @@ from hodoflow.maxwell import (
     normalization_psi_model,
 )
 from hodoflow.mapping import SectorDomain
-from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution
+from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution, canonical_kappa, slope_rho_theta
 from hodoflow.specfun import gamma
 from oracles import band_edge_radii, coeff_h_bar, polar_quad
 
@@ -174,6 +174,18 @@ class TestCoefficients:
         with pytest.raises(DomainError, match="h requires z > 0"):
             coeff_h(maxwell22, 0.0)
 
+    @pytest.mark.parametrize("z", [1e200, 1e-200, 1e-160])
+    def test_h_beyond_float_range_raises(self, z):
+        # z^2 overflows, underflows to 0, and is subnormal (so h is inf)
+        with pytest.raises(DomainError, match="float range"):
+            coeff_h(ModelParams(n=2, ell=4), z)
+
+    @pytest.mark.parametrize("call", [coeff_g, discriminant, slope_rho_theta, canonical_kappa])
+    def test_g_beyond_float_range_raises(self, call):
+        # (rho/rho_T)^n overflows, where g would be NaN
+        with pytest.raises(DomainError, match="out of the float range"):
+            call(ModelParams(n=2, ell=4), 1e200)
+
     def test_h_forms_agree(self, maxwell22):
         # speed form at z = |alpha| rho vs direct momentum form
         for rho in (0.3, 1.0, 1.3 * maxwell22.rho_t, 2.9):
@@ -272,7 +284,7 @@ class TestNormalization:
 
         from hodoflow.mapping import SectorDomain, forward_map
         from hodoflow.maxwell import normalization_sector
-        from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution
+        from hodoflow.momentum import AngularFactor, LaguerreCase, RadialSolution, canonical_kappa, slope_rho_theta
 
         p = ModelParams(n=2, ell=0)
         case = LaguerreCase(lam=2.0, k=1, n=2.0, ell=0.0, alpha_bar=2.0)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hodoflow import verify
+from hodoflow import momentum, verify
 from hodoflow.errors import DomainError, NodeError, ParameterError, RegionError, SaturationWarning, UnivalenceWarning
 from hodoflow.mapping import SectorDomain, sample_fields
 from hodoflow.maxwell import ModelParams, RegionTag, classify, coeff_g, discriminant
@@ -188,8 +188,8 @@ class TestCanonicalKappa:
 
 
 class TestHillSubstitution:
-    def test_zeta_derivative_recurrence_branch(self, m22):
-        # ell = n k with k = 1: closed antiderivative through Ei
+    def test_zeta_derivative_at_integer_quotient(self, m22):
+        # ell = n k with k = 1, where the j = k term of the series is ln x
         rho = 0.7 * m22.rho_t
         fd = fd_derivative(lambda r: hill_substitution_zeta(m22, r), rho, h=1e-7 * m22.rho_t)
         assert fd == pytest.approx(zeta_bar(m22, rho), rel=1e-6)
@@ -210,8 +210,8 @@ class TestHillSubstitution:
         residual = second + coeff_g(m22, rho) / rho * first
         assert abs(residual) / max(abs(second), abs(first / rho)) < 1e-6
 
-    def test_recurrence_derivative_is_integrand(self, m22):
-        # d J_{n,k}/dx = exp(beta_k x^n) / x^(kn+1) for the k = ell/n branch;
+    def test_derivative_is_integrand(self, m22):
+        # d J/dx = exp(beta x^n) / x^(ell+1) at ell = n k, beta = (ell+1)/n;
         # checked through zeta: dzeta/drho = rho_T J'(rho_bar) / rho_T
         rho = 1.1 * m22.rho_t
         x = m22.rho_bar(rho)
@@ -435,47 +435,50 @@ class TestHyperbolicOmega:
         with pytest.raises(RegionError):
             hyperbolic_omega(m22, 0.9 * m22.rho_t)
 
-    def test_branch_continuity_on_differences(self):
-        # The ell = nk closed form and the nearby-series values agree on
-        # differences (both are antiderivative families; the additive
-        # constant diverges as ell -> nk and cancels here).
-        rho_a, rho_b = 2.4, 3.4
-        ref = ModelParams(n=2, ell=2)
-        d_ref = hyperbolic_omega(ref, rho_b) - hyperbolic_omega(ref, rho_a)
-        for ell in (2.0 - 1e-6, 2.0 + 1e-6):
-            p = ModelParams(n=2, ell=ell)
-            d = hyperbolic_omega(p, rho_b) - hyperbolic_omega(p, rho_a)
-            assert d == pytest.approx(d_ref, rel=1e-4)
+    def test_value_on_the_sonic_circle(self):
+        # c2 is n Omega(rho_T) / rho_T, and zeta vanishes there
+        for ell, c2 in ((0.0, 0.0), (4.0, 0.4), (1.3, -2.5)):
+            p = ModelParams(n=2, ell=ell, c2=c2)
+            assert hill_substitution_zeta(p, p.rho_t) == 0.0
+            assert hyperbolic_omega(p, p.rho_t) == p.rho_t * p.c2 / p.n
+
+
+#: The fields of a mapped Omega sector that the continuity test compares.
+SECTOR_FIELDS = ("x", "y", "phi", "vx", "vy", "q_pot", "u_pot", "jac_inv", "speed", "density")
+
+
+def _omega_values(n, ell):
+    """zeta at three radii, Omega at two, and for n = 2 the fields of a 5x5
+    Omega sector (c2 = 0.4, Theta = 0.5 theta + 1, rho in [2.2, 3.0])."""
+    p = ModelParams(n=n, ell=ell, c2=0.4)
+    values = [hill_substitution_zeta(p, rb * p.rho_t) for rb in (0.6, 1.5, 2.5)]
+    values += [hyperbolic_omega(p, rb * p.rho_t) for rb in (1.5, 2.5)]
+    if n == 2.0:
+        fields = sample_fields(p, RadialSolution.omega(), AngularFactor(lam=0.0, c1=0.5, c2=1.0),
+                               SectorDomain(2.2, 3.0, 0.0, 1.0), (5, 5))
+        values += [v for name in SECTOR_FIELDS for v in getattr(fields, name).ravel().tolist()]
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_omega_and_zeta_continuous_in_ell(n, k):
+    # the series has no special case at ell = n k: each value moves with ell
+    # by at most 20 |delta| max(1, |value|), a bound on its ell-derivative
+    ref = _omega_values(n, n * k)
+    assert np.isfinite(ref).all()
+    for delta in (1e-12, -1e-12, 2e-9, -2e-9, 1e-6, -1e-6):
+        moved = np.abs(_omega_values(n, n * k + delta) - ref)
+        assert (moved <= 20.0 * abs(delta) * np.maximum(1.0, np.abs(ref))).all(), (delta, moved.max())
 
 
 def _mp_hill_integral(mpmath, n, ell, x):
-    """The Hill integral I(x) in mpmath: the Ei recurrence in k when
-    ell = n k, the summed power series otherwise.  The recurrence cancels
-    up to about 2 digits per order (76 at k = 37, x = 49.9), so it runs
-    3 k digits above the working precision."""
-    n, ell, x = mpmath.mpf(n), mpmath.mpf(ell), mpmath.mpf(x)
-    q = ell / n
-    k = int(mpmath.nint(q))
-    if abs(q - k) < 1e-9:
-        with mpmath.workdps(mpmath.mp.dps + 3 * k):
-            coef = [i + 1 / n for i in range(k + 1)]
-
-            def recurrence(k, x):
-                if k == 0:
-                    return mpmath.ei(coef[0] * x)
-                step = coef[k] ** k / (k * coef[k - 1] ** (k - 1))
-                return step * recurrence(k - 1, x * coef[k] / coef[k - 1]) - mpmath.exp(coef[k] * x) / (k * x ** k)
-
-            return recurrence(k, x)
-    z = (ell + 1) / n * x
-    total, power, j = mpmath.mpf(0), mpmath.mpf(1), 0
-    while True:
-        term = power / (j - q)
-        total += term
-        if j > z and j > q and abs(term) < mpmath.mpf(10) ** -70 * abs(total):
-            return x ** -q * total
-        j += 1
-        power *= z / j
+    """The Hill integral I(x) = int_1^x t^-(q+1) e^(coef t) dt by
+    ``mpmath.quad`` at the working precision, in s = ln t."""
+    n, ell = mpmath.mpf(n), mpmath.mpf(ell)
+    q, coef = ell / n, (ell + 1) / n
+    return mpmath.quad(lambda s: mpmath.exp(coef * mpmath.exp(s) - q * s), [0, mpmath.log(x)],
+                       method="gauss-legendre")
 
 
 class TestHillIntegral:
@@ -487,16 +490,16 @@ class TestHillIntegral:
         points = [(ell, x_target) for k in range(9) for ell in (n * k, n * k + 0.37)
                   for x_target in (0.25, 0.8, 1.0, 2.5, 7.0, 20.0, 49.9)]
         if n == 2.0:
-            # zeta 6.6e299 and Omega 2.7e293, where the sum before x^-q (about e^697) overflows
+            # zeta 6.6e299, where the term as coef^j/j! expm1((j-q) ln x)/(j-q) overflows from j = 199
             points.append((30.5, 48.0))
         if n == 1.0:
-            # k = 37, where the recurrence at 60 digits alone returns -2.77e289 for 2.94e288
+            # zeta 2.9e288 at k = 37
             points.append((37.0, 20.58))
-        with mpmath.workdps(60):
+        with mpmath.workdps(20):
             for ell, x_target in points:
                 p = ModelParams(n=n, ell=ell)
                 rho = x_target ** (1.0 / n) * p.rho_t
-                x = p.rho_bar(rho) ** n
+                x = mpmath.mpf(p.rho_bar(rho)) ** n
                 hill = _mp_hill_integral(mpmath, n, ell, x)
                 want = p.rho_t * hill / n
                 got = hill_substitution_zeta(p, rho)
@@ -519,7 +522,7 @@ class TestHillIntegral:
 
     def test_beyond_float_range_raises(self):
         # at x = 48, I is about e^911 for ell = 40.5; for ell = 400, x^-q
-        # underflows, so it cannot scale the first term either
+        # underflows, and I >= e^(q (x - ln x)) overflows
         for ell in (40.5, 400.0):
             p = ModelParams(n=2, ell=ell)
             rho = math.sqrt(48.0) * p.rho_t
@@ -527,17 +530,19 @@ class TestHillIntegral:
                 hyperbolic_omega(p, rho)
             with pytest.raises(DomainError):
                 hill_substitution_zeta(p, rho)
-        # rho_bar^n underflows to 0, where ln(coef x) is undefined
+        # rho_bar^n underflows to 0, where ln x is undefined
         for ell in (0.0, 2.0):
             with pytest.raises(DomainError):
                 hill_substitution_zeta(ModelParams(n=2, ell=ell), 1e-200)
 
-    def test_series_that_does_not_converge_raises(self):
-        # q = ell / n = 4000: the stopping rule j > max(z, q) cannot hold
-        # within SERIES_MAX_TERMS, so the sum returns NaN
-        p = ModelParams(n=1, ell=4000)
+    def test_series_that_does_not_converge_raises(self, monkeypatch):
+        # no float input reaches this exit: where the stop rule j > coef
+        # max(x, 1) cannot hold within SERIES_MAX_TERMS, a running product
+        # overflows first.  A budget of 10 terms reaches it at coef x = 15
+        monkeypatch.setattr(momentum, "SERIES_MAX_TERMS", 10)
+        p = ModelParams(n=2, ell=4)
         with pytest.raises(DomainError, match="did not converge"):
-            hill_substitution_zeta(p, 0.001 * p.rho_t)
+            hill_substitution_zeta(p, math.sqrt(6.0) * p.rho_t)
 
 
 class TestMuPlus:

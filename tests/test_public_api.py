@@ -1,6 +1,7 @@
 """The public surface of ``hodoflow`` and the demos that use it."""
 
 import enum
+import hashlib
 import inspect
 import os
 import runpy
@@ -78,8 +79,21 @@ def test_settings_count():
     assert sum(map(len, settings.values())) == 7
 
 
+#: sha256 of each demo's stdout.  Like the README pins in ``test_cli``, these
+#: are facts of this platform (glibc libm, x86-64): another libm may round a
+#: printed digit differently.
+DEMO_STDOUT_SHA256 = {
+    "01_speed_distributions_and_regions": "fc585767fa6a77cee6316b3982ecb36d72d8eec9f6b775e5fa182c72cf9e201b",
+    "02_momentum_space_solutions": "4ca45c52ff6b19c974cc6269b52e95d7655c1718af6d6c44dea52a8de2203718",
+    "03_mapped_flow_fields": "15a6d390b70c0baab870cdfc5c19de39afc2e8515cd5ab468eb6758f01c4eb76",
+    "04_vortex_wavefunction": "43170c9779f80bf9694afa9d04f1191c20ece1558a4853ee3a3cc6dfd21637ba",
+    "05_verification_suites": "e9a2bd9a4bb793113dfc379e0336d6b8146a58854de43f3fdb134462ad327fc1",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(demo), run_name="__main__")
-    assert capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEMO_STDOUT_SHA256[demo.stem]

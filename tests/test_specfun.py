@@ -366,6 +366,24 @@ class TestTricomiPsi:
         # Psi' = -a Psi(a+1, b+1), the identity momentum's Tricomi rows use
         assert -a * tricomi_psi(a + 1.0, b + 1.0, z) == pytest.approx(fd, rel=1e-6)
 
+    def test_against_mpmath_hyperu(self):
+        # the four (a, b) of the tricomi+- rows at lam = 2.5, n = 2, ell = 4 and
+        # of their derivatives; next to a zero of Psi (tau ~ 7.557) the error
+        # is the zero's conditioning kappa = |tau Psi'/Psi|, so it is scaled by it
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(n=2, ell=4)
+        pairs = []
+        for branch in "+-":
+            _, a, b = RadialSolution.kummer(p, 2.5, branch=branch, tricomi=True).exponents(p)
+            pairs += [(a, b), (a + 1.0, b + 1.0)]
+        with mpmath.workdps(40):
+            for a, b in pairs:
+                for tau in [*np.linspace(0.5, 20.0, 40).tolist(), 7.557]:
+                    want = mpmath.hyperu(a, b, tau)
+                    kappa = abs(tau * a * mpmath.hyperu(a + 1, b + 1, tau) / want)
+                    err = abs((tricomi_psi(a, b, tau) - want) / want)
+                    assert err / max(1, kappa) <= 1e-13, (a, b, tau)
+
     def test_integer_b_rejected(self):
         with pytest.raises(ParameterError):
             tricomi_psi(0.4, 2.0, 1.0)
